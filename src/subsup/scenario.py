@@ -26,6 +26,7 @@ against the scenario file's directory.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field as dataclass_field
 
@@ -61,6 +62,33 @@ class Scenario:
     base_dir: str = dataclass_field(default=".", compare=False)
 
 
+def _object(raw, where):
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"'{where}' must be an object")
+    return raw
+
+
+def _number(raw, where):
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"'{where}' must be a number")
+    return float(raw)
+
+
+def _integer(raw, where):
+    if isinstance(raw, float) and raw.is_integer():
+        raw = int(raw)
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ScenarioError(f"'{where}' must be an integer")
+    return raw
+
+
+def _positive(raw, where):
+    value = _number(raw, where)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ScenarioError(f"'{where}' must be a finite number > 0, got {value!r}")
+    return value
+
+
 def _coeff(raw, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise ScenarioError(f"{where}: expected a number or expression string")
@@ -74,7 +102,7 @@ def _nonlin_spec(raw, where):
     if kind == "power":
         if "p" not in raw:
             raise ScenarioError(f"{where}: power law needs 'p'")
-        return {"kind": "power", "p": float(raw["p"])}
+        return {"kind": "power", "p": _number(raw["p"], f"{where}.p")}
     if kind == "table":
         if "path" not in raw:
             raise ScenarioError(f"{where}: table needs 'path'")
@@ -104,28 +132,38 @@ def parse_scenario(text, base_dir="."):
     if kind == "icosphere":
         spec = {
             "kind": "icosphere",
-            "subdivisions": int(need("subdivisions", "domain", dom)),
-            "radius": float(dom.get("radius", 1.0)),
+            "subdivisions": _integer(
+                need("subdivisions", "domain", dom), "domain.subdivisions"
+            ),
+            "radius": _number(dom.get("radius", 1.0), "domain.radius"),
         }
     elif kind == "flat_torus":
         dims = need("dims", "domain", dom)
-        if not isinstance(dims, list) or not dims:
-            raise ScenarioError("'domain.dims' must be a non-empty list")
+        if not isinstance(dims, list) or not dims or not all(
+            isinstance(d, list) and len(d) == 2 for d in dims
+        ):
+            raise ScenarioError(
+                "'domain.dims' must be a non-empty list of [cells, length] pairs"
+            )
         spec = {
             "kind": "flat_torus",
-            "dims": [[int(c), float(l)] for c, l in dims],
+            "dims": [
+                [_integer(c, "domain.dims"), _number(l, "domain.dims")]
+                for c, l in dims
+            ],
         }
     elif kind == "off":
         spec = {"kind": "off", "path": str(need("path", "domain", dom))}
     else:
         raise ScenarioError(f"unknown domain kind '{kind}'")
 
-    coeffs = need("coefficients")
-    nl = need("nonlinearity")
-    bracket = need("bracket")
-    solver = doc.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ScenarioError("'solver' must be an object")
+    coeffs = _object(need("coefficients"), "coefficients")
+    nl = _object(need("nonlinearity"), "nonlinearity")
+    bracket = _object(need("bracket"), "bracket")
+    solver = _object(doc.get("solver", {}), "solver")
+    max_steps = _integer(solver.get("max_steps", DEFAULT_MAX_STEPS), "solver.max_steps")
+    if max_steps < 1:
+        raise ScenarioError(f"'solver.max_steps' must be >= 1, got {max_steps}")
 
     H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H")
     q = nl.get("q")
@@ -136,18 +174,20 @@ def parse_scenario(text, base_dir="."):
 
     return Scenario(
         domain_spec=spec,
-        n=int(need("n")),
+        n=_integer(need("n"), "n"),
         a=_coeff(need("a", "coefficients", coeffs), "coefficients.a"),
         f=_coeff(need("f", "coefficients", coeffs), "coefficients.f"),
         h=_coeff(need("h", "coefficients", coeffs), "coefficients.h"),
         F_spec=_nonlin_spec(need("F", "nonlinearity", nl), "nonlinearity.F"),
         H_spec=H_spec,
-        q=float(q),
+        q=_number(q, "nonlinearity.q"),
         lower=_coeff(need("lower", "bracket", bracket), "bracket.lower"),
         upper=_coeff(need("upper", "bracket", bracket), "bracket.upper"),
-        tol=float(solver.get("tol", DEFAULT_TOL)),
-        max_steps=int(solver.get("max_steps", DEFAULT_MAX_STEPS)),
-        linear_tol=float(solver.get("linear_tol", DEFAULT_LINEAR_TOL)),
+        tol=_positive(solver.get("tol", DEFAULT_TOL), "solver.tol"),
+        max_steps=max_steps,
+        linear_tol=_positive(
+            solver.get("linear_tol", DEFAULT_LINEAR_TOL), "solver.linear_tol"
+        ),
         base_dir=base_dir,
     )
 

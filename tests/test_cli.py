@@ -8,6 +8,7 @@ import pytest
 from subsup.cli import main
 
 from tests.conftest import base_torus_doc
+from tests.test_scenario import MALFORMED, malformed_doc
 
 
 def read_masked(path):
@@ -93,6 +94,18 @@ class TestInputErrors:
         doc = base_torus_doc()
         doc["coefficients"]["a"] = "1/(x-x)"
         assert main(["check", tmp_scenario(doc)]) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_scenario_exits_2_before_any_check(
+        self, case, tmp_scenario, tmp_path, capsys
+    ):
+        path = tmp_scenario(malformed_doc(case))
+        assert main(["check", path]) == 2
+        assert main(["solve", path, "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 2
+        assert not (tmp_path / "run").exists()
 
 
 class TestSolve:

@@ -119,6 +119,84 @@ class TestSolveT:
             solve_T(lp, psi)
 
 
+def smooth_positive_field(domain, low=1.0, high=10.0):
+    """a in [low, high], resolved alike at every grid size."""
+    x, y, _ = domain.coordinates.T
+    lx = domain.grid_lengths[0]
+    ly = domain.grid_lengths[1] if len(domain.grid_lengths) > 1 else 1.0
+    wave = np.sin(2.0 * np.pi * x / lx) * np.cos(2.0 * np.pi * y / ly)
+    return domain.field(0.5 * (low + high) + 0.5 * (high - low) * wave)
+
+
+TORI = {
+    "1d_odd": [(7, 2.0)],
+    "1d_even": [(10, 1.0)],
+    "2d_mixed": [(6, 1.0), (9, 3.0)],
+    "3d_mixed": [(4, 1.0), (5, 2.0), (6, 0.7)],
+}
+
+
+class TestFFTPreconditioner:
+    @pytest.mark.parametrize("name", sorted(TORI))
+    @pytest.mark.parametrize("variable", [False, True])
+    def test_matches_dense_solve(self, name, variable):
+        domain = subsup.build_flat_torus(TORI[name])
+        rng = np.random.default_rng(23)
+        a = random_positive_field(domain, rng, 1.0, 10.0) if variable else 2.5
+        lp = LinearProblem(domain, domain.field(a))
+        psi = random_dual(domain, rng)
+        u, report = solve_T(lp, psi, tol=1e-12)
+        expected = np.linalg.solve(lp.system_matrix.toarray(), psi.values)
+        assert np.abs(u.values - expected).max() <= 1e-8
+        if not variable:
+            # P = A, so CG from zero lands on the solution in one step
+            assert report.iterations == 1
+            assert len(report.energy_history) == 2
+
+    def test_surface_keeps_jacobi(self, icosphere2):
+        rng = np.random.default_rng(31)
+        lp = LinearProblem(icosphere2, random_positive_field(icosphere2, rng))
+        r = rng.standard_normal(icosphere2.vertex_count)
+        assert np.array_equal(lp.preconditioner(r), r / lp.system_matrix.diagonal())
+
+    def test_energy_history_non_increasing(self, torus8):
+        rng = np.random.default_rng(37)
+        lp = LinearProblem(torus8, smooth_positive_field(torus8))
+        _, report = solve_T(lp, random_dual(torus8, rng, scale=10.0))
+        hist = report.energy_history
+        assert len(hist) >= 3
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+    def test_warm_start(self, torus8):
+        rng = np.random.default_rng(41)
+        lp = LinearProblem(torus8, smooth_positive_field(torus8))
+        psi = random_dual(torus8, rng)
+        cold, _ = solve_T(lp, psi, tol=1e-12)
+        warm, report = solve_T(lp, psi, tol=1e-12, x0=cold)
+        assert np.abs(warm.values - cold.values).max() <= 1e-9
+        assert report.iterations <= 2
+
+    def test_unreachable_tolerance_raises(self):
+        # a random right-hand side: constant ones are solved without roundoff
+        domain = subsup.build_flat_torus(TORI["2d_mixed"])
+        lp = LinearProblem(domain, domain.field(1.0))
+        psi = random_dual(domain, np.random.default_rng(43))
+        with pytest.raises(ConvergenceError) as exc:
+            solve_T(lp, psi, tol=1e-40)
+        assert exc.value.report.iterations > 0
+
+    def test_iterations_independent_of_mesh_size(self):
+        counts = []
+        for cells in (16, 32):
+            domain = subsup.build_flat_torus([(cells, 1.0)] * 3)
+            x, _, z = domain.coordinates.T
+            lp = LinearProblem(domain, smooth_positive_field(domain))
+            psi = embed_function(domain.field(np.cos(2.0 * np.pi * z) + x))
+            _, report = solve_T(lp, psi)
+            counts.append(report.iterations)
+        assert counts[1] <= counts[0] + 2
+
+
 class TestEmbedFunction:
     def test_zero_field(self, torus8):
         psi = embed_function(torus8.field(0.0))

@@ -80,6 +80,53 @@ class TestParse:
             parse_scenario(json.dumps(doc))
 
 
+# (where, replacement document part): each is a shape or value error that
+# parse_scenario must report as a ScenarioError naming `where`
+MALFORMED = {
+    "subdivisions_null": (
+        "domain.subdivisions", "domain", {"kind": "icosphere", "subdivisions": None}
+    ),
+    "dims_not_pairs": ("domain.dims", "domain", {"kind": "flat_torus", "dims": [8]}),
+    "dims_fractional_cells": (
+        "domain.dims", "domain", {"kind": "flat_torus", "dims": [[8.5, 1.0]]}
+    ),
+    "coefficients_number": ("coefficients", "coefficients", 5),
+    "bracket_number": ("bracket", "bracket", 5),
+    "nonlinearity_number": ("nonlinearity", "nonlinearity", 5),
+    "n_null": ("n", "n", None),
+    "tol_negative": ("solver.tol", "solver", {"tol": -1}),
+    "tol_zero": ("solver.tol", "solver", {"tol": 0}),
+    "tol_nan": ("solver.tol", "solver", {"tol": float("nan")}),
+    "linear_tol_zero": ("solver.linear_tol", "solver", {"linear_tol": 0}),
+    "linear_tol_string": ("solver.linear_tol", "solver", {"linear_tol": "1e-11"}),
+    "max_steps_zero": ("solver.max_steps", "solver", {"max_steps": 0}),
+    "max_steps_fractional": ("solver.max_steps", "solver", {"max_steps": 2.5}),
+}
+
+
+def malformed_doc(case):
+    _, key, value = MALFORMED[case]
+    doc = base_torus_doc()
+    doc[key] = value
+    return doc
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_scenario_error_names_the_field(self, case):
+        where = MALFORMED[case][0]
+        with pytest.raises(ScenarioError, match=f"'{where}'"):
+            parse_scenario(json.dumps(malformed_doc(case)))
+
+    def test_integral_float_is_an_integer(self):
+        doc = base_torus_doc()
+        doc["n"] = 3.0
+        doc["solver"] = {"max_steps": 40.0}
+        s = parse_scenario(json.dumps(doc))
+        assert (s.n, s.max_steps) == (3, 40)
+        assert isinstance(s.n, int) and isinstance(s.max_steps, int)
+
+
 class TestRoundTrip:
     def test_parse_serialize_parse_fixed_point(self):
         doc = base_torus_doc()
