@@ -15,74 +15,45 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .expressions import ExpressionError
 from .geometry import generalized_spectrum, mesh_quality
 from .iteration import (
+    Bracket,
     BracketError,
     OrderingError,
-    defect,
+    bracket_failures,
     iterate_monotone,
-    make_bracket,
 )
 from .linear_operator import ConvergenceError
 from .nonlinearity import check_alpha1, check_alpha2
-from .scenario import ScenarioError, build_problem, load_scenario
+from .scenario import ScenarioError, _max_steps, _positive, build_problem, load_scenario
 from .serialize import format_float, write_json
 
 SPECTRUM_VERTEX_LIMIT = 5000
 
 
-def _run_checks(scenario, problem, lower, upper):
+def _run_checks(problem, lower, upper, tol):
     """The four hypothesis/bracket checks; returns (report dict, all passed)."""
     t_max = 2.0 * float(upper.values.max())
     a1 = check_alpha1(problem.F, problem.H, problem.n, problem.q, t_max)
     a2 = check_alpha2(problem)
     report = {"alpha1": a1.to_json_dict(), "alpha2": a2.to_json_dict()}
 
-    tol = scenario.tol
-    order_gap = lower.values - upper.values
-    order_vertex = int(np.argmax(order_gap)) if (order_gap > 0.0).any() else None
-    for side, v in (("lower", lower), ("upper", upper)):
-        entry = {
-            "passed": False,
-            "skipped": False,
-            "vertex": None,
-            "defect": None,
-            "unordered": False,
+    # the defects need the linear operator, which a <= 0 breaks
+    skipped = not a2.passed and a2.clause == "a > 0"
+    failures = (None, None)
+    if not skipped:
+        failures = bracket_failures(problem, lower, upper, tol)
+    for side, failure in zip(("lower", "upper"), failures):
+        report[side] = {
+            "passed": not skipped and failure is None,
+            "skipped": skipped,
+            "vertex": None if failure is None else failure.vertex,
+            "defect": None if failure is None else failure.defect,
+            "unordered": failure is not None and failure.kind == "unordered",
         }
-        if not a2.passed and a2.clause == "a > 0":
-            entry["skipped"] = True  # defect needs the linear operator
-        elif float(v.values.min()) < 0.0:
-            entry["vertex"] = int(np.argmin(v.values))
-        else:
-            d = defect(problem, v).values
-            scale = float(np.abs(problem.domain.mass * problem.a.values * v.values).max())
-            allow = tol * (scale + np.finfo(float).eps)
-            if side == "lower":
-                bad = d > allow
-                worst = int(np.argmax(d)) if bad.any() else None
-            else:
-                bad = d < -allow
-                worst = int(np.argmin(d)) if bad.any() else None
-            if worst is not None:
-                entry["vertex"] = worst
-                entry["defect"] = float(d[worst])
-            elif side == "lower" and order_vertex is not None:
-                # each side is fine on its own but solve needs lower <= upper
-                entry["unordered"] = True
-                entry["vertex"] = order_vertex
-            else:
-                entry["passed"] = True
-        report[side] = entry
 
-    passed = (
-        a1.passed
-        and a2.passed
-        and report["lower"]["passed"]
-        and report["upper"]["passed"]
-    )
+    passed = a1.passed and a2.passed and failures == (None, None)
     report["passed"] = passed
     return report, passed
 
@@ -118,6 +89,8 @@ def _print_checks(report):
             )
         elif entry.get("unordered"):
             print(f"{label}: FAIL (lower exceeds upper at vertex {entry['vertex']})")
+        elif entry["vertex"] is None:
+            print(f"{label}: FAIL (identically zero)")
         else:
             print(f"{label}: FAIL (negative entry at vertex {entry['vertex']})")
 
@@ -125,7 +98,7 @@ def _print_checks(report):
 def cmd_check(args):
     scenario = load_scenario(args.scenario)
     _, problem, lower, upper = build_problem(scenario)
-    report, passed = _run_checks(scenario, problem, lower, upper)
+    report, passed = _run_checks(problem, lower, upper, scenario.tol)
     _print_checks(report)
     if args.json:
         write_json(args.json, report)
@@ -134,18 +107,22 @@ def cmd_check(args):
 
 def cmd_solve(args):
     scenario = load_scenario(args.scenario)
+    # overrides obey the scenario's own solver rules
+    tol = scenario.tol if args.tol is None else _positive(args.tol, "--tol")
+    max_steps = (
+        scenario.max_steps
+        if args.max_steps is None
+        else _max_steps(args.max_steps, "--max-steps")
+    )
+    linear_tol = scenario.linear_tol if args.tol is None else tol / 100.0
     domain, problem, lower, upper = build_problem(scenario)
-    report, passed = _run_checks(scenario, problem, lower, upper)
+    report, passed = _run_checks(problem, lower, upper, tol)
     _print_checks(report)
     if not passed:
         print("checks failed; not iterating")
         return 1
 
-    tol = args.tol if args.tol is not None else scenario.tol
-    max_steps = args.max_steps if args.max_steps is not None else scenario.max_steps
-    linear_tol = scenario.linear_tol if args.tol is None else tol / 100.0
-
-    bracket = make_bracket(problem, lower, upper, verification_tol=tol)
+    bracket = Bracket(lower, upper, tol)  # verified once, inside iterate_monotone
     t0 = time.perf_counter()
     pair, trace = iterate_monotone(
         problem, bracket, tol=tol, max_steps=max_steps, linear_tol=linear_tol

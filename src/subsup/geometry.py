@@ -199,8 +199,8 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
             f"subdivision limit exceeded: {subdivisions} > {MAX_SUBDIVISIONS}"
         )
     radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be a finite number > 0")
 
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTICES]
     faces = _ICO_FACES
@@ -242,12 +242,16 @@ def build_flat_torus(dims, dimension=None):
         l = float(l)
         if c < 3:
             raise ValueError(f"fewer than 3 cells per axis: {c}")
-        if l <= 0.0:
-            raise ValueError("axis length must be positive")
+        if not 0.0 < l < np.inf:
+            raise ValueError("axis length must be a finite number > 0")
         cells.append(c)
         lengths.append(l)
 
     spacings = [l / c for c, l in zip(cells, lengths)]
+    with np.errstate(all="ignore"):  # the grid weights are volume / h^2
+        weights = np.prod(spacings) / np.square(spacings)
+    if not np.all((weights > 0.0) & (weights < np.inf)):
+        raise ValueError("axis lengths put the grid weights out of floating-point range")
     axes = [np.arange(c) * h for c, h in zip(cells, spacings)]
     mesh = np.meshgrid(*axes, indexing="ij")
     n = int(np.prod(cells))

@@ -5,9 +5,11 @@ defect signs of a lower and an upper solution.  From its two ends the
 driver runs u_{k+1} = T(S(u_k)); on an M-matrix compatible domain with
 valid sign hypotheses the lower sequence climbs, the upper one
 descends, and both stay ordered, so the limits are the minimal and
-maximal fixed points inside the bracket.  The driver re-checks every
-link of that chain within a small relative slack and aborts loudly if
-floating point (or a broken precondition) ever bends it.
+maximal fixed points inside the bracket.  The iteration advances both
+sequences in lockstep and checks each new link of that chain as it is
+made, within a small relative slack; the first bend beyond it (from
+floating point or a broken precondition) aborts the run loudly.  No
+iterate history is kept, only the current pair.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ class StepRecord:
 
 @dataclass
 class IterationTrace:
+    """Per-step records of both sequences.
+
+    ordering_violations is always 0: a bend of the chain beyond slack
+    raises OrderingError at the step where it happens, so a trace only
+    exists for an intact chain.  The field stays for summary.json.
+    """
+
     lower_steps: list
     upper_steps: list
     ordering_violations: int
@@ -118,58 +127,83 @@ def defect(problem, v):
     return Field(problem.domain, lhs - apply_S(problem, v).values)
 
 
-def _defect_scale(problem, v):
-    scale = float(np.abs(problem.domain.mass * problem.a.values * v.values).max())
-    return scale + np.finfo(float).eps
+@dataclass
+class BracketFailure:
+    kind: str  # "negative", "zero", "unordered" or "defect"
+    message: str
+    vertex: int | None = None
+    defect: float | None = None
+
+
+def bracket_failures(problem, lower, upper, tol):
+    """The first failure at each end of a candidate bracket, or None.
+
+    The one bracket rule; returns (lower failure, upper failure).  An end
+    given as None is not checked; "zero" and "unordered" need both ends.
+    Each end stops at the first check that fails, in this order:
+
+    - "negative": some entry is below 0 (names the most negative one);
+    - "zero": the lower end is identically 0;
+    - "unordered": lower > upper somewhere (names the largest excess);
+    - "defect": the worst defect of the wrong sign exceeds
+      tol * (max |M a v| + eps), v being that end.
+    """
+    lo, up = (
+        None if v is None else problem.domain.field(v).values for v in (lower, upper)
+    )
+    return (
+        None if lo is None else _end_failure(problem, "lower", lo, up, tol),
+        None if up is None else _end_failure(problem, "upper", up, None, tol),
+    )
+
+
+def _end_failure(problem, side, v, upper, tol):
+    if v.min() < 0.0:
+        bad = int(np.argmin(v))
+        message = f"{side} solution negative at vertex {bad}"
+        return BracketFailure("negative", message, bad)
+    if upper is not None and v.max() <= 0.0:
+        return BracketFailure("zero", "lower solution is identically zero")
+    if upper is not None and np.any(v > upper):
+        bad = int(np.argmax(v - upper))
+        return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
+    d = defect(problem, v).values
+    scale = float(np.abs(problem.domain.mass * problem.a.values * v).max())
+    allow = tol * (scale + np.finfo(float).eps)
+    # a lower end needs d <= allow, an upper end d >= -allow
+    sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
+    bad = int(np.argmax(sign * d))
+    if sign * d[bad] <= allow:
+        return None
+    message = (
+        f"{side} defect {word} at vertex {bad}: {d[bad]:.6e} {op} {sign * allow:.6e}"
+    )
+    return BracketFailure("defect", message, bad, float(d[bad]))
+
+
+def _holds(failure, side):
+    if failure is not None and failure.kind == "negative":
+        raise ValueError(f"candidate {side} solution must be nonnegative")
+    return failure is None
 
 
 def verify_lower(problem, v, tol):
     """True iff every defect entry <= tol * scale; v must be >= 0."""
-    v = problem.domain.field(v)
-    if v.values.min() < 0.0:
-        raise ValueError("candidate lower solution must be nonnegative")
-    d = defect(problem, v).values
-    return bool(d.max() <= tol * _defect_scale(problem, v))
+    return _holds(bracket_failures(problem, v, None, tol)[0], "lower")
 
 
 def verify_upper(problem, v, tol):
     """True iff every defect entry >= -tol * scale; v must be >= 0."""
-    v = problem.domain.field(v)
-    if v.values.min() < 0.0:
-        raise ValueError("candidate upper solution must be nonnegative")
-    d = defect(problem, v).values
-    return bool(d.min() >= -tol * _defect_scale(problem, v))
+    return _holds(bracket_failures(problem, None, v, tol)[1], "upper")
 
 
 def make_bracket(problem, lower, upper, verification_tol=1e-9):
     """Verify and package a (lower, upper) pair; raises BracketError."""
     lower = problem.domain.field(lower)
     upper = problem.domain.field(upper)
-    if lower.values.min() < 0.0:
-        raise BracketError(
-            f"lower solution negative at vertex {int(np.argmin(lower.values))}"
-        )
-    if lower.values.max() <= 0.0:
-        raise BracketError("lower solution is identically zero")
-    if np.any(lower.values > upper.values):
-        bad = int(np.flatnonzero(lower.values > upper.values)[0])
-        raise BracketError(f"lower > upper at vertex {bad}")
-    d_lo = defect(problem, lower).values
-    scale_lo = _defect_scale(problem, lower)
-    if d_lo.max() > verification_tol * scale_lo:
-        bad = int(np.argmax(d_lo))
-        raise BracketError(
-            f"lower defect positive at vertex {bad}: "
-            f"{d_lo[bad]:.6e} > {verification_tol * scale_lo:.6e}"
-        )
-    d_up = defect(problem, upper).values
-    scale_up = _defect_scale(problem, upper)
-    if d_up.min() < -verification_tol * scale_up:
-        bad = int(np.argmin(d_up))
-        raise BracketError(
-            f"upper defect negative at vertex {bad}: "
-            f"{d_up[bad]:.6e} < {-verification_tol * scale_up:.6e}"
-        )
+    for failure in bracket_failures(problem, lower, upper, verification_tol):
+        if failure is not None:
+            raise BracketError(failure.message)
     return Bracket(lower=lower, upper=upper, verification_tol=verification_tol)
 
 
@@ -181,53 +215,25 @@ def positivity_check(domain, u):
     return bool(u.values.min() > 0.0)
 
 
-def _run_sequence(problem, start, tol, max_steps, linear_tol):
-    """One monotone sequence u_{k+1} = T(S(u_k)); returns iterates and records."""
-    linear = problem.linear
-    domain = problem.domain
-    u = start.values.copy()
-    psi = apply_S(problem, Field(domain, u))
-    iterates = [u.copy()]
-    records = []
-    converged = False
-    for k in range(1, max_steps + 1):
-        unew_field, _ = solve_T(linear, psi, tol=linear_tol, x0=Field(domain, u))
-        unew = unew_field.values
-        change = float(np.abs(unew - u).max())
-        psi_new = apply_S(problem, unew_field)
-        defect_vec = linear.system_matrix @ unew - psi_new.values
-        records.append(
-            StepRecord(
-                step=k,
-                max_change=change,
-                min_u=float(unew.min()),
-                max_u=float(unew.max()),
-                defect_norm=float(np.abs(defect_vec).max()),
-            )
-        )
-        iterates.append(unew.copy())
-        u = unew
-        psi = psi_new
-        if change <= tol:
-            converged = True
-            break
-    return iterates, records, converged
-
-
 def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None):
-    """Run both monotone sequences and certify the chain.
+    """Run both monotone sequences in lockstep and certify the chain.
 
-    Returns (SolutionPair, IterationTrace).  Non-convergence within
-    max_steps is reported through the trace's converged flag, not an
-    exception; a broken chain ordering raises OrderingError.
+    Each step advances every side that has not converged, one T(S(.))
+    each, and checks within ORDERING_SLACK that the lower side did not
+    go down, the upper side did not go up, and lower <= upper.  A
+    converged side stays frozen at its last iterate.  Returns
+    (SolutionPair, IterationTrace).  Non-convergence within max_steps is
+    reported through the trace's converged flag, not an exception; the
+    first bend of the chain beyond slack raises OrderingError.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be a finite number > 0")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if linear_tol is None:
         linear_tol = tol / 100.0
     domain = problem.domain
+    linear = problem.linear
     if not mesh_quality(domain).is_m_matrix_compatible:
         raise ValueError(
             "domain is not M-matrix compatible; the chain ordering is not "
@@ -240,41 +246,41 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
     bracket = make_bracket(
         problem, bracket.lower, bracket.upper, bracket.verification_tol
     )
-
-    lo_iter, lo_rec, lo_conv = _run_sequence(
-        problem, bracket.lower, tol, max_steps, linear_tol
-    )
-    up_iter, up_rec, up_conv = _run_sequence(
-        problem, bracket.upper, tol, max_steps, linear_tol
-    )
-
     slack = ORDERING_SLACK * max(float(np.abs(bracket.upper.values).max()), 1.0)
-    worst = None  # (amount, description)
 
-    def check(amount, description):
-        nonlocal worst
-        if amount > slack and (worst is None or amount > worst[0]):
-            worst = (amount, description)
+    def require(amount, description):
+        if amount > slack:
+            raise OrderingError(
+                f"chain ordering violated beyond slack {slack:.3e}: "
+                f"{description} (amount {amount:.3e}); this signals a "
+                "non-M-matrix domain or an unverified bracket"
+            )
 
-    for name, seq, sign in (("lower", lo_iter, 1.0), ("upper", up_iter, -1.0)):
-        for k in range(len(seq) - 1):
-            # lower must climb, upper must descend
-            gap = float((sign * (seq[k] - seq[k + 1])).max())
-            check(gap, f"{name} sequence not monotone at step {k + 1}")
-    steps = max(len(lo_iter), len(up_iter))
-    for k in range(steps):
-        lo = lo_iter[min(k, len(lo_iter) - 1)]
-        up = up_iter[min(k, len(up_iter) - 1)]
-        check(float((lo - up).max()), f"lower above upper at step {k}")
-    if worst is not None:
-        raise OrderingError(
-            f"chain ordering violated beyond slack {slack:.3e}: "
-            f"{worst[1]} (amount {worst[0]:.3e}); this signals a "
-            "non-M-matrix domain or an unverified bracket"
-        )
+    u = [bracket.lower.values.copy(), bracket.upper.values.copy()]
+    psi = [apply_S(problem, Field(domain, v)) for v in u]
+    records = ([], [])
+    converged = [False, False]
+    for k in range(1, max_steps + 1):
+        # lower must climb, upper must descend
+        for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
+            if converged[i]:
+                continue
+            x, _ = solve_T(linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]))
+            gap = float((sign * (u[i] - x.values)).max())
+            require(gap, f"{name} sequence not monotone at step {k}")
+            change = float(np.abs(x.values - u[i]).max())
+            u[i] = x.values
+            psi[i] = apply_S(problem, x)
+            resid = float(np.abs(linear.system_matrix @ u[i] - psi[i].values).max())
+            records[i].append(
+                StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
+            )
+            converged[i] = change <= tol
+        require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
+        if all(converged):
+            break
 
-    u_star = lo_iter[-1]
-    u_upper_star = up_iter[-1]
+    u_star, u_upper_star = u
     sandwich = max(
         float((bracket.lower.values - u_star).max()),
         float((u_star - u_upper_star).max()),
@@ -288,15 +294,15 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
     pair = SolutionPair(
         u_star=Field(domain, u_star),
         u_upper_star=Field(domain, u_upper_star),
-        residual_lower=lo_rec[-1].defect_norm if lo_rec else 0.0,
-        residual_upper=up_rec[-1].defect_norm if up_rec else 0.0,
+        residual_lower=records[0][-1].defect_norm,
+        residual_upper=records[1][-1].defect_norm,
         coincide=bool(np.abs(u_upper_star - u_star).max() <= 10.0 * tol),
     )
     trace = IterationTrace(
-        lower_steps=lo_rec,
-        upper_steps=up_rec,
+        lower_steps=records[0],
+        upper_steps=records[1],
         ordering_violations=0,
-        steps=max(len(lo_rec), len(up_rec)),
-        converged=lo_conv and up_conv,
+        steps=k,
+        converged=all(converged),
     )
     return pair, trace

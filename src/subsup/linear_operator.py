@@ -154,8 +154,8 @@ def solve_T(problem, psi, tol=1e-10, x0=None):
     decrement alpha * (r'z) / 2 >= 0, and P is SPD on both paths.
     """
     _require_same_domain(problem.domain, psi)
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be a finite number > 0")
     A = problem.system_matrix
     b = psi.values
     n = b.size

@@ -89,6 +89,13 @@ def _positive(raw, where):
     return value
 
 
+def _max_steps(raw, where):
+    value = _integer(raw, where)
+    if value < 1:
+        raise ScenarioError(f"'{where}' must be >= 1, got {value}")
+    return value
+
+
 def _coeff(raw, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise ScenarioError(f"{where}: expected a number or expression string")
@@ -161,9 +168,8 @@ def parse_scenario(text, base_dir="."):
     nl = _object(need("nonlinearity"), "nonlinearity")
     bracket = _object(need("bracket"), "bracket")
     solver = _object(doc.get("solver", {}), "solver")
-    max_steps = _integer(solver.get("max_steps", DEFAULT_MAX_STEPS), "solver.max_steps")
-    if max_steps < 1:
-        raise ScenarioError(f"'solver.max_steps' must be >= 1, got {max_steps}")
+    max_steps = solver.get("max_steps", DEFAULT_MAX_STEPS)
+    max_steps = _max_steps(max_steps, "solver.max_steps")
 
     H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H")
     q = nl.get("q")

@@ -49,6 +49,26 @@ class TestCheck:
         assert "lower solution check: FAIL (lower exceeds upper at vertex 0)" in out
         assert "upper solution check: PASS" in out
 
+    def test_zero_lower_fails_as_in_solve(self, tmp_scenario, tmp_path, capsys):
+        doc = base_torus_doc()
+        doc["bracket"] = {"lower": 0.0, "upper": 1.0}
+        path = tmp_scenario(doc)
+        report = tmp_path / "report.json"
+        assert main(["check", path, "--json", str(report)]) == 1
+        out = capsys.readouterr().out
+        assert "lower solution check: FAIL (identically zero)" in out
+        assert "upper solution check: PASS" in out
+        entry = json.loads(report.read_text())["lower"]
+        assert entry == {
+            "passed": False,
+            "skipped": False,
+            "vertex": None,
+            "defect": None,
+            "unordered": False,
+        }
+        assert main(["solve", path, "--out", str(tmp_path / "run")]) == 1
+        assert "checks failed; not iterating" in capsys.readouterr().out
+
     def test_alpha2_failure(self, tmp_scenario, capsys):
         doc = base_torus_doc()
         doc["coefficients"]["f"] = 0.0
@@ -94,6 +114,14 @@ class TestInputErrors:
         doc = base_torus_doc()
         doc["coefficients"]["a"] = "1/(x-x)"
         assert main(["check", tmp_scenario(doc)]) == 2
+
+    def test_tiny_axis_length(self, tmp_scenario, capsys):
+        doc = base_torus_doc()
+        doc["domain"]["dims"][0][1] = 1e-300
+        assert main(["check", tmp_scenario(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "axis lengths" in captured.err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_scenario_exits_2_before_any_check(
@@ -142,6 +170,28 @@ class TestSolve:
         assert summary["steps"] == 2
         assert (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--tol", "nan"),
+            ("--tol", "inf"),
+            ("--tol", "-1"),
+            ("--tol", "0"),
+            ("--max-steps", "0"),
+            ("--max-steps", "-3"),
+        ],
+    )
+    def test_bad_override_exits_2_before_any_check(
+        self, flag, value, tmp_scenario, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        path = tmp_scenario(base_torus_doc())
+        assert main(["solve", path, "--out", str(out), flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert f"'{flag}'" in captured.err
+        assert not out.exists()
+
     def test_tol_override(self, tmp_scenario, tmp_path):
         out = tmp_path / "run"
         code = main(
@@ -162,6 +212,22 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] <= 1
         assert summary["coincide"] is True
+
+    def test_checks_use_the_tol_override(self, tmp_scenario, tmp_path, capsys):
+        # at the fixed point the defect is rounding noise: within the
+        # scenario's tol 1e-9 but not within 1e-15, where solve verifies
+        from tests.conftest import scalar_fixed_point
+
+        c = scalar_fixed_point()
+        doc = base_torus_doc()
+        doc["bracket"] = {"lower": c, "upper": c}
+        out = tmp_path / "run"
+        code = main(["solve", tmp_scenario(doc), "--out", str(out), "--tol", "1e-15"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "upper solution check: FAIL" in captured.out
+        assert "checks failed; not iterating" in captured.out
+        assert captured.err == ""
 
     def test_summary_matches_artifacts(self, tmp_scenario, tmp_path):
         out = tmp_path / "run"

@@ -62,6 +62,11 @@ class TestIcosphere:
         with pytest.raises(ValueError):
             subsup.build_icosphere(2, radius=0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_rejects_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            subsup.build_icosphere(1, radius=radius)
+
     def test_quality_clean(self):
         q = subsup.mesh_quality(subsup.build_icosphere(2))
         assert q.obtuse_triangle_count == 0
@@ -85,6 +90,14 @@ class TestFlatTorus:
         d = subsup.build_flat_torus([(8, 1.0), (4, 2.0), (5, 3.0)])
         assert d.mass.sum() == pytest.approx(6.0, rel=1e-12)
         assert d.vertex_count == 8 * 4 * 5
+
+    @pytest.mark.parametrize(
+        "length", [float("nan"), float("inf"), 0.0, -1.0, 1e-300, 1e300]
+    )
+    def test_rejects_lengths_outside_float_range(self, length):
+        # at 1e-300, h^2 underflows to 0 and volume / h^2 divides by zero
+        with pytest.raises(ValueError, match="axis length"):
+            subsup.build_flat_torus([(4, length), (4, 1.0), (4, 1.0)])
 
     def test_constants_in_nullspace(self, torus8):
         ones = np.ones(torus8.vertex_count)

@@ -3,6 +3,7 @@ import pytest
 
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
+from subsup.iteration import bracket_failures
 
 from tests.conftest import make_constant_problem
 
@@ -99,6 +100,58 @@ class TestMakeBracket:
             make_bracket(torus_problem, torus8.field(0.005), torus8.field(0.02))
 
 
+class TestBracketFailures:
+    def test_valid_bracket_has_none(self, torus_problem, torus8):
+        assert bracket_failures(
+            torus_problem, torus8.field(0.01), torus8.field(1.0), 1e-9
+        ) == (None, None)
+
+    def test_each_end_reports_its_first_failure(self, torus_problem, torus8):
+        lo = np.full(torus8.vertex_count, 0.01)
+        lo[3] = -0.2
+        lower, upper = bracket_failures(
+            torus_problem, torus8.field(lo), torus8.field(0.02), 1e-9
+        )
+        assert (lower.kind, lower.vertex) == ("negative", 3)
+        assert upper.kind == "defect" and upper.defect < 0.0
+
+    def test_unordered_names_the_largest_excess(self, torus_problem, torus8):
+        lo = np.full(torus8.vertex_count, 0.01)
+        lo[5], lo[7] = 2.0, 3.0
+        lower, upper = bracket_failures(
+            torus_problem, torus8.field(lo), torus8.field(1.0), 1e-9
+        )
+        assert (lower.kind, lower.vertex, upper) == ("unordered", 7, None)
+        with pytest.raises(BracketError, match="lower > upper at vertex 7"):
+            make_bracket(torus_problem, torus8.field(lo), torus8.field(1.0))
+
+    def test_zero_lower_fails_only_against_an_upper_end(self, torus_problem, torus8):
+        zero = torus8.field(0.0)
+        lower, _ = bracket_failures(torus_problem, zero, torus8.field(1.0), 1e-9)
+        assert lower.kind == "zero"
+        assert bracket_failures(torus_problem, zero, None, 1e-9) == (None, None)
+
+    def test_make_bracket_raises_the_lower_failure_first(self, torus_problem, torus8):
+        # 0.02 lies below the fixed point, so it is no upper solution, and
+        # a peak of 0.5 at vertex 0 is no lower solution
+        lo = np.full(torus8.vertex_count, 0.01)
+        up = np.full(torus8.vertex_count, 0.02)
+        lo[0] = up[0] = 0.5
+        lower, upper = torus8.field(lo), torus8.field(up)
+        failures = bracket_failures(torus_problem, lower, upper, 1e-9)
+        assert [f.kind for f in failures] == ["defect", "defect"]
+        with pytest.raises(BracketError, match="lower defect positive at vertex 0"):
+            make_bracket(torus_problem, lower, upper)
+
+    def test_tolerance_scales_with_the_end(self, torus_problem, torus8):
+        # the lower defect at 0.5 is m (2*0.5 - 0.5*0.5^5 - 0.5*sqrt(0.5)) > 0
+        d = float(subsup.defect(torus_problem, torus8.field(0.5)).values.max())
+        scale = float(torus8.mass.max()) * 2.0 * 0.5
+        just_below = 0.99 * d / scale
+        assert not subsup.verify_lower(torus_problem, torus8.field(0.5), just_below)
+        assert subsup.verify_lower(torus_problem, torus8.field(0.5), 1.01 * d / scale)
+
+
 class TestIterateMonotone:
     def test_constant_oracle(self, torus_problem, torus8, c_star):
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
@@ -189,6 +242,35 @@ class TestIterateMonotone:
         with pytest.raises(ValueError):
             iterate_monotone(torus_problem, br, tol=1e-9, max_steps=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, torus_problem, torus8, tol):
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        with pytest.raises(ValueError, match="tol"):
+            iterate_monotone(torus_problem, br, tol=tol)
+
+    def test_uneven_convergence_freezes_the_converged_side(
+        self, torus_problem, torus8, c_star, tmp_path
+    ):
+        # the upper end is the fixed point, so it converges in one step
+        # while the lower side keeps climbing towards it
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(c_star))
+        pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
+        assert trace.converged
+        assert len(trace.upper_steps) == 1
+        assert len(trace.lower_steps) == trace.steps > 1
+        path = tmp_path / "trace.csv"
+        trace.write_csv(str(path))
+        rows = path.read_text().strip().split("\n")[1:]
+        assert [tuple(r.split(",")[:2]) for r in rows] == (
+            [("1", "lower"), ("1", "upper")]
+            + [(str(k), "lower") for k in range(2, trace.steps + 1)]
+        )
+        # the upper side stays frozen at its one iterate
+        assert pair.u_upper_star.values.max() == trace.upper_steps[0].max_u
+        assert pair.u_upper_star.values.min() == trace.upper_steps[0].min_u
+        assert pair.residual_upper == trace.upper_steps[0].defect_norm
+        assert np.abs(pair.u_star.values - c_star).max() <= 1e-8
+
     def test_rejects_failing_alpha2(self, torus8):
         prob = subsup.NonlinearProblem(
             torus8, 2.0, 0.0, 0.5,
@@ -210,6 +292,52 @@ class TestIterateMonotone:
         br = subsup.Bracket(d.field(0.01), d.field(1.0), 1e-9)
         with pytest.raises(ValueError, match="[Mm].matrix"):
             iterate_monotone(prob, br)
+
+
+def bend_first_solve(monkeypatch, start, value):
+    """Make the first T solve warm-started at the constant `start` return `value`.
+
+    The iteration warm-starts every solve at the previous iterate, so
+    `start` picks the first step of one side.
+    """
+    real = subsup.iteration.solve_T
+    bent = []
+
+    def solve_T(problem, psi, **kwargs):
+        u, report = real(problem, psi, **kwargs)
+        if not bent and np.all(kwargs["x0"].values == start):
+            bent.append(True)
+            return problem.domain.field(value), report
+        return u, report
+
+    monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+
+
+class TestOrderingError:
+    def test_lower_step_going_down(self, monkeypatch, torus_problem, torus8):
+        bend_first_solve(monkeypatch, 0.01, 0.009)
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        with pytest.raises(
+            subsup.OrderingError, match="lower sequence not monotone at step 1"
+        ):
+            iterate_monotone(torus_problem, br, tol=1e-9)
+
+    def test_lower_crossing_upper(self, monkeypatch, torus_problem, torus8):
+        # the upper side may descend, but not below the lower side
+        bend_first_solve(monkeypatch, 1.0, 0.005)
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        with pytest.raises(subsup.OrderingError, match="lower above upper at step 1"):
+            iterate_monotone(torus_problem, br, tol=1e-9, max_steps=1)
+
+    def test_cli_reports_the_violation(self, monkeypatch, tmp_scenario, tmp_path, capsys):
+        from subsup.cli import main
+        from tests.conftest import base_torus_doc
+
+        bend_first_solve(monkeypatch, 0.01, 0.009)
+        out = tmp_path / "run"
+        assert main(["solve", tmp_scenario(base_torus_doc()), "--out", str(out)]) == 1
+        assert "chain ordering violated" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
 
 
 class TestPositivity:

@@ -112,6 +112,14 @@ class TestSolveT:
         with pytest.raises(ValueError):
             solve_T(lp, psi, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_rejects_tol_that_is_not_finite_and_positive(self, icosphere2, tol):
+        # a nan stop rule compares false both ways and would loop forever
+        lp = LinearProblem(icosphere2, icosphere2.field(1.0))
+        psi = embed_function(icosphere2.field(1.0))
+        with pytest.raises(ValueError, match="tol"):
+            solve_T(lp, psi, tol=tol)
+
     def test_rejects_foreign_domain(self, icosphere2, torus8):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
         psi = embed_function(torus8.field(1.0))
