@@ -47,6 +47,9 @@ _ICO_FACES = np.array(
 
 MAX_SUBDIVISIONS = 8
 
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
+_SQRT_MAX = np.sqrt(np.finfo(float).max)
+
 
 class DiscreteDomain:
     """Immutable discrete domain with assembled operators.
@@ -70,10 +73,20 @@ class DiscreteDomain:
     stiffness : csr_matrix
     mass : (N,) ndarray
         Diagonal of the lumped mass matrix, strictly positive.
+    refinement : tuple or None
+        Subdivided icospheres only, None otherwise: one
+        ``(coarse_count, parents)`` pair per subdivision, coarsest first.
+        The vertices of a subdivision are the ``coarse_count`` vertices
+        of the mesh before it, then one midpoint per row of the
+        ``(n_new, 2)`` int array ``parents``, which names the coarse
+        edge it splits.
     """
 
-    def __init__(self, kind, coordinates, faces=None, grid=None, dimension=None):
+    def __init__(
+        self, kind, coordinates, faces=None, grid=None, dimension=None, refinement=None
+    ):
         self.kind = str(kind)
+        self.refinement = refinement
         self.coordinates = np.ascontiguousarray(coordinates, dtype=float)
         if self.coordinates.ndim != 2 or self.coordinates.shape[1] != 3:
             raise ValueError("coordinates must be an (N, 3) array")
@@ -189,7 +202,9 @@ class MeshQualityReport:
 def build_icosphere(subdivisions, radius=1.0, dimension=None):
     """Subdivided icosahedron projected to the sphere of given radius.
 
-    Vertex count is 10 * 4**subdivisions + 2.
+    Vertex count is 10 * 4**subdivisions + 2.  Each subdivision appends
+    the midpoints of the current edges after the current vertices, and
+    ``domain.refinement`` records their parent edges.
     """
     subdivisions = int(subdivisions)
     if subdivisions < 0:
@@ -204,7 +219,9 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
 
     verts = [v / np.linalg.norm(v) for v in _ICO_VERTICES]
     faces = _ICO_FACES
+    refinement = []
     for _ in range(subdivisions):
+        coarse_count = len(verts)
         midpoint = {}
 
         def split(i, j):
@@ -225,9 +242,23 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
                 [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca],
             ]
         faces = new_faces
+        # midpoint keys are in creation order, the order of the new vertices
+        refinement.append((coarse_count, np.array(list(midpoint), dtype=np.int64)))
 
     coords = radius * np.asarray(verts)
-    return DiscreteDomain("icosphere", coords, faces=faces, dimension=dimension)
+    try:
+        return DiscreteDomain(
+            "icosphere",
+            coords,
+            faces=faces,
+            dimension=dimension,
+            refinement=tuple(refinement),
+        )
+    except AssemblyError as exc:
+        # the unit mesh assembles, so only the radius can break it
+        raise ValueError(
+            f"radius {radius:g} puts the face areas out of floating-point range"
+        ) from exc
 
 
 def build_flat_torus(dims, dimension=None):
@@ -299,7 +330,14 @@ def load_off(path, dimension=None):
 def _corner_cotangents(coords, faces):
     """Cotangent of the interior angle at each face corner, plus face areas."""
     v = [coords[faces[:, k]] for k in range(3)]
-    double_area = np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]), axis=1)
+    with np.errstate(all="ignore"):
+        double_area = np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]), axis=1)
+    # the norm sums the squares of a twice-area vector, so the mesh's scale
+    # must keep the largest one finite and normal; zero and relatively
+    # small faces are left to the degenerate-face test below
+    largest = double_area.max() if len(double_area) else 1.0
+    if not largest < _SQRT_MAX or 0.0 < largest < _SQRT_TINY:
+        raise AssemblyError("face areas out of floating-point range")
     areas = 0.5 * double_area
     mean_area = areas.mean() if len(areas) else 0.0
     bad = np.flatnonzero(areas <= 1e-14 * mean_area)

@@ -95,8 +95,8 @@ class SolutionPair:
 
     def to_json_dict(self):
         return {
-            "u_star": [float(v) for v in self.u_star.values],
-            "u_upper_star": [float(v) for v in self.u_upper_star.values],
+            "u_star": self.u_star.values.tolist(),
+            "u_upper_star": self.u_upper_star.values.tolist(),
             "residual_lower": float(self.residual_lower),
             "residual_upper": float(self.residual_upper),
             "coincide": bool(self.coincide),
@@ -106,12 +106,11 @@ class SolutionPair:
         write_json(path, self.to_json_dict())
 
     def write_csv(self, path):
-        rows = [
-            (i, float(lo), float(up))
-            for i, (lo, up) in enumerate(
-                zip(self.u_star.values, self.u_upper_star.values)
-            )
-        ]
+        rows = zip(
+            range(self.u_star.values.size),
+            self.u_star.values.tolist(),
+            self.u_upper_star.values.tolist(),
+        )
         write_csv(path, ["vertex", "u_star", "u_upper_star"], rows)
 
 

@@ -9,6 +9,7 @@ exactly and repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 
 
 def format_float(x):
@@ -34,6 +35,13 @@ def _render(obj, indent, out):
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
+            # the per-item path below, one join for the whole list
+            item_pad = pad + "  "
+            out.append("[\n" + item_pad)
+            out.append((",\n" + item_pad).join([format(x, ".17g") for x in seq]))
+            out.append("\n" + pad + "]")
             return
         out.append("[\n")
         for i, value in enumerate(seq):
@@ -67,17 +75,20 @@ def write_json(path, obj):
         fh.write(dumps(obj))
 
 
+def _cell(c):
+    if type(c) is float and math.isfinite(c):
+        return format(c, ".17g")
+    if isinstance(c, bool):
+        return "true" if c else "false"
+    if isinstance(c, float):
+        return format_float(c)
+    return str(c)
+
+
 def write_csv(path, header, rows):
     """Write rows of cells; floats get the 17-digit treatment."""
-
-    def cell(c):
-        if isinstance(c, bool):
-            return "true" if c else "false"
-        if isinstance(c, float):
-            return format_float(c)
-        return str(c)
-
+    lines = [",".join(header)]
+    lines.extend([",".join(map(_cell, row)) for row in rows])
+    lines.append("")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(c) for c in row) + "\n")
+        fh.write("\n".join(lines))

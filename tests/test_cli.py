@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -122,6 +123,18 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "axis lengths" in captured.err
+
+    @pytest.mark.parametrize("radius", [1e160, 1e300, 1e-160, 1e-300])
+    def test_radius_outside_float_range(self, radius, tmp_scenario, capsys):
+        doc = base_torus_doc()
+        doc["domain"] = {"kind": "icosphere", "subdivisions": 1, "radius": radius}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning escapes main()
+            assert main(["check", tmp_scenario(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("error: radius")
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_scenario_exits_2_before_any_check(

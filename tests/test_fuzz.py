@@ -1,12 +1,12 @@
-"""Property test: `subsup check` on mutated scenario documents.
+"""Property tests: `subsup check` and `subsup solve` on mutated scenarios.
 
 Each example starts from a valid document (a small flat torus or a
 small icosphere), applies one to three mutations (drop a key or list
 entry, or replace a value with one of another type, a non-finite
-number or an out-of-range number) and runs `check` on it.  Whatever
-the document, main() must return 0, 1 or 2 and must not raise.  The
-values that set the domain size stay small so that no example builds
-a large mesh.
+number or an out-of-range number) and runs `check` or `solve` on it.
+Whatever the document, main() must return 0, 1 or 2 and must not
+raise.  The values that set the domain size stay small so that no
+example builds a large mesh, and `solve` runs at most 20 steps.
 """
 
 import copy
@@ -110,3 +110,19 @@ def test_check_exits_cleanly_on_mutated_scenarios(data, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
     path.write_text(json.dumps(doc))  # non-finite numbers become NaN/Infinity
     assert main(["check", str(path)]) in (0, 1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_solve_exits_cleanly_on_mutated_scenarios(data, tmp_path_factory):
+    doc = data.draw(st.sampled_from([small_torus_doc, base_sphere_doc]), label="base")()
+    if doc["domain"]["kind"] == "icosphere":
+        # 0-2: the exact coarse solve alone; 3: one multigrid level above it
+        doc["domain"]["subdivisions"] = data.draw(st.integers(0, 3), label="subdivisions")
+    doc = mutate(data, doc)
+    work = tmp_path_factory.mktemp("fuzz_solve")
+    path = work / "scenario.json"
+    path.write_text(json.dumps(doc))
+    steps = data.draw(st.integers(1, 20), label="max_steps")
+    argv = ["solve", str(path), "--out", str(work / "run"), "--max-steps", str(steps)]
+    assert main(argv) in (0, 1, 2)

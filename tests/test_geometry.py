@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -66,6 +68,46 @@ class TestIcosphere:
     def test_rejects_non_finite_radius(self, radius):
         with pytest.raises(ValueError, match="radius"):
             subsup.build_icosphere(1, radius=radius)
+
+    @pytest.mark.parametrize("radius", [1e160, 1e300, 1e-160, 1e-300])
+    def test_rejects_radius_outside_float_range(self, radius):
+        # the face areas, and their squares in the assembly, must stay
+        # finite and normal; no numpy warning on the way to the error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="radius"):
+                subsup.build_icosphere(1, radius=radius)
+
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4])
+    def test_refinement_records_parent_edges(self, subdivisions):
+        fine = subsup.build_icosphere(subdivisions)
+        coarse = subsup.build_icosphere(subdivisions - 1)
+        assert len(fine.refinement) == subdivisions
+        for (c, p), (cc, pp) in zip(fine.refinement, coarse.refinement):
+            assert c == cc and np.array_equal(p, pp)
+        coarse_count, parents = fine.refinement[-1]
+        assert coarse_count == coarse.vertex_count
+        assert parents.shape == (fine.vertex_count - coarse_count, 2)
+        assert np.array_equal(fine.coordinates[:coarse_count], coarse.coordinates)
+        # two distinct coarse vertices joined by a coarse edge
+        assert np.all(parents[:, 0] != parents[:, 1])
+        assert parents.max() < coarse_count
+        edges = {
+            tuple(sorted((int(f[k]), int(f[(k + 1) % 3]))))
+            for f in coarse.faces
+            for k in range(3)
+        }
+        split = {tuple(sorted(map(int, pair))) for pair in parents}
+        assert split == edges
+        midpoints = coarse.coordinates[parents].sum(axis=1)
+        midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
+        assert np.abs(fine.coordinates[coarse_count:] - midpoints).max() <= 1e-15
+
+    def test_refinement_only_on_icospheres(self, tmp_path, torus8):
+        assert subsup.build_icosphere(0).refinement == ()
+        assert torus8.refinement is None
+        path = write_off(tmp_path / "tet.off", TETRA_VERTICES, TETRA_FACES)
+        assert subsup.load_off(path).refinement is None
 
     def test_quality_clean(self):
         q = subsup.mesh_quality(subsup.build_icosphere(2))
@@ -181,6 +223,16 @@ class TestCotangentAssembly:
         path = write_off(tmp_path / "bad.off", verts, [(0, 1, 2)])
         with pytest.raises(AssemblyError, match="face 0"):
             subsup.load_off(path)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-78])
+    def test_scale_outside_float_range_rejected(self, tmp_path, scale):
+        # 1e100: the squared twice-areas overflow; 1e-78: they are subnormal
+        verts = [[scale * c for c in v] for v in TETRA_VERTICES]
+        path = write_off(tmp_path / "scaled.off", verts, TETRA_FACES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssemblyError, match="floating-point range"):
+                subsup.load_off(path)
 
     def test_obtuse_triangle_flagged(self, tmp_path):
         verts = [(0, 0, 0), (4, 0, 0), (2, 0.2, 0), (2, -0.2, 0)]

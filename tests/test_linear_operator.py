@@ -3,15 +3,21 @@ import pytest
 
 import subsup
 from subsup import ConvergenceError, LinearProblem, embed_function, solve_T
+from subsup.linear_operator import DualVector
 
 
 def random_positive_field(domain, rng, low=0.5, high=3.0):
     return domain.field(rng.uniform(low, high, domain.vertex_count))
 
 
-def random_dual(domain, rng, scale=1.0):
-    from subsup.linear_operator import DualVector
+def as_off(domain, path):
+    """The same surface read back from an OFF file: no refinement chain."""
+    from tests.test_geometry import write_off
 
+    return subsup.load_off(write_off(path, domain.coordinates, domain.faces))
+
+
+def random_dual(domain, rng, scale=1.0):
     return DualVector(domain, rng.standard_normal(domain.vertex_count) * scale)
 
 
@@ -88,8 +94,6 @@ class TestSolveT:
 
     def test_zero_rhs(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        from subsup.linear_operator import DualVector
-
         u, report = solve_T(lp, DualVector(icosphere2, np.zeros(icosphere2.vertex_count)))
         assert np.all(u.values == 0.0)
         assert report.iterations == 0
@@ -161,10 +165,11 @@ class TestFFTPreconditioner:
             assert report.iterations == 1
             assert len(report.energy_history) == 2
 
-    def test_surface_keeps_jacobi(self, icosphere2):
+    def test_surface_keeps_jacobi(self, icosphere2, tmp_path):
+        domain = as_off(icosphere2, tmp_path / "ico2.off")
         rng = np.random.default_rng(31)
-        lp = LinearProblem(icosphere2, random_positive_field(icosphere2, rng))
-        r = rng.standard_normal(icosphere2.vertex_count)
+        lp = LinearProblem(domain, random_positive_field(domain, rng))
+        r = rng.standard_normal(domain.vertex_count)
         assert np.array_equal(lp.preconditioner(r), r / lp.system_matrix.diagonal())
 
     def test_energy_history_non_increasing(self, torus8):
@@ -205,6 +210,98 @@ class TestFFTPreconditioner:
         assert counts[1] <= counts[0] + 2
 
 
+def sphere_problem(subdivisions):
+    domain = subsup.build_icosphere(subdivisions)
+    return LinearProblem(domain, domain.field(2.0 + 0.5 * domain.coordinates[:, 2]))
+
+
+class TestMultigridPreconditioner:
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4])
+    def test_prolongation_interpolates(self, subdivisions):
+        from subsup.linear_operator import _prolongation
+
+        domain = subsup.build_icosphere(subdivisions)
+        coarse_count, parents = domain.refinement[-1]
+        P = _prolongation(coarse_count, parents)
+        assert P.shape == (domain.vertex_count, coarse_count)
+        assert np.array_equal(P @ np.ones(coarse_count), np.ones(domain.vertex_count))
+        assert np.array_equal(P[:coarse_count].toarray(), np.eye(coarse_count))
+        assert np.all(P.getnnz(axis=1)[coarse_count:] == 2)
+
+    @pytest.mark.parametrize("subdivisions", [3, 4])
+    def test_symmetric_positive_definite(self, subdivisions):
+        precondition = sphere_problem(subdivisions).preconditioner
+        rng = np.random.default_rng(47)
+        n = 10 * 4**subdivisions + 2
+        for _ in range(5):
+            x, y = rng.standard_normal((2, n))
+            By = precondition(y)
+            scale = np.linalg.norm(x) * np.linalg.norm(By)
+            assert abs(x @ By - y @ precondition(x)) <= 1e-12 * scale
+            assert x @ precondition(x) > 0.0
+
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_matches_dense_solve(self, subdivisions):
+        domain = subsup.build_icosphere(subdivisions)
+        rng = np.random.default_rng(53)
+        lp = LinearProblem(domain, random_positive_field(domain, rng))
+        psi = random_dual(domain, rng)
+        u, _ = solve_T(lp, psi, tol=1e-12)
+        expected = np.linalg.solve(lp.system_matrix.toarray(), psi.values)
+        assert np.abs(u.values - expected).max() <= 1e-8
+
+    @pytest.mark.parametrize("subdivisions", [0, 1, 2])
+    def test_exact_up_to_icosphere_2(self, subdivisions):
+        # no smoothing level: P^{-1} is an exact solve with A
+        lp = sphere_problem(subdivisions)
+        psi = random_dual(lp.domain, np.random.default_rng(59))
+        _, report = solve_T(lp, psi, tol=1e-11)
+        assert report.iterations == 1
+
+    def test_agrees_with_jacobi(self, tmp_path):
+        multigrid = sphere_problem(5)
+        domain = as_off(multigrid.domain, tmp_path / "ico5.off")
+        jacobi = LinearProblem(domain, domain.field(multigrid.a.values))
+        values = np.random.default_rng(61).standard_normal(domain.vertex_count)
+        u_mg, r_mg = solve_T(multigrid, DualVector(multigrid.domain, values), tol=1e-12)
+        u_j, r_j = solve_T(jacobi, DualVector(domain, values), tol=1e-12)
+        scale = np.abs(u_j.values).max()
+        assert np.abs(u_mg.values - u_j.values).max() <= 1e-9 * scale
+        assert 10 * r_mg.iterations < r_j.iterations
+
+    def test_iterations_independent_of_subdivisions(self):
+        counts = []
+        for subdivisions in (3, 5):
+            lp = sphere_problem(subdivisions)
+            x, _, z = lp.domain.coordinates.T
+            psi = embed_function(lp.domain.field(np.cos(3.0 * z) + x))
+            _, report = solve_T(lp, psi, tol=1e-11)
+            counts.append(report.iterations)
+        assert counts[1] <= counts[0] + 2
+
+    def test_energy_history_non_increasing(self):
+        lp = sphere_problem(4)
+        _, report = solve_T(lp, random_dual(lp.domain, np.random.default_rng(67), 10.0))
+        hist = report.energy_history
+        assert len(hist) >= 3
+        assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+    def test_warm_start(self):
+        lp = sphere_problem(3)
+        psi = random_dual(lp.domain, np.random.default_rng(71))
+        cold, _ = solve_T(lp, psi, tol=1e-12)
+        warm, report = solve_T(lp, psi, tol=1e-12, x0=cold)
+        assert np.abs(warm.values - cold.values).max() <= 1e-9
+        assert report.iterations <= 2
+
+    def test_unreachable_tolerance_raises(self):
+        lp = sphere_problem(3)
+        psi = random_dual(lp.domain, np.random.default_rng(73))
+        with pytest.raises(ConvergenceError) as exc:
+            solve_T(lp, psi, tol=1e-40)
+        assert exc.value.report.iterations > 0
+
+
 class TestEmbedFunction:
     def test_zero_field(self, torus8):
         psi = embed_function(torus8.field(0.0))
@@ -236,8 +333,6 @@ class TestComparison:
         for _ in range(10):
             lo = random_dual(icosphere2, rng)
             hi_vals = lo.values + rng.uniform(0.0, 1.0, icosphere2.vertex_count)
-            from subsup.linear_operator import DualVector
-
             assert subsup.check_comparison(lp, lo, DualVector(icosphere2, hi_vals))
 
     def test_equal_rhs_passes(self, icosphere2):
