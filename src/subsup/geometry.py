@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 
 class AssemblyError(ValueError):
@@ -150,6 +148,9 @@ class DiscreteDomain:
 
     def is_connected(self):
         if self._connected is None:
+            # imported here: check never needs it, and csgraph costs ~0.1 s
+            from scipy.sparse.csgraph import connected_components
+
             n_comp, _ = connected_components(self.stiffness, directed=False)
             self._connected = bool(n_comp == 1)
         return self._connected
@@ -159,10 +160,10 @@ class DiscreteDomain:
         out = {
             "kind": self.kind,
             "vertex_count": self.vertex_count,
-            "coordinates": [[float(c) for c in row] for row in self.coordinates],
+            "coordinates": self.coordinates.tolist(),
         }
         if self.is_surface:
-            out["faces"] = [[int(i) for i in row] for row in self.faces]
+            out["faces"] = self.faces.tolist()
         else:
             out["grid"] = {
                 "cells": list(self.grid_cells),
@@ -205,6 +206,16 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
     Vertex count is 10 * 4**subdivisions + 2.  Each subdivision appends
     the midpoints of the current edges after the current vertices, and
     ``domain.refinement`` records their parent edges.
+
+    Midpoints are numbered in creation order: walk the faces in order and
+    the edges (a, b), (b, c), (c, a) of each, and an edge's midpoint takes
+    the next number the first time the edge is met.  Face t becomes the
+    four faces 4t..4t+3: (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca).
+
+    Vertices are normalized with elementwise numpy arithmetic (x*x + y*y
+    + z*z, then sqrt), not ``np.linalg.norm``, whose BLAS dot product may
+    fuse multiply-adds; so the coordinates do not depend on the BLAS
+    library and differ from a fused computation by a few ulp.
     """
     subdivisions = int(subdivisions)
     if subdivisions < 0:
@@ -217,35 +228,37 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be a finite number > 0")
 
-    verts = [v / np.linalg.norm(v) for v in _ICO_VERTICES]
+    def normalized(v):
+        return v / np.sqrt((v * v).sum(axis=1, keepdims=True))
+
+    verts = normalized(_ICO_VERTICES)
     faces = _ICO_FACES
     refinement = []
     for _ in range(subdivisions):
         coarse_count = len(verts)
-        midpoint = {}
+        # the 3F face edges in creation order, as sorted pairs coded i*n + j
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(
+            edges[:, 0] * coarse_count + edges[:, 1],
+            return_index=True,
+            return_inverse=True,
+        )
+        # number the unique edges by rank of first appearance
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        parents = edges[first[order]]
+        verts = np.concatenate(
+            [verts, normalized(verts[parents[:, 0]] + verts[parents[:, 1]])]
+        )
+        a, b, c = faces.T
+        ab, bc, ca = (coarse_count + rank[inverse]).reshape(-1, 3).T
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+        refinement.append((coarse_count, parents))
 
-        def split(i, j):
-            key = (i, j) if i < j else (j, i)
-            k = midpoint.get(key)
-            if k is None:
-                m = verts[i] + verts[j]
-                m /= np.linalg.norm(m)
-                verts.append(m)
-                k = len(verts) - 1
-                midpoint[key] = k
-            return k
-
-        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-        for t, (a, b, c) in enumerate(faces):
-            ab, bc, ca = split(a, b), split(b, c), split(c, a)
-            new_faces[4 * t : 4 * t + 4] = [
-                [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca],
-            ]
-        faces = new_faces
-        # midpoint keys are in creation order, the order of the new vertices
-        refinement.append((coarse_count, np.array(list(midpoint), dtype=np.int64)))
-
-    coords = radius * np.asarray(verts)
+    coords = radius * verts
     try:
         return DiscreteDomain(
             "icosphere",
@@ -447,6 +460,8 @@ def generalized_spectrum(domain, k):
             eigvals_only=True,
         )
         return np.sort(vals)[:k]
+    from scipy.sparse.linalg import eigsh
+
     # shift-invert around a small negative sigma: L + |sigma| M is SPD,
     # and the eigenvalues nearest sigma are exactly the smallest ones
     v0 = np.random.default_rng(0).standard_normal(n)

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .geometry import Field, mesh_quality
 
@@ -167,6 +166,8 @@ def _prolongation(coarse_count, parents):
 
 
 def _multigrid_preconditioner(A, refinement):
+    from scipy.sparse.linalg import splu
+
     # Galerkin coarse operators P'AP: each stays SPD, and the V-cycle
     # needs nothing of the geometry beyond the refinement chain
     levels = []

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -7,9 +8,12 @@ import warnings
 import pytest
 
 from subsup.cli import main
+from subsup.scenario import build_domain, load_scenario
+from subsup.serialize import dumps
 
 from tests.conftest import base_torus_doc
 from tests.test_scenario import MALFORMED, malformed_doc
+from tests.test_serialize import per_item_scalars
 
 
 def read_masked(path):
@@ -307,6 +311,31 @@ class TestMeshInfo:
         assert exported["kind"] == "icosphere"
         assert exported["vertex_count"] == 42
 
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"kind": "icosphere", "subdivisions": 2},
+            {"kind": "flat_torus", "dims": [[4, 1.0], [5, 2.0], [3, 0.5]]},
+        ],
+    )
+    def test_json_export_matches_per_item_rendering(self, tmp_scenario, tmp_path, domain):
+        doc = base_torus_doc()
+        doc["domain"] = domain
+        path = tmp_scenario(doc)
+        out = tmp_path / "domain.json"
+        assert main(["mesh-info", path, "--json", str(out)]) == 0
+        d = build_domain(load_scenario(path))
+        slow = {
+            "kind": d.kind,
+            "vertex_count": d.vertex_count,
+            "coordinates": [[float(c) for c in row] for row in d.coordinates],
+        }
+        if d.is_surface:
+            slow["faces"] = [[int(i) for i in row] for row in d.faces]
+        else:
+            slow["grid"] = {"cells": list(d.grid_cells), "lengths": list(d.grid_lengths)}
+        assert out.read_text() == dumps(per_item_scalars(slow))
+
 
 class TestEntryPoint:
     def test_console_script(self, tmp_path):
@@ -319,3 +348,44 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.count("PASS") == 4
+
+
+SHIPPED_SPHERE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "scenarios",
+    "sphere_variable.json",
+)
+
+LAZY_IMPORTS_SCRIPT = """
+import sys
+from subsup.cli import main
+
+def loaded():
+    return sorted(m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules)
+
+assert loaded() == [], loaded()
+assert main(["check", sys.argv[1]]) == 0
+assert loaded() == [], loaded()
+assert main(["solve", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert main(["spectrum", sys.argv[1], "--k", "3"]) == 0
+assert main(["mesh-info", sys.argv[1]]) == 0
+print("lazy imports ok")
+"""
+
+
+class TestLazyImports:
+    def test_check_loads_no_solve_only_scipy_module(self, tmp_path):
+        # a fresh interpreter: this test process has loaded them already
+        import subsup
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(subsup.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORTS_SCRIPT, SHIPPED_SPHERE, str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("lazy imports ok")
+        assert (tmp_path / "out" / "summary.json").exists()

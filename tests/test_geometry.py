@@ -30,6 +30,71 @@ TETRA_VERTICES = [
 TETRA_FACES = [(0, 1, 2), (0, 3, 1), (0, 2, 3), (1, 3, 2)]
 
 
+def reference_icosphere(subdivisions):
+    """Unit icosphere from a per-midpoint loop over a dict of edges.
+
+    The oracle for the edge-array build: returns (coordinates, faces,
+    refinement) with midpoints numbered in the order the loop creates them.
+    """
+    from subsup.geometry import _ICO_FACES, _ICO_VERTICES
+
+    verts = [v / np.linalg.norm(v) for v in _ICO_VERTICES]
+    faces = _ICO_FACES
+    refinement = []
+    for _ in range(subdivisions):
+        coarse_count = len(verts)
+        midpoint = {}
+
+        def split(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in midpoint:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                midpoint[key] = len(verts) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = split(a, b), split(b, c), split(c, a)
+            new_faces += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+        faces = np.array(new_faces, dtype=np.int64)
+        refinement.append((coarse_count, np.array(list(midpoint), dtype=np.int64)))
+    return np.array(verts), faces, refinement
+
+
+class TestIcosphereOracle:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_matches_reference_loop(self, subdivisions):
+        d = subsup.build_icosphere(subdivisions)
+        coords, faces, refinement = reference_icosphere(subdivisions)
+        assert d.faces.dtype == np.int64
+        assert np.array_equal(d.faces, faces)
+        assert len(d.refinement) == len(refinement)
+        for (c, p), (rc, rp) in zip(d.refinement, refinement):
+            assert c == rc
+            assert p.dtype == np.int64 and np.array_equal(p, rp)
+        # the reference normalizes with a BLAS dot product, which may fuse
+        assert np.abs(d.coordinates - coords).max() <= 4 * self.EPS
+        r = np.sqrt((d.coordinates**2).sum(axis=1))
+        assert np.abs(r - 1.0).max() <= 4 * self.EPS
+
+    @pytest.mark.parametrize("subdivisions", range(6))
+    def test_closed_outward_mesh(self, subdivisions):
+        d = subsup.build_icosphere(subdivisions)
+        assert d.vertex_count == 10 * 4**subdivisions + 2
+        assert len(d.faces) == 20 * 4**subdivisions
+        # every undirected edge lies on exactly two faces
+        edges = np.sort(d.faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, counts = np.unique(edges, axis=0, return_counts=True)
+        assert np.all(counts == 2)
+        assert len(counts) == 30 * 4**subdivisions
+        v = d.coordinates[d.faces]
+        normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+        assert np.all(np.einsum("ij,ij->i", normals, v.mean(axis=1)) > 0.0)
+
+
 class TestIcosphere:
     def test_vertex_counts(self):
         for s in range(4):
