@@ -19,18 +19,6 @@ def format_float(x):
     return format(x, ".17g")
 
 
-def _flat_items(seq):
-    """Rendered items of a list of finite floats or of ints, else None.
-
-    Exact types only: bools (an int subclass) keep the per-item path.
-    """
-    if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
-        return [format(x, ".17g") for x in seq]
-    if all(type(v) is int for v in seq):
-        return [str(v) for v in seq]
-    return None
-
-
 def _render(obj, indent, out):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -48,12 +36,11 @@ def _render(obj, indent, out):
         if not seq:
             out.append("[]")
             return
-        items = _flat_items(seq)
-        if items is not None:
+        if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
             # the per-item path below, one join for the whole list
             item_pad = pad + "  "
             out.append("[\n" + item_pad)
-            out.append((",\n" + item_pad).join(items))
+            out.append((",\n" + item_pad).join([format(x, ".17g") for x in seq]))
             out.append("\n" + pad + "]")
             return
         out.append("[\n")

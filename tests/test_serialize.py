@@ -109,36 +109,3 @@ class TestFloatListFastPath:
             dumps({"u": [0.5, bad, 1.0]})
         with pytest.raises(ValueError, match="non-finite"):
             write_csv(str(tmp_path / "o.csv"), ["x"], [(0.5,), (bad,)])
-
-
-class _Int(int):
-    """An int subclass, rendered by the per-item path like any int."""
-
-
-def per_item_scalars(obj):
-    """per_item, with every exact int also moved off the fast path."""
-    if isinstance(obj, dict):
-        return {k: per_item_scalars(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [per_item_scalars(v) for v in obj]
-    if type(obj) is int:
-        return _Int(obj)
-    return per_item(obj)
-
-
-class TestIntListFastPath:
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            [0, -1, 2**70, 7],
-            [[0, 1, 2], [True, 1], [1, False], [3, 1.0], [1.0, 3], [None, 2]],
-            {"ints": [1, 2, 3], "bools": [True, False], "mixed": [True, 0, 1]},
-        ],
-    )
-    def test_json_matches_per_item_path(self, doc):
-        assert dumps(doc) == dumps(per_item_scalars(doc))
-        assert json.loads(dumps(doc)) == doc
-
-    def test_bools_are_not_ints(self):
-        assert dumps([1, True]) == "[\n  1,\n  true\n]\n"
-        assert dumps([False, 0]) == "[\n  false,\n  0\n]\n"
