@@ -17,13 +17,7 @@ import time
 
 from .expressions import ExpressionError
 from .geometry import generalized_spectrum, mesh_quality
-from .iteration import (
-    Bracket,
-    BracketError,
-    OrderingError,
-    bracket_failures,
-    iterate_monotone,
-)
+from .iteration import BracketError, OrderingError, iterate_monotone, make_bracket
 from .linear_operator import ConvergenceError
 from .nonlinearity import check_alpha1, check_alpha2
 from .scenario import ScenarioError, _max_steps, _positive, build_problem, load_scenario
@@ -33,7 +27,7 @@ SPECTRUM_VERTEX_LIMIT = 5000
 
 
 def _run_checks(problem, lower, upper, tol):
-    """The four hypothesis/bracket checks; returns (report dict, all passed)."""
+    """The four hypothesis/bracket checks; returns (report, bracket or None)."""
     t_max = 2.0 * float(upper.values.max())
     a1 = check_alpha1(problem.F, problem.H, problem.n, problem.q, t_max)
     a2 = check_alpha2(problem)
@@ -41,9 +35,12 @@ def _run_checks(problem, lower, upper, tol):
 
     # the defects need the linear operator, which a <= 0 breaks
     skipped = not a2.passed and a2.clause == "a > 0"
-    failures = (None, None)
+    bracket, failures = None, (None, None)
     if not skipped:
-        failures = bracket_failures(problem, lower, upper, tol)
+        try:
+            bracket = make_bracket(problem, lower, upper, tol)
+        except BracketError as exc:
+            failures = exc.failures
     for side, failure in zip(("lower", "upper"), failures):
         report[side] = {
             "passed": not skipped and failure is None,
@@ -53,9 +50,8 @@ def _run_checks(problem, lower, upper, tol):
             "unordered": failure is not None and failure.kind == "unordered",
         }
 
-    passed = a1.passed and a2.passed and failures == (None, None)
-    report["passed"] = passed
-    return report, passed
+    report["passed"] = a1.passed and a2.passed and bracket is not None
+    return report, bracket if report["passed"] else None
 
 
 def _print_checks(report):
@@ -98,11 +94,11 @@ def _print_checks(report):
 def cmd_check(args):
     scenario = load_scenario(args.scenario)
     _, problem, lower, upper = build_problem(scenario)
-    report, passed = _run_checks(problem, lower, upper, scenario.tol)
+    report, _ = _run_checks(problem, lower, upper, scenario.tol)
     _print_checks(report)
     if args.json:
         write_json(args.json, report)
-    return 0 if passed else 1
+    return 0 if report["passed"] else 1
 
 
 def cmd_solve(args):
@@ -116,13 +112,12 @@ def cmd_solve(args):
     )
     linear_tol = scenario.linear_tol if args.tol is None else tol / 100.0
     domain, problem, lower, upper = build_problem(scenario)
-    report, passed = _run_checks(problem, lower, upper, tol)
+    report, bracket = _run_checks(problem, lower, upper, tol)
     _print_checks(report)
-    if not passed:
+    if bracket is None:
         print("checks failed; not iterating")
         return 1
 
-    bracket = Bracket(lower, upper, tol)  # verified once, inside iterate_monotone
     t0 = time.perf_counter()
     pair, trace = iterate_monotone(
         problem, bracket, tol=tol, max_steps=max_steps, linear_tol=linear_tol
@@ -135,7 +130,6 @@ def cmd_solve(args):
     trace.write_csv(os.path.join(args.out, "trace.csv"))
 
     min_u_star = float(pair.u_star.values.min())
-    positive = domain.is_connected() and min_u_star > 0.0
     summary = {
         "alpha1_report": report["alpha1"],
         "alpha2_report": report["alpha2"],
@@ -161,7 +155,10 @@ def cmd_solve(args):
     if not trace.converged:
         print(f"max_steps = {max_steps} exhausted; artifacts written with flag")
         return 1
-    if not positive:
+    if not domain.is_connected():
+        print("domain is not connected; positivity is not certified")
+        return 1
+    if min_u_star <= 0.0:
         print("positivity failed on a connected domain")
         return 1
     return 0

@@ -122,16 +122,6 @@ class DiscreteDomain:
         return self.faces is not None
 
     @property
-    def grid_spacing(self):
-        """Common grid spacing; defined for uniformly spaced grids only."""
-        if self.grid_spacings is None:
-            raise AttributeError("grid_spacing is defined for grid domains only")
-        h = self.grid_spacings[0]
-        if any(s != h for s in self.grid_spacings):
-            raise ValueError("grid spacing differs between axes")
-        return h
-
-    @property
     def mass_matrix(self):
         return sp.diags(self.mass).tocsr()
 
@@ -147,8 +137,11 @@ class DiscreteDomain:
         return Field(self, arr)
 
     def is_connected(self):
+        """Periodic grids and icospheres are connected by construction."""
+        if self.grid_cells is not None or self.refinement is not None:
+            return True
         if self._connected is None:
-            # imported here: check never needs it, and csgraph costs ~0.1 s
+            # imported here: only OFF meshes need it, and csgraph costs ~0.1 s
             from scipy.sparse.csgraph import connected_components
 
             n_comp, _ = connected_components(self.stiffness, directed=False)

@@ -27,7 +27,11 @@ ORDERING_SLACK = 1e-9  # relative, same scale as the default stopping tol
 
 
 class BracketError(ValueError):
-    """Bracket verification failed; names the side and vertex."""
+    """Bracket verification failed; ``failures`` is bracket_failures' pair."""
+
+    def __init__(self, message, failures):
+        super().__init__(message)
+        self.failures = failures
 
 
 class OrderingError(RuntimeError):
@@ -36,9 +40,10 @@ class OrderingError(RuntimeError):
 
 @dataclass(eq=False)
 class Bracket:
+    """A verified (lower, upper) pair; make_bracket is its only producer."""
+
     lower: Field
     upper: Field
-    verification_tol: float
 
 
 @dataclass
@@ -200,10 +205,11 @@ def make_bracket(problem, lower, upper, verification_tol=1e-9):
     """Verify and package a (lower, upper) pair; raises BracketError."""
     lower = problem.domain.field(lower)
     upper = problem.domain.field(upper)
-    for failure in bracket_failures(problem, lower, upper, verification_tol):
+    failures = bracket_failures(problem, lower, upper, verification_tol)
+    for failure in failures:
         if failure is not None:
-            raise BracketError(failure.message)
-    return Bracket(lower=lower, upper=upper, verification_tol=verification_tol)
+            raise BracketError(failure.message, failures)
+    return Bracket(lower=lower, upper=upper)
 
 
 def positivity_check(domain, u):
@@ -217,10 +223,11 @@ def positivity_check(domain, u):
 def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None):
     """Run both monotone sequences in lockstep and certify the chain.
 
-    Each step advances every side that has not converged, one T(S(.))
-    each, and checks within ORDERING_SLACK that the lower side did not
-    go down, the upper side did not go up, and lower <= upper.  A
-    converged side stays frozen at its last iterate.  Returns
+    The bracket is trusted: make_bracket, its only producer, verified
+    it.  Each step advances every side that has not converged, one
+    T(S(.)) each, and checks within ORDERING_SLACK that the lower side
+    did not go down, the upper side did not go up, and lower <= upper.
+    A converged side stays frozen at its last iterate.  Returns
     (SolutionPair, IterationTrace).  Non-convergence within max_steps is
     reported through the trace's converged flag, not an exception; the
     first bend of the chain beyond slack raises OrderingError.
@@ -241,10 +248,6 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
     a2 = check_alpha2(problem)
     if not a2.passed:
         raise ValueError(f"sign hypotheses fail: {a2.clause}")
-    # re-verify: brackets may arrive hand-built
-    bracket = make_bracket(
-        problem, bracket.lower, bracket.upper, bracket.verification_tol
-    )
     slack = ORDERING_SLACK * max(float(np.abs(bracket.upper.values).max()), 1.0)
 
     def require(amount, description):

@@ -71,13 +71,6 @@ class SolveReport:
     final_residual_norm: float
     energy_history: list
 
-    def to_json_dict(self):
-        return {
-            "iterations": self.iterations,
-            "final_residual_norm": self.final_residual_norm,
-            "energy_history": list(self.energy_history),
-        }
-
 
 class LinearProblem:
     """Domain plus coefficient a > 0; owns A = L + M diag(a)."""

@@ -261,6 +261,45 @@ class TestSolve:
                  (out / "solution.csv").read_text().strip().split("\n")[1:]]
         assert csv_u == solution["u_star"]
 
+    def test_bracket_rule_runs_once(self, monkeypatch, tmp_scenario, tmp_path):
+        import subsup.iteration
+
+        real = subsup.iteration.bracket_failures
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # replace the rule wherever a caller looks it up
+        for name, module in list(sys.modules.items()):
+            if name.startswith("subsup") and getattr(module, "bracket_failures", None) is real:
+                monkeypatch.setattr(module, "bracket_failures", counted)
+        out = tmp_path / "run"
+        assert main(["solve", tmp_scenario(base_torus_doc()), "--out", str(out)]) == 0
+        assert len(calls) == 1
+
+    def test_disconnected_domain_is_not_certified_positive(
+        self, tmp_scenario, tmp_path, capsys
+    ):
+        from tests.test_geometry import write_off
+
+        verts = [
+            (0, 0, 0), (1, 0, 0), (0, 1, 0),
+            (10, 0, 0), (11, 0, 0), (10, 1, 0),
+        ]
+        write_off(tmp_path / "d.off", verts, [(0, 1, 2), (3, 4, 5)])
+        doc = base_torus_doc()
+        doc["domain"] = {"kind": "off", "path": "d.off"}
+        out = tmp_path / "run"
+        assert main(["solve", tmp_scenario(doc), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is True
+        assert summary["min_u_star"] > 0.0
+        printed = capsys.readouterr().out
+        assert "domain is not connected; positivity is not certified" in printed
+        assert "positivity failed" not in printed
+
     def test_refuses_bad_scenario(self, tmp_scenario, tmp_path, capsys):
         doc = base_torus_doc()
         doc["coefficients"]["f"] = 0.0
@@ -350,11 +389,11 @@ class TestEntryPoint:
         assert proc.stdout.count("PASS") == 4
 
 
-SHIPPED_SPHERE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "scenarios",
-    "sphere_variable.json",
+SCENARIOS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios"
 )
+SHIPPED_SPHERE = os.path.join(SCENARIOS, "sphere_variable.json")
+SHIPPED_TORUS = os.path.join(SCENARIOS, "torus_constant.json")
 
 LAZY_IMPORTS_SCRIPT = """
 import sys
@@ -368,6 +407,9 @@ base = loaded()
 from subsup.cli import main
 assert loaded() == base, loaded()
 assert main(["check", sys.argv[1]]) == 0
+assert loaded() == base, loaded()
+# a torus is connected by construction and solved by FFT
+assert main(["solve", sys.argv[3], "--out", sys.argv[2] + "-torus"]) == 0
 assert loaded() == base, loaded()
 assert main(["solve", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert main(["spectrum", sys.argv[1], "--k", "3"]) == 0
@@ -384,7 +426,10 @@ class TestLazyImports:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(subsup.__file__))
         proc = subprocess.run(
-            [sys.executable, "-c", LAZY_IMPORTS_SCRIPT, SHIPPED_SPHERE, str(tmp_path / "out")],
+            [
+                sys.executable, "-c", LAZY_IMPORTS_SCRIPT,
+                SHIPPED_SPHERE, str(tmp_path / "out"), SHIPPED_TORUS,
+            ],
             capture_output=True,
             text=True,
             env=env,
@@ -392,3 +437,4 @@ class TestLazyImports:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.rstrip().endswith("lazy imports ok")
         assert (tmp_path / "out" / "summary.json").exists()
+        assert (tmp_path / "out-torus" / "summary.json").exists()

@@ -353,6 +353,25 @@ class TestLoadOff:
         assert not d.is_connected()
         assert subsup.build_icosphere(1).is_connected()
 
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            subsup.build_icosphere(0),
+            subsup.build_icosphere(2),
+            subsup.build_flat_torus([(3, 1.0)]),
+            subsup.build_flat_torus([(3, 1.0), (5, 2.0)]),
+            subsup.build_flat_torus([(3, 1.0), (4, 1.0), (3, 7.0)]),
+        ],
+        ids=["ico0", "ico2", "torus3", "torus3x5", "torus3x4x3"],
+    )
+    def test_connected_by_construction(self, domain):
+        # grids and icospheres skip the search; it would agree
+        from scipy.sparse.csgraph import connected_components
+
+        n_comp, _ = connected_components(domain.stiffness, directed=False)
+        assert n_comp == 1
+        assert domain.is_connected()
+
 
 class TestSpectrum:
     def test_sphere_eigenvalues(self, icosphere3):

@@ -276,7 +276,7 @@ class TestIterateMonotone:
             torus8, 2.0, 0.0, 0.5,
             ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
         )
-        br = subsup.Bracket(torus8.field(0.01), torus8.field(1.0), 1e-9)
+        br = subsup.Bracket(torus8.field(0.01), torus8.field(1.0))
         with pytest.raises(ValueError, match="f"):
             iterate_monotone(prob, br)
 
@@ -289,7 +289,7 @@ class TestIterateMonotone:
             dimension=3,
         )
         prob = make_constant_problem(d)
-        br = subsup.Bracket(d.field(0.01), d.field(1.0), 1e-9)
+        br = subsup.Bracket(d.field(0.01), d.field(1.0))
         with pytest.raises(ValueError, match="[Mm].matrix"):
             iterate_monotone(prob, br)
 
