@@ -135,6 +135,7 @@ def cmd_solve(args):
         "alpha2_report": report["alpha2"],
         "bracket_verified": [report["lower"]["passed"], report["upper"]["passed"]],
         "steps": int(trace.steps),
+        "restarts": {"lower": trace.restarts[0], "upper": trace.restarts[1]},
         "converged": bool(trace.converged),
         "ordering_violations": int(trace.ordering_violations),
         "residuals": {

@@ -112,6 +112,7 @@ class DiscreteDomain:
             raise ValueError("declared dimension must be >= 1")
         self.stiffness, self.mass = assemble_operators(self)
         self._connected = None
+        self._entry_rows = None
 
     @property
     def vertex_count(self):
@@ -135,6 +136,23 @@ class DiscreteDomain:
         if arr.ndim == 0:
             arr = np.full(self.vertex_count, float(arr))
         return Field(self, arr)
+
+    def stiffness_action(self, values):
+        """L v evaluated as sum_j L_ij (v_j - v_i) over the entries of L.
+
+        Every term vanishes on constants, so the result is exactly 0 there
+        and its roundoff follows the local variation of v rather than
+        |L| |v|: its sign survives at any mesh scale.  The row index of
+        each stored entry is built on first use.
+        """
+        L, n = self.stiffness, self.vertex_count
+        if self._entry_rows is None:
+            rows = np.arange(n, dtype=L.indices.dtype)
+            self._entry_rows = np.repeat(rows, np.diff(L.indptr))
+        flux = values[L.indices]
+        flux -= values[self._entry_rows]
+        flux *= L.data
+        return np.bincount(self._entry_rows, weights=flux, minlength=n)
 
     def is_connected(self):
         """Periodic grids and icospheres are connected by construction."""

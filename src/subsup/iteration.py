@@ -8,8 +8,15 @@ descends, and both stay ordered, so the limits are the minimal and
 maximal fixed points inside the bracket.  The iteration advances both
 sequences in lockstep and checks each new link of that chain as it is
 made, within a small relative slack; the first bend beyond it (from
-floating point or a broken precondition) aborts the run loudly.  No
-iterate history is kept, only the current pair.
+floating point or a broken precondition) aborts the run loudly.
+
+The sequences contract linearly, so every few steps each side also
+tries a damped Aitken restart: an extrapolated point that undershoots
+the limit.  It replaces the current iterate only if the bracket rule
+that verified the input bracket verifies it too, as a lower or upper
+solution (at the run's tol or tighter), so every iterate is still
+T(S(.)) of a verified lower or upper solution.  The iteration keeps the current pair
+and one previous iterate per side, no longer history.
 """
 
 from __future__ import annotations
@@ -23,7 +30,14 @@ from .linear_operator import solve_T
 from .nonlinearity import apply_S, check_alpha2
 from .serialize import write_csv, write_json
 
-ORDERING_SLACK = 1e-9  # relative, same scale as the default stopping tol
+ORDERING_SLACK = 1e-9  # relative to max|upper|, the scale of the default tol
+# Aitken restarts: tried at step RESTART_FIRST_STEP and then at least
+# RESTART_GAP steps apart.  A gap of 2 or more means every side has two
+# plain steps since its last restart, which the ratio estimate needs.
+# RESTART_DAMPING < 1 aims short of the extrapolated limit.
+RESTART_FIRST_STEP = 3
+RESTART_GAP = 2
+RESTART_DAMPING = 0.95
 
 
 class BracketError(ValueError):
@@ -62,6 +76,8 @@ class IterationTrace:
     ordering_violations is always 0: a bend of the chain beyond slack
     raises OrderingError at the step where it happens, so a trace only
     exists for an intact chain.  The field stays for summary.json.
+    restarts counts the accepted Aitken restarts of (lower, upper); a
+    restart adds no row.
     """
 
     lower_steps: list
@@ -69,6 +85,7 @@ class IterationTrace:
     ordering_violations: int
     steps: int
     converged: bool
+    restarts: tuple
 
     def rows(self):
         """Interleaved per-step rows for the CSV export."""
@@ -125,9 +142,12 @@ def defect(problem, v):
     Nonpositive everywhere means v is a lower solution, nonnegative an
     upper one; testing against nodal hats suffices since every
     nonnegative test function is a nonnegative combination of them.
+    L v takes the edge form of DiscreteDomain.stiffness_action, exactly 0
+    on constants, so its roundoff does not swamp M a v on small meshes.
     """
     v = problem.domain.field(v)
-    lhs = problem.linear.system_matrix @ v.values
+    lhs = problem.domain.stiffness_action(v.values)
+    lhs += problem.domain.mass * problem.a.values * v.values
     return Field(problem.domain, lhs - apply_S(problem, v).values)
 
 
@@ -150,7 +170,8 @@ def bracket_failures(problem, lower, upper, tol):
     - "zero": the lower end is identically 0;
     - "unordered": lower > upper somewhere (names the largest excess);
     - "defect": the worst defect of the wrong sign exceeds
-      tol * (max |M a v| + eps), v being that end.
+      tol * max |M a v|, v being that end (relative: no absolute
+      floor, so the verdict does not depend on the mesh scale).
     """
     lo, up = (
         None if v is None else problem.domain.field(v).values for v in (lower, upper)
@@ -173,7 +194,7 @@ def _end_failure(problem, side, v, upper, tol):
         return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
     d = defect(problem, v).values
     scale = float(np.abs(problem.domain.mass * problem.a.values * v).max())
-    allow = tol * (scale + np.finfo(float).eps)
+    allow = tol * scale
     # a lower end needs d <= allow, an upper end d >= -allow
     sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
     bad = int(np.argmax(sign * d))
@@ -220,6 +241,41 @@ def positivity_check(domain, u):
     return bool(u.values.min() > 0.0)
 
 
+def _aitken(steps, current, previous):
+    """u_k + theta rho/(1 - rho) (u_k - u_{k-1}), or None unless 0 < rho < 1.
+
+    rho is the ratio of the last two max_change values, theta the
+    RESTART_DAMPING; the point aims short of the limit of a sequence
+    that contracts at rate rho.
+    """
+    rho = steps[-1].max_change / steps[-2].max_change
+    if not 0.0 < rho < 1.0:
+        return None
+    return current + RESTART_DAMPING * rho / (1.0 - rho) * (current - previous)
+
+
+def _verified_restarts(problem, records, u, previous, converged, tol):
+    """(side, point) for each running side whose Aitken point is verified.
+
+    The points of both sides go through bracket_failures at tol in one
+    call; a side restarts only if its point passes as a lower (upper)
+    solution and the restarted pair stays ordered.
+    """
+    candidates = [
+        None if done else _aitken(steps, v, before)
+        for done, steps, v, before in zip(converged, records, u, previous)
+    ]
+    if all(c is None for c in candidates):
+        return []
+    failures = bracket_failures(problem, *candidates, tol)
+    passed = [c if f is None else None for c, f in zip(candidates, failures)]
+    lower, upper = (v if p is None else p for p, v in zip(passed, u))
+    # the rule orders the two ends only when both are candidates
+    if np.any(lower > upper):
+        return []
+    return [(i, p) for i, p in enumerate(passed) if p is not None]
+
+
 def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None):
     """Run both monotone sequences in lockstep and certify the chain.
 
@@ -227,10 +283,21 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
     it.  Each step advances every side that has not converged, one
     T(S(.)) each, and checks within ORDERING_SLACK that the lower side
     did not go down, the upper side did not go up, and lower <= upper.
-    A converged side stays frozen at its last iterate.  Returns
-    (SolutionPair, IterationTrace).  Non-convergence within max_steps is
-    reported through the trace's converged flag, not an exception; the
-    first bend of the chain beyond slack raises OrderingError.
+    A converged side stays frozen at its last iterate.
+
+    From step RESTART_FIRST_STEP on, and RESTART_GAP steps apart, each
+    running side may restart from its damped Aitken point if
+    bracket_failures verifies that point and the pair stays ordered; a
+    rejected point changes nothing, and no restart happens at the last
+    step.  The point is verified at tol, or at ORDERING_SLACK * min(m a) /
+    max(m a) if that is smaller, so that the step after a restart cannot
+    move back beyond the slack.  The per-step checks run after a restart as before,
+    and the limits are checked against the input bracket (the sandwich).
+
+    Returns (SolutionPair, IterationTrace).  Non-convergence within
+    max_steps is reported through the trace's converged flag, not an
+    exception; the first bend of the chain beyond slack raises
+    OrderingError.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite number > 0")
@@ -248,7 +315,15 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
     a2 = check_alpha2(problem)
     if not a2.passed:
         raise ValueError(f"sign hypotheses fail: {a2.clause}")
-    slack = ORDERING_SLACK * max(float(np.abs(bracket.upper.values).max()), 1.0)
+    # max|upper| > 0: the lower end is not identically 0 and lower <= upper
+    slack = ORDERING_SLACK * float(np.abs(bracket.upper.values).max())
+    # A verified restart point v may keep a defect of the wrong sign up to
+    # t max|M a v|, and the next step moves back by A^-1 of it, at most
+    # t max|M a v| / min(m a) since ||A^-1||_inf <= 1/min(m a) on an
+    # M-matrix domain.  t <= ORDERING_SLACK min(m a) / max(m a) keeps that
+    # within slack; the run's tol alone would not once it exceeds the slack.
+    ma = domain.mass * problem.a.values
+    restart_tol = min(tol, ORDERING_SLACK * float(ma.min() / ma.max()))
 
     def require(amount, description):
         if amount > slack:
@@ -259,9 +334,12 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
             )
 
     u = [bracket.lower.values.copy(), bracket.upper.values.copy()]
+    previous = [None, None]
     psi = [apply_S(problem, Field(domain, v)) for v in u]
     records = ([], [])
     converged = [False, False]
+    restarts = [0, 0]
+    last_try = 0
     for k in range(1, max_steps + 1):
         # lower must climb, upper must descend
         for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
@@ -271,7 +349,7 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
             gap = float((sign * (u[i] - x.values)).max())
             require(gap, f"{name} sequence not monotone at step {k}")
             change = float(np.abs(x.values - u[i]).max())
-            u[i] = x.values
+            previous[i], u[i] = u[i], x.values
             psi[i] = apply_S(problem, x)
             resid = float(np.abs(linear.system_matrix @ u[i] - psi[i].values).max())
             records[i].append(
@@ -281,6 +359,16 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
         require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
         if all(converged):
             break
+        # never at the last step: its recorded iterate is the one returned
+        if RESTART_FIRST_STEP <= k < max_steps and k - last_try >= RESTART_GAP:
+            last_try = k
+            points = _verified_restarts(
+                problem, records, u, previous, converged, restart_tol
+            )
+            for i, v in points:
+                u[i] = v
+                psi[i] = apply_S(problem, Field(domain, v))
+                restarts[i] += 1
 
     u_star, u_upper_star = u
     sandwich = max(
@@ -306,5 +394,6 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
         ordering_violations=0,
         steps=k,
         converged=all(converged),
+        restarts=tuple(restarts),
     )
     return pair, trace

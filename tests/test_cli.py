@@ -165,6 +165,8 @@ class TestSolve:
         assert summary["ordering_violations"] == 0
         assert summary["min_u_star"] > 0.0
         assert summary["bracket_verified"] == [True, True]
+        assert sorted(summary["restarts"]) == ["lower", "upper"]
+        assert min(summary["restarts"].values()) > 0
         assert "converged" in capsys.readouterr().out
 
     def test_deterministic_artifacts(self, tmp_scenario, tmp_path):
@@ -210,13 +212,13 @@ class TestSolve:
         assert not out.exists()
 
     def test_tol_override(self, tmp_scenario, tmp_path):
-        out = tmp_path / "run"
-        code = main(
-            ["solve", tmp_scenario(base_torus_doc()), "--out", str(out), "--tol", "1e-6"]
-        )
-        assert code == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["steps"] < 29  # looser tolerance stops earlier
+        path = tmp_scenario(base_torus_doc())
+        steps = {}
+        for label, extra in (("default", []), ("loose", ["--tol", "1e-6"])):
+            out = tmp_path / label
+            assert main(["solve", path, "--out", str(out)] + extra) == 0
+            steps[label] = json.loads((out / "summary.json").read_text())["steps"]
+        assert steps["loose"] < steps["default"]  # looser tolerance stops earlier
 
     def test_fixed_point_bracket_converges_immediately(self, tmp_scenario, tmp_path):
         from tests.conftest import scalar_fixed_point
@@ -231,13 +233,16 @@ class TestSolve:
         assert summary["coincide"] is True
 
     def test_checks_use_the_tol_override(self, tmp_scenario, tmp_path, capsys):
-        # at the fixed point the defect is rounding noise: within the
-        # scenario's tol 1e-9 but not within 1e-15, where solve verifies
+        # just below the fixed point the upper defect is about -5e-14 of
+        # max|M a v|: within the scenario's tol 1e-9 but not within 1e-15,
+        # where solve verifies
         from tests.conftest import scalar_fixed_point
 
-        c = scalar_fixed_point()
+        c = scalar_fixed_point() * (1.0 - 1e-13)
         doc = base_torus_doc()
         doc["bracket"] = {"lower": c, "upper": c}
+        assert main(["check", tmp_scenario(doc)]) == 0
+        capsys.readouterr()
         out = tmp_path / "run"
         code = main(["solve", tmp_scenario(doc), "--out", str(out), "--tol", "1e-15"])
         assert code == 1
@@ -262,22 +267,38 @@ class TestSolve:
         assert csv_u == solution["u_star"]
 
     def test_bracket_rule_runs_once(self, monkeypatch, tmp_scenario, tmp_path):
+        # once on the input bracket; inside the iteration only on restart
+        # points, at the run's tol or tighter
+        import subsup.cli
         import subsup.iteration
 
         real = subsup.iteration.bracket_failures
-        calls = []
+        real_iterate = subsup.cli.iterate_monotone
+        calls = {"outside": [], "inside": []}
+        where = ["outside"]
 
         def counted(*args, **kwargs):
-            calls.append(args)
+            calls[where[0]].append(args)
             return real(*args, **kwargs)
+
+        def iterate(*args, **kwargs):
+            where[0] = "inside"
+            try:
+                return real_iterate(*args, **kwargs)
+            finally:
+                where[0] = "outside"
 
         # replace the rule wherever a caller looks it up
         for name, module in list(sys.modules.items()):
             if name.startswith("subsup") and getattr(module, "bracket_failures", None) is real:
                 monkeypatch.setattr(module, "bracket_failures", counted)
+        monkeypatch.setattr(subsup.cli, "iterate_monotone", iterate)
         out = tmp_path / "run"
         assert main(["solve", tmp_scenario(base_torus_doc()), "--out", str(out)]) == 0
-        assert len(calls) == 1
+        assert len(calls["outside"]) == 1
+        restarts = json.loads((out / "summary.json").read_text())["restarts"]
+        assert 0 < max(restarts.values()) <= len(calls["inside"])
+        assert all(args[-1] <= 1e-9 for args in calls["inside"])
 
     def test_disconnected_domain_is_not_certified_positive(
         self, tmp_scenario, tmp_path, capsys

@@ -435,3 +435,13 @@ class TestDomainApi:
         d = icosphere2.to_json_dict()
         assert d["kind"] == "icosphere"
         assert len(d["faces"]) == 320
+
+    @pytest.mark.parametrize("name", ["torus8", "icosphere3", "torus16_2d"])
+    def test_stiffness_action_is_the_edge_form_of_L(self, name, request):
+        domain = request.getfixturevalue(name)
+        v = np.random.default_rng(7).uniform(0.0, 1.0, domain.vertex_count)
+        expected = domain.stiffness @ v
+        got = domain.stiffness_action(v)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        # exact cancellation on constants, which the CSR matvec lacks
+        assert np.all(domain.stiffness_action(np.full(domain.vertex_count, 0.3)) == 0.0)

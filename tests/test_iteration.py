@@ -3,9 +3,12 @@ import pytest
 
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
-from subsup.iteration import bracket_failures
+from subsup.iteration import BracketFailure, bracket_failures
+from subsup.scenario import build_problem, load_scenario
 
 from tests.conftest import make_constant_problem
+
+SCENARIOS = ("scenarios/torus_constant.json", "scenarios/sphere_variable.json")
 
 
 def newton_solve(problem, start, tol=1e-12, max_iter=100):
@@ -150,6 +153,28 @@ class TestBracketFailures:
         just_below = 0.99 * d / scale
         assert not subsup.verify_lower(torus_problem, torus8.field(0.5), just_below)
         assert subsup.verify_lower(torus_problem, torus8.field(0.5), 1.01 * d / scale)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("kind", ["icosphere", "flat_torus"])
+    def test_verdict_does_not_depend_on_mesh_scale(self, kind, scale):
+        # a = 2, f = h = 1/2: [0.01, 1] brackets the fixed point c* ~ 0.0625,
+        # 0.03 < c* is no upper end and 0.1 > c* no lower end, at any radius
+        # or torus length
+        if kind == "icosphere":
+            domain = subsup.build_icosphere(3, radius=scale)
+        else:
+            domain = subsup.build_flat_torus([(8, scale)] * 3)
+        problem = make_constant_problem(domain)
+
+        def verdict(lower, upper):
+            failures = bracket_failures(
+                problem, domain.field(lower), domain.field(upper), 1e-9
+            )
+            return [None if f is None else f.kind for f in failures]
+
+        assert verdict(0.01, 1.0) == [None, None]
+        assert verdict(0.01, 0.03) == [None, "defect"]
+        assert verdict(0.1, 1.0) == ["defect", None]
 
 
 class TestIterateMonotone:
@@ -338,6 +363,194 @@ class TestOrderingError:
         assert main(["solve", tmp_scenario(base_torus_doc()), "--out", str(out)]) == 1
         assert "chain ordering violated" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
+
+
+    def test_slack_follows_a_small_upper_end(self, monkeypatch, torus8):
+        # h = 0.01 puts the fixed point near 6e-6, so [1e-6, 1e-3] is a
+        # bracket; a lower step going down by 1e-11 exceeds 1e-9 * max|upper|
+        prob = subsup.NonlinearProblem(
+            torus8, 2.0, 0.5, 0.01,
+            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+        )
+        br = make_bracket(prob, torus8.field(1e-6), torus8.field(1e-3))
+        bend_first_solve(monkeypatch, 1e-6, 1e-6 - 1e-11)
+        with pytest.raises(
+            subsup.OrderingError, match="lower sequence not monotone at step 1"
+        ):
+            iterate_monotone(prob, br, tol=1e-9)
+
+
+def plain_iteration(problem, bracket, tol, linear_tol):
+    """Trace rows and limits of u_{k+1} = T(S(u_k)) without restarts.
+
+    Each side runs on its own until its max change is <= tol; the rows
+    are then interleaved as IterationTrace.rows() orders them.
+    """
+    domain = problem.domain
+    A = problem.linear.system_matrix
+    rows, limits = [], []
+    for seq, start in (("lower", bracket.lower), ("upper", bracket.upper)):
+        u, k, change = start.values, 0, np.inf
+        while change > tol:
+            k += 1
+            psi = subsup.apply_S(problem, domain.field(u))
+            x, _ = subsup.solve_T(
+                problem.linear, psi, tol=linear_tol, x0=domain.field(u)
+            )
+            change = float(np.abs(x.values - u).max())
+            u = x.values
+            resid = np.abs(A @ u - subsup.apply_S(problem, x).values).max()
+            rows.append((k, seq, change, float(u.min()), float(u.max()), float(resid)))
+        limits.append(u)
+    rows.sort(key=lambda row: (row[0], row[1] != "lower"))
+    return rows, limits
+
+
+def shipped(path):
+    scenario = load_scenario(path)
+    _, problem, lower, upper = build_problem(scenario)
+    return problem, make_bracket(problem, lower, upper, scenario.tol), scenario.tol
+
+
+def sphere3_problem(icosphere3):
+    a = subsup.parse_coefficient("2+0.5*z", icosphere3)
+    return subsup.NonlinearProblem(
+        icosphere3, a, 0.5, 0.5,
+        ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+    )
+
+
+def spy_bracket_rule(monkeypatch, verdict=None):
+    """Record (args, result) of every bracket_failures call in the iteration.
+
+    With a verdict, its result replaces the rule's.
+    """
+    real = subsup.iteration.bracket_failures
+    calls = []
+
+    def rule(problem, lower, upper, tol):
+        if verdict is None:
+            result = real(problem, lower, upper, tol)
+        else:
+            result = verdict(lower, upper)
+        calls.append(((lower, upper, tol), result))
+        return result
+
+    monkeypatch.setattr(subsup.iteration, "bracket_failures", rule)
+    return calls
+
+
+def reject_all(lower, upper):
+    return tuple(
+        None if end is None else BracketFailure("defect", "rejected")
+        for end in (lower, upper)
+    )
+
+
+class TestRestarts:
+    @pytest.mark.parametrize("case", ["torus8", "icosphere3"])
+    def test_all_rejected_is_the_plain_iteration(self, case, monkeypatch, request):
+        domain = request.getfixturevalue(case)
+        if case == "torus8":
+            problem = make_constant_problem(domain)
+        else:
+            problem = sphere3_problem(domain)
+        br = make_bracket(problem, domain.field(0.01), domain.field(1.0))
+        calls = spy_bracket_rule(monkeypatch, reject_all)
+        pair, trace = iterate_monotone(problem, br, tol=1e-9)
+        rows, (lower, upper) = plain_iteration(problem, br, 1e-9, 1e-11)
+        assert calls and trace.restarts == (0, 0)
+        assert trace.steps == 29
+        assert trace.rows() == rows
+        assert np.array_equal(pair.u_star.values, lower)
+        assert np.array_equal(pair.u_upper_star.values, upper)
+
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_overshooting_points_are_rejected(self, path, monkeypatch):
+        problem, br, tol = shipped(path)
+        monkeypatch.setattr(subsup.iteration, "RESTART_DAMPING", 3.0)
+        calls = spy_bracket_rule(monkeypatch)
+        pair, trace = iterate_monotone(problem, br, tol=tol)
+        _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
+        assert calls and trace.restarts == (0, 0)
+        assert np.array_equal(pair.u_star.values, lower)
+        assert np.array_equal(pair.u_upper_star.values, upper)
+
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_shipped_scenarios_restart(self, path, monkeypatch):
+        problem, br, tol = shipped(path)
+        calls = spy_bracket_rule(monkeypatch)
+        pair, trace = iterate_monotone(problem, br, tol=tol)
+        assert trace.converged
+        assert min(trace.restarts) > 0
+        assert max(len(trace.lower_steps), len(trace.upper_steps)) <= 16
+        # every restart point passed the bracket rule, at the run's tol or
+        # tighter, so it passes at the run's tol
+        passed = []
+        for (lower, upper, rule_tol), failures in calls:
+            assert rule_tol <= tol
+            if lower is not None and failures[0] is None:
+                passed.append((lower, None))
+            if upper is not None and failures[1] is None:
+                passed.append((None, upper))
+        assert len(passed) == sum(trace.restarts)
+        for ends in passed:
+            assert bracket_failures(problem, *ends, tol) == (None, None)
+        _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
+        assert np.abs(pair.u_star.values - lower).max() <= 10.0 * tol
+        assert np.abs(pair.u_upper_star.values - upper).max() <= 10.0 * tol
+
+    def test_a_restart_must_keep_the_pair_ordered(
+        self, monkeypatch, torus_problem, torus8
+    ):
+        # a rule that passed a lower point above the upper iterate would
+        # let the chain cross; the restart is refused instead
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        monkeypatch.setattr(
+            subsup.iteration, "_aitken", lambda steps, current, previous: current + 1.0
+        )
+        calls = spy_bracket_rule(
+            monkeypatch, lambda lower, upper: (None, reject_all(None, upper)[1])
+        )
+        _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
+        rows, _ = plain_iteration(torus_problem, br, 1e-9, 1e-11)
+        assert calls and trace.restarts == (0, 0)
+        assert trace.rows() == rows
+
+    @pytest.mark.parametrize(
+        "case,c,tol",
+        [
+            ("torus8", 2.0, 3e-3),
+            ("torus8", 3.0, 3e-4),
+            ("icosphere3", 2.0, 3e-3),
+            ("icosphere3", 3.0, 3e-4),
+            ("icosphere3", 3.0, 1e-3),
+        ],
+    )
+    def test_loose_tol_restarts_keep_the_chain(self, case, c, tol, request):
+        # verified at these tols alone, a restart point kept a defect of the
+        # wrong sign that the next step turned into a move back beyond slack
+        domain = request.getfixturevalue(case)
+        a = subsup.parse_coefficient(f"{c}+0.5*z", domain) if case != "torus8" else c
+        problem = subsup.NonlinearProblem(
+            domain, a, 0.5, 0.5,
+            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+        )
+        br = make_bracket(problem, domain.field(0.01), domain.field(1.0), tol)
+        _, trace = iterate_monotone(problem, br, tol=tol)
+        assert trace.converged and sum(trace.restarts) > 0
+
+    @pytest.mark.parametrize("max_steps", range(5, 11))
+    def test_returns_the_last_recorded_iterate(self, max_steps, torus_problem, torus8):
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        pair, trace = iterate_monotone(torus_problem, br, tol=1e-9, max_steps=max_steps)
+        assert not trace.converged and sum(trace.restarts) > 0
+        for u, steps in (
+            (pair.u_star, trace.lower_steps),
+            (pair.u_upper_star, trace.upper_steps),
+        ):
+            last = steps[-1]
+            assert (u.values.min(), u.values.max()) == (last.min_u, last.max_u)
 
 
 class TestPositivity:
