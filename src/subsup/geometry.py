@@ -146,11 +146,12 @@ class DiscreteDomain:
         each stored entry is built on first use.
         """
         L, n = self.stiffness, self.vertex_count
+        counts = np.diff(L.indptr)
         if self._entry_rows is None:
-            rows = np.arange(n, dtype=L.indices.dtype)
-            self._entry_rows = np.repeat(rows, np.diff(L.indptr))
-        flux = values[L.indices]
-        flux -= values[self._entry_rows]
+            self._entry_rows = np.repeat(np.arange(n, dtype=L.indices.dtype), counts)
+        # take and repeat gather the same values as fancy indexing, faster
+        flux = np.take(values, L.indices)
+        flux -= np.repeat(values, counts)
         flux *= L.data
         return np.bincount(self._entry_rows, weights=flux, minlength=n)
 

@@ -11,12 +11,19 @@ made, within a small relative slack; the first bend beyond it (from
 floating point or a broken precondition) aborts the run loudly.
 
 The sequences contract linearly, so every few steps each side also
-tries a damped Aitken restart: an extrapolated point that undershoots
-the limit.  It replaces the current iterate only if the bracket rule
-that verified the input bracket verifies it too, as a lower or upper
-solution (at the run's tol or tighter), so every iterate is still
-T(S(.)) of a verified lower or upper solution.  The iteration keeps the current pair
-and one previous iterate per side, no longer history.
+tries a damped Aitken restart: an extrapolated point that aims short of
+the limit.  Being a lower solution is not enough for the point to stay
+below the minimal solution: it may have jumped past it, to the lower
+solutions of a larger one.  So a point replaces the current iterate
+only if two certificates hold.  The bracket rule that verified the
+input bracket verifies it as a lower (upper) solution, at the run's tol
+or tighter; and T(S(.)) provably contracts between the current iterate
+and the point (see _contraction_rate), which leaves no solution in the
+bracket below a lower point or above an upper one.  So the lower
+sequence stays below every solution in the bracket and the upper one
+above, as without restarts, and the limits are still the minimal and
+maximal solutions.  The iteration keeps the current pair and one
+previous iterate per side, no longer history.
 """
 
 from __future__ import annotations
@@ -254,12 +261,41 @@ def _aitken(steps, current, previous):
     return current + RESTART_DAMPING * rho / (1.0 - rho) * (current - previous)
 
 
+def _contraction_rate(problem, v, u):
+    """Lambda = max_i m_i D_i v_i / (A v)_i, or inf unless v > 0 and A v > 0.
+
+    D_i bounds the slope of f_i F + h_i H between u_i and v_i, and A is
+    L + M diag(a).  Lambda < 1 certifies a verified restart point v of
+    the lower side, whose current iterate u lies below every solution w
+    in the bracket, to lie below every such w too.  With z = min(w, v)
+    and delta = v - z >= 0: where delta_i > 0, z_i = w_i = T(S(w))_i >=
+    T(S(z))_i while v_i <= T(S(v))_i, so delta <= T(S(v) - S(z)) <=
+    T(M D delta).  If delta <= t v then M D delta <= t Lambda A v, and T
+    (inverse-positive) gives delta <= t Lambda v; with Lambda < 1 the
+    least such t is 0.  The upper side is the mirror image, with
+    z = max(w, v).  v passes the bracket rule only within its allowance,
+    which the bound carries over amplified by 1 / (1 - Lambda).
+    """
+    domain = problem.domain
+    lo = np.maximum(np.minimum(u, v), 0.0)  # S clamps at 0
+    hi = np.maximum(np.maximum(u, v), 0.0)
+    av = domain.stiffness_action(v) + domain.mass * problem.a.values * v
+    if v.min() <= 0.0 or av.min() <= 0.0:
+        return np.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf where f or h is 0
+        slope = problem.f.values * problem.F.max_slope(lo, hi)
+        slope = slope + problem.h.values * problem.H.max_slope(lo, hi)
+        rate = np.max(domain.mass * slope * v / av)
+    return float(rate) if np.isfinite(rate) else np.inf
+
+
 def _verified_restarts(problem, records, u, previous, converged, tol):
     """(side, point) for each running side whose Aitken point is verified.
 
     The points of both sides go through bracket_failures at tol in one
     call; a side restarts only if its point passes as a lower (upper)
-    solution and the restarted pair stays ordered.
+    solution, the restarted pair stays ordered, and the contraction rate
+    between its current iterate and the point is below 1.
     """
     candidates = [
         None if done else _aitken(steps, v, before)
@@ -273,7 +309,11 @@ def _verified_restarts(problem, records, u, previous, converged, tol):
     # the rule orders the two ends only when both are candidates
     if np.any(lower > upper):
         return []
-    return [(i, p) for i, p in enumerate(passed) if p is not None]
+    return [
+        (i, p)
+        for i, p in enumerate(passed)
+        if p is not None and _contraction_rate(problem, p, u[i]) < 1.0
+    ]
 
 
 def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None):
@@ -287,12 +327,14 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
 
     From step RESTART_FIRST_STEP on, and RESTART_GAP steps apart, each
     running side may restart from its damped Aitken point if
-    bracket_failures verifies that point and the pair stays ordered; a
-    rejected point changes nothing, and no restart happens at the last
-    step.  The point is verified at tol, or at ORDERING_SLACK * min(m a) /
-    max(m a) if that is smaller, so that the step after a restart cannot
-    move back beyond the slack.  The per-step checks run after a restart as before,
-    and the limits are checked against the input bracket (the sandwich).
+    bracket_failures verifies that point, the pair stays ordered, and
+    _contraction_rate certifies that no solution in the bracket lies on
+    the far side of it; a rejected point changes nothing, and no restart
+    happens at the last step.  The point is verified at tol, or at
+    ORDERING_SLACK * min(m a) / max(m a) if that is smaller, so that the
+    step after a restart cannot move back beyond the slack.  The per-step
+    checks run after a restart as before, and the limits are checked
+    against the input bracket (the sandwich).
 
     Returns (SolutionPair, IterationTrace).  Non-convergence within
     max_steps is reported through the trace's converged flag, not an

@@ -101,6 +101,30 @@ class ScalarNonlinearity:
                 out = np.where(t < 0.0, 0.0, out)
         return float(out[0]) if scalar else out
 
+    def max_slope(self, lo, hi):
+        """Largest one-sided derivative on [lo, hi], entrywise, 0 <= lo <= hi.
+
+        It bounds |F(s) - F(t)| / |s - t| for all s, t in the interval.
+        Power laws take it at an end (lo for p < 1, where it is inf at 0;
+        hi otherwise); tables take the steepest segment that touches the
+        interval, the constant extensions counting as slope 0.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if self.kind == "power":
+            with np.errstate(divide="ignore"):
+                return self.p * (hi if self.p >= 1.0 else lo) ** (self.p - 1.0)
+        slopes = np.diff(self.values) / np.diff(self.ts)
+        # segment j spans [ts[j], ts[j+1]]; first..last touch [lo, hi]
+        first = np.searchsorted(self.ts[1:], lo, side="left")
+        last = np.searchsorted(self.ts[:-1], hi, side="right") - 1
+        out = np.zeros(np.broadcast(lo, hi).shape)
+        touched = first <= last
+        for offset in range(int(np.max(last - first, initial=-1)) + 1):
+            j = np.clip(np.minimum(first + offset, last), 0, slopes.size - 1)
+            out = np.where(touched, np.maximum(out, slopes[j]), out)
+        return out
+
     def describe(self):
         if self.kind == "power":
             return f"power({self.p:g})"

@@ -238,6 +238,42 @@ class TestIterateMonotone:
             assert np.all(pair.u_star.values <= w + 1e-8)
             assert np.all(w <= pair.u_upper_star.values + 1e-8)
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_limits_are_the_extreme_of_three_fixed_points(self, side, monkeypatch):
+        # a = f = h = 1, F = 0: on constant fields the map is u -> H(u).
+        # The lower table has fixed points 0.1556 (stable), 0.1722
+        # (unstable) and 1/3 (stable).  The lower side climbs at rate 0.9
+        # first, so its step-3 point 0.193 lands above 0.1722, where it is
+        # still a lower solution and H has slope 0.5 < 1; the slope 6.9
+        # between the iterate and the point is what rules it out.
+        # "upper" is the mirror image t -> 1 - t, with fixed points 2/3,
+        # 0.8278 and 0.8444.
+        ts = np.array([0.0, 0.01, 0.15, 0.17, 0.19, 0.2, 1.0])
+        hs = np.array([0.0, 0.029, 0.155, 0.157, 0.295, 0.3, 0.5])
+        minimal, maximal = 0.14 / 0.9, 1.0 / 3.0
+        bracket = (0.01, 1.0)
+        if side == "upper":
+            ts, hs = 1.0 - ts[::-1], 1.0 - hs[::-1]
+            minimal, maximal = 1.0 - maximal, 1.0 - minimal
+            bracket = (0.5, 0.99)
+        domain = subsup.build_flat_torus([(4, 1.0)] * 3)
+        prob = subsup.NonlinearProblem(
+            domain, 1.0, 1.0, 1.0,
+            ScalarNonlinearity.table([0.0, 1.0], [0.0, 0.0]),
+            ScalarNonlinearity.table(ts, hs),
+            n=3, q=0.5,
+        )
+        br = make_bracket(prob, *(domain.field(v) for v in bracket))
+        pair, trace = iterate_monotone(prob, br, tol=1e-9)
+        assert trace.converged and min(trace.restarts) > 0
+        assert np.abs(pair.u_star.values - minimal).max() <= 1e-8
+        assert np.abs(pair.u_upper_star.values - maximal).max() <= 1e-8
+        assert not pair.coincide
+        # the bracket rule alone passes a point past the extreme solution
+        monkeypatch.setattr(subsup.iteration, "_contraction_rate", lambda *args: 0.0)
+        pair, _ = iterate_monotone(prob, br, tol=1e-9)
+        assert pair.coincide
+
     def test_chains_are_monotone(self, torus_problem, torus8):
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
