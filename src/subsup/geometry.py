@@ -15,6 +15,7 @@ and u' M u approximate the Dirichlet energy and the volume integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -112,7 +113,7 @@ class DiscreteDomain:
             raise ValueError("declared dimension must be >= 1")
         self.stiffness, self.mass = assemble_operators(self)
         self._connected = None
-        self._entry_rows = None
+        self._edges = None
 
     @property
     def vertex_count(self):
@@ -138,22 +139,41 @@ class DiscreteDomain:
         return Field(self, arr)
 
     def stiffness_action(self, values):
-        """L v evaluated as sum_j L_ij (v_j - v_i) over the entries of L.
+        """L v evaluated as sum_j L_ij (v_j - v_i) over the edges of L.
 
         Every term vanishes on constants, so the result is exactly 0 there
         and its roundoff follows the local variation of v rather than
-        |L| |v|: its sign survives at any mesh scale.  The row index of
-        each stored entry is built on first use.
+        |L| |v|: its sign survives at any mesh scale.
+
+        The off-diagonal entries of L are stored once per domain, on first
+        use, in a hybrid layout (ELLPACK + COO).  Slot k of row i is the
+        k-th off-diagonal entry of row i in CSR order.  A slot that at
+        least half the rows fill is held as one length-N row, a row with
+        fewer neighbours padded with itself at weight 0; the entries of
+        the later slots, which only high-valence rows have, are kept in
+        CSR order and added by one ordered scatter after the fixed-width
+        slots.  Pads never outnumber the entries, so the layout is O(nnz)
+        at any valence.  Each row is summed in CSR order starting from 0,
+        so the result is bitwise the CSR-order edge sum, sign of zero
+        included: the diagonal and the pads add w (v_i - v_i) = +0, which
+        changes no sum that starts from +0.
         """
-        L, n = self.stiffness, self.vertex_count
-        counts = np.diff(L.indptr)
-        if self._entry_rows is None:
-            self._entry_rows = np.repeat(np.arange(n, dtype=L.indices.dtype), counts)
-        # take and repeat gather the same values as fancy indexing, faster
-        flux = np.take(values, L.indices)
-        flux -= np.repeat(values, counts)
-        flux *= L.data
-        return np.bincount(self._entry_rows, weights=flux, minlength=n)
+        if self._edges is None:
+            self._edges = _edge_layout(self.stiffness)
+        edges = self._edges
+        out = np.zeros(self.vertex_count)
+        for columns, weights in zip(edges.columns, edges.weights):
+            term = np.take(values, columns)
+            term -= values
+            term *= weights
+            out += term
+        if edges.rest_rows.size:
+            term = np.take(values, edges.rest_columns)
+            term -= np.take(values, edges.rest_rows)
+            term *= edges.rest_weights
+            # add.at is unbuffered: repeated rows accumulate in array order
+            np.add.at(out, edges.rest_rows, term)
+        return out
 
     def is_connected(self):
         """Periodic grids and icospheres are connected by construction."""
@@ -185,6 +205,47 @@ class DiscreteDomain:
 
     def __repr__(self):
         return f"DiscreteDomain(kind={self.kind!r}, vertices={self.vertex_count})"
+
+
+class _EdgeLayout(NamedTuple):
+    """L's off-diagonal entries as DiscreteDomain.stiffness_action sums them.
+
+    columns and weights are (width, N): the slots that at least half the
+    rows fill, padded.  rest_rows, rest_columns and rest_weights hold the
+    entries of the later slots in CSR order.  Indices are int32.
+    """
+
+    columns: np.ndarray
+    weights: np.ndarray
+    rest_rows: np.ndarray
+    rest_columns: np.ndarray
+    rest_weights: np.ndarray
+
+
+def _edge_layout(L):
+    n = L.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(L.indptr))
+    off = L.indices != rows
+    rows, cols, data = rows[off], L.indices[off], L.data[off]
+    valence = np.bincount(rows, minlength=n)
+    slot = np.arange(rows.size) - (np.cumsum(valence) - valence)[rows]
+    # filled[k] counts the rows with a slot k; non-increasing in k
+    filled = np.cumsum(np.bincount(valence)[::-1])[-2::-1]
+    width = int(np.count_nonzero(2 * filled >= n))
+    wide = slot < width
+    rest = ~wide
+    columns = np.tile(np.arange(n, dtype=np.int32), (width, 1))
+    weights = np.zeros((width, n))
+    at = (slot * n + rows)[wide]
+    columns.reshape(-1)[at] = cols[wide]
+    weights.reshape(-1)[at] = data[wide]
+    return _EdgeLayout(
+        columns,
+        weights,
+        rows[rest].astype(np.int32),
+        cols[rest].astype(np.int32),
+        data[rest],
+    )
 
 
 @dataclass(eq=False)

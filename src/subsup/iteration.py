@@ -143,6 +143,13 @@ class SolutionPair:
         write_csv(path, ["vertex", "u_star", "u_upper_star"], rows)
 
 
+def _image(problem, v):
+    """(A v, S(v)) for a Field v, A = L + M diag(a) with L v in edge form."""
+    av = problem.domain.stiffness_action(v.values)
+    av += problem.domain.mass * problem.a.values * v.values
+    return av, apply_S(problem, v)
+
+
 def defect(problem, v):
     """Weak-form residual (L + M diag(a)) v - S(v), entrywise.
 
@@ -152,10 +159,8 @@ def defect(problem, v):
     L v takes the edge form of DiscreteDomain.stiffness_action, exactly 0
     on constants, so its roundoff does not swamp M a v on small meshes.
     """
-    v = problem.domain.field(v)
-    lhs = problem.domain.stiffness_action(v.values)
-    lhs += problem.domain.mass * problem.a.values * v.values
-    return Field(problem.domain, lhs - apply_S(problem, v).values)
+    av, psi = _image(problem, problem.domain.field(v))
+    return Field(problem.domain, av - psi.values)
 
 
 @dataclass
@@ -166,11 +171,12 @@ class BracketFailure:
     defect: float | None = None
 
 
-def bracket_failures(problem, lower, upper, tol):
+def bracket_failures(problem, lower, upper, tol, images=(None, None)):
     """The first failure at each end of a candidate bracket, or None.
 
     The one bracket rule; returns (lower failure, upper failure).  An end
     given as None is not checked; "zero" and "unordered" need both ends.
+    images holds each end's (A v, S(v)) pair, or None to form it here.
     Each end stops at the first check that fails, in this order:
 
     - "negative": some entry is below 0 (names the most negative one);
@@ -183,13 +189,14 @@ def bracket_failures(problem, lower, upper, tol):
     lo, up = (
         None if v is None else problem.domain.field(v).values for v in (lower, upper)
     )
+    image_lo, image_up = images
     return (
-        None if lo is None else _end_failure(problem, "lower", lo, up, tol),
-        None if up is None else _end_failure(problem, "upper", up, None, tol),
+        None if lo is None else _end_failure(problem, "lower", lo, up, tol, image_lo),
+        None if up is None else _end_failure(problem, "upper", up, None, tol, image_up),
     )
 
 
-def _end_failure(problem, side, v, upper, tol):
+def _end_failure(problem, side, v, upper, tol, image):
     if v.min() < 0.0:
         bad = int(np.argmin(v))
         message = f"{side} solution negative at vertex {bad}"
@@ -199,7 +206,11 @@ def _end_failure(problem, side, v, upper, tol):
     if upper is not None and np.any(v > upper):
         bad = int(np.argmax(v - upper))
         return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
-    d = defect(problem, v).values
+    if image is None:
+        d = defect(problem, v).values
+    else:
+        av, psi = image
+        d = av - psi.values
     scale = float(np.abs(problem.domain.mass * problem.a.values * v).max())
     allow = tol * scale
     # a lower end needs d <= allow, an upper end d >= -allow
@@ -261,7 +272,7 @@ def _aitken(steps, current, previous):
     return current + RESTART_DAMPING * rho / (1.0 - rho) * (current - previous)
 
 
-def _contraction_rate(problem, v, u):
+def _contraction_rate(problem, v, u, av):
     """Lambda = max_i m_i D_i v_i / (A v)_i, or inf unless v > 0 and A v > 0.
 
     D_i bounds the slope of f_i F + h_i H between u_i and v_i, and A is
@@ -274,12 +285,12 @@ def _contraction_rate(problem, v, u):
     (inverse-positive) gives delta <= t Lambda v; with Lambda < 1 the
     least such t is 0.  The upper side is the mirror image, with
     z = max(w, v).  v passes the bracket rule only within its allowance,
-    which the bound carries over amplified by 1 / (1 - Lambda).
+    which the bound carries over amplified by 1 / (1 - Lambda).  av is
+    A v as the bracket rule formed it, with L v in edge form.
     """
     domain = problem.domain
     lo = np.maximum(np.minimum(u, v), 0.0)  # S clamps at 0
     hi = np.maximum(np.maximum(u, v), 0.0)
-    av = domain.stiffness_action(v) + domain.mass * problem.a.values * v
     if v.min() <= 0.0 or av.min() <= 0.0:
         return np.inf
     with np.errstate(invalid="ignore"):  # 0 * inf where f or h is 0
@@ -290,12 +301,13 @@ def _contraction_rate(problem, v, u):
 
 
 def _verified_restarts(problem, records, u, previous, converged, tol):
-    """(side, point) for each running side whose Aitken point is verified.
+    """(side, point, S(point)) for each running side whose Aitken point is verified.
 
     The points of both sides go through bracket_failures at tol in one
     call; a side restarts only if its point passes as a lower (upper)
     solution, the restarted pair stays ordered, and the contraction rate
-    between its current iterate and the point is below 1.
+    between its current iterate and the point is below 1.  Each point's
+    A v and S(v) are formed once, for the rule, the rate and the restart.
     """
     candidates = [
         None if done else _aitken(steps, v, before)
@@ -303,16 +315,20 @@ def _verified_restarts(problem, records, u, previous, converged, tol):
     ]
     if all(c is None for c in candidates):
         return []
-    failures = bracket_failures(problem, *candidates, tol)
+    images = [
+        None if c is None else _image(problem, Field(problem.domain, c))
+        for c in candidates
+    ]
+    failures = bracket_failures(problem, *candidates, tol, images=images)
     passed = [c if f is None else None for c, f in zip(candidates, failures)]
     lower, upper = (v if p is None else p for p, v in zip(passed, u))
     # the rule orders the two ends only when both are candidates
     if np.any(lower > upper):
         return []
     return [
-        (i, p)
+        (i, p, images[i][1])
         for i, p in enumerate(passed)
-        if p is not None and _contraction_rate(problem, p, u[i]) < 1.0
+        if p is not None and _contraction_rate(problem, p, u[i], images[i][0]) < 1.0
     ]
 
 
@@ -377,6 +393,8 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
 
     u = [bracket.lower.values.copy(), bracket.upper.values.copy()]
     previous = [None, None]
+    # A u from solve_T's last re-check; None where u was not solved for
+    action = [None, None]
     psi = [apply_S(problem, Field(domain, v)) for v in u]
     records = ([], [])
     converged = [False, False]
@@ -387,13 +405,15 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
         for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
             if converged[i]:
                 continue
-            x, _ = solve_T(linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]))
+            x, report = solve_T(
+                linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
+            )
             gap = float((sign * (u[i] - x.values)).max())
             require(gap, f"{name} sequence not monotone at step {k}")
             change = float(np.abs(x.values - u[i]).max())
-            previous[i], u[i] = u[i], x.values
+            previous[i], u[i], action[i] = u[i], x.values, report.Ax
             psi[i] = apply_S(problem, x)
-            resid = float(np.abs(linear.system_matrix @ u[i] - psi[i].values).max())
+            resid = float(np.abs(action[i] - psi[i].values).max())
             records[i].append(
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
             )
@@ -407,9 +427,9 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
             points = _verified_restarts(
                 problem, records, u, previous, converged, restart_tol
             )
-            for i, v in points:
-                u[i] = v
-                psi[i] = apply_S(problem, Field(domain, v))
+            for i, v, image in points:
+                # the next warm start forms A v through the CSR matrix
+                u[i], psi[i], action[i] = v, image, None
                 restarts[i] += 1
 
     u_star, u_upper_star = u

@@ -41,9 +41,14 @@ COARSEST_VERTICES = 162
 SMOOTHING_SWEEPS = 2
 SMOOTHING_WEIGHT = 0.8
 
+# solve_T gives up once this many CG sweeps in a row end without a new
+# lowest true residual.  Below the rounding floor the re-checked
+# residual is noise around a level; one sweep that misses can be chance.
+STALL_SWEEPS = 2
+
 
 class ConvergenceError(RuntimeError):
-    """CG hit its iteration cap; carries the partial SolveReport."""
+    """CG hit its iteration cap or stalled; carries the partial SolveReport."""
 
     def __init__(self, message, report):
         super().__init__(message)
@@ -65,11 +70,14 @@ class DualVector:
             raise ValueError("dual vector contains non-finite entries")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveReport:
+    """CG iterations, final true residual, energies, and A x (None on failure)."""
+
     iterations: int
     final_residual_norm: float
     energy_history: list
+    Ax: np.ndarray | None = None
 
 
 class LinearProblem:
@@ -208,7 +216,7 @@ def h1_norm(domain, values):
     return float(np.sqrt(max(v @ (domain.stiffness @ v) + v @ (domain.mass * v), 0.0)))
 
 
-def solve_T(problem, psi, tol=1e-10, x0=None):
+def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
     """Solve A u = psi by preconditioned conjugate gradients.
 
     The preconditioner is problem.preconditioner: an FFT solve on periodic
@@ -219,6 +227,16 @@ def solve_T(problem, psi, tol=1e-10, x0=None):
     psi = 0).  The recorded energy history is non-increasing by
     construction: each step subtracts the exact CG decrement
     alpha * (r'z) / 2 >= 0, and P is SPD on all three paths.
+
+    x0 is a warm start; Ax0, if given, must be A @ x0.values, which is
+    then not formed again.  The report's Ax is A @ u for the returned u,
+    formed by the final true-residual re-check, so a caller needs no
+    matvec of its own for the residual or the next warm start.  Raises
+    ConvergenceError at the iteration cap of 10 n, and once STALL_SWEEPS
+    true-residual re-checks in a row are no lower than the lowest before
+    them (the starting residual included): tol is then below the floor
+    that rounding leaves, and more sweeps would only redraw the noise
+    around it until the cap.
     """
     _require_same_domain(problem.domain, psi)
     if not 0.0 < tol < np.inf:
@@ -232,7 +250,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None):
     else:
         _require_same_domain(problem.domain, x0)
         x = x0.values.copy()
-        Ax = A @ x
+        Ax = A @ x if Ax0 is None else Ax0
     precondition = problem.preconditioner
 
     bnorm = np.linalg.norm(b)
@@ -244,6 +262,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None):
     history = [float(energy)]
     iterations = 0
     resid = np.linalg.norm(r)
+    lowest, stalled = resid, 0  # the lowest true residual, sweeps since
 
     while True:
         # inner CG sweep on the recurrence residual
@@ -282,10 +301,22 @@ def solve_T(problem, psi, tol=1e-10, x0=None):
                 p = z + beta * p
                 resid = np.linalg.norm(r)
         # the recurrence residual can drift from the true one; re-check
-        r = b - A @ x
+        Ax = A @ x
+        r = b - Ax
         resid = np.linalg.norm(r)
         if resid <= stop:
             break
+        stalled = 0 if resid < lowest else stalled + 1
+        lowest = min(lowest, resid)
+        if stalled == STALL_SWEEPS:
+            report = SolveReport(iterations, float(resid), history)
+            raise ConvergenceError(
+                f"linear tolerance not attainable: true residual {resid:.3e} "
+                f"after {iterations} iterations, and none of the last "
+                f"{STALL_SWEEPS} sweeps went below {lowest:.3e} "
+                f"(target {stop:.3e})",
+                report,
+            )
         if iterations >= cap:
             report = SolveReport(iterations, float(resid), history)
             raise ConvergenceError(
@@ -293,7 +324,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None):
                 report,
             )
 
-    report = SolveReport(iterations, float(resid), history)
+    report = SolveReport(iterations, float(resid), history, Ax)
     return Field(problem.domain, x), report
 
 

@@ -4,12 +4,20 @@ The stdlib json module offers no control over float formatting, and
 repr() gives shortest-round-trip strings of varying width; artifacts
 want a fixed 17-significant-digit form so that every float round-trips
 exactly and repeated runs are byte-identical.
+
+Lists of floats and float columns are formatted CHUNK values at a time
+through one %-template per chunk: '%.17g' % x is format(x, '.17g') for
+every finite double, and one % call does the work of a chunk's format
+calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+
+CHUNK = 4096
 
 
 def format_float(x):
@@ -17,6 +25,18 @@ def format_float(x):
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite value {x!r} has no JSON form")
     return format(x, ".17g")
+
+
+def _is_finite_floats(seq):
+    return all(type(v) is float for v in seq) and all(map(math.isfinite, seq))
+
+
+def _join_floats(values, sep):
+    """sep.join(format(x, '.17g') for x in values), one template per chunk."""
+    if len(values) > CHUNK:
+        chunks = (values[i : i + CHUNK] for i in range(0, len(values), CHUNK))
+        return sep.join(_join_floats(chunk, sep) for chunk in chunks)
+    return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 
 def _render(obj, indent, out):
@@ -36,11 +56,11 @@ def _render(obj, indent, out):
         if not seq:
             out.append("[]")
             return
-        if all(type(v) is float for v in seq) and all(map(math.isfinite, seq)):
-            # the per-item path below, one join for the whole list
+        if _is_finite_floats(seq):
+            # the bytes of the per-item path below, one template per chunk
             item_pad = pad + "  "
             out.append("[\n" + item_pad)
-            out.append((",\n" + item_pad).join([format(x, ".17g") for x in seq]))
+            out.append(_join_floats(seq, ",\n" + item_pad))
             out.append("\n" + pad + "]")
             return
         out.append("[\n")
@@ -63,21 +83,23 @@ def _render(obj, indent, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj):
+def _pieces(obj):
     out = []
     _render(obj, 0, out)
     out.append("\n")
-    return "".join(out)
+    return out
+
+
+def dumps(obj):
+    return "".join(_pieces(obj))
 
 
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(obj))
+        fh.writelines(_pieces(obj))
 
 
 def _cell(c):
-    if type(c) is float and math.isfinite(c):
-        return format(c, ".17g")
     if isinstance(c, bool):
         return "true" if c else "false"
     if isinstance(c, float):
@@ -85,10 +107,32 @@ def _cell(c):
     return str(c)
 
 
+def _csv_lines(rows):
+    """Lines for rows of equal length, "\n"-terminated.
+
+    Column by column: a column of finite floats becomes a %.17g field
+    and an int column a %d one, formatted with the whole chunk through
+    one template; other cells go through _cell first.
+    """
+    columns = list(zip(*rows, strict=True))
+    fields = []
+    for j, column in enumerate(columns):
+        if _is_finite_floats(column):
+            fields.append("%.17g")
+        elif all(type(c) is int for c in column):
+            fields.append("%d")
+        else:
+            fields.append("%s")
+            columns[j] = list(map(_cell, column))
+    line = ",".join(fields) + "\n"
+    return (line * len(rows)) % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
 def write_csv(path, header, rows):
-    """Write rows of cells; floats get the 17-digit treatment."""
-    lines = [",".join(header)]
-    lines.extend([",".join(map(_cell, row)) for row in rows])
-    lines.append("")
+    """Write rows of cells, CHUNK rows at a time; floats get the 17-digit treatment."""
+    rows = iter(rows)
+    text = [",".join(header) + "\n"]
+    while chunk := list(itertools.islice(rows, CHUNK)):
+        text.append(_csv_lines(chunk))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.writelines(text)

@@ -321,6 +321,44 @@ class TestSolve:
         assert "domain is not connected; positivity is not certified" in printed
         assert "positivity failed" not in printed
 
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"kind": "flat_torus", "dims": [[8, 1.0]] * 3},
+            {"kind": "icosphere", "subdivisions": 4, "radius": 1.0},
+        ],
+        ids=["torus8", "icosphere4"],
+    )
+    def test_unattainable_linear_tol_fails_fast(
+        self, domain, monkeypatch, tmp_scenario, tmp_path, capsys
+    ):
+        # --tol 1e-12 asks CG for 1e-14, below what rounding leaves; the
+        # first solve used to run to the cap of 10 n iterations
+        import subsup.iteration
+        from subsup import ConvergenceError
+
+        real = subsup.iteration.solve_T
+        errors = []
+
+        def solve_T(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except ConvergenceError as exc:
+                errors.append(exc)
+                raise
+
+        monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+        doc = base_torus_doc()
+        doc["domain"] = domain
+        out = tmp_path / "run"
+        args = ["solve", tmp_scenario(doc), "--out", str(out), "--tol", "1e-12"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "linear tolerance not attainable" in err
+        (exc,) = errors
+        assert 0 < exc.report.iterations <= 50
+        assert not (out / "summary.json").exists()
+
     def test_refuses_bad_scenario(self, tmp_scenario, tmp_path, capsys):
         doc = base_torus_doc()
         doc["coefficients"]["f"] = 0.0

@@ -436,12 +436,101 @@ class TestDomainApi:
         assert d["kind"] == "icosphere"
         assert len(d["faces"]) == 320
 
-    @pytest.mark.parametrize("name", ["torus8", "icosphere3", "torus16_2d"])
-    def test_stiffness_action_is_the_edge_form_of_L(self, name, request):
-        domain = request.getfixturevalue(name)
-        v = np.random.default_rng(7).uniform(0.0, 1.0, domain.vertex_count)
+    @pytest.mark.parametrize(
+        "name", ["torus8", "icosphere3", "torus16_2d", "irregular_off", "bipyramid"]
+    )
+    def test_stiffness_action_is_the_edge_form_of_L(self, name, request, tmp_path):
+        if name == "irregular_off":
+            domain = irregular_off(tmp_path / "irregular.off")
+            valences = np.diff(domain.stiffness.indptr) - 1
+            assert valences.min() == 3 and valences.max() == 10
+        elif name == "bipyramid":
+            domain = bipyramid_off(tmp_path / "bipyramid.off", 300)
+        else:
+            domain = request.getfixturevalue(name)
+        n = domain.vertex_count
+        rng = np.random.default_rng(7)
+        v = rng.uniform(0.0, 1.0, n)
         expected = domain.stiffness @ v
         got = domain.stiffness_action(v)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         # exact cancellation on constants, which the CSR matvec lacks
-        assert np.all(domain.stiffness_action(np.full(domain.vertex_count, 0.3)) == 0.0)
+        assert np.all(domain.stiffness_action(np.full(n, 0.3)) == 0.0)
+        # bitwise the CSR-order edge sum, sign of zero included
+        for field in (v, np.full(n, 0.3), 1e-12 * v, -rng.uniform(0.0, 1.0, n)):
+            got = domain.stiffness_action(field)
+            expected = edge_sum_reference(domain, field)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_stiffness_action_pads_the_five_neighbour_rows(self, icosphere3):
+        icosphere3.stiffness_action(np.zeros(icosphere3.vertex_count))
+        edges = icosphere3._edges
+        assert edges.columns.shape == edges.weights.shape == (6, icosphere3.vertex_count)
+        assert edges.columns.dtype == np.int32
+        assert edges.rest_rows.size == 0
+        # the 12 vertices of the icosahedron have five neighbours
+        pads = np.flatnonzero(edges.weights[5] == 0.0)
+        assert np.array_equal(pads, np.arange(12))
+        assert np.array_equal(edges.columns[5, pads], pads)
+
+    def test_edge_layout_stays_linear_in_the_entries_at_a_hub(self, tmp_path):
+        ring = 2000
+        domain = bipyramid_off(tmp_path / "bipyramid.off", ring)
+        domain.stiffness_action(np.zeros(domain.vertex_count))
+        edges = domain._edges
+        entries = domain.stiffness.nnz - domain.vertex_count
+        # the four slots every ring vertex fills are fixed-width; the two
+        # apexes' further ring - 4 neighbours each go to the scatter
+        assert edges.columns.shape == (4, ring + 2)
+        assert edges.rest_rows.size == 2 * (ring - 4)
+        assert set(edges.rest_rows.tolist()) == {ring, ring + 1}
+        assert edges.columns.size + edges.rest_columns.size <= 2 * entries
+
+
+def edge_sum_reference(domain, values):
+    """L v as sum_j L_ij (v_j - v_i), accumulated by bincount in CSR order.
+
+    The reference for stiffness_action: the entries of each row, diagonal
+    included, summed one after another from 0.
+    """
+    L, n = domain.stiffness, domain.vertex_count
+    counts = np.diff(L.indptr)
+    flux = (values[L.indices] - np.repeat(values, counts)) * L.data
+    return np.bincount(np.repeat(np.arange(n), counts), weights=flux, minlength=n)
+
+
+def bipyramid_off(path, ring):
+    """A ring of vertices on the unit circle joined to two apexes.
+
+    Every ring vertex has 4 neighbours and each apex has ring of them, so
+    one high-valence pair sits on an otherwise uniform mesh.
+    """
+    t = 2.0 * np.pi * np.arange(ring) / ring
+    verts = [(np.cos(a), np.sin(a), 0.0) for a in t] + [(0, 0, 1.0), (0, 0, -1.0)]
+    faces = []
+    for i in range(ring):
+        j = (i + 1) % ring
+        faces += [(i, j, ring), (j, i, ring + 1)]
+    return subsup.load_off(write_off(path, verts, faces))
+
+
+def irregular_off(path):
+    """Icosphere 1 with a centre vertex added to every third face.
+
+    Valences range from 3 (the centres) to 10, so the layout pads rows
+    of several lengths and scatters the entries of the longest ones.
+    """
+    base = subsup.build_icosphere(1)
+    verts = list(base.coordinates)
+    faces = []
+    for t, (a, b, c) in enumerate(base.faces):
+        if t % 3:
+            faces.append((a, b, c))
+            continue
+        centre = base.coordinates[[a, b, c]].mean(axis=0)
+        verts.append(centre / np.linalg.norm(centre))
+        m = len(verts) - 1
+        faces += [(a, b, m), (b, c, m), (c, a, m)]
+    return subsup.load_off(write_off(path, verts, faces))
+

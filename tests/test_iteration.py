@@ -464,9 +464,9 @@ def spy_bracket_rule(monkeypatch, verdict=None):
     real = subsup.iteration.bracket_failures
     calls = []
 
-    def rule(problem, lower, upper, tol):
+    def rule(problem, lower, upper, tol, images=(None, None)):
         if verdict is None:
-            result = real(problem, lower, upper, tol)
+            result = real(problem, lower, upper, tol, images=images)
         else:
             result = verdict(lower, upper)
         calls.append(((lower, upper, tol), result))
@@ -575,6 +575,40 @@ class TestRestarts:
         br = make_bracket(problem, domain.field(0.01), domain.field(1.0), tol)
         _, trace = iterate_monotone(problem, br, tol=tol)
         assert trace.converged and sum(trace.restarts) > 0
+
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_each_candidate_is_evaluated_once(self, path, monkeypatch):
+        # make_bracket forms L v and S(v) at both ends; then each step one
+        # S per side, and each restart candidate one L v and one S, shared
+        # by the rule, the contraction rate and the restart
+        scenario = load_scenario(path)
+        _, problem, lower, upper = build_problem(scenario)
+        counts = {"stiffness_action": 0, "apply_S": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        domain_cls = subsup.geometry.DiscreteDomain
+        monkeypatch.setattr(
+            domain_cls,
+            "stiffness_action",
+            counted("stiffness_action", domain_cls.stiffness_action),
+        )
+        monkeypatch.setattr(
+            subsup.iteration, "apply_S", counted("apply_S", subsup.iteration.apply_S)
+        )
+        br = make_bracket(problem, lower, upper, scenario.tol)
+        calls = spy_bracket_rule(monkeypatch)
+        _, trace = iterate_monotone(problem, br, tol=scenario.tol)
+        candidates = sum(end is not None for (*ends, _), _ in calls for end in ends)
+        steps = len(trace.lower_steps) + len(trace.upper_steps)
+        assert min(trace.restarts) > 0 and candidates > sum(trace.restarts)
+        assert counts["stiffness_action"] == 2 + candidates
+        assert counts["apply_S"] == 2 + 2 + steps + candidates
 
     @pytest.mark.parametrize("max_steps", range(5, 11))
     def test_returns_the_last_recorded_iterate(self, max_steps, torus_problem, torus8):

@@ -302,6 +302,48 @@ class TestMultigridPreconditioner:
         assert exc.value.report.iterations > 0
 
 
+def backend_problem(case, tmp_path):
+    """A problem on each preconditioner path: FFT, multigrid, Jacobi."""
+    rng = np.random.default_rng(5)
+    if case == "fft":
+        domain = subsup.build_flat_torus([(8, 1.0)] * 3)
+    elif case == "multigrid":
+        domain = subsup.build_icosphere(3)
+    else:
+        domain = as_off(subsup.build_icosphere(2), tmp_path / "ico2.off")
+    return LinearProblem(domain, random_positive_field(domain, rng)), rng
+
+
+class TestReturnedAction:
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
+    def test_ax_is_the_csr_matvec_of_the_solution(self, case, tmp_path):
+        lp, rng = backend_problem(case, tmp_path)
+        u, report = solve_T(lp, random_dual(lp.domain, rng), tol=1e-11)
+        assert np.array_equal(report.Ax, lp.system_matrix @ u.values)
+
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
+    def test_handing_ax0_back_changes_no_bit(self, case, tmp_path):
+        lp, rng = backend_problem(case, tmp_path)
+        x0, first = solve_T(lp, random_dual(lp.domain, rng), tol=1e-11)
+        psi = random_dual(lp.domain, rng)
+        plain, plain_report = solve_T(lp, psi, tol=1e-11, x0=x0)
+        handed, report = solve_T(lp, psi, tol=1e-11, x0=x0, Ax0=first.Ax)
+        assert np.array_equal(handed.values, plain.values)
+        assert np.array_equal(report.Ax, plain_report.Ax)
+        assert report.energy_history == plain_report.energy_history
+
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
+    def test_a_stalled_true_residual_fails_fast(self, case, tmp_path):
+        # below the rounding floor: each sweep ends at about the same true
+        # residual, and sweeps used to repeat until the cap of 10 n iterations
+        lp, rng = backend_problem(case, tmp_path)
+        with pytest.raises(ConvergenceError, match="not attainable") as exc:
+            solve_T(lp, random_dual(lp.domain, rng), tol=1e-17)
+        # at most a tenth of the cap
+        assert 0 < exc.value.report.iterations <= lp.domain.vertex_count
+        assert exc.value.report.Ax is None
+
+
 class TestEmbedFunction:
     def test_zero_field(self, torus8):
         psi = embed_function(torus8.field(0.0))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from subsup.serialize import dumps, format_float, write_csv, write_json
+from subsup.serialize import CHUNK, dumps, format_float, write_csv, write_json
 
 
 class TestFormatFloat:
@@ -109,3 +109,88 @@ class TestFloatListFastPath:
             dumps({"u": [0.5, bad, 1.0]})
         with pytest.raises(ValueError, match="non-finite"):
             write_csv(str(tmp_path / "o.csv"), ["x"], [(0.5,), (bad,)])
+
+
+def reference_cell(c):
+    """One CSV cell as the per-item writer formats it."""
+    if isinstance(c, bool):
+        return "true" if c else "false"
+    if isinstance(c, float):
+        return format_float(c)
+    return str(c)
+
+
+def reference_csv(header, rows):
+    lines = [",".join(header)] + [",".join(map(reference_cell, r)) for r in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def chunk_floats(length):
+    """length floats cycling through edge cases and random values."""
+    special = [-0.0, 5e-324, 1e16, 0.1, -1e300, 2.0**-1074 * 3, 1.0 / 3.0, 1e-300]
+    rng = np.random.default_rng(length)
+    scales = 10.0 ** rng.integers(-20, 20, length)
+    values = (rng.standard_normal(length) * scales).tolist()
+    for i in range(0, length, 7):
+        values[i] = special[(i // 7) % len(special)]
+    return values
+
+
+LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+
+
+class TestChunkedWriters:
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_json_list_matches_per_item_format(self, length):
+        values = chunk_floats(length)
+        items = ",\n    ".join(format(x, ".17g") for x in values)
+        expected = '{\n  "u": ' + (f"[\n    {items}\n  ]" if values else "[]") + "\n}\n"
+        assert dumps({"u": values}) == expected
+
+    def test_write_json_writes_the_dumps_bytes(self, tmp_path):
+        # long float lists between and after short pieces
+        values = chunk_floats(CHUNK + 1)
+        doc = {"u": values, "flag": True, "w": values[:5], "v": values, "n": 3}
+        path = tmp_path / "o.json"
+        write_json(str(path), doc)
+        assert path.read_bytes() == dumps(doc).encode()
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_csv_columns_match_per_item_format(self, length, tmp_path):
+        values = chunk_floats(length)
+        rows = list(zip(range(length), values, reversed(values)))
+        path = tmp_path / "o.csv"
+        write_csv(str(path), ["vertex", "u", "w"], rows)
+        assert path.read_bytes() == reference_csv(["vertex", "u", "w"], rows)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_mixed_columns_keep_their_bytes(self, length, tmp_path):
+        # trace.csv: int step, str side, float columns; plus bools, a float
+        # subclass, ints beyond 17 digits and a column of ints and floats
+        values = chunk_floats(length)
+        sides = ("lower", "upper")
+        rows = [
+            (k // 2, sides[k % 2], x, True, np.float64(x), x if k % 3 else k, k << 70)
+            for k, x in enumerate(values)
+        ]
+        header = ["step", "seq", "x", "ok", "y", "mixed", "big"]
+        path = tmp_path / "o.csv"
+        write_csv(str(path), header, rows)
+        assert path.read_bytes() == reference_csv(header, rows)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_past_the_first_chunk_raises(self, bad, tmp_path):
+        values = chunk_floats(CHUNK + 1)
+        values[CHUNK] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"u": values})
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(str(tmp_path / "o.csv"), ["x"], [(x,) for x in values])
+
+    def test_rows_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(str(tmp_path / "o.csv"), ["a", "b"], [(1, 0.5), (2,)])
+
+    def test_percent_template_is_the_17_digit_format(self):
+        values = chunk_floats(CHUNK) + [-0.0, 5e-324, 2.2250738585072014e-308, 1e16]
+        assert ["%.17g" % x for x in values] == [format(x, ".17g") for x in values]
