@@ -110,7 +110,6 @@ def cmd_solve(args):
         if args.max_steps is None
         else _max_steps(args.max_steps, "--max-steps")
     )
-    linear_tol = scenario.linear_tol if args.tol is None else tol / 100.0
     domain, problem, lower, upper = build_problem(scenario)
     report, bracket = _run_checks(problem, lower, upper, tol)
     _print_checks(report)
@@ -119,9 +118,7 @@ def cmd_solve(args):
         return 1
 
     t0 = time.perf_counter()
-    pair, trace = iterate_monotone(
-        problem, bracket, tol=tol, max_steps=max_steps, linear_tol=linear_tol
-    )
+    pair, trace = iterate_monotone(problem, bracket, tol=tol, max_steps=max_steps)
     wall = time.perf_counter() - t0
 
     os.makedirs(args.out, exist_ok=True)
@@ -137,7 +134,6 @@ def cmd_solve(args):
         "steps": int(trace.steps),
         "restarts": {"lower": trace.restarts[0], "upper": trace.restarts[1]},
         "converged": bool(trace.converged),
-        "ordering_violations": int(trace.ordering_violations),
         "residuals": {
             "lower": float(pair.residual_lower),
             "upper": float(pair.residual_upper),

@@ -37,6 +37,8 @@ from .linear_operator import solve_T
 from .nonlinearity import apply_S, check_alpha2
 from .serialize import write_csv, write_json
 
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_STEPS = 500
 ORDERING_SLACK = 1e-9  # relative to max|upper|, the scale of the default tol
 # Aitken restarts: tried at step RESTART_FIRST_STEP and then at least
 # RESTART_GAP steps apart.  A gap of 2 or more means every side has two
@@ -80,16 +82,13 @@ class StepRecord:
 class IterationTrace:
     """Per-step records of both sequences.
 
-    ordering_violations is always 0: a bend of the chain beyond slack
-    raises OrderingError at the step where it happens, so a trace only
-    exists for an intact chain.  The field stays for summary.json.
-    restarts counts the accepted Aitken restarts of (lower, upper); a
-    restart adds no row.
+    A trace only exists for an intact chain: a bend beyond slack raises
+    OrderingError at the step where it happens.  restarts counts the
+    accepted Aitken restarts of (lower, upper); a restart adds no row.
     """
 
     lower_steps: list
     upper_steps: list
-    ordering_violations: int
     steps: int
     converged: bool
     restarts: tuple
@@ -240,7 +239,7 @@ def verify_upper(problem, v, tol):
     return _holds(bracket_failures(problem, None, v, tol)[1], "upper")
 
 
-def make_bracket(problem, lower, upper, verification_tol=1e-9):
+def make_bracket(problem, lower, upper, verification_tol=DEFAULT_TOL):
     """Verify and package a (lower, upper) pair; raises BracketError."""
     lower = problem.domain.field(lower)
     upper = problem.domain.field(upper)
@@ -332,14 +331,15 @@ def _verified_restarts(problem, records, u, previous, converged, tol):
     ]
 
 
-def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None):
+def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
     """Run both monotone sequences in lockstep and certify the chain.
 
     The bracket is trusted: make_bracket, its only producer, verified
     it.  Each step advances every side that has not converged, one
-    T(S(.)) each, and checks within ORDERING_SLACK that the lower side
-    did not go down, the upper side did not go up, and lower <= upper.
-    A converged side stays frozen at its last iterate.
+    T(S(.)) each with T solved to tol / 100, and checks within
+    ORDERING_SLACK that the lower side did not go down, the upper side
+    did not go up, and lower <= upper.  A converged side stays frozen at
+    its last iterate.
 
     From step RESTART_FIRST_STEP on, and RESTART_GAP steps apart, each
     running side may restart from its damped Aitken point if
@@ -361,8 +361,6 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
         raise ValueError("tol must be a finite number > 0")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if linear_tol is None:
-        linear_tol = tol / 100.0
     domain = problem.domain
     linear = problem.linear
     if not mesh_quality(domain).is_m_matrix_compatible:
@@ -406,7 +404,7 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
             if converged[i]:
                 continue
             x, report = solve_T(
-                linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
+                linear, psi[i], tol=tol / 100.0, x0=Field(domain, u[i]), Ax0=action[i]
             )
             gap = float((sign * (u[i] - x.values)).max())
             require(gap, f"{name} sequence not monotone at step {k}")
@@ -453,7 +451,6 @@ def iterate_monotone(problem, bracket, tol=1e-9, max_steps=500, linear_tol=None)
     trace = IterationTrace(
         lower_steps=records[0],
         upper_steps=records[1],
-        ordering_violations=0,
         steps=k,
         converged=all(converged),
         restarts=tuple(restarts),

@@ -12,15 +12,17 @@ Schema (all floats round-trip at 17 significant digits):
                        "H": {"kind": "power", "p": 0.5},
                        "q": 0.5},
       "bracket": {"lower": 0.01, "upper": 1.0},
-      "solver": {"tol": 1e-9, "max_steps": 500, "linear_tol": 1e-11}
+      "solver": {"tol": 1e-9, "max_steps": 500}
     }
 
 Coefficients and bracket ends are JSON numbers (constants) or strings
 in the expression grammar.  "q" defaults to H's exponent for power-law
-H and is required for tables.  The "solver" block is optional;
-serialization always writes it out, so parse -> serialize -> parse is a
-fixed point.  Relative paths (OFF meshes, nonlinearity tables) resolve
-against the scenario file's directory.
+H and is required for tables.  The "solver" block is optional and holds
+no other keys; the linear solves run at tol / 100 (see
+iterate_monotone).  Serialization always writes the block out, so
+parse -> serialize -> parse is a fixed point.  Relative paths (OFF
+meshes, nonlinearity tables) resolve against the scenario file's
+directory.
 """
 
 from __future__ import annotations
@@ -32,12 +34,9 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .expressions import parse_coefficient
 from .geometry import build_flat_torus, build_icosphere, load_off
+from .iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
 from .nonlinearity import NonlinearProblem, ScalarNonlinearity
 from .serialize import dumps
-
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_STEPS = 500
-DEFAULT_LINEAR_TOL = 1e-11
 
 
 class ScenarioError(ValueError):
@@ -58,7 +57,6 @@ class Scenario:
     upper: object
     tol: float = DEFAULT_TOL
     max_steps: int = DEFAULT_MAX_STEPS
-    linear_tol: float = DEFAULT_LINEAR_TOL
     base_dir: str = dataclass_field(default=".", compare=False)
 
 
@@ -168,8 +166,9 @@ def parse_scenario(text, base_dir="."):
     nl = _object(need("nonlinearity"), "nonlinearity")
     bracket = _object(need("bracket"), "bracket")
     solver = _object(doc.get("solver", {}), "solver")
-    max_steps = solver.get("max_steps", DEFAULT_MAX_STEPS)
-    max_steps = _max_steps(max_steps, "solver.max_steps")
+    for key in solver:
+        if key not in ("tol", "max_steps"):
+            raise ScenarioError(f"unknown key 'solver.{key}'")
 
     H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H")
     q = nl.get("q")
@@ -190,9 +189,8 @@ def parse_scenario(text, base_dir="."):
         lower=_coeff(need("lower", "bracket", bracket), "bracket.lower"),
         upper=_coeff(need("upper", "bracket", bracket), "bracket.upper"),
         tol=_positive(solver.get("tol", DEFAULT_TOL), "solver.tol"),
-        max_steps=max_steps,
-        linear_tol=_positive(
-            solver.get("linear_tol", DEFAULT_LINEAR_TOL), "solver.linear_tol"
+        max_steps=_max_steps(
+            solver.get("max_steps", DEFAULT_MAX_STEPS), "solver.max_steps"
         ),
         base_dir=base_dir,
     )
@@ -215,11 +213,7 @@ def serialize_scenario(scenario):
             "q": scenario.q,
         },
         "bracket": {"lower": scenario.lower, "upper": scenario.upper},
-        "solver": {
-            "tol": scenario.tol,
-            "max_steps": scenario.max_steps,
-            "linear_tol": scenario.linear_tol,
-        },
+        "solver": {"tol": scenario.tol, "max_steps": scenario.max_steps},
     }
     return dumps(doc)
 

@@ -45,7 +45,7 @@ def base_sphere_doc():
     doc = base_torus_doc()
     doc["domain"] = {"kind": "icosphere", "subdivisions": 1, "radius": 1.0}
     doc["coefficients"]["a"] = "2+0.5*z"
-    doc["solver"] = {"tol": 1e-9, "max_steps": 500, "linear_tol": 1e-11}
+    doc["solver"] = {"tol": 1e-9, "max_steps": 500}
     return doc
 
 

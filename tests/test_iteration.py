@@ -182,7 +182,6 @@ class TestIterateMonotone:
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
         assert trace.converged
-        assert trace.ordering_violations == 0
         assert np.abs(pair.u_star.values - c_star).max() <= 1e-8
         assert pair.u_star.values.max() - pair.u_star.values.min() <= 1e-7
         assert pair.coincide
@@ -203,7 +202,6 @@ class TestIterateMonotone:
         br = make_bracket(prob, icosphere3.field(0.01), icosphere3.field(1.0))
         pair, trace = iterate_monotone(prob, br, tol=1e-9)
         assert trace.converged
-        assert trace.ordering_violations == 0
         assert pair.u_star.values.min() > 0.0
         # sandwich
         assert pair.u_star.values.min() >= 0.01 - 1e-9

@@ -1,10 +1,13 @@
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 import subsup
 from subsup import ScenarioError, build_problem, load_scenario, parse_scenario, serialize_scenario
+from subsup.iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
 
 from tests.conftest import base_torus_doc
 
@@ -17,13 +20,12 @@ class TestParse:
         assert s.q == 0.5  # inherited from H's exponent
         assert s.tol == 1e-9
         assert s.max_steps == 500
-        assert s.linear_tol == 1e-11
 
     def test_solver_overrides(self):
         doc = base_torus_doc()
-        doc["solver"] = {"tol": 1e-7, "max_steps": 40, "linear_tol": 1e-9}
+        doc["solver"] = {"tol": 1e-7, "max_steps": 40}
         s = parse_scenario(json.dumps(doc))
-        assert (s.tol, s.max_steps, s.linear_tol) == (1e-7, 40, 1e-9)
+        assert (s.tol, s.max_steps) == (1e-7, 40)
 
     def test_expression_coefficients_kept_as_strings(self):
         doc = base_torus_doc()
@@ -97,8 +99,13 @@ MALFORMED = {
     "tol_negative": ("solver.tol", "solver", {"tol": -1}),
     "tol_zero": ("solver.tol", "solver", {"tol": 0}),
     "tol_nan": ("solver.tol", "solver", {"tol": float("nan")}),
+    # linear_tol is no key: the linear solves run at tol / 100
     "linear_tol_zero": ("solver.linear_tol", "solver", {"linear_tol": 0}),
     "linear_tol_string": ("solver.linear_tol", "solver", {"linear_tol": "1e-11"}),
+    "linear_tol_old_default": (
+        "solver.linear_tol", "solver", {"tol": 1e-9, "linear_tol": 1e-11}
+    ),
+    "solver_unknown_key": ("solver.tolerance", "solver", {"tolerance": 1e-9}),
     "max_steps_zero": ("solver.max_steps", "solver", {"max_steps": 0}),
     "max_steps_fractional": ("solver.max_steps", "solver", {"max_steps": 2.5}),
 }
@@ -136,6 +143,22 @@ class TestRoundTrip:
         s2 = parse_scenario(text)
         assert s1 == s2
         assert serialize_scenario(s2) == text
+
+    def test_readme_example_round_trips(self):
+        readme = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
+        )
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("## Scenario files", 1)[1]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        # README says the example shows the solver defaults
+        assert json.loads(block)["solver"] == {
+            "tol": DEFAULT_TOL, "max_steps": DEFAULT_MAX_STEPS
+        }
+        s1 = parse_scenario(block)
+        text = serialize_scenario(s1)
+        assert parse_scenario(text) == s1
+        assert serialize_scenario(parse_scenario(text)) == text
 
     def test_seventeen_digit_floats_survive(self):
         doc = base_torus_doc()
