@@ -7,6 +7,12 @@ symmetric positive semidefinite with L @ 1 = 0) and a lumped mass vector
 m (the diagonal volume form).  Downstream modules never look at the
 geometry again; L and m are the whole interface.
 
+L is held as the numpy arrays of its canonical CSR form (class CSR),
+bitwise the arrays scipy.sparse would assemble, and applied through a
+slot layout of those arrays (class SlotLayout).  scipy is imported only
+where it is used: the scipy matrix views, OFF-mesh connectivity and the
+spectrum.
+
 Surfaces use cotangent weights with barycentric mass lumping, grids the
 standard second-order finite-difference stencil scaled so that u' L u
 and u' M u approximate the Dirichlet energy and the volume integral.
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class AssemblyError(ValueError):
@@ -69,7 +74,8 @@ class DiscreteDomain:
         Declared dimension n of the problem; independent of the embedding
         (a surface scenario may declare n = 3, which is what feeds the
         growth exponents downstream).
-    stiffness : csr_matrix
+    L : CSR
+        The stiffness matrix; ``stiffness`` is a scipy view of it.
     mass : (N,) ndarray
         Diagonal of the lumped mass matrix, strictly positive.
     refinement : tuple or None
@@ -111,9 +117,9 @@ class DiscreteDomain:
         self.dimension = int(dimension) if dimension is not None else natural
         if self.dimension < 1:
             raise ValueError("declared dimension must be >= 1")
-        self.stiffness, self.mass = assemble_operators(self)
+        self.L, self.mass = assemble_operators(self)
         self._connected = None
-        self._edges = None
+        self._slots = None
 
     @property
     def vertex_count(self):
@@ -124,8 +130,22 @@ class DiscreteDomain:
         return self.faces is not None
 
     @property
+    def stiffness(self):
+        """L as a scipy CSR matrix sharing the arrays of ``L``."""
+        return self.L.to_scipy()
+
+    @property
     def mass_matrix(self):
+        import scipy.sparse as sp
+
         return sp.diags(self.mass).tocsr()
+
+    @property
+    def slots(self):
+        """The SlotLayout of L, built on first use."""
+        if self._slots is None:
+            self._slots = SlotLayout.of(self.L)
+        return self._slots
 
     def field(self, values):
         """Coerce a scalar, array or Field to a Field on this domain."""
@@ -139,41 +159,15 @@ class DiscreteDomain:
         return Field(self, arr)
 
     def stiffness_action(self, values):
-        """L v evaluated as sum_j L_ij (v_j - v_i) over the edges of L.
+        """L v evaluated as sum_j L_ij (v_j - v_i) over the entries of L.
 
         Every term vanishes on constants, so the result is exactly 0 there
         and its roundoff follows the local variation of v rather than
-        |L| |v|: its sign survives at any mesh scale.
-
-        The off-diagonal entries of L are stored once per domain, on first
-        use, in a hybrid layout (ELLPACK + COO).  Slot k of row i is the
-        k-th off-diagonal entry of row i in CSR order.  A slot that at
-        least half the rows fill is held as one length-N row, a row with
-        fewer neighbours padded with itself at weight 0; the entries of
-        the later slots, which only high-valence rows have, are kept in
-        CSR order and added by one ordered scatter after the fixed-width
-        slots.  Pads never outnumber the entries, so the layout is O(nnz)
-        at any valence.  Each row is summed in CSR order starting from 0,
-        so the result is bitwise the CSR-order edge sum, sign of zero
-        included: the diagonal and the pads add w (v_i - v_i) = +0, which
-        changes no sum that starts from +0.
+        |L| |v|: its sign survives at any mesh scale.  Each row is summed
+        in CSR order from 0 (see SlotLayout), so the result is bitwise
+        the CSR-order edge sum, sign of zero included.
         """
-        if self._edges is None:
-            self._edges = _edge_layout(self.stiffness)
-        edges = self._edges
-        out = np.zeros(self.vertex_count)
-        for columns, weights in zip(edges.columns, edges.weights):
-            term = np.take(values, columns)
-            term -= values
-            term *= weights
-            out += term
-        if edges.rest_rows.size:
-            term = np.take(values, edges.rest_columns)
-            term -= np.take(values, edges.rest_rows)
-            term *= edges.rest_weights
-            # add.at is unbuffered: repeated rows accumulate in array order
-            np.add.at(out, edges.rest_rows, term)
-        return out
+        return self.slots.edge_product(values)
 
     def is_connected(self):
         """Periodic grids and icospheres are connected by construction."""
@@ -207,45 +201,237 @@ class DiscreteDomain:
         return f"DiscreteDomain(kind={self.kind!r}, vertices={self.vertex_count})"
 
 
-class _EdgeLayout(NamedTuple):
-    """L's off-diagonal entries as DiscreteDomain.stiffness_action sums them.
+class CSR(NamedTuple):
+    """A square sparse matrix as the arrays of scipy's canonical CSR form.
 
-    columns and weights are (width, N): the slots that at least half the
-    rows fill, padded.  rest_rows, rest_columns and rest_weights hold the
-    entries of the later slots in CSR order.  Indices are int32.
+    Row i holds the entries data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]], which strictly increase; no stored
+    entry is 0.  indptr and indices are int32, data float64.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def order(self):
+        return self.indptr.size - 1
+
+    def rows(self):
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.order, dtype=np.int32), np.diff(self.indptr))
+
+    def with_diagonal(self):
+        """(the arrays with every diagonal entry stored, its position in each row).
+
+        A row without a diagonal entry gets an explicit 0 at its place,
+        so the result may store zeros.
+        """
+        n = self.order
+        rows = self.rows()
+        at = self.indptr[:-1] + np.bincount(rows[self.indices < rows], minlength=n)
+        present = np.zeros(n, dtype=bool)
+        inside = np.flatnonzero(at < self.indptr[1:])
+        present[inside] = self.indices[at[inside]] == inside
+        missing = np.flatnonzero(~present)
+        if not missing.size:
+            return self, at
+        gained = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(~present, out=gained[1:])
+        full = CSR(
+            self.indptr + gained,
+            np.insert(self.indices, at[missing], missing.astype(np.int32)),
+            np.insert(self.data, at[missing], 0.0),
+        )
+        return full, at + gained[:-1]
+
+    def plus_diagonal(self, d):
+        """self + diag(d) as scipy adds two canonical CSR matrices.
+
+        A stored diagonal entry gains d_i, a row without one gets 0 + d_i
+        at its place, and every entry that comes out 0 is dropped.
+        """
+        full, diagonal = self.with_diagonal()
+        data = full.data.copy()
+        data[diagonal] += d
+        return CSR(full.indptr, full.indices, data).without_zeros()
+
+    def without_zeros(self):
+        """The arrays without their stored zeros."""
+        keep = self.data != 0.0
+        if keep.all():
+            return self
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(self.rows()[keep], minlength=self.order), out=indptr[1:])
+        return CSR(indptr, self.indices[keep], self.data[keep])
+
+    def to_scipy(self):
+        """A scipy csr_matrix sharing these arrays."""
+        from scipy.sparse import csr_matrix
+
+        n = self.order
+        return csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
+
+
+# _sorted_order sorts key * size + position when that stays below this
+_TAGGED_LIMIT = np.iinfo(np.int64).max
+
+
+def _sorted_order(keys, bound):
+    """np.sort(keys) and np.argsort(keys, kind="stable"), keys in [0, bound).
+
+    One value sort of key * size + position orders the keys the same
+    way: the tagged values are distinct, and their SIMD quicksort is
+    several times faster than a stable argsort, which is the fallback
+    when they would overflow int64.
+    """
+    size = keys.size
+    if bound * size > _TAGGED_LIMIT:
+        order = np.argsort(keys, kind="stable")
+        return keys[order], order
+    tagged = np.sort(keys * size + np.arange(size))
+    keys = tagged // size
+    return keys, tagged - keys * size
+
+
+def _edge_stiffness(n, i, j, w):
+    """L = W - diag(W 1) for the symmetric W that sums w over the pairs {i, j}.
+
+    Bitwise the arrays of scipy's ``(W + sp.diags(-W.sum(axis=1))).tocsr()``
+    for ``W = coo_matrix((concat(w, w), (concat(i, j), concat(j, i)))).tocsr()``,
+    the assembly this replaces, whenever no pair occurs more than twice
+    (every edge of a triangle mesh borders at most two faces): the
+    weights of a pair are summed in input order, each row of W is summed
+    by np.add.reduceat as scipy's row sum does, stored zeros of W count
+    in that sum, and L drops every entry that is 0.  i != j throughout.
+
+    It works on the pairs, not on the 2 x size directed entries: one sort
+    by (min, max) gives W's upper triangle row by row, and one stable
+    sort of that by column gives the lower triangle.  Row r of L is its
+    lower entries, the diagonal, then its upper entries.  i and j are
+    int64.
+    """
+    keys, order = _sorted_order(np.minimum(i, j) * n + np.maximum(i, j), n * n)
+    w = w[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    upper = w[start]
+    run = np.diff(start, append=keys.size)
+    for k in range(1, run.max(initial=1)):
+        longer = np.flatnonzero(run > k)
+        upper[longer] += w[start[longer] + k]
+    keys = keys[start]
+    lo = keys // n
+    hi = keys - lo * n
+    _, by_column = _sorted_order(hi, n)
+    lower_rows, lower_columns, lower = hi[by_column], lo[by_column], upper[by_column]
+
+    # entry e of the upper triangle sits after the lower entries of rows
+    # <= lo[e], entry q of the lower one after the upper entries of rows
+    # < lower_rows[q]; in L each also moves past one diagonal per earlier
+    # row, and an upper one past its own row's
+    below = np.bincount(hi, minlength=n)
+    above = np.bincount(lo, minlength=n)
+    m = keys.size
+    up_at = np.arange(m) + np.cumsum(below)[lo]
+    low_at = np.arange(m) + (np.cumsum(above) - above)[lower_rows]
+    off = np.empty(2 * m)
+    off[up_at] = upper
+    off[low_at] = lower
+    w_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(below + above, out=w_indptr[1:])
+    nonempty = np.flatnonzero(below + above)
+    sums = np.zeros(n)
+    sums[nonempty] = np.add.reduceat(off, w_indptr[nonempty])
+
+    indptr = (w_indptr + np.arange(n + 1)).astype(np.int32)
+    diagonal = w_indptr[:-1] + below + np.arange(n)
+    up_at += lo + 1
+    low_at += lower_rows
+    indices = np.empty(2 * m + n, dtype=np.int32)
+    indices[up_at] = hi
+    indices[low_at] = lower_columns
+    indices[diagonal] = np.arange(n)
+    data = np.empty(2 * m + n)
+    data[up_at] = upper
+    data[low_at] = lower
+    data[diagonal] = -sums
+    return CSR(indptr, indices, data).without_zeros()
+
+
+class SlotLayout(NamedTuple):
+    """A CSR matrix's entries, every diagonal one included, as slots.
+
+    Slot k of row i is the k-th entry of row i in CSR order.  A slot that
+    at least half the rows fill is held as one length-N row of
+    ``columns``, a row with fewer entries padded with itself at weight
+    0; the entries of the later slots, which only long rows have, are
+    kept in CSR order in rest_rows/rest_columns and added by one ordered
+    scatter after the fixed-width slots.  Pads never outnumber the
+    entries, so the layout is O(nnz) at any valence.  ``weights`` holds
+    the matrix's entries flat, fixed-width slots first (slot k of row i
+    at k N + i), then the rest; ``diagonal`` is each diagonal entry's
+    index in it, so the weights of the matrix plus diag(d) are
+    ``weights`` with d added there.  Indices are intp, which np.take
+    uses without a conversion.
+
+    Each row is summed in CSR order starting from 0, so product() is
+    bitwise scipy's CSR matvec; the diagonal and the pads of
+    edge_product() add w (v_i - v_i) = +-0, and neither a stored zero
+    nor a pad changes a sum that starts from +0.
     """
 
     columns: np.ndarray
-    weights: np.ndarray
     rest_rows: np.ndarray
     rest_columns: np.ndarray
-    rest_weights: np.ndarray
+    weights: np.ndarray
+    diagonal: np.ndarray
 
+    @classmethod
+    def of(cls, matrix):
+        full, diagonal = matrix.with_diagonal()
+        n = full.order
+        rows = np.repeat(np.arange(n), np.diff(full.indptr))
+        indices = full.indices.astype(np.intp)
+        valence = np.diff(full.indptr)
+        slot = np.arange(rows.size) - full.indptr[:-1][rows]
+        # filled[k] counts the rows with a slot k; non-increasing in k
+        filled = np.cumsum(np.bincount(valence)[::-1])[-2::-1]
+        width = int(np.count_nonzero(2 * filled >= n))
+        wide = slot < width
+        # each entry's index in the flat weights
+        flat = np.where(wide, slot * n + rows, width * n - 1 + np.cumsum(~wide))
+        columns = np.tile(np.arange(n), (width, 1))
+        columns.reshape(-1)[flat[wide]] = indices[wide]
+        weights = np.zeros(width * n + rows.size - np.count_nonzero(wide))
+        weights[flat] = full.data
+        rest = ~wide
+        return cls(columns, rows[rest], indices[rest], weights, flat[diagonal])
 
-def _edge_layout(L):
-    n = L.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(L.indptr))
-    off = L.indices != rows
-    rows, cols, data = rows[off], L.indices[off], L.data[off]
-    valence = np.bincount(rows, minlength=n)
-    slot = np.arange(rows.size) - (np.cumsum(valence) - valence)[rows]
-    # filled[k] counts the rows with a slot k; non-increasing in k
-    filled = np.cumsum(np.bincount(valence)[::-1])[-2::-1]
-    width = int(np.count_nonzero(2 * filled >= n))
-    wide = slot < width
-    rest = ~wide
-    columns = np.tile(np.arange(n, dtype=np.int32), (width, 1))
-    weights = np.zeros((width, n))
-    at = (slot * n + rows)[wide]
-    columns.reshape(-1)[at] = cols[wide]
-    weights.reshape(-1)[at] = data[wide]
-    return _EdgeLayout(
-        columns,
-        weights,
-        rows[rest].astype(np.int32),
-        cols[rest].astype(np.int32),
-        data[rest],
-    )
+    def product(self, values, weights=None):
+        """M v for the M whose entries ``weights`` holds (default: this one's)."""
+        return self._sum(values, self.weights if weights is None else weights, False)
+
+    def edge_product(self, values):
+        """sum_j M_ij (v_j - v_i) over the entries of this matrix."""
+        return self._sum(values, self.weights, True)
+
+    def _sum(self, values, weights, edge):
+        out = np.zeros(values.size)
+        fixed = weights[: self.columns.size].reshape(self.columns.shape)
+        for columns, w in zip(self.columns, fixed):
+            term = np.take(values, columns)
+            if edge:
+                term -= values
+            term *= w
+            out += term
+        if self.rest_rows.size:
+            term = np.take(values, self.rest_columns)
+            if edge:
+                term -= np.take(values, self.rest_rows)
+            term *= weights[self.columns.size :]
+            # add.at is unbuffered: repeated rows accumulate in array order
+            np.add.at(out, self.rest_rows, term)
+        return out
 
 
 @dataclass(eq=False)
@@ -439,22 +625,14 @@ def _corner_cotangents(coords, faces):
 def _assemble_surface(coords, faces):
     n = coords.shape[0]
     cots, areas = _corner_cotangents(coords, faces)
-    rows, cols, data = [], [], []
-    for k in range(3):
-        # edge opposite corner k gets half its cotangent
-        i, j = faces[:, (k + 1) % 3], faces[:, (k + 2) % 3]
-        w = 0.5 * cots[:, k]
-        rows.append(i)
-        cols.append(j)
-        data.append(-w)
-        rows.append(j)
-        cols.append(i)
-        data.append(-w)
-    off = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    stiffness = (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    # the edge opposite corner k joins corners k + 1 and k + 2 and gets
+    # half the corner's cotangent
+    stiffness = _edge_stiffness(
+        n,
+        faces[:, [1, 2, 0]].T.ravel(),
+        faces[:, [2, 0, 1]].T.ravel(),
+        -(0.5 * cots.T.ravel()),
+    )
     mass = np.zeros(n)
     np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))
     return stiffness, mass
@@ -465,28 +643,19 @@ def _assemble_grid(cells, lengths):
     volume = float(np.prod(spacings))
     n = int(np.prod(cells))
     idx = np.arange(n).reshape(cells)
-    rows, cols, data = [], [], []
-    for axis, h in enumerate(spacings):
-        w = volume / (h * h)
-        i = idx.ravel()
-        j = np.roll(idx, -1, axis=axis).ravel()
-        rows.append(i)
-        cols.append(j)
-        rows.append(j)
-        cols.append(i)
-        data.append(np.full(n, -w))
-        data.append(np.full(n, -w))
-    off = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    stiffness = (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    # each vertex with its successor along each axis
+    stiffness = _edge_stiffness(
+        n,
+        np.tile(idx.ravel(), len(cells)),
+        np.concatenate([np.roll(idx, -1, axis=k).ravel() for k in range(len(cells))]),
+        np.repeat([-volume / (h * h) for h in spacings], n),
+    )
     mass = np.full(n, volume)
     return stiffness, mass
 
 
 def assemble_operators(domain):
-    """Assemble (stiffness, lumped mass diagonal) for a domain."""
+    """Assemble (L as CSR, lumped mass diagonal) for a domain."""
     if domain.is_surface:
         return _assemble_surface(domain.coordinates, domain.faces)
     return _assemble_grid(domain.grid_cells, domain.grid_lengths)
@@ -499,9 +668,9 @@ def mesh_quality(domain):
     exceeds 1e-12; the comparison principle (and hence the monotone
     iteration) is only trusted on compatible domains.
     """
-    coo = domain.stiffness.tocoo()
-    off = coo.row != coo.col
-    positive = int(np.count_nonzero(coo.data[off] > 1e-12))
+    L = domain.L
+    off = L.indices != L.rows()
+    positive = int(np.count_nonzero(L.data[off] > 1e-12))
     obtuse = 0
     if domain.is_surface:
         cots, _ = _corner_cotangents(domain.coordinates, domain.faces)
@@ -533,6 +702,7 @@ def generalized_spectrum(domain, k):
             eigvals_only=True,
         )
         return np.sort(vals)[:k]
+    import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh
 
     # shift-invert around a small negative sigma: L + |sigma| M is SPD,

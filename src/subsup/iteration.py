@@ -29,13 +29,14 @@ previous iterate per side, no longer history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import Field, mesh_quality
 from .linear_operator import solve_T
 from .nonlinearity import apply_S, check_alpha2
-from .serialize import write_csv, write_json
+from .serialize import FloatColumn, write_csv, write_json
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_STEPS = 500
@@ -121,24 +122,25 @@ class SolutionPair:
     residual_upper: float
     coincide: bool
 
-    def to_json_dict(self):
-        return {
-            "u_star": self.u_star.values.tolist(),
-            "u_upper_star": self.u_upper_star.values.tolist(),
+    @cached_property
+    def _columns(self):
+        # solution.json and solution.csv share one formatting of each limit
+        return FloatColumn(self.u_star.values), FloatColumn(self.u_upper_star.values)
+
+    def write_json(self, path):
+        lower, upper = self._columns
+        document = {
+            "u_star": lower,
+            "u_upper_star": upper,
             "residual_lower": float(self.residual_lower),
             "residual_upper": float(self.residual_upper),
             "coincide": bool(self.coincide),
         }
-
-    def write_json(self, path):
-        write_json(path, self.to_json_dict())
+        write_json(path, document)
 
     def write_csv(self, path):
-        rows = zip(
-            range(self.u_star.values.size),
-            self.u_star.values.tolist(),
-            self.u_upper_star.values.tolist(),
-        )
+        lower, upper = self._columns
+        rows = zip(range(self.u_star.values.size), lower.lines(), upper.lines())
         write_csv(path, ["vertex", "u_star", "u_upper_star"], rows)
 
 

@@ -14,7 +14,9 @@ the structure that domain has:
   otherwise);
 - subdivided icosphere: the meshes are nested, so one symmetric
   geometric-multigrid V-cycle down to icosphere 2 (a mesh-independent
-  count; icospheres up to 2 subdivisions are solved exactly);
+  count; icospheres up to 2 subdivisions are solved exactly); the
+  V-cycle's Galerkin hierarchy is the one place a solve uses
+  scipy.sparse;
 - any other surface (OFF meshes): the Jacobi diagonal, the reference
   path.
 
@@ -28,15 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import Field, mesh_quality
 
 # Multigrid on icospheres: levels down to this many vertices (icosphere
-# 2) get smoothed, the coarsest one is solved exactly.  Two damped
-# Jacobi sweeps before and after the coarse correction make the V-cycle
-# symmetric, and omega = 0.8 keeps omega * max eig(D^-1 A) below 2 on
-# every level, which makes it positive definite too.
+# 2) get smoothed, the coarsest one is solved with a dense inverse.  Two
+# damped Jacobi sweeps before and after the coarse correction make the
+# V-cycle symmetric, and omega = 0.8 keeps omega * max eig(D^-1 A) below
+# 2 on every level, which makes it positive definite too.
 COARSEST_VERTICES = 162
 SMOOTHING_SWEEPS = 2
 SMOOTHING_WEIGHT = 0.8
@@ -81,7 +82,11 @@ class SolveReport:
 
 
 class LinearProblem:
-    """Domain plus coefficient a > 0; owns A = L + M diag(a)."""
+    """Domain plus coefficient a > 0; owns A = L + M diag(a).
+
+    A is applied through the domain's slot layout of L (see
+    geometry.SlotLayout), with m a added to the diagonal weights.
+    """
 
     def __init__(self, domain, a):
         self.domain = domain
@@ -90,17 +95,26 @@ class LinearProblem:
         if amin <= 0.0:
             raise ValueError(f"a must be positive everywhere (min a = {amin:g})")
         self.coercivity_constant = min(1.0, amin)
-        self._system = None
-        self._h1 = None
+        self._weights = None
         self._preconditioner = None
 
     @property
     def system_matrix(self):
-        if self._system is None:
-            self._system = (
-                self.domain.stiffness + sp.diags(self.domain.mass * self.a.values)
-            ).tocsr()
-        return self._system
+        """A as a scipy CSR matrix, built on each access."""
+        return self.domain.L.plus_diagonal(self.domain.mass * self.a.values).to_scipy()
+
+    @property
+    def weights(self):
+        """A's entries in the domain's slot layout, built on first use."""
+        if self._weights is None:
+            slots = self.domain.slots
+            self._weights = slots.weights.copy()
+            self._weights[slots.diagonal] += self.domain.mass * self.a.values
+        return self._weights
+
+    def matvec(self, values):
+        """A @ values, bitwise system_matrix @ values (see geometry.SlotLayout)."""
+        return self.domain.slots.product(values, self.weights)
 
     @property
     def preconditioner(self):
@@ -112,8 +126,8 @@ class LinearProblem:
         Icospheres: P^{-1} is one multigrid V-cycle over the domain's
         refinement chain, symmetric and positive definite, with an
         iteration count that does not grow with the subdivisions; up to
-        icosphere 2 it is an exact (sparse LU) solve with A.  Other surfaces
-        have no such structure and use P = diag(A) (Jacobi).
+        icosphere 2 it is a dense inverse of A.  Other surfaces have no
+        such structure and use P = diag(A) (Jacobi).
         """
         if self._preconditioner is None:
             if self.domain.grid_cells is not None:
@@ -123,16 +137,14 @@ class LinearProblem:
                     self.system_matrix, self.domain.refinement
                 )
             else:
-                diag = self.system_matrix.diagonal()
+                diag = self.weights[self.domain.slots.diagonal]
                 self._preconditioner = lambda r: r / diag
         return self._preconditioner
 
     @property
     def h1_matrix(self):
-        """L + M, the discrete H1 inner product."""
-        if self._h1 is None:
-            self._h1 = (self.domain.stiffness + sp.diags(self.domain.mass)).tocsr()
-        return self._h1
+        """L + M, the discrete H1 inner product, as a scipy CSR matrix."""
+        return self.domain.L.plus_diagonal(self.domain.mass).to_scipy()
 
 
 def _fft_preconditioner(domain, a):
@@ -141,7 +153,12 @@ def _fft_preconditioner(domain, a):
     # eigenvalues and the stencil stays defined only by the assembly.
     cells = domain.grid_cells
     axes = tuple(range(len(cells)))
-    kernel = domain.stiffness[:, [0]].toarray().reshape(cells)
+    # L is symmetric, so its first column is its first row
+    L = domain.L
+    first = slice(L.indptr[0], L.indptr[1])
+    kernel = np.zeros(domain.vertex_count)
+    kernel[L.indices[first]] = L.data[first]
+    kernel = kernel.reshape(cells)
     shift = float(np.mean(domain.mass * a))
     eigenvalues = np.fft.rfftn(kernel, axes=axes).real + shift
 
@@ -158,6 +175,8 @@ def _prolongation(coarse_count, parents):
     Coarse vertices keep their value; a midpoint takes the mean of the
     two ends of the edge it splits.
     """
+    import scipy.sparse as sp
+
     new = np.arange(coarse_count, coarse_count + len(parents))
     rows = np.concatenate([np.arange(coarse_count), new, new])
     cols = np.concatenate([np.arange(coarse_count), parents[:, 0], parents[:, 1]])
@@ -166,9 +185,29 @@ def _prolongation(coarse_count, parents):
     return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
-def _multigrid_preconditioner(A, refinement):
-    from scipy.sparse.linalg import splu
+def _spd_inverse(a):
+    """Inverse of a symmetric positive definite matrix.
 
+    In-place Gauss-Jordan elimination, without pivoting since the pivots
+    of an SPD matrix are positive, in elementwise numpy arithmetic: no
+    LAPACK or BLAS-3 call, which with two OpenBLAS threads on a 2-CPU
+    host stalled for 0.07-0.28 s in some fresh processes (np.linalg.inv
+    and a SuperLU solve with an identity right-hand side both did).
+    """
+    a = np.array(a, dtype=float)
+    for k in range(a.shape[0]):
+        pivot = a[k, k]
+        factor = a[:, k].copy()
+        factor[k] = 0.0
+        # column k becomes the k-th column of the inverse as the rows update
+        a[:, k] = 0.0
+        a[k, k] = 1.0
+        a[k] /= pivot
+        a -= np.multiply.outer(factor, a[k])
+    return a
+
+
+def _multigrid_preconditioner(A, refinement):
     # Galerkin coarse operators P'AP: each stays SPD, and the V-cycle
     # needs nothing of the geometry beyond the refinement chain
     levels = []
@@ -179,11 +218,12 @@ def _multigrid_preconditioner(A, refinement):
         R = P.T.tocsr()
         levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P, R))
         A = (R @ A @ P).tocsr()
-    # a sparse LU factor solved one vector at a time: a dense inverse (or
-    # SuperLU with an identity right-hand side) goes through threaded BLAS-3,
-    # which with two OpenBLAS threads on a 2-CPU host stalled for 0.07-0.28 s
-    # in about a quarter of fresh processes
-    coarse_solve = splu(A.tocsc()).solve
+    # applied by einsum, which calls no BLAS (a threaded gemv could stall
+    # like the factorization above)
+    coarse_inverse = _spd_inverse(A.toarray())
+
+    def coarse_solve(r):
+        return np.einsum("ij,j->i", coarse_inverse, r)
 
     def cycle(level, r):
         if level == len(levels):
@@ -213,7 +253,7 @@ def embed_function(field):
 def h1_norm(domain, values):
     """sqrt(v' (L + M) v)."""
     v = np.asarray(values, dtype=float)
-    return float(np.sqrt(max(v @ (domain.stiffness @ v) + v @ (domain.mass * v), 0.0)))
+    return float(np.sqrt(max(v @ domain.slots.product(v) + v @ (domain.mass * v), 0.0)))
 
 
 def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
@@ -241,7 +281,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
     _require_same_domain(problem.domain, psi)
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite number > 0")
-    A = problem.system_matrix
+    matvec = problem.matvec
     b = psi.values
     n = b.size
     if x0 is None:
@@ -250,7 +290,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
     else:
         _require_same_domain(problem.domain, x0)
         x = x0.values.copy()
-        Ax = A @ x if Ax0 is None else Ax0
+        Ax = matvec(x) if Ax0 is None else Ax0
     precondition = problem.preconditioner
 
     bnorm = np.linalg.norm(b)
@@ -279,7 +319,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
                         "a may be near-singular or badly conditioned",
                         report,
                     )
-                Ap = A @ p
+                Ap = matvec(p)
                 pAp = p @ Ap
                 if pAp <= 0.0:
                     report = SolveReport(iterations, float(resid), history)
@@ -301,7 +341,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
                 p = z + beta * p
                 resid = np.linalg.norm(r)
         # the recurrence residual can drift from the true one; re-check
-        Ax = A @ x
+        Ax = matvec(x)
         r = b - Ax
         resid = np.linalg.norm(r)
         if resid <= stop:

@@ -17,12 +17,14 @@ Schema (all floats round-trip at 17 significant digits):
 
 Coefficients and bracket ends are JSON numbers (constants) or strings
 in the expression grammar.  "q" defaults to H's exponent for power-law
-H and is required for tables.  The "solver" block is optional and holds
-no other keys; the linear solves run at tol / 100 (see
-iterate_monotone).  Serialization always writes the block out, so
-parse -> serialize -> parse is a fixed point.  Relative paths (OFF
-meshes, nonlinearity tables) resolve against the scenario file's
-directory.
+H and is required for tables.  The "solver" block is optional; the
+linear solves run at tol / 100 (see iterate_monotone).  Serialization
+always writes the solver block out, so parse -> serialize -> parse is a
+fixed point.  No object holds keys other than those shown for it (a
+table nonlinearity holds "kind" and "path"): an unknown key is an error
+that names it, so a misspelt key cannot run a different problem.
+Relative paths (OFF meshes, nonlinearity tables) resolve against the
+scenario file's directory.
 """
 
 from __future__ import annotations
@@ -60,9 +62,17 @@ class Scenario:
     base_dir: str = dataclass_field(default=".", compare=False)
 
 
-def _object(raw, where):
+def _object(raw, where, keys):
     if not isinstance(raw, dict):
         raise ScenarioError(f"'{where}' must be an object")
+    return _known(raw, where, keys)
+
+
+def _known(raw, where, keys):
+    """raw, once none of its keys is outside keys; where is its path, "" at the top."""
+    for key in raw:
+        if key not in keys:
+            raise ScenarioError(f"unknown key '{where}{'.' if where else ''}{key}'")
     return raw
 
 
@@ -105,10 +115,12 @@ def _nonlin_spec(raw, where):
         raise ScenarioError(f"{where}: expected an object with a 'kind'")
     kind = raw["kind"]
     if kind == "power":
+        _known(raw, where, ("kind", "p"))
         if "p" not in raw:
             raise ScenarioError(f"{where}: power law needs 'p'")
         return {"kind": "power", "p": _number(raw["p"], f"{where}.p")}
     if kind == "table":
+        _known(raw, where, ("kind", "path"))
         if "path" not in raw:
             raise ScenarioError(f"{where}: table needs 'path'")
         return {"kind": "table", "path": str(raw["path"])}
@@ -122,6 +134,9 @@ def parse_scenario(text, base_dir="."):
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
+    _known(
+        doc, "", ("domain", "n", "coefficients", "nonlinearity", "bracket", "solver")
+    )
 
     def need(key, within=None, src=None):
         src = src if src is not None else doc
@@ -135,6 +150,7 @@ def parse_scenario(text, base_dir="."):
         raise ScenarioError("'domain' must be an object with a 'kind'")
     kind = dom["kind"]
     if kind == "icosphere":
+        _known(dom, "domain", ("kind", "subdivisions", "radius"))
         spec = {
             "kind": "icosphere",
             "subdivisions": _integer(
@@ -143,6 +159,7 @@ def parse_scenario(text, base_dir="."):
             "radius": _number(dom.get("radius", 1.0), "domain.radius"),
         }
     elif kind == "flat_torus":
+        _known(dom, "domain", ("kind", "dims"))
         dims = need("dims", "domain", dom)
         if not isinstance(dims, list) or not dims or not all(
             isinstance(d, list) and len(d) == 2 for d in dims
@@ -158,17 +175,15 @@ def parse_scenario(text, base_dir="."):
             ],
         }
     elif kind == "off":
+        _known(dom, "domain", ("kind", "path"))
         spec = {"kind": "off", "path": str(need("path", "domain", dom))}
     else:
         raise ScenarioError(f"unknown domain kind '{kind}'")
 
-    coeffs = _object(need("coefficients"), "coefficients")
-    nl = _object(need("nonlinearity"), "nonlinearity")
-    bracket = _object(need("bracket"), "bracket")
-    solver = _object(doc.get("solver", {}), "solver")
-    for key in solver:
-        if key not in ("tol", "max_steps"):
-            raise ScenarioError(f"unknown key 'solver.{key}'")
+    coeffs = _object(need("coefficients"), "coefficients", ("a", "f", "h"))
+    nl = _object(need("nonlinearity"), "nonlinearity", ("F", "H", "q"))
+    bracket = _object(need("bracket"), "bracket", ("lower", "upper"))
+    solver = _object(doc.get("solver", {}), "solver", ("tol", "max_steps"))
 
     H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H")
     q = nl.get("q")

@@ -8,7 +8,8 @@ exactly and repeated runs are byte-identical.
 Lists of floats and float columns are formatted CHUNK values at a time
 through one %-template per chunk: '%.17g' % x is format(x, '.17g') for
 every finite double, and one % call does the work of a chunk's format
-calls.
+calls.  A FloatColumn keeps such strings, so that one float array can
+go into a JSON list and a CSV column with one formatting pass.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from functools import cached_property
 
 CHUNK = 4096
 
@@ -39,6 +41,33 @@ def _join_floats(values, sep):
     return sep.join(["%.17g"] * len(values)) % tuple(values)
 
 
+class FloatColumn:
+    """A float array whose %.17g strings are formatted once, on first use.
+
+    write_json renders it as the JSON list of its values, and lines()
+    yields the strings one by one for a CSV column: the bytes are those
+    of the array's values as a float list.  The strings are kept CHUNK
+    at a time, joined by newlines.
+    """
+
+    def __init__(self, values):
+        self.values = values
+
+    @cached_property
+    def chunks(self):
+        chunks = []
+        for i in range(0, len(self.values), CHUNK):
+            chunk = self.values[i : i + CHUNK].tolist()
+            if not _is_finite_floats(chunk):
+                raise ValueError("non-finite value has no JSON form")
+            chunks.append(_join_floats(chunk, "\n"))
+        return chunks
+
+    def lines(self):
+        for chunk in self.chunks:
+            yield from chunk.split("\n")
+
+
 def _render(obj, indent, out):
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -51,6 +80,14 @@ def _render(obj, indent, out):
             _render(value, indent + 1, out)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
+    elif isinstance(obj, FloatColumn):
+        if not obj.chunks:
+            out.append("[]")
+            return
+        sep = ",\n" + pad + "  "
+        out.append("[\n" + pad + "  ")
+        out.append(sep.join(chunk.replace("\n", sep) for chunk in obj.chunks))
+        out.append("\n" + pad + "]")
     elif isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
@@ -112,7 +149,8 @@ def _csv_lines(rows):
 
     Column by column: a column of finite floats becomes a %.17g field
     and an int column a %d one, formatted with the whole chunk through
-    one template; other cells go through _cell first.
+    one template; other cells go through _cell first, unless the column
+    holds only str.
     """
     columns = list(zip(*rows, strict=True))
     fields = []
@@ -123,7 +161,8 @@ def _csv_lines(rows):
             fields.append("%d")
         else:
             fields.append("%s")
-            columns[j] = list(map(_cell, column))
+            if not all(type(c) is str for c in column):
+                columns[j] = list(map(_cell, column))
     line = ",".join(fields) + "\n"
     return (line * len(rows)) % tuple(itertools.chain.from_iterable(zip(*columns)))
 

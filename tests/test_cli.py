@@ -469,46 +469,60 @@ SCENARIOS = os.path.join(
 SHIPPED_SPHERE = os.path.join(SCENARIOS, "sphere_variable.json")
 SHIPPED_TORUS = os.path.join(SCENARIOS, "torus_constant.json")
 
-LAZY_IMPORTS_SCRIPT = """
+IMPORTS_SCRIPT = """
 import sys
 
-def loaded():
-    return sorted(m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules)
-
-# scipy releases before lazy submodule loading import both with scipy.sparse
-import scipy.sparse
-base = loaded()
 from subsup.cli import main
-assert loaded() == base, loaded()
-assert main(["check", sys.argv[1]]) == 0
-assert loaded() == base, loaded()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+sphere, torus, off, out = sys.argv[1:]
+assert main(["check", sphere]) == 0
+assert main(["check", torus]) == 0
 # a torus is connected by construction and solved by FFT
-assert main(["solve", sys.argv[3], "--out", sys.argv[2] + "-torus"]) == 0
-assert loaded() == base, loaded()
-assert main(["solve", sys.argv[1], "--out", sys.argv[2]]) == 0
-assert main(["spectrum", sys.argv[1], "--k", "3"]) == 0
-assert main(["mesh-info", sys.argv[1]]) == 0
-print("lazy imports ok")
+assert main(["solve", torus, "--out", out + "-torus"]) == 0
+assert scipy_modules() == [], scipy_modules()
+# the V-cycle builds its hierarchy with scipy.sparse, its coarse solve without
+assert main(["solve", sphere, "--out", out + "-sphere"]) == 0
+assert "scipy.sparse" in sys.modules
+assert "scipy.sparse.linalg" not in sys.modules, scipy_modules()
+assert main(["spectrum", sphere, "--k", "3"]) == 0
+assert main(["mesh-info", sphere]) == 0
+assert main(["mesh-info", off]) == 0
+assert "scipy.sparse.csgraph" in sys.modules
+print("imports ok")
 """
 
 
-class TestLazyImports:
-    def test_check_loads_no_solve_only_scipy_module(self, tmp_path):
-        # a fresh interpreter: this test process has loaded them already
+class TestImports:
+    def test_scipy_only_where_it_is_used(self, tmp_path, tmp_scenario):
+        # a fresh interpreter that imports nothing first: this test
+        # process has loaded scipy already
         import subsup
 
+        from tests.test_geometry import write_off
+
+        ico = subsup.build_icosphere(1)
+        doc = base_torus_doc()
+        doc["domain"] = {
+            "kind": "off",
+            "path": write_off(tmp_path / "ico1.off", ico.coordinates, ico.faces),
+        }
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(subsup.__file__))
         proc = subprocess.run(
             [
-                sys.executable, "-c", LAZY_IMPORTS_SCRIPT,
-                SHIPPED_SPHERE, str(tmp_path / "out"), SHIPPED_TORUS,
+                sys.executable, "-c", IMPORTS_SCRIPT,
+                SHIPPED_SPHERE, SHIPPED_TORUS, tmp_scenario(doc), str(tmp_path / "out"),
             ],
             capture_output=True,
             text=True,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.rstrip().endswith("lazy imports ok")
-        assert (tmp_path / "out" / "summary.json").exists()
+        assert proc.stdout.rstrip().endswith("imports ok")
+        # mesh-info on the OFF mesh ran the connectivity search
+        assert proc.stdout.count("connected: true") == 2
         assert (tmp_path / "out-torus" / "summary.json").exists()
+        assert (tmp_path / "out-sphere" / "summary.json").exists()

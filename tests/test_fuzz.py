@@ -12,6 +12,7 @@ example builds a large mesh, and `solve` runs at most 20 steps.
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from subsup.cli import main
@@ -100,6 +101,14 @@ def mutate(data, doc):
             parent = parent[key]
         parent[path[-1]] = value
     return doc
+
+
+@pytest.mark.parametrize("base", [small_torus_doc, base_sphere_doc])
+def test_base_documents_pass_check(base, tmp_path):
+    # the unmutated documents are valid, so a mutation is what an example tests
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(base()))
+    assert main(["check", str(path)]) == 0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -464,28 +464,35 @@ class TestDomainApi:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_stiffness_action_pads_the_five_neighbour_rows(self, icosphere3):
-        icosphere3.stiffness_action(np.zeros(icosphere3.vertex_count))
-        edges = icosphere3._edges
-        assert edges.columns.shape == edges.weights.shape == (6, icosphere3.vertex_count)
-        assert edges.columns.dtype == np.int32
-        assert edges.rest_rows.size == 0
+        slots = icosphere3.slots
+        n = icosphere3.vertex_count
+        # six neighbours and the diagonal
+        assert slots.columns.shape == (7, n)
+        assert slots.weights.shape == (7 * n,)
+        assert slots.columns.dtype == np.intp
+        assert slots.rest_rows.size == 0
         # the 12 vertices of the icosahedron have five neighbours
-        pads = np.flatnonzero(edges.weights[5] == 0.0)
+        pads = np.flatnonzero(slots.weights[6 * n :] == 0.0)
         assert np.array_equal(pads, np.arange(12))
-        assert np.array_equal(edges.columns[5, pads], pads)
+        assert np.array_equal(slots.columns[6, pads], pads)
+        # each diagonal weight is L's diagonal entry
+        L = icosphere3.stiffness
+        assert np.array_equal(slots.weights[slots.diagonal], L.diagonal())
 
     def test_edge_layout_stays_linear_in_the_entries_at_a_hub(self, tmp_path):
         ring = 2000
         domain = bipyramid_off(tmp_path / "bipyramid.off", ring)
-        domain.stiffness_action(np.zeros(domain.vertex_count))
-        edges = domain._edges
-        entries = domain.stiffness.nnz - domain.vertex_count
-        # the four slots every ring vertex fills are fixed-width; the two
-        # apexes' further ring - 4 neighbours each go to the scatter
-        assert edges.columns.shape == (4, ring + 2)
-        assert edges.rest_rows.size == 2 * (ring - 4)
-        assert set(edges.rest_rows.tolist()) == {ring, ring + 1}
-        assert edges.columns.size + edges.rest_columns.size <= 2 * entries
+        slots = domain.slots
+        entries = domain.stiffness.nnz
+        # the five slots every ring vertex fills (four neighbours and the
+        # diagonal) are fixed-width; the two apexes' further ring - 4
+        # entries each go to the scatter
+        assert slots.columns.shape == (5, ring + 2)
+        assert slots.rest_rows.size == 2 * (ring - 4)
+        assert set(slots.rest_rows.tolist()) == {ring, ring + 1}
+        assert slots.columns.size + slots.rest_columns.size <= 2 * entries
+        L = domain.stiffness
+        assert np.array_equal(slots.weights[slots.diagonal], L.diagonal())
 
 
 def edge_sum_reference(domain, values):
@@ -534,3 +541,147 @@ def irregular_off(path):
         faces += [(a, b, m), (b, c, m), (c, a, m)]
     return subsup.load_off(write_off(path, verts, faces))
 
+
+
+def cube_off(path):
+    """The unit cube's surface, each square split along a diagonal.
+
+    Every right angle has a cotangent of exactly 0, so each diagonal's
+    two weights are -0.0 and sum to a stored zero in W, which L drops.
+    """
+    verts = [(x, y, z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)]
+    quads = [
+        (0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1),
+        (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3),
+    ]
+    faces = []
+    for a, b, c, d in quads:
+        faces += [(a, b, c), (a, c, d)]
+    return subsup.load_off(write_off(path, verts, faces))
+
+
+def scipy_stiffness(domain):
+    """L assembled by scipy.sparse as the program did before: the oracle.
+
+    W from a COO matrix of the pair weights in both directions, then
+    W - diag(W 1) by a sparse sum, which drops the entries that are 0.
+    """
+    import scipy.sparse as sp
+
+    n = domain.vertex_count
+    if domain.is_surface:
+        from subsup.geometry import _corner_cotangents
+
+        faces = domain.faces
+        cots, _ = _corner_cotangents(domain.coordinates, faces)
+        pairs = [
+            (faces[:, (k + 1) % 3], faces[:, (k + 2) % 3], 0.5 * cots[:, k])
+            for k in range(3)
+        ]
+    else:
+        volume = float(np.prod(domain.grid_spacings))
+        idx = np.arange(n).reshape(domain.grid_cells)
+        pairs = []
+        for k, h in enumerate(domain.grid_spacings):
+            j = np.roll(idx, -1, axis=k).ravel()
+            pairs.append((idx.ravel(), j, np.full(n, volume / (h * h))))
+    rows, cols, data = [], [], []
+    for i, j, w in pairs:
+        rows += [i, j]
+        cols += [j, i]
+        data += [-w, -w]
+    off = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def assert_bitwise(got, expected):
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def assert_same_csr(L, expected):
+    assert L.indptr.dtype == L.indices.dtype == np.int32
+    assert np.array_equal(L.indptr, expected.indptr)
+    assert np.array_equal(L.indices, expected.indices)
+    assert_bitwise(L.data, expected.data)
+
+
+ASSEMBLY_DOMAINS = {
+    "torus1d": lambda tmp: subsup.build_flat_torus([(7, 1.0)]),
+    "torus2d": lambda tmp: subsup.build_flat_torus([(16, 6.25), (5, 1.0)]),
+    "torus3d": lambda tmp: subsup.build_flat_torus([(8, 1.0), (3, 2.0), (5, 0.7)]),
+    **{
+        f"ico{k}": (lambda k: lambda tmp: subsup.build_icosphere(k, radius=1.5))(k)
+        for k in range(7)
+    },
+    "irregular_off": lambda tmp: irregular_off(tmp / "irregular.off"),
+    "bipyramid": lambda tmp: bipyramid_off(tmp / "bipyramid.off", 300),
+    "cube": lambda tmp: cube_off(tmp / "cube.off"),
+}
+
+
+class TestCSRAssembly:
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_DOMAINS))
+    def test_bitwise_the_scipy_assembly(self, name, tmp_path):
+        domain = ASSEMBLY_DOMAINS[name](tmp_path)
+        assert_same_csr(domain.L, scipy_stiffness(domain))
+
+    def test_exactly_zero_cotangents_are_dropped(self, tmp_path):
+        domain = cube_off(tmp_path / "cube.off")
+        # the six face diagonals are mesh edges, but only the twelve cube
+        # edges and the diagonal of L stay: four entries per row
+        assert len(domain.faces) == 12
+        assert np.array_equal(np.diff(domain.L.indptr), np.full(8, 4))
+        assert np.all(domain.L.data != 0.0)
+
+    def test_stable_argsort_fallback_gives_the_same_arrays(self, tmp_path, monkeypatch):
+        # the tagged-value sort overflows int64 past ~10^6 vertices
+        fast = irregular_off(tmp_path / "irregular.off").L
+        monkeypatch.setattr(subsup.geometry, "_TAGGED_LIMIT", 0)
+        for domain in (irregular_off(tmp_path / "again.off"), cube_off(tmp_path / "c.off")):
+            assert_same_csr(domain.L, scipy_stiffness(domain))
+        assert_same_csr(irregular_off(tmp_path / "third.off").L, fast)
+
+    def test_stiffness_is_a_view_of_the_arrays(self, icosphere2):
+        L = icosphere2.stiffness
+        assert np.shares_memory(L.data, icosphere2.L.data)
+        assert np.shares_memory(L.indices, icosphere2.L.indices)
+        assert np.shares_memory(L.indptr, icosphere2.L.indptr)
+
+    def test_plus_diagonal_is_the_scipy_sum(self):
+        import scipy.sparse as sp
+
+        from subsup.geometry import CSR
+
+        # row 0 has no diagonal entry, row 1 one that d cancels, row 2 is
+        # empty, row 3 gets d = 0, row 4 a d that fills an empty diagonal
+        dense = np.array(
+            [
+                [0.0, -1.0, 0.0, 0.5, 0.0],
+                [-1.0, 2.5, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.5, 0.0, 0.0, 3.0, -0.25],
+                [0.0, 0.0, 0.0, -0.25, 0.0],
+            ]
+        )
+        d = np.array([4.0, -2.5, 0.0, 0.0, 1e-300])
+        matrix = sp.csr_matrix(dense)
+        arrays = CSR(
+            matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32), matrix.data
+        )
+        assert_same_csr(arrays.plus_diagonal(d), (matrix + sp.diags(d)).tocsr())
+        full, diagonal = arrays.with_diagonal()
+        assert np.array_equal(full.indices[diagonal], np.arange(5))
+        assert np.array_equal(full.data[diagonal], np.diag(dense))
+
+    def test_mesh_quality_reads_the_arrays(self, tmp_path):
+        verts = [(0, 0, 0), (1, 0, 0), (0.5, 0.1, 0), (0.5, -0.1, 0)]
+        faces = [(0, 1, 2), (1, 0, 3)]
+        d = subsup.load_off(write_off(tmp_path / "obtuse.off", verts, faces))
+        L = d.stiffness.tocoo()
+        positive = np.count_nonzero(L.data[L.row != L.col] > 1e-12)
+        assert subsup.mesh_quality(d).positive_offdiagonal_count == positive > 0

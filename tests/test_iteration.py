@@ -650,6 +650,32 @@ class TestPositivity:
 
 
 class TestArtifacts:
+    def test_solution_files_keep_the_float_list_bytes(self, tmp_path):
+        # longer than one formatting chunk; both files share its strings
+        from subsup.iteration import SolutionPair
+        from subsup.serialize import dumps
+        from tests.test_serialize import chunk_floats, reference_csv
+
+        domain = subsup.build_flat_torus([(17, 1.0)] * 3)
+        n = domain.vertex_count
+        lower, upper = chunk_floats(n), chunk_floats(n + 1)[1:]
+        pair = SolutionPair(
+            subsup.Field(domain, lower), subsup.Field(domain, upper), 1e-12, 2.5e-13, False
+        )
+        pair.write_json(str(tmp_path / "solution.json"))
+        pair.write_csv(str(tmp_path / "solution.csv"))
+        doc = {
+            "u_star": lower,
+            "u_upper_star": upper,
+            "residual_lower": 1e-12,
+            "residual_upper": 2.5e-13,
+            "coincide": False,
+        }
+        assert (tmp_path / "solution.json").read_text() == dumps(doc)
+        rows = list(zip(range(n), lower, upper))
+        header = ["vertex", "u_star", "u_upper_star"]
+        assert (tmp_path / "solution.csv").read_bytes() == reference_csv(header, rows)
+
     def test_solution_round_trip(self, torus_problem, torus8, tmp_path):
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)

@@ -344,6 +344,58 @@ class TestReturnedAction:
         assert exc.value.report.Ax is None
 
 
+class TestSlotMatvec:
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi", "hub", "cube"])
+    def test_bitwise_the_csr_matvec(self, case, tmp_path):
+        from tests.test_geometry import bipyramid_off, cube_off
+
+        if case in ("fft", "multigrid", "jacobi"):
+            lp, _ = backend_problem(case, tmp_path)
+        else:
+            if case == "hub":  # the apexes' entries go to the scatter
+                domain = bipyramid_off(tmp_path / "bipyramid.off", 300)
+            else:
+                domain = cube_off(tmp_path / "cube.off")
+            a = random_positive_field(domain, np.random.default_rng(3))
+            lp = LinearProblem(domain, a)
+        A = lp.system_matrix
+        n = lp.domain.vertex_count
+        rng = np.random.default_rng(13)
+        for x in (rng.standard_normal(n), np.zeros(n), -np.zeros(n), np.ones(n)):
+            got, expected = lp.matvec(x), A @ x
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_h1_norm_uses_the_csr_matvec_of_L(self, icosphere2):
+        v = np.random.default_rng(17).standard_normal(icosphere2.vertex_count)
+        L = icosphere2.stiffness
+        expected = np.sqrt(v @ (L @ v) + v @ (icosphere2.mass * v))
+        assert subsup.h1_norm(icosphere2, v) == expected
+
+    def test_h1_matrix_is_stiffness_plus_mass(self, icosphere2):
+        import scipy.sparse as sp
+
+        lp = LinearProblem(icosphere2, icosphere2.field(2.0))
+        expected = (icosphere2.stiffness + sp.diags(icosphere2.mass)).tocsr()
+        H = lp.h1_matrix
+        assert np.array_equal(H.indptr, expected.indptr)
+        assert np.array_equal(H.indices, expected.indices)
+        assert np.array_equal(H.data, expected.data)
+
+
+class TestCoarseInverse:
+    @pytest.mark.parametrize("subdivisions", [0, 1, 2])
+    def test_inverts_the_system_matrix(self, subdivisions):
+        from subsup.linear_operator import _spd_inverse
+
+        A = sphere_problem(subdivisions).system_matrix.toarray()
+        inverse = _spd_inverse(A)
+        n = A.shape[0]
+        assert np.abs(inverse @ A - np.eye(n)).max() <= 1e-13
+        assert np.abs(inverse - inverse.T).max() <= 1e-13 * np.abs(inverse).max()
+        assert np.abs(inverse - np.linalg.inv(A)).max() <= 1e-13 * np.abs(inverse).max()
+
+
 class TestEmbedFunction:
     def test_zero_field(self, torus8):
         psi = embed_function(torus8.field(0.0))

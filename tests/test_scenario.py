@@ -84,6 +84,9 @@ class TestParse:
 
 # (where, replacement document part): each is a shape or value error that
 # parse_scenario must report as a ScenarioError naming `where`
+POWER_5 = {"kind": "power", "p": 5.0}
+POWER_HALF = {"kind": "power", "p": 0.5}
+
 MALFORMED = {
     "subdivisions_null": (
         "domain.subdivisions", "domain", {"kind": "icosphere", "subdivisions": None}
@@ -108,6 +111,34 @@ MALFORMED = {
     "solver_unknown_key": ("solver.tolerance", "solver", {"tolerance": 1e-9}),
     "max_steps_zero": ("solver.max_steps", "solver", {"max_steps": 0}),
     "max_steps_fractional": ("solver.max_steps", "solver", {"max_steps": 2.5}),
+    # no object holds a key the schema does not name
+    "top_level_unknown_key": ("extra", "extra", 1),
+    "icosphere_unknown_key": (
+        "domain.radiuss", "domain", {"kind": "icosphere", "subdivisions": 1, "radiuss": 2.0}
+    ),
+    "torus_unknown_key": (
+        "domain.radius", "domain", {"kind": "flat_torus", "dims": [[8, 1.0]], "radius": 1}
+    ),
+    "off_unknown_key": (
+        "domain.subdivisions", "domain", {"kind": "off", "path": "m.off", "subdivisions": 2}
+    ),
+    "coefficients_unknown_key": (
+        "coefficients.g", "coefficients", {"a": 2.0, "f": 0.5, "h": 0.5, "g": 1.0}
+    ),
+    "nonlinearity_unknown_key": (
+        "nonlinearity.Q", "nonlinearity", {"F": POWER_5, "H": POWER_HALF, "Q": 0.3}
+    ),
+    "power_unknown_key": (
+        "nonlinearity.F.q", "nonlinearity", {"F": {**POWER_5, "q": 1.0}, "H": POWER_HALF}
+    ),
+    "table_unknown_key": (
+        "nonlinearity.H.p",
+        "nonlinearity",
+        {"F": POWER_5, "H": {"kind": "table", "path": "h.csv", "p": 0.5}, "q": 0.5},
+    ),
+    "bracket_unknown_key": (
+        "bracket.lowr", "bracket", {"lower": 0.01, "upper": 1.0, "lowr": 0.01}
+    ),
 }
 
 

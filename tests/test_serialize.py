@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from subsup.serialize import CHUNK, dumps, format_float, write_csv, write_json
+from subsup.serialize import (
+    CHUNK,
+    FloatColumn,
+    dumps,
+    format_float,
+    write_csv,
+    write_json,
+)
 
 
 class TestFormatFloat:
@@ -186,6 +193,25 @@ class TestChunkedWriters:
             dumps({"u": values})
         with pytest.raises(ValueError, match="non-finite"):
             write_csv(str(tmp_path / "o.csv"), ["x"], [(x,) for x in values])
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_float_column_writes_the_float_list_bytes(self, length, tmp_path):
+        values = chunk_floats(length)
+        column = FloatColumn(np.array(values))
+        doc = {"u": values, "n": [{"v": values}]}
+        assert dumps({"u": column, "n": [{"v": column}]}) == dumps(doc)
+        path = tmp_path / "o.csv"
+        rows = zip(range(length), column.lines(), reversed(list(column.lines())))
+        write_csv(str(path), ["vertex", "u", "w"], rows)
+        expected = list(zip(range(length), values, reversed(values)))
+        assert path.read_bytes() == reference_csv(["vertex", "u", "w"], expected)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_float_column_refuses_non_finite(self, bad):
+        values = np.array(chunk_floats(CHUNK + 1))
+        values[CHUNK] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps({"u": FloatColumn(values)})
 
     def test_rows_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
