@@ -128,8 +128,7 @@ def cmd_solve(args):
 
     min_u_star = float(pair.u_star.values.min())
     summary = {
-        "alpha1_report": report["alpha1"],
-        "alpha2_report": report["alpha2"],
+        "alpha1_warnings": report["alpha1"]["warnings"],
         "bracket_verified": [report["lower"]["passed"], report["upper"]["passed"]],
         "steps": int(trace.steps),
         "restarts": {"lower": trace.restarts[0], "upper": trace.restarts[1]},

@@ -245,17 +245,6 @@ class CSR(NamedTuple):
         )
         return full, at + gained[:-1]
 
-    def plus_diagonal(self, d):
-        """self + diag(d) as scipy adds two canonical CSR matrices.
-
-        A stored diagonal entry gains d_i, a row without one gets 0 + d_i
-        at its place, and every entry that comes out 0 is dropped.
-        """
-        full, diagonal = self.with_diagonal()
-        data = full.data.copy()
-        data[diagonal] += d
-        return CSR(full.indptr, full.indices, data).without_zeros()
-
     def without_zeros(self):
         """The arrays without their stored zeros."""
         keep = self.data != 0.0

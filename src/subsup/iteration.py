@@ -107,10 +107,11 @@ class IterationTrace:
         return out
 
     def write_csv(self, path):
+        step, seq, *floats = zip(*self.rows())
         write_csv(
             path,
             ["step", "seq", "max_change", "min_u", "max_u", "defect_norm"],
-            self.rows(),
+            [step, seq, *(FloatColumn(np.array(c)) for c in floats)],
         )
 
 
@@ -139,9 +140,8 @@ class SolutionPair:
         write_json(path, document)
 
     def write_csv(self, path):
-        lower, upper = self._columns
-        rows = zip(range(self.u_star.values.size), lower.lines(), upper.lines())
-        write_csv(path, ["vertex", "u_star", "u_upper_star"], rows)
+        columns = [range(self.u_star.values.size), *self._columns]
+        write_csv(path, ["vertex", "u_star", "u_upper_star"], columns)
 
 
 def _image(problem, v):
@@ -428,7 +428,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 problem, records, u, previous, converged, restart_tol
             )
             for i, v, image in points:
-                # the next warm start forms A v through the CSR matrix
+                # the next warm start forms A v through the slot layout
                 u[i], psi[i], action[i] = v, image, None
                 restarts[i] += 1
 

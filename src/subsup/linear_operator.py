@@ -101,7 +101,10 @@ class LinearProblem:
     @property
     def system_matrix(self):
         """A as a scipy CSR matrix, built on each access."""
-        return self.domain.L.plus_diagonal(self.domain.mass * self.a.values).to_scipy()
+        import scipy.sparse as sp
+
+        diagonal = sp.diags(self.domain.mass * self.a.values)
+        return (self.domain.stiffness + diagonal).tocsr()
 
     @property
     def weights(self):
@@ -144,7 +147,9 @@ class LinearProblem:
     @property
     def h1_matrix(self):
         """L + M, the discrete H1 inner product, as a scipy CSR matrix."""
-        return self.domain.L.plus_diagonal(self.domain.mass).to_scipy()
+        import scipy.sparse as sp
+
+        return (self.domain.stiffness + sp.diags(self.domain.mass)).tocsr()
 
 
 def _fft_preconditioner(domain, a):
@@ -310,7 +315,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
             z = precondition(r)
             rz = r @ z
             p = z
-            while resid > stop:
+            while True:
                 if iterations >= cap:
                     report = SolveReport(iterations, float(resid), history)
                     raise ConvergenceError(
@@ -334,12 +339,14 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
                 energy -= 0.5 * alpha * rz
                 history.append(float(energy))
                 iterations += 1
+                resid = np.linalg.norm(r)
+                if resid <= stop:
+                    break
                 z = precondition(r)
                 rz_new = r @ z
                 beta = rz_new / rz
                 rz = rz_new
                 p = z + beta * p
-                resid = np.linalg.norm(r)
         # the recurrence residual can drift from the true one; re-check
         Ax = matvec(x)
         r = b - Ax

@@ -74,17 +74,25 @@ class ScalarNonlinearity:
 
     @classmethod
     def from_csv(cls, path, truncate=True):
+        """A table from a 't,value' CSV; each data row holds two numbers."""
         ts, values = [], []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or [c.strip() for c in header[:2]] != ["t", "value"]:
+            if header is None or [c.strip() for c in header] != ["t", "value"]:
                 raise ValueError(f"{path}: expected CSV header 't,value'")
             for row in reader:
                 if not row or not "".join(row).strip():
                     continue
-                ts.append(float(row[0]))
-                values.append(float(row[1]))
+                try:
+                    t, value = map(float, row)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: expected two numbers "
+                        f"'t,value', got {','.join(row)!r}"
+                    ) from None
+                ts.append(t)
+                values.append(value)
         return cls("table", ts=ts, values=values, truncate=truncate, source=str(path))
 
     def __call__(self, t):
@@ -124,11 +132,6 @@ class ScalarNonlinearity:
             j = np.clip(np.minimum(first + offset, last), 0, slopes.size - 1)
             out = np.where(touched, np.maximum(out, slopes[j]), out)
         return out
-
-    def describe(self):
-        if self.kind == "power":
-            return f"power({self.p:g})"
-        return f"table({len(self.ts)} rows)"
 
 
 class NonlinearProblem:

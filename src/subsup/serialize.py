@@ -9,7 +9,9 @@ Lists of floats and float columns are formatted CHUNK values at a time
 through one %-template per chunk: '%.17g' % x is format(x, '.17g') for
 every finite double, and one % call does the work of a chunk's format
 calls.  A FloatColumn keeps such strings, so that one float array can
-go into a JSON list and a CSV column with one formatting pass.
+go into a JSON list and a CSV column with one formatting pass.  CSVs
+are written by columns whose types the caller knows: FloatColumns for
+floats, ints or strs for the rest.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ def _join_floats(values, sep):
 class FloatColumn:
     """A float array whose %.17g strings are formatted once, on first use.
 
-    write_json renders it as the JSON list of its values, and lines()
-    yields the strings one by one for a CSV column: the bytes are those
-    of the array's values as a float list.  The strings are kept CHUNK
-    at a time, joined by newlines.
+    write_json renders it as the JSON list of its values, and write_csv
+    as a column of the same strings, which lines() yields one by one:
+    the bytes are those of the array's values as a float list.  The
+    strings are kept CHUNK at a time, joined by newlines.
     """
 
     def __init__(self, values):
@@ -136,42 +138,17 @@ def write_json(path, obj):
         fh.writelines(_pieces(obj))
 
 
-def _cell(c):
-    if isinstance(c, bool):
-        return "true" if c else "false"
-    if isinstance(c, float):
-        return format_float(c)
-    return str(c)
+def write_csv(path, header, columns):
+    """Write equal-length columns, CHUNK rows through one template.
 
-
-def _csv_lines(rows):
-    """Lines for rows of equal length, "\n"-terminated.
-
-    Column by column: a column of finite floats becomes a %.17g field
-    and an int column a %d one, formatted with the whole chunk through
-    one template; other cells go through _cell first, unless the column
-    holds only str.
+    A FloatColumn contributes its %.17g strings; any other column (ints
+    or strs) is written with str().
     """
-    columns = list(zip(*rows, strict=True))
-    fields = []
-    for j, column in enumerate(columns):
-        if _is_finite_floats(column):
-            fields.append("%.17g")
-        elif all(type(c) is int for c in column):
-            fields.append("%d")
-        else:
-            fields.append("%s")
-            if not all(type(c) is str for c in column):
-                columns[j] = list(map(_cell, column))
-    line = ",".join(fields) + "\n"
-    return (line * len(rows)) % tuple(itertools.chain.from_iterable(zip(*columns)))
-
-
-def write_csv(path, header, rows):
-    """Write rows of cells, CHUNK rows at a time; floats get the 17-digit treatment."""
-    rows = iter(rows)
+    cells = [c.lines() if isinstance(c, FloatColumn) else c for c in columns]
+    rows = zip(*cells, strict=True)
+    line = ",".join(["%s"] * len(cells)) + "\n"
     text = [",".join(header) + "\n"]
     while chunk := list(itertools.islice(rows, CHUNK)):
-        text.append(_csv_lines(chunk))
+        text.append((line * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(text)

@@ -140,6 +140,22 @@ class TestInputErrors:
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: radius")
 
+    @pytest.mark.parametrize("row", ["1", "1,0.2,9"], ids=["short", "extra_cell"])
+    def test_table_row_without_two_cells(self, row, tmp_scenario, tmp_path, capsys):
+        # a short row used to end in an IndexError traceback, a long one
+        # was cut to its first two cells
+        (tmp_path / "h.csv").write_text(f"t,value\n0,0\n{row}\n2,0.5\n")
+        doc = base_torus_doc()
+        doc["nonlinearity"]["H"] = {"kind": "table", "path": "h.csv"}
+        doc["nonlinearity"]["q"] = 0.5
+        assert main(["check", tmp_scenario(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {tmp_path / 'h.csv'}, line 3: expected two numbers "
+            f"'t,value', got '{row}'"
+        ]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_scenario_exits_2_before_any_check(
         self, case, tmp_scenario, tmp_path, capsys
@@ -168,6 +184,9 @@ class TestSolve:
         assert "ordering_violations" not in summary
         assert summary["min_u_star"] > 0.0
         assert summary["bracket_verified"] == [True, True]
+        # written only after every check passed: no alpha pass flags
+        assert summary["alpha1_warnings"] == []
+        assert not {"alpha1_report", "alpha2_report"} & set(summary)
         assert sorted(summary["restarts"]) == ["lower", "upper"]
         assert min(summary["restarts"].values()) > 0
         assert "converged" in capsys.readouterr().out

@@ -7,6 +7,8 @@ number or an out-of-range number) and runs `check` or `solve` on it.
 Whatever the document, main() must return 0, 1 or 2 and must not
 raise.  The values that set the domain size stay small so that no
 example builds a large mesh, and `solve` runs at most 20 steps.
+Malformed nonlinearity tables (a short row, an extra or empty or text
+cell, a header alone) must make `check` exit 2 with one error line.
 """
 
 import copy
@@ -109,6 +111,35 @@ def test_base_documents_pass_check(base, tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(base()))
     assert main(["check", str(path)]) == 0
+
+
+TABLE_ROWS = ["0,0", "1,0.25", "2,0.5"]
+# each replaces one data row of TABLE_ROWS
+ROW_MUTATIONS = {
+    "short_row": lambda row: row.split(",")[0],
+    "extra_cell": lambda row: row + ",9",
+    "empty_cell": lambda row: row.split(",")[0] + ",",
+    "text_cell": lambda row: row.split(",")[0] + ",x",
+}
+MALFORMED_TABLES = {"header_only": []} | {
+    f"{name}_{i}": TABLE_ROWS[:i] + [change(TABLE_ROWS[i])] + TABLE_ROWS[i + 1 :]
+    for name, change in ROW_MUTATIONS.items()
+    for i in range(len(TABLE_ROWS))
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_exits_2(case, tmp_path, capsys):
+    (tmp_path / "h.csv").write_text("\n".join(["t,value", *MALFORMED_TABLES[case]]))
+    doc = small_torus_doc()
+    doc["nonlinearity"]["H"] = {"kind": "table", "path": "h.csv"}
+    doc["nonlinearity"]["q"] = 0.5
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

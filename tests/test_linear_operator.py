@@ -333,6 +333,24 @@ class TestReturnedAction:
         assert report.energy_history == plain_report.energy_history
 
     @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
+    def test_one_preconditioner_application_per_iteration(
+        self, case, tmp_path, monkeypatch
+    ):
+        # a sweep that meets the stop rule forms no z = P r it would not use
+        lp, rng = backend_problem(case, tmp_path)
+        precondition, calls = lp.preconditioner, []
+
+        def counted(r):
+            calls.append(r)
+            return precondition(r)
+
+        counting = property(lambda _: counted)
+        monkeypatch.setattr(LinearProblem, "preconditioner", counting)
+        _, report = solve_T(lp, random_dual(lp.domain, rng), tol=1e-11)
+        assert report.iterations > 1
+        assert len(calls) == report.iterations
+
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
     def test_a_stalled_true_residual_fails_fast(self, case, tmp_path):
         # below the rounding floor: each sweep ends at about the same true
         # residual, and sweeps used to repeat until the cap of 10 n iterations

@@ -103,9 +103,10 @@ class TestScalarNonlinearity:
 
     def test_from_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("time,val\n0.0,0.0\n1.0,2.0\n")
-        with pytest.raises(ValueError, match="header"):
-            ScalarNonlinearity.from_csv(str(path))
+        for header in ("time,val", "t,value,w"):
+            path.write_text(f"{header}\n0.0,0.0\n1.0,2.0\n")
+            with pytest.raises(ValueError, match="header"):
+                ScalarNonlinearity.from_csv(str(path))
 
 
 class TestCheckAlpha1:

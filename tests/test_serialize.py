@@ -59,11 +59,12 @@ class TestWriters:
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "o.csv"
-        write_csv(str(path), ["i", "v", "ok"], [[0, 0.25, True], [1, 0.5, False]])
+        columns = [range(2), FloatColumn(np.array([0.25, 0.5])), ["lower", "upper"]]
+        write_csv(str(path), ["i", "v", "seq"], columns)
         lines = path.read_text().strip().split("\n")
-        assert lines[0] == "i,v,ok"
-        assert lines[1] == "0,0.25,true"
-        assert lines[2] == "1,0.5,false"
+        assert lines[0] == "i,v,seq"
+        assert lines[1] == "0,0.25,lower"
+        assert lines[2] == "1,0.5,upper"
 
 
 def per_item(obj):
@@ -102,29 +103,26 @@ class TestFloatListFastPath:
         assert dumps([True, 1, 1.0]) == "[\n  true,\n  1,\n  1\n]\n"
 
     def test_csv_matches_per_item_path(self, tmp_path):
-        rows = [(i, x, True, x) for i, x in enumerate(FLOATS)]
-        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        write_csv(str(fast), ["i", "x", "ok", "y"], rows)
-        write_csv(str(slow), ["i", "x", "ok", "y"], [per_item(list(r)) for r in rows])
-        assert fast.read_bytes() == slow.read_bytes()
-        write_csv(str(fast), ["i"], [])
-        assert fast.read_bytes() == b"i\n"
+        column = FloatColumn(np.array(FLOATS))
+        rows = [(i, x, x) for i, x in enumerate(FLOATS)]
+        path = tmp_path / "o.csv"
+        write_csv(str(path), ["i", "x", "y"], [range(len(FLOATS)), column, column])
+        assert path.read_bytes() == reference_csv(["i", "x", "y"], rows)
+        write_csv(str(path), ["i"], [range(0)])
+        assert path.read_bytes() == b"i\n"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_in_float_list_raises(self, bad, tmp_path):
         with pytest.raises(ValueError, match="non-finite"):
             dumps({"u": [0.5, bad, 1.0]})
+        column = FloatColumn(np.array([0.5, bad]))
         with pytest.raises(ValueError, match="non-finite"):
-            write_csv(str(tmp_path / "o.csv"), ["x"], [(0.5,), (bad,)])
+            write_csv(str(tmp_path / "o.csv"), ["x"], [column])
 
 
 def reference_cell(c):
     """One CSV cell as the per-item writer formats it."""
-    if isinstance(c, bool):
-        return "true" if c else "false"
-    if isinstance(c, float):
-        return format_float(c)
-    return str(c)
+    return format_float(c) if isinstance(c, float) else str(c)
 
 
 def reference_csv(header, rows):
@@ -166,23 +164,23 @@ class TestChunkedWriters:
     def test_csv_columns_match_per_item_format(self, length, tmp_path):
         values = chunk_floats(length)
         rows = list(zip(range(length), values, reversed(values)))
+        u, w = FloatColumn(np.array(values)), FloatColumn(np.array(values[::-1]))
+        columns = [range(length), u, w]
         path = tmp_path / "o.csv"
-        write_csv(str(path), ["vertex", "u", "w"], rows)
+        write_csv(str(path), ["vertex", "u", "w"], columns)
         assert path.read_bytes() == reference_csv(["vertex", "u", "w"], rows)
 
     @pytest.mark.parametrize("length", LENGTHS)
     def test_mixed_columns_keep_their_bytes(self, length, tmp_path):
-        # trace.csv: int step, str side, float columns; plus bools, a float
-        # subclass, ints beyond 17 digits and a column of ints and floats
+        # trace.csv: int step, str side, float columns
         values = chunk_floats(length)
         sides = ("lower", "upper")
-        rows = [
-            (k // 2, sides[k % 2], x, True, np.float64(x), x if k % 3 else k, k << 70)
-            for k, x in enumerate(values)
-        ]
-        header = ["step", "seq", "x", "ok", "y", "mixed", "big"]
+        rows = [(k // 2, sides[k % 2], x, -x) for k, x in enumerate(values)]
+        step, seq = [r[0] for r in rows], [r[1] for r in rows]
+        x = np.array(values)
+        header = ["step", "seq", "x", "y"]
         path = tmp_path / "o.csv"
-        write_csv(str(path), header, rows)
+        write_csv(str(path), header, [step, seq, FloatColumn(x), FloatColumn(-x)])
         assert path.read_bytes() == reference_csv(header, rows)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -192,7 +190,7 @@ class TestChunkedWriters:
         with pytest.raises(ValueError, match="non-finite"):
             dumps({"u": values})
         with pytest.raises(ValueError, match="non-finite"):
-            write_csv(str(tmp_path / "o.csv"), ["x"], [(x,) for x in values])
+            write_csv(str(tmp_path / "o.csv"), ["x"], [FloatColumn(np.array(values))])
 
     @pytest.mark.parametrize("length", LENGTHS)
     def test_float_column_writes_the_float_list_bytes(self, length, tmp_path):
@@ -201,10 +199,9 @@ class TestChunkedWriters:
         doc = {"u": values, "n": [{"v": values}]}
         assert dumps({"u": column, "n": [{"v": column}]}) == dumps(doc)
         path = tmp_path / "o.csv"
-        rows = zip(range(length), column.lines(), reversed(list(column.lines())))
-        write_csv(str(path), ["vertex", "u", "w"], rows)
-        expected = list(zip(range(length), values, reversed(values)))
-        assert path.read_bytes() == reference_csv(["vertex", "u", "w"], expected)
+        write_csv(str(path), ["vertex", "u", "u"], [range(length), column, column])
+        expected = list(zip(range(length), values, values))
+        assert path.read_bytes() == reference_csv(["vertex", "u", "u"], expected)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_float_column_refuses_non_finite(self, bad):
@@ -213,9 +210,12 @@ class TestChunkedWriters:
         with pytest.raises(ValueError, match="non-finite"):
             dumps({"u": FloatColumn(values)})
 
-    def test_rows_of_unequal_length_are_refused(self, tmp_path):
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        path = str(tmp_path / "o.csv")
         with pytest.raises(ValueError):
-            write_csv(str(tmp_path / "o.csv"), ["a", "b"], [(1, 0.5), (2,)])
+            write_csv(path, ["a", "b"], [range(2), FloatColumn(np.array([0.5]))])
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], [range(1), ["lower", "upper"]])
 
     def test_percent_template_is_the_17_digit_format(self):
         values = chunk_floats(CHUNK) + [-0.0, 5e-324, 2.2250738585072014e-308, 1e16]
