@@ -7,10 +7,10 @@ symmetric positive semidefinite with L @ 1 = 0) and a lumped mass vector
 m (the diagonal volume form).  Downstream modules never look at the
 geometry again; L and m are the whole interface.
 
-L is held as the numpy arrays of its canonical CSR form (class CSR),
-bitwise the arrays scipy.sparse would assemble, and applied through a
-slot layout of those arrays (class SlotLayout).  scipy is imported only
-where it is used: the scipy matrix views, OFF-mesh connectivity and the
+L is assembled once, straight into the layout it is applied through
+(class SlotLayout): its off-diagonal entries as neighbour slots, its
+diagonal as a vector.  scipy is imported only where it is used: the
+scipy matrix built from L on access, OFF-mesh connectivity and the
 spectrum.
 
 Surfaces use cotangent weights with barycentric mass lumping, grids the
@@ -74,8 +74,8 @@ class DiscreteDomain:
         Declared dimension n of the problem; independent of the embedding
         (a surface scenario may declare n = 3, which is what feeds the
         growth exponents downstream).
-    L : CSR
-        The stiffness matrix; ``stiffness`` is a scipy view of it.
+    L : SlotLayout
+        The stiffness matrix; ``stiffness`` builds a scipy copy of it.
     mass : (N,) ndarray
         Diagonal of the lumped mass matrix, strictly positive.
     refinement : tuple or None
@@ -119,7 +119,6 @@ class DiscreteDomain:
             raise ValueError("declared dimension must be >= 1")
         self.L, self.mass = assemble_operators(self)
         self._connected = None
-        self._slots = None
 
     @property
     def vertex_count(self):
@@ -131,21 +130,24 @@ class DiscreteDomain:
 
     @property
     def stiffness(self):
-        """L as a scipy CSR matrix sharing the arrays of ``L``."""
-        return self.L.to_scipy()
+        """L as a scipy CSR matrix, built from ``L`` on each access."""
+        import scipy.sparse as sp
+
+        L, n = self.L, self.vertex_count
+        index = np.arange(n)
+        rows = np.concatenate([np.tile(index, len(L.columns)), L.rest_rows, index])
+        columns = np.concatenate([L.columns.ravel(), L.rest_columns, index])
+        data = np.concatenate([L.weights, L.diagonal])
+        stored = data != 0.0  # not the pads, nor the diagonal of an empty row
+        return sp.csr_matrix(
+            (data[stored], (rows[stored], columns[stored])), shape=(n, n)
+        )
 
     @property
     def mass_matrix(self):
         import scipy.sparse as sp
 
         return sp.diags(self.mass).tocsr()
-
-    @property
-    def slots(self):
-        """The SlotLayout of L, built on first use."""
-        if self._slots is None:
-            self._slots = SlotLayout.of(self.L)
-        return self._slots
 
     def field(self, values):
         """Coerce a scalar, array or Field to a Field on this domain."""
@@ -167,7 +169,7 @@ class DiscreteDomain:
         in CSR order from 0 (see SlotLayout), so the result is bitwise
         the CSR-order edge sum, sign of zero included.
         """
-        return self.slots.edge_product(values)
+        return self.L.edge_product(values)
 
     def is_connected(self):
         """Periodic grids and icospheres are connected by construction."""
@@ -201,67 +203,6 @@ class DiscreteDomain:
         return f"DiscreteDomain(kind={self.kind!r}, vertices={self.vertex_count})"
 
 
-class CSR(NamedTuple):
-    """A square sparse matrix as the arrays of scipy's canonical CSR form.
-
-    Row i holds the entries data[indptr[i]:indptr[i + 1]] in the columns
-    indices[indptr[i]:indptr[i + 1]], which strictly increase; no stored
-    entry is 0.  indptr and indices are int32, data float64.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    @property
-    def order(self):
-        return self.indptr.size - 1
-
-    def rows(self):
-        """The row of every stored entry."""
-        return np.repeat(np.arange(self.order, dtype=np.int32), np.diff(self.indptr))
-
-    def with_diagonal(self):
-        """(the arrays with every diagonal entry stored, its position in each row).
-
-        A row without a diagonal entry gets an explicit 0 at its place,
-        so the result may store zeros.
-        """
-        n = self.order
-        rows = self.rows()
-        at = self.indptr[:-1] + np.bincount(rows[self.indices < rows], minlength=n)
-        present = np.zeros(n, dtype=bool)
-        inside = np.flatnonzero(at < self.indptr[1:])
-        present[inside] = self.indices[at[inside]] == inside
-        missing = np.flatnonzero(~present)
-        if not missing.size:
-            return self, at
-        gained = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(~present, out=gained[1:])
-        full = CSR(
-            self.indptr + gained,
-            np.insert(self.indices, at[missing], missing.astype(np.int32)),
-            np.insert(self.data, at[missing], 0.0),
-        )
-        return full, at + gained[:-1]
-
-    def without_zeros(self):
-        """The arrays without their stored zeros."""
-        keep = self.data != 0.0
-        if keep.all():
-            return self
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.bincount(self.rows()[keep], minlength=self.order), out=indptr[1:])
-        return CSR(indptr, self.indices[keep], self.data[keep])
-
-    def to_scipy(self):
-        """A scipy csr_matrix sharing these arrays."""
-        from scipy.sparse import csr_matrix
-
-        n = self.order
-        return csr_matrix((self.data, self.indices, self.indptr), shape=(n, n))
-
-
 # _sorted_order sorts key * size + position when that stays below this
 _TAGGED_LIMIT = np.iinfo(np.int64).max
 
@@ -286,87 +227,57 @@ def _sorted_order(keys, bound):
 def _edge_stiffness(n, i, j, w):
     """L = W - diag(W 1) for the symmetric W that sums w over the pairs {i, j}.
 
-    Bitwise the arrays of scipy's ``(W + sp.diags(-W.sum(axis=1))).tocsr()``
-    for ``W = coo_matrix((concat(w, w), (concat(i, j), concat(j, i)))).tocsr()``,
-    the assembly this replaces, whenever no pair occurs more than twice
-    (every edge of a triangle mesh borders at most two faces): the
-    weights of a pair are summed in input order, each row of W is summed
-    by np.add.reduceat as scipy's row sum does, stored zeros of W count
-    in that sum, and L drops every entry that is 0.  i != j throughout.
-
-    It works on the pairs, not on the 2 x size directed entries: one sort
-    by (min, max) gives W's upper triangle row by row, and one stable
-    sort of that by column gives the lower triangle.  Row r of L is its
-    lower entries, the diagonal, then its upper entries.  i and j are
-    int64.
+    One sort by (min, max) brings the weights of each pair together;
+    they are summed in input order, and a pair whose sum is exactly 0 is
+    dropped.  A second sort groups the two directed entries of every
+    pair by row, the lower-triangle block (row max, column min) before
+    the upper one, so each row comes out in ascending column order, the
+    order of CSR.  i != j throughout; i and j are int64.
     """
     keys, order = _sorted_order(np.minimum(i, j) * n + np.maximum(i, j), n * n)
     w = w[order]
+    del order
     start = np.flatnonzero(np.diff(keys, prepend=-1))
-    upper = w[start]
+    weight = w[start]
     run = np.diff(start, append=keys.size)
     for k in range(1, run.max(initial=1)):
         longer = np.flatnonzero(run > k)
-        upper[longer] += w[start[longer] + k]
-    keys = keys[start]
+        weight[longer] += w[start[longer] + k]
+    del w, run
+    kept = weight != 0.0
+    keys = keys[start[kept]]
+    weight = weight[kept]
+    del start, kept
     lo = keys // n
     hi = keys - lo * n
-    _, by_column = _sorted_order(hi, n)
-    lower_rows, lower_columns, lower = hi[by_column], lo[by_column], upper[by_column]
-
-    # entry e of the upper triangle sits after the lower entries of rows
-    # <= lo[e], entry q of the lower one after the upper entries of rows
-    # < lower_rows[q]; in L each also moves past one diagonal per earlier
-    # row, and an upper one past its own row's
-    below = np.bincount(hi, minlength=n)
-    above = np.bincount(lo, minlength=n)
-    m = keys.size
-    up_at = np.arange(m) + np.cumsum(below)[lo]
-    low_at = np.arange(m) + (np.cumsum(above) - above)[lower_rows]
-    off = np.empty(2 * m)
-    off[up_at] = upper
-    off[low_at] = lower
-    w_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(below + above, out=w_indptr[1:])
-    nonempty = np.flatnonzero(below + above)
-    sums = np.zeros(n)
-    sums[nonempty] = np.add.reduceat(off, w_indptr[nonempty])
-
-    indptr = (w_indptr + np.arange(n + 1)).astype(np.int32)
-    diagonal = w_indptr[:-1] + below + np.arange(n)
-    up_at += lo + 1
-    low_at += lower_rows
-    indices = np.empty(2 * m + n, dtype=np.int32)
-    indices[up_at] = hi
-    indices[low_at] = lower_columns
-    indices[diagonal] = np.arange(n)
-    data = np.empty(2 * m + n)
-    data[up_at] = upper
-    data[low_at] = lower
-    data[diagonal] = -sums
-    return CSR(indptr, indices, data).without_zeros()
+    del keys
+    rows, by_row = _sorted_order(np.concatenate([hi, lo]), n)
+    columns = np.concatenate([lo, hi])[by_row]
+    del lo, hi
+    weight = np.concatenate([weight, weight])[by_row]
+    del by_row
+    return SlotLayout.of(n, rows, columns, weight)
 
 
 class SlotLayout(NamedTuple):
-    """A CSR matrix's entries, every diagonal one included, as slots.
+    """A symmetric matrix as neighbour slots plus its diagonal.
 
-    Slot k of row i is the k-th entry of row i in CSR order.  A slot that
-    at least half the rows fill is held as one length-N row of
-    ``columns``, a row with fewer entries padded with itself at weight
-    0; the entries of the later slots, which only long rows have, are
-    kept in CSR order in rest_rows/rest_columns and added by one ordered
-    scatter after the fixed-width slots.  Pads never outnumber the
-    entries, so the layout is O(nnz) at any valence.  ``weights`` holds
-    the matrix's entries flat, fixed-width slots first (slot k of row i
-    at k N + i), then the rest; ``diagonal`` is each diagonal entry's
-    index in it, so the weights of the matrix plus diag(d) are
-    ``weights`` with d added there.  Indices are intp, which np.take
-    uses without a conversion.
+    The hybrid ELLPACK + COO format of Bell and Garland (SC 2009) for the
+    off-diagonal entries.  Slot k of row i is the k-th off-diagonal entry
+    of row i in CSR order.  A slot that at least half the rows fill is
+    held as one length-N row of ``columns``, a row with fewer entries
+    padded with itself at weight 0; the entries of the later slots,
+    which only long rows have, are kept in CSR order in
+    rest_rows/rest_columns and added by one ordered scatter after the
+    fixed-width slots.  Pads never outnumber the entries, so the layout
+    is O(nnz) at any valence.  ``weights`` holds the entries flat,
+    fixed-width slots first (slot k of row i at k N + i), then the rest;
+    ``diagonal`` is the length-N diagonal.  Indices are intp, which
+    np.take uses without a conversion.
 
-    Each row is summed in CSR order starting from 0, so product() is
-    bitwise scipy's CSR matvec; the diagonal and the pads of
-    edge_product() add w (v_i - v_i) = +-0, and neither a stored zero
-    nor a pad changes a sum that starts from +0.
+    Each row's off-diagonal entries are summed in CSR order, product()
+    starting from the diagonal term and edge_product() from 0.  A pad
+    adds 0 v_i or 0 (v_i - v_i), +-0 either way, which changes no sum.
     """
 
     columns: np.ndarray
@@ -376,37 +287,40 @@ class SlotLayout(NamedTuple):
     diagonal: np.ndarray
 
     @classmethod
-    def of(cls, matrix):
-        full, diagonal = matrix.with_diagonal()
-        n = full.order
-        rows = np.repeat(np.arange(n), np.diff(full.indptr))
-        indices = full.indices.astype(np.intp)
-        valence = np.diff(full.indptr)
-        slot = np.arange(rows.size) - full.indptr[:-1][rows]
+    def of(cls, n, rows, columns, weights):
+        """The matrix of the off-diagonal entries (rows, columns, weights),
+        grouped by row in CSR order, whose diagonal is minus each row's
+        sum, taken in that order."""
+        valence = np.bincount(rows, minlength=n)
+        slot = np.arange(rows.size) - (np.cumsum(valence) - valence)[rows]
         # filled[k] counts the rows with a slot k; non-increasing in k
         filled = np.cumsum(np.bincount(valence)[::-1])[-2::-1]
         width = int(np.count_nonzero(2 * filled >= n))
-        wide = slot < width
+        rest = np.flatnonzero(slot >= width)
         # each entry's index in the flat weights
-        flat = np.where(wide, slot * n + rows, width * n - 1 + np.cumsum(~wide))
-        columns = np.tile(np.arange(n), (width, 1))
-        columns.reshape(-1)[flat[wide]] = indices[wide]
-        weights = np.zeros(width * n + rows.size - np.count_nonzero(wide))
-        weights[flat] = full.data
-        rest = ~wide
-        return cls(columns, rows[rest], indices[rest], weights, flat[diagonal])
+        flat = slot * n + rows
+        del slot
+        flat[rest] = width * n + np.arange(rest.size)
+        # the columns, flat in the same way; a pad's column is its row
+        index = np.resize(np.arange(n), width * n + rest.size)
+        index[flat] = columns
+        flat_weights = np.zeros(index.size)
+        flat_weights[flat] = weights
+        del flat
+        fixed = index[: width * n].reshape(width, n)
+        layout = cls(fixed, rows[rest], index[width * n :], flat_weights, np.zeros(n))
+        return layout._replace(diagonal=-layout.product(np.ones(n), layout.diagonal))
 
-    def product(self, values, weights=None):
-        """M v for the M whose entries ``weights`` holds (default: this one's)."""
-        return self._sum(values, self.weights if weights is None else weights, False)
+    def product(self, values, diagonal):
+        """M v for the matrix with these off-diagonal entries and ``diagonal``."""
+        return self._sum(values, diagonal * values, False)
 
     def edge_product(self, values):
-        """sum_j M_ij (v_j - v_i) over the entries of this matrix."""
-        return self._sum(values, self.weights, True)
+        """sum_j M_ij (v_j - v_i) over the off-diagonal entries."""
+        return self._sum(values, np.zeros(values.size), True)
 
-    def _sum(self, values, weights, edge):
-        out = np.zeros(values.size)
-        fixed = weights[: self.columns.size].reshape(self.columns.shape)
+    def _sum(self, values, out, edge):
+        fixed = self.weights[: self.columns.size].reshape(self.columns.shape)
         for columns, w in zip(self.columns, fixed):
             term = np.take(values, columns)
             if edge:
@@ -417,7 +331,7 @@ class SlotLayout(NamedTuple):
             term = np.take(values, self.rest_columns)
             if edge:
                 term -= np.take(values, self.rest_rows)
-            term *= weights[self.columns.size :]
+            term *= self.weights[self.columns.size :]
             # add.at is unbuffered: repeated rows accumulate in array order
             np.add.at(out, self.rest_rows, term)
         return out
@@ -583,7 +497,12 @@ def load_off(path, dimension=None):
         if isinstance(exc, AssemblyError):
             raise
         raise AssemblyError(f"{path}: malformed OFF file ({exc})") from exc
-    if nf and (faces.min() < 0 or faces.max() >= nv):
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        raise AssemblyError(f"{path}: vertex {int(bad[0])} has a non-finite coordinate")
+    if not nf:
+        raise AssemblyError(f"{path}: no faces")
+    if faces.min() < 0 or faces.max() >= nv:
         raise AssemblyError(f"{path}: face index out of range")
     return DiscreteDomain("off", coords, faces=faces, dimension=dimension)
 
@@ -613,6 +532,12 @@ def _corner_cotangents(coords, faces):
 
 def _assemble_surface(coords, faces):
     n = coords.shape[0]
+    used = np.zeros(n, dtype=bool)
+    used[faces.ravel()] = True
+    unused = np.flatnonzero(~used)
+    if unused.size:
+        # it would get no stiffness entry and mass 0
+        raise AssemblyError(f"vertex {int(unused[0])} belongs to no face")
     cots, areas = _corner_cotangents(coords, faces)
     # the edge opposite corner k joins corners k + 1 and k + 2 and gets
     # half the corner's cotangent
@@ -644,7 +569,7 @@ def _assemble_grid(cells, lengths):
 
 
 def assemble_operators(domain):
-    """Assemble (L as CSR, lumped mass diagonal) for a domain."""
+    """Assemble (L as a SlotLayout, lumped mass diagonal) for a domain."""
     if domain.is_surface:
         return _assemble_surface(domain.coordinates, domain.faces)
     return _assemble_grid(domain.grid_cells, domain.grid_lengths)
@@ -657,9 +582,8 @@ def mesh_quality(domain):
     exceeds 1e-12; the comparison principle (and hence the monotone
     iteration) is only trusted on compatible domains.
     """
-    L = domain.L
-    off = L.indices != L.rows()
-    positive = int(np.count_nonzero(L.data[off] > 1e-12))
+    # the pads of the layout are 0 and never count
+    positive = int(np.count_nonzero(domain.L.weights > 1e-12))
     obtuse = 0
     if domain.is_surface:
         cots, _ = _corner_cotangents(domain.coordinates, domain.faces)

@@ -84,8 +84,8 @@ class SolveReport:
 class LinearProblem:
     """Domain plus coefficient a > 0; owns A = L + M diag(a).
 
-    A is applied through the domain's slot layout of L (see
-    geometry.SlotLayout), with m a added to the diagonal weights.
+    A is applied through the domain's L (a geometry.SlotLayout) with
+    ``diagonal``, the diagonal of L plus m a.
     """
 
     def __init__(self, domain, a):
@@ -95,7 +95,7 @@ class LinearProblem:
         if amin <= 0.0:
             raise ValueError(f"a must be positive everywhere (min a = {amin:g})")
         self.coercivity_constant = min(1.0, amin)
-        self._weights = None
+        self.diagonal = domain.L.diagonal + domain.mass * self.a.values
         self._preconditioner = None
 
     @property
@@ -106,18 +106,9 @@ class LinearProblem:
         diagonal = sp.diags(self.domain.mass * self.a.values)
         return (self.domain.stiffness + diagonal).tocsr()
 
-    @property
-    def weights(self):
-        """A's entries in the domain's slot layout, built on first use."""
-        if self._weights is None:
-            slots = self.domain.slots
-            self._weights = slots.weights.copy()
-            self._weights[slots.diagonal] += self.domain.mass * self.a.values
-        return self._weights
-
     def matvec(self, values):
-        """A @ values, bitwise system_matrix @ values (see geometry.SlotLayout)."""
-        return self.domain.slots.product(values, self.weights)
+        """A @ values: the diagonal term, then each row's other entries in CSR order."""
+        return self.domain.L.product(values, self.diagonal)
 
     @property
     def preconditioner(self):
@@ -140,8 +131,8 @@ class LinearProblem:
                     self.system_matrix, self.domain.refinement
                 )
             else:
-                diag = self.weights[self.domain.slots.diagonal]
-                self._preconditioner = lambda r: r / diag
+                diagonal = self.diagonal
+                self._preconditioner = lambda r: r / diagonal
         return self._preconditioner
 
     @property
@@ -158,12 +149,9 @@ def _fft_preconditioner(domain, a):
     # eigenvalues and the stencil stays defined only by the assembly.
     cells = domain.grid_cells
     axes = tuple(range(len(cells)))
-    # L is symmetric, so its first column is its first row
-    L = domain.L
-    first = slice(L.indptr[0], L.indptr[1])
-    kernel = np.zeros(domain.vertex_count)
-    kernel[L.indices[first]] = L.data[first]
-    kernel = kernel.reshape(cells)
+    first = np.zeros(domain.vertex_count)
+    first[0] = 1.0
+    kernel = domain.L.product(first, domain.L.diagonal).reshape(cells)
     shift = float(np.mean(domain.mass * a))
     eigenvalues = np.fft.rfftn(kernel, axes=axes).real + shift
 
@@ -258,7 +246,8 @@ def embed_function(field):
 def h1_norm(domain, values):
     """sqrt(v' (L + M) v)."""
     v = np.asarray(values, dtype=float)
-    return float(np.sqrt(max(v @ domain.slots.product(v) + v @ (domain.mass * v), 0.0)))
+    L = domain.L
+    return float(np.sqrt(max(v @ L.product(v, L.diagonal) + v @ (domain.mass * v), 0.0)))
 
 
 def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):

@@ -86,6 +86,22 @@ class TestCheck:
         assert main(["check", tmp_scenario(doc)]) == 1
         assert "alpha1 growth bounds: FAIL" in capsys.readouterr().out
 
+    def test_alpha1_table_is_checked_between_the_samples(
+        self, tmp_scenario, tmp_path, capsys
+    ):
+        # H(0.001) = 0.05 > 0.001^0.5, but no sample of [-1, 2] falls in
+        # the (0.0004, 0.0025) where H exceeds t^0.5; the breakpoint does
+        (tmp_path / "h.csv").write_text("t,value\n0,0\n0.001,0.05\n0.003,0.05\n10,0.05\n")
+        doc = base_torus_doc()
+        doc["domain"] = {"kind": "icosphere", "subdivisions": 1, "radius": 1.0}
+        doc["nonlinearity"]["H"] = {"kind": "table", "path": "h.csv"}
+        doc["nonlinearity"]["q"] = 0.5
+        assert main(["check", tmp_scenario(doc)]) == 1
+        assert (
+            "alpha1 growth bounds: FAIL (H(t) <= t^q at t = 0.001, value 0.05, "
+            "bound 0.0316228)" in capsys.readouterr().out
+        )
+
     def test_nonpositive_a_skips_bracket_checks(self, tmp_scenario, capsys):
         doc = base_torus_doc()
         doc["coefficients"]["a"] = -1.0
@@ -139,6 +155,40 @@ class TestInputErrors:
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.startswith("error: radius")
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("unused_vertex", "error: vertex 4 belongs to no face"),
+            ("nan_coordinate", "error: {path}: vertex 2 has a non-finite coordinate"),
+            ("no_faces", "error: {path}: no faces"),
+        ],
+        ids=["unused_vertex", "nan_coordinate", "no_faces"],
+    )
+    def test_off_mesh_errors_name_the_vertex(self, case, message, tmp_scenario, tmp_path, capsys):
+        # a vertex that no face lists used to pass check and get mass 0, so
+        # solve divided by a zero Jacobi diagonal and ended in "residual nan"
+        from tests.test_geometry import TETRA_FACES, TETRA_VERTICES, write_off
+
+        verts, faces = list(TETRA_VERTICES), TETRA_FACES
+        if case == "unused_vertex":
+            verts.append((0.0, 0.0, 0.0))
+        elif case == "nan_coordinate":
+            verts[2] = (-1.0, float("nan"), -1.0)
+        else:
+            faces = []
+        path = write_off(tmp_path / "mesh.off", verts, faces)
+        doc = base_torus_doc()
+        doc["domain"] = {"kind": "off", "path": "mesh.off"}
+        scenario = tmp_scenario(doc)
+        for argv in (["check"], ["solve", "--out", str(tmp_path / "run")], ["mesh-info"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([argv[0], scenario, *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [message.format(path=path)]
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("row", ["1", "1,0.2,9"], ids=["short", "extra_cell"])
     def test_table_row_without_two_cells(self, row, tmp_scenario, tmp_path, capsys):

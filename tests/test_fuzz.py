@@ -8,10 +8,15 @@ Whatever the document, main() must return 0, 1 or 2 and must not
 raise.  The values that set the domain size stay small so that no
 example builds a large mesh, and `solve` runs at most 20 steps.
 Malformed nonlinearity tables (a short row, an extra or empty or text
-cell, a header alone) must make `check` exit 2 with one error line.
+cell, a header alone) must make `check` exit 2 with one error line, and
+so must a broken OFF mesh (an unused vertex, a non-finite coordinate, a
+face index out of range, a quad face, a cut-off file, a face collapsed
+to zero area).
 """
 
+import contextlib
 import copy
+import io
 import json
 
 import pytest
@@ -20,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from subsup.cli import main
 
 from tests.conftest import base_torus_doc
+from tests.test_geometry import TETRA_FACES, TETRA_VERTICES
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 NUMBERS = st.one_of(
@@ -166,3 +172,63 @@ def test_solve_exits_cleanly_on_mutated_scenarios(data, tmp_path_factory):
     steps = data.draw(st.integers(1, 20), label="max_steps")
     argv = ["solve", str(path), "--out", str(work / "run"), "--max-steps", str(steps)]
     assert main(argv) in (0, 1, 2)
+
+
+def off_tokens(vertices, faces):
+    tokens = ["OFF", str(len(vertices)), str(len(faces)), "0"]
+    for v in vertices:
+        tokens += [str(c) for c in v]
+    for f in faces:
+        tokens += [str(len(f))] + [str(i) for i in f]
+    return tokens
+
+
+def broken_off(data):
+    """The tetrahedron's OFF tokens with one fault drawn into them."""
+    vertices = [list(v) for v in TETRA_VERTICES]
+    faces = [list(f) for f in TETRA_FACES]
+    fault = data.draw(
+        st.sampled_from(
+            ["unused_vertex", "non_finite", "index_out_of_range", "quad_face",
+             "truncated", "zero_area"]
+        ),
+        label="fault",
+    )
+    vertex = data.draw(st.integers(0, 3), label="vertex")
+    face = data.draw(st.integers(0, 3), label="face")
+    if fault == "unused_vertex":
+        vertices.append(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)))
+    elif fault == "non_finite":
+        vertices[vertex][data.draw(st.integers(0, 2))] = data.draw(
+            st.sampled_from(NON_FINITE)
+        )
+    elif fault == "index_out_of_range":
+        faces[face][data.draw(st.integers(0, 2))] = data.draw(
+            st.sampled_from([-1, 4, 10**6])
+        )
+    elif fault == "quad_face":
+        faces[face].append(next(i for i in range(4) if i not in faces[face]))
+    elif fault == "zero_area":
+        # the vertex moves onto a neighbour, and the faces they share collapse
+        vertices[vertex] = list(vertices[(vertex + 1) % 4])
+    tokens = off_tokens(vertices, faces)
+    if fault == "truncated":
+        tokens = tokens[: data.draw(st.integers(0, len(tokens) - 1), label="kept")]
+    return fault, " ".join(tokens) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_check_exits_2_on_broken_off_meshes(data, tmp_path_factory):
+    fault, text = broken_off(data)
+    work = tmp_path_factory.mktemp("fuzz_off")
+    (work / "mesh.off").write_text(text)
+    doc = base_torus_doc()
+    doc["domain"] = {"kind": "off", "path": "mesh.off"}
+    (work / "scenario.json").write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", str(work / "scenario.json")])
+    assert code == 2, (fault, text)
+    assert out.getvalue() == ""
+    assert len(err.getvalue().splitlines()) == 1

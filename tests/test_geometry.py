@@ -464,35 +464,31 @@ class TestDomainApi:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_stiffness_action_pads_the_five_neighbour_rows(self, icosphere3):
-        slots = icosphere3.slots
+        L = icosphere3.L
         n = icosphere3.vertex_count
-        # six neighbours and the diagonal
-        assert slots.columns.shape == (7, n)
-        assert slots.weights.shape == (7 * n,)
-        assert slots.columns.dtype == np.intp
-        assert slots.rest_rows.size == 0
+        # six neighbours; the diagonal is a vector, not a slot
+        assert L.columns.shape == (6, n)
+        assert L.weights.shape == (6 * n,)
+        assert L.columns.dtype == np.intp
+        assert L.rest_rows.size == 0
         # the 12 vertices of the icosahedron have five neighbours
-        pads = np.flatnonzero(slots.weights[6 * n :] == 0.0)
+        pads = np.flatnonzero(L.weights[5 * n :] == 0.0)
         assert np.array_equal(pads, np.arange(12))
-        assert np.array_equal(slots.columns[6, pads], pads)
-        # each diagonal weight is L's diagonal entry
-        L = icosphere3.stiffness
-        assert np.array_equal(slots.weights[slots.diagonal], L.diagonal())
+        assert np.array_equal(L.columns[5, pads], pads)
+        assert np.array_equal(L.diagonal, icosphere3.stiffness.diagonal())
 
     def test_edge_layout_stays_linear_in_the_entries_at_a_hub(self, tmp_path):
         ring = 2000
         domain = bipyramid_off(tmp_path / "bipyramid.off", ring)
-        slots = domain.slots
-        entries = domain.stiffness.nnz
-        # the five slots every ring vertex fills (four neighbours and the
-        # diagonal) are fixed-width; the two apexes' further ring - 4
-        # entries each go to the scatter
-        assert slots.columns.shape == (5, ring + 2)
-        assert slots.rest_rows.size == 2 * (ring - 4)
-        assert set(slots.rest_rows.tolist()) == {ring, ring + 1}
-        assert slots.columns.size + slots.rest_columns.size <= 2 * entries
-        L = domain.stiffness
-        assert np.array_equal(slots.weights[slots.diagonal], L.diagonal())
+        L = domain.L
+        entries = domain.stiffness.nnz - domain.vertex_count  # off the diagonal
+        # the four slots every ring vertex fills are fixed-width; the two
+        # apexes' further ring - 4 entries each go to the scatter
+        assert L.columns.shape == (4, ring + 2)
+        assert L.rest_rows.size == 2 * (ring - 4)
+        assert set(L.rest_rows.tolist()) == {ring, ring + 1}
+        assert L.columns.size + L.rest_columns.size <= 2 * entries
+        assert np.array_equal(L.diagonal, domain.stiffness.diagonal())
 
 
 def edge_sum_reference(domain, values):
@@ -603,11 +599,28 @@ def assert_bitwise(got, expected):
     assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
-def assert_same_csr(L, expected):
-    assert L.indptr.dtype == L.indices.dtype == np.int32
-    assert np.array_equal(L.indptr, expected.indptr)
-    assert np.array_equal(L.indices, expected.indices)
-    assert_bitwise(L.data, expected.data)
+def layout_entries(L):
+    """(rows, columns, weights) of a SlotLayout's off-diagonal entries.
+
+    Row by row, and within a row in slot order: the fixed-width slots,
+    then the scattered ones.
+    """
+    n = L.diagonal.size
+    rows = np.concatenate([np.tile(np.arange(n), len(L.columns)), L.rest_rows])
+    columns = np.concatenate([L.columns.ravel(), L.rest_columns])
+    entry = rows != columns  # not a pad
+    order = np.argsort(rows[entry], kind="stable")
+    return rows[entry][order], columns[entry][order], L.weights[entry][order]
+
+
+def assert_same_off_diagonal(L, expected):
+    """The layout holds expected's off-diagonal entries bitwise, in CSR order."""
+    rows = np.repeat(np.arange(expected.shape[0]), np.diff(expected.indptr))
+    off = expected.indices != rows
+    got_rows, got_columns, got_weights = layout_entries(L)
+    assert np.array_equal(got_rows, rows[off])
+    assert np.array_equal(got_columns, expected.indices[off])
+    assert_bitwise(got_weights, expected.data[off])
 
 
 ASSEMBLY_DOMAINS = {
@@ -626,54 +639,53 @@ ASSEMBLY_DOMAINS = {
 
 class TestCSRAssembly:
     @pytest.mark.parametrize("name", sorted(ASSEMBLY_DOMAINS))
-    def test_bitwise_the_scipy_assembly(self, name, tmp_path):
-        domain = ASSEMBLY_DOMAINS[name](tmp_path)
-        assert_same_csr(domain.L, scipy_stiffness(domain))
+    def test_bitwise_the_scipy_assembly(self, name, tmp_path, monkeypatch):
+        # the off-diagonal entries, with the stable-argsort fallback too
+        expected = None
+        for limit in (subsup.geometry._TAGGED_LIMIT, 0):
+            monkeypatch.setattr(subsup.geometry, "_TAGGED_LIMIT", limit)
+            domain = ASSEMBLY_DOMAINS[name](tmp_path)
+            if expected is None:
+                expected = scipy_stiffness(domain)
+            assert_same_off_diagonal(domain.L, expected)
+        # the scipy matrix built from the layout has the same pattern
+        stiffness = domain.stiffness
+        assert stiffness.has_canonical_format
+        assert np.array_equal(stiffness.indptr, expected.indptr)
+        assert np.array_equal(stiffness.indices, expected.indices)
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_DOMAINS))
+    def test_diagonal_is_the_scipy_row_sum_within_ulps(self, name, tmp_path, monkeypatch):
+        # the row sums are taken in another order than scipy's; their
+        # rounding scales with the sum of the magnitudes of the terms
+        expected = None
+        for limit in (subsup.geometry._TAGGED_LIMIT, 0):
+            monkeypatch.setattr(subsup.geometry, "_TAGGED_LIMIT", limit)
+            domain = ASSEMBLY_DOMAINS[name](tmp_path)
+            if expected is None:
+                expected = scipy_stiffness(domain)
+                magnitude = abs(expected) @ np.ones(domain.vertex_count)
+            error = np.abs(domain.L.diagonal - expected.diagonal())
+            assert np.all(error <= 4 * np.spacing(magnitude))
 
     def test_exactly_zero_cotangents_are_dropped(self, tmp_path):
         domain = cube_off(tmp_path / "cube.off")
         # the six face diagonals are mesh edges, but only the twelve cube
-        # edges and the diagonal of L stay: four entries per row
+        # edges stay: three neighbours per vertex, no pad
         assert len(domain.faces) == 12
-        assert np.array_equal(np.diff(domain.L.indptr), np.full(8, 4))
-        assert np.all(domain.L.data != 0.0)
+        assert domain.L.columns.shape == (3, 8)
+        assert domain.L.rest_rows.size == 0
+        assert np.all(domain.L.weights != 0.0)
 
     def test_stable_argsort_fallback_gives_the_same_arrays(self, tmp_path, monkeypatch):
         # the tagged-value sort overflows int64 past ~10^6 vertices
         fast = irregular_off(tmp_path / "irregular.off").L
         monkeypatch.setattr(subsup.geometry, "_TAGGED_LIMIT", 0)
-        for domain in (irregular_off(tmp_path / "again.off"), cube_off(tmp_path / "c.off")):
-            assert_same_csr(domain.L, scipy_stiffness(domain))
-        assert_same_csr(irregular_off(tmp_path / "third.off").L, fast)
-
-    def test_stiffness_is_a_view_of_the_arrays(self, icosphere2):
-        L = icosphere2.stiffness
-        assert np.shares_memory(L.data, icosphere2.L.data)
-        assert np.shares_memory(L.indices, icosphere2.L.indices)
-        assert np.shares_memory(L.indptr, icosphere2.L.indptr)
-
-    def test_with_diagonal_stores_every_diagonal_entry(self):
-        import scipy.sparse as sp
-
-        from subsup.geometry import CSR
-
-        # rows 0, 2 and 4 have no diagonal entry, rows 1 and 3 have one
-        dense = np.array(
-            [
-                [0.0, -1.0, 0.0, 0.5, 0.0],
-                [-1.0, 2.5, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0, 3.0, -0.25],
-                [0.0, 0.0, 0.0, -0.25, 0.0],
-            ]
-        )
-        matrix = sp.csr_matrix(dense)
-        arrays = CSR(
-            matrix.indptr.astype(np.int32), matrix.indices.astype(np.int32), matrix.data
-        )
-        full, diagonal = arrays.with_diagonal()
-        assert np.array_equal(full.indices[diagonal], np.arange(5))
-        assert np.array_equal(full.data[diagonal], np.diag(dense))
+        slow = irregular_off(tmp_path / "again.off").L
+        for got, expected in zip(slow, fast):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_mesh_quality_reads_the_arrays(self, tmp_path):
         verts = [(0, 0, 0), (1, 0, 0), (0.5, 0.1, 0), (0.5, -0.1, 0)]

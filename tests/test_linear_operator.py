@@ -17,6 +17,31 @@ def as_off(domain, path):
     return subsup.load_off(write_off(path, domain.coordinates, domain.faces))
 
 
+def csr_matvec_reference(A, values):
+    """A @ values from a scipy CSR matrix, the way LinearProblem.matvec sums.
+
+    Each row starts from its diagonal term and adds its other entries
+    one after another in CSR order; np.add.at is unbuffered, so repeated
+    rows accumulate in array order.
+    """
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    off = A.indices != rows
+    out = A.diagonal() * values
+    np.add.at(out, rows[off], A.data[off] * values[A.indices[off]])
+    return out
+
+
+def assert_within_rounding(got, A, values):
+    """got is A @ values up to the rounding of two sums of products.
+
+    A row of k terms summed in any order is within k eps (|A| |x|)_i of
+    the exact value, so two such sums differ by at most twice that.
+    """
+    k = np.diff(A.indptr).max()
+    bound = 2 * k * np.finfo(float).eps * (abs(A) @ np.abs(values))
+    assert np.all(np.abs(got - A @ values) <= bound)
+
+
 def random_dual(domain, rng, scale=1.0):
     return DualVector(domain, rng.standard_normal(domain.vertex_count) * scale)
 
@@ -319,7 +344,9 @@ class TestReturnedAction:
     def test_ax_is_the_csr_matvec_of_the_solution(self, case, tmp_path):
         lp, rng = backend_problem(case, tmp_path)
         u, report = solve_T(lp, random_dual(lp.domain, rng), tol=1e-11)
-        assert np.array_equal(report.Ax, lp.system_matrix @ u.values)
+        A = lp.system_matrix
+        assert np.array_equal(report.Ax, csr_matvec_reference(A, u.values))
+        assert_within_rounding(report.Ax, A, u.values)
 
     @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
     def test_handing_ax0_back_changes_no_bit(self, case, tmp_path):
@@ -380,14 +407,15 @@ class TestSlotMatvec:
         n = lp.domain.vertex_count
         rng = np.random.default_rng(13)
         for x in (rng.standard_normal(n), np.zeros(n), -np.zeros(n), np.ones(n)):
-            got, expected = lp.matvec(x), A @ x
+            got, expected = lp.matvec(x), csr_matvec_reference(A, x)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert_within_rounding(got, A, x)
 
     def test_h1_norm_uses_the_csr_matvec_of_L(self, icosphere2):
         v = np.random.default_rng(17).standard_normal(icosphere2.vertex_count)
-        L = icosphere2.stiffness
-        expected = np.sqrt(v @ (L @ v) + v @ (icosphere2.mass * v))
+        Lv = csr_matvec_reference(icosphere2.stiffness, v)
+        expected = np.sqrt(v @ Lv + v @ (icosphere2.mass * v))
         assert subsup.h1_norm(icosphere2, v) == expected
 
     def test_h1_matrix_is_stiffness_plus_mass(self, icosphere2):

@@ -136,6 +136,24 @@ class TestCheckAlpha1:
         assert report.clause == "F(t) = 0 for t < 0"
         assert report.t < 0.0
 
+    def test_table_excess_inside_a_segment_is_found(self):
+        # a chord of the convex t^5 lies above it: a segment from a to b,
+        # both on t^5 and between two neighbouring samples, exceeds the
+        # bound only strictly inside, where the slopes meet
+        samples = np.linspace(-1.0, 2.0, 1000)
+        a, b = samples[833] + 5e-4, samples[834] - 5e-4
+        F = ScalarNonlinearity.table([0.0, a - 0.1, a, b, b + 1.0], [0.0, 0.0, a**5, b**5, b**5])
+        assert np.all(F(samples) <= np.maximum(samples, 0.0) ** 5)
+        report = check_alpha1(F, ScalarNonlinearity.power(0.5), 3, 0.5, 2.0)
+        assert not report.passed
+        assert report.clause == "F(t) <= t^(2*-1)"
+        assert a < report.t < b
+        assert report.value > report.bound + 1e-6
+        # the point is the segment's largest excess
+        inside = np.linspace(a, b, 10001)
+        excess = F(inside) - inside**5
+        assert report.value - report.bound >= excess.max() - 1e-15
+
     def test_h_checked_against_q(self):
         report = check_alpha1(
             ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(2.0), 3, 0.5, 2.0
