@@ -10,20 +10,30 @@ sequences in lockstep and checks each new link of that chain as it is
 made, within a small relative slack; the first bend beyond it (from
 floating point or a broken precondition) aborts the run loudly.
 
-The sequences contract linearly, so every few steps each side also
-tries a damped Aitken restart: an extrapolated point that aims short of
-the limit.  Being a lower solution is not enough for the point to stay
-below the minimal solution: it may have jumped past it, to the lower
-solutions of a larger one.  So a point replaces the current iterate
-only if two certificates hold.  The bracket rule that verified the
-input bracket verifies it as a lower (upper) solution, at the run's tol
-or tighter; and T(S(.)) provably contracts between the current iterate
-and the point (see _contraction_rate), which leaves no solution in the
-bracket below a lower point or above an upper one.  So the lower
-sequence stays below every solution in the bracket and the upper one
-above, as without restarts, and the limits are still the minimal and
-maximal solutions.  The iteration keeps the current pair and one
-previous iterate per side, no longer history.
+Each step, each running side also tries a restart point from one
+shifted linear solve.  With D the entrywise least slope of f F + h H
+over the current pair and J = A - M diag(D), the point of a side with
+iterate x is v = J^-1 (S(x) - M D x): D = 0 gives back the plain step,
+and as the pair narrows D tends to the derivative of S at the limit, so
+the point becomes a Newton step.  This is the monotone Newton-type
+iteration of Ortega and Rheinboldt (Iterative Solution of Nonlinear
+Equations in Several Variables, 1970, section 13.3) and C. V. Pao
+(Nonlinear Parabolic and Elliptic Equations, 1992).  Being a lower
+solution is not enough for the point to stay below the minimal
+solution: it may have jumped past it, to the lower solutions of a
+larger one.  So a point replaces the current iterate only if its
+certificates hold.  The bracket rule that verified the input bracket
+verifies it as a lower (upper) solution, at the run's tol or tighter;
+the pair stays ordered; T(S(.)) provably contracts between the
+current iterate and the point, at a rate Lambda < 1 (see
+_contraction_rate); and the point's wrong-sign defect stays within the
+rule's allowance even amplified by 1 / (1 - Lambda), as that bound
+carries it past the extreme solution.  That leaves no solution in the bracket below a lower point or above an
+upper one, whatever produced the point, so J needs no certificate of
+its own.  The lower sequence stays below every solution in the bracket
+and the upper one above, as without restarts, and the limits are still
+the minimal and maximal solutions.  The iteration keeps only the
+current pair, no history.
 """
 
 from __future__ import annotations
@@ -34,20 +44,13 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Field, mesh_quality
-from .linear_operator import solve_T
+from .linear_operator import ConvergenceError, DualVector, solve_T
 from .nonlinearity import apply_S, check_alpha2
 from .serialize import FloatColumn, write_csv, write_json
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_STEPS = 500
 ORDERING_SLACK = 1e-9  # relative to max|upper|, the scale of the default tol
-# Aitken restarts: tried at step RESTART_FIRST_STEP and then at least
-# RESTART_GAP steps apart.  A gap of 2 or more means every side has two
-# plain steps since its last restart, which the ratio estimate needs.
-# RESTART_DAMPING < 1 aims short of the extrapolated limit.
-RESTART_FIRST_STEP = 3
-RESTART_GAP = 2
-RESTART_DAMPING = 0.95
 
 
 class BracketError(ValueError):
@@ -85,7 +88,9 @@ class IterationTrace:
 
     A trace only exists for an intact chain: a bend beyond slack raises
     OrderingError at the step where it happens.  restarts counts the
-    accepted Aitken restarts of (lower, upper); a restart adds no row.
+    accepted restarts of (lower, upper); a restart adds no row.
+    cg_iterations counts the CG iterations of each side's linear solves,
+    the plain steps' and the shifted ones' together.
     """
 
     lower_steps: list
@@ -93,6 +98,7 @@ class IterationTrace:
     steps: int
     converged: bool
     restarts: tuple
+    cg_iterations: tuple
 
     def rows(self):
         """Interleaved per-step rows for the CSV export."""
@@ -207,22 +213,31 @@ def _end_failure(problem, side, v, upper, tol, image):
     if upper is not None and np.any(v > upper):
         bad = int(np.argmax(v - upper))
         return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
+    sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
+    bad, excess, scale = _worst_defect(problem, sign, v, image)
+    allow = tol * scale
+    if excess <= allow:
+        return None
+    d = sign * excess
+    message = f"{side} defect {word} at vertex {bad}: {d:.6e} {op} {sign * allow:.6e}"
+    return BracketFailure("defect", message, bad, d)
+
+
+def _worst_defect(problem, sign, v, image):
+    """(i, sign d_i, max|M a v|) for the defect d of v with the largest sign d_i.
+
+    sign is 1 for a lower end, whose defect must be <= 0, and -1 for an
+    upper end; image is v's (A v, S(v)), or None to form it here.
+    """
     if image is None:
         d = defect(problem, v).values
     else:
         av, psi = image
         d = av - psi.values
+    d *= sign
+    bad = int(np.argmax(d))
     scale = float(np.abs(problem.domain.mass * problem.a.values * v).max())
-    allow = tol * scale
-    # a lower end needs d <= allow, an upper end d >= -allow
-    sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
-    bad = int(np.argmax(sign * d))
-    if sign * d[bad] <= allow:
-        return None
-    message = (
-        f"{side} defect {word} at vertex {bad}: {d[bad]:.6e} {op} {sign * allow:.6e}"
-    )
-    return BracketFailure("defect", message, bad, float(d[bad]))
+    return bad, float(d[bad]), scale
 
 
 def _holds(failure, side):
@@ -260,19 +275,6 @@ def positivity_check(domain, u):
     return bool(u.values.min() > 0.0)
 
 
-def _aitken(steps, current, previous):
-    """u_k + theta rho/(1 - rho) (u_k - u_{k-1}), or None unless 0 < rho < 1.
-
-    rho is the ratio of the last two max_change values, theta the
-    RESTART_DAMPING; the point aims short of the limit of a sequence
-    that contracts at rate rho.
-    """
-    rho = steps[-1].max_change / steps[-2].max_change
-    if not 0.0 < rho < 1.0:
-        return None
-    return current + RESTART_DAMPING * rho / (1.0 - rho) * (current - previous)
-
-
 def _contraction_rate(problem, v, u, av):
     """Lambda = max_i m_i D_i v_i / (A v)_i, or inf unless v > 0 and A v > 0.
 
@@ -286,8 +288,9 @@ def _contraction_rate(problem, v, u, av):
     (inverse-positive) gives delta <= t Lambda v; with Lambda < 1 the
     least such t is 0.  The upper side is the mirror image, with
     z = max(w, v).  v passes the bracket rule only within its allowance,
-    which the bound carries over amplified by 1 / (1 - Lambda).  av is
-    A v as the bracket rule formed it, with L v in edge form.
+    which the bound carries over amplified by 1 / (1 - Lambda); _restart
+    bounds the amplified defect too.  av is A v as the bracket rule
+    formed it, with L v in edge form.
     """
     domain = problem.domain
     lo = np.maximum(np.minimum(u, v), 0.0)  # S clamps at 0
@@ -301,36 +304,88 @@ def _contraction_rate(problem, v, u, av):
     return float(rate) if np.isfinite(rate) else np.inf
 
 
-def _verified_restarts(problem, records, u, previous, converged, tol):
-    """(side, point, S(point)) for each running side whose Aitken point is verified.
+def _least_slope(problem, lower, upper):
+    """D: the least slope of f F + h H over [max(lower, 0), max(upper, 0)].
 
-    The points of both sides go through bracket_failures at tol in one
-    call; a side restarts only if its point passes as a lower (upper)
-    solution, the restarted pair stays ordered, and the contraction rate
-    between its current iterate and the point is below 1.  Each point's
-    A v and S(v) are formed once, for the rule, the rate and the restart.
+    Entrywise; a non-finite entry (H = t^q with q < 1 at 0, or 0 * inf
+    where f or h is 0) becomes 0, which leaves that vertex unshifted.
     """
-    candidates = [
-        None if done else _aitken(steps, v, before)
-        for done, steps, v, before in zip(converged, records, u, previous)
-    ]
+    lo = np.maximum(lower, 0.0)
+    hi = np.maximum(upper, 0.0)
+    with np.errstate(invalid="ignore"):
+        slope = problem.f.values * problem.F.min_slope(lo, hi)
+        slope += problem.h.values * problem.H.min_slope(lo, hi)
+    slope[~np.isfinite(slope)] = 0.0
+    return slope
+
+
+def _shifted_point(problem, x, psi, ax, shift, tol):
+    """(J^-1 (S(x) - M D x), CG iterations), J = A - M diag(D), shift = m D.
+
+    psi is S(x) and ax is A x, so the solve starts from x with no
+    product of its own.  The point is None when CG fails on J, which
+    need not be positive definite; the iterations count either way.
+    """
+    domain = problem.domain
+    mdx = shift * x
+    rhs = DualVector(domain, psi.values - mdx)
+    jx = np.subtract(ax, mdx, out=mdx)  # J x, in the buffer of M D x
+    try:
+        v, report = solve_T(
+            problem.linear, rhs, tol=tol, x0=Field(domain, x), Ax0=jx, shift=shift
+        )
+    except ConvergenceError as exc:
+        return None, exc.report.iterations
+    return v.values, report.iterations
+
+
+def _restart(problem, u, psi, action, converged, restart_tol, linear_tol, cg):
+    """Restart each running side whose shifted point is verified; returns those sides.
+
+    Each side that has not converged gets its point from _shifted_point,
+    with D taken over the current pair u; the CG iterations of the solve
+    are added to cg.  The points of both sides go through
+    bracket_failures at restart_tol in one call.  A side restarts only if its point passes as a lower
+    (upper) solution, the restarted pair stays ordered, the contraction
+    rate Lambda between its current iterate and the point is below 1,
+    and the point's worst defect of the wrong sign, which the rate's
+    bound carries past the extreme solution amplified by 1 / (1 - Lambda),
+    stays within restart_tol * max|M a v| even so.  Each point's A v and
+    S(v) are formed once, for the rule, the rate and the restart.  A
+    restarted side gets the point as u, its S as psi and no A u, so the
+    next warm start forms A v through the slot layout.
+    """
+    shift = problem.domain.mass * _least_slope(problem, *u)
+    candidates = [None, None]
+    for i in (0, 1):
+        if not converged[i]:
+            candidates[i], iterations = _shifted_point(
+                problem, u[i], psi[i], action[i], shift, linear_tol
+            )
+            cg[i] += iterations
+    del shift
     if all(c is None for c in candidates):
         return []
     images = [
         None if c is None else _image(problem, Field(problem.domain, c))
         for c in candidates
     ]
-    failures = bracket_failures(problem, *candidates, tol, images=images)
+    failures = bracket_failures(problem, *candidates, restart_tol, images=images)
     passed = [c if f is None else None for c, f in zip(candidates, failures)]
     lower, upper = (v if p is None else p for p, v in zip(passed, u))
     # the rule orders the two ends only when both are candidates
     if np.any(lower > upper):
         return []
-    return [
-        (i, p, images[i][1])
-        for i, p in enumerate(passed)
-        if p is not None and _contraction_rate(problem, p, u[i], images[i][0]) < 1.0
-    ]
+    sides = []
+    for i, (p, sign) in enumerate(zip(passed, (1, -1))):
+        if p is None:
+            continue
+        rate = _contraction_rate(problem, p, u[i], images[i][0])
+        _, excess, scale = _worst_defect(problem, sign, p, images[i])
+        if rate < 1.0 and excess <= (1.0 - rate) * restart_tol * scale:
+            u[i], psi[i], action[i] = p, images[i][1], None
+            sides.append(i)
+    return sides
 
 
 def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
@@ -343,16 +398,17 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     did not go up, and lower <= upper.  A converged side stays frozen at
     its last iterate.
 
-    From step RESTART_FIRST_STEP on, and RESTART_GAP steps apart, each
-    running side may restart from its damped Aitken point if
-    bracket_failures verifies that point, the pair stays ordered, and
-    _contraction_rate certifies that no solution in the bracket lies on
-    the far side of it; a rejected point changes nothing, and no restart
-    happens at the last step.  The point is verified at tol, or at
-    ORDERING_SLACK * min(m a) / max(m a) if that is smaller, so that the
-    step after a restart cannot move back beyond the slack.  The per-step
-    checks run after a restart as before, and the limits are checked
-    against the input bracket (the sandwich).
+    At every step but the last, each running side may then restart from
+    its shifted point (see _restart): one more CG solve, on
+    J = A - M diag(D) with A's preconditioner and T's tolerance.  The
+    point replaces the iterate if bracket_failures verifies it, the pair
+    stays ordered, and _contraction_rate certifies, with room for the
+    rule's allowance, that no solution in the bracket lies on the far
+    side of it; a rejected point changes nothing.  The point is verified
+    at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that is
+    smaller, so that the step after a restart cannot move back beyond
+    the slack.  The per-step checks run after a restart as before, and
+    the limits are checked against the input bracket (the sandwich).
 
     Returns (SolutionPair, IterationTrace).  Non-convergence within
     max_steps is reported through the trace's converged flag, not an
@@ -382,6 +438,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     # within slack; the run's tol alone would not once it exceeds the slack.
     ma = domain.mass * problem.a.values
     restart_tol = min(tol, ORDERING_SLACK * float(ma.min() / ma.max()))
+    del ma  # each N-vector held through the loop raises the peak memory
 
     def require(amount, description):
         if amount > slack:
@@ -391,28 +448,29 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 "non-M-matrix domain or an unverified bracket"
             )
 
+    linear_tol = tol / 100.0
     u = [bracket.lower.values.copy(), bracket.upper.values.copy()]
-    previous = [None, None]
     # A u from solve_T's last re-check; None where u was not solved for
     action = [None, None]
     psi = [apply_S(problem, Field(domain, v)) for v in u]
     records = ([], [])
     converged = [False, False]
     restarts = [0, 0]
-    last_try = 0
+    cg = [0, 0]
     for k in range(1, max_steps + 1):
         # lower must climb, upper must descend
         for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
             if converged[i]:
                 continue
             x, report = solve_T(
-                linear, psi[i], tol=tol / 100.0, x0=Field(domain, u[i]), Ax0=action[i]
+                linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
             )
+            cg[i] += report.iterations
             gap = float((sign * (u[i] - x.values)).max())
             require(gap, f"{name} sequence not monotone at step {k}")
             change = float(np.abs(x.values - u[i]).max())
-            previous[i], u[i], action[i] = u[i], x.values, report.Ax
-            psi[i] = apply_S(problem, x)
+            u[i], action[i], psi[i] = x.values, report.Ax, apply_S(problem, x)
+            del x, report  # a restart replaces u[i] and action[i]; free them then
             resid = float(np.abs(action[i] - psi[i].values).max())
             records[i].append(
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
@@ -422,14 +480,10 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
         if all(converged):
             break
         # never at the last step: its recorded iterate is the one returned
-        if RESTART_FIRST_STEP <= k < max_steps and k - last_try >= RESTART_GAP:
-            last_try = k
-            points = _verified_restarts(
-                problem, records, u, previous, converged, restart_tol
-            )
-            for i, v, image in points:
-                # the next warm start forms A v through the slot layout
-                u[i], psi[i], action[i] = v, image, None
+        if k < max_steps:
+            for i in _restart(
+                problem, u, psi, action, converged, restart_tol, linear_tol, cg
+            ):
                 restarts[i] += 1
 
     u_star, u_upper_star = u
@@ -456,5 +510,6 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
         steps=k,
         converged=all(converged),
         restarts=tuple(restarts),
+        cg_iterations=tuple(cg),
     )
     return pair, trace

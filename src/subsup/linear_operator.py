@@ -250,7 +250,7 @@ def h1_norm(domain, values):
     return float(np.sqrt(max(v @ L.product(v, L.diagonal) + v @ (domain.mass * v), 0.0)))
 
 
-def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
+def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     """Solve A u = psi by preconditioned conjugate gradients.
 
     The preconditioner is problem.preconditioner: an FFT solve on periodic
@@ -271,11 +271,24 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None):
     them (the starting residual included): tol is then below the floor
     that rounding leaves, and more sweeps would only redraw the noise
     around it until the cap.
+
+    With a shift (a length-N array), the system is instead
+    (A - diag(shift)) u = psi, and Ax0 and the report's Ax are products
+    with that matrix; the preconditioner stays the one built for A.  A
+    shift that leaves the matrix not positive definite may end in the
+    pAp <= 0 breakdown, a ConvergenceError.
     """
     _require_same_domain(problem.domain, psi)
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite number > 0")
-    matvec = problem.matvec
+    if shift is None:
+        matvec = problem.matvec
+    else:
+        diagonal = problem.diagonal - shift
+
+        def matvec(values):
+            return problem.domain.L.product(values, diagonal)
+
     b = psi.values
     n = b.size
     if x0 is None:

@@ -122,15 +122,36 @@ class ScalarNonlinearity:
         if self.kind == "power":
             with np.errstate(divide="ignore"):
                 return self.p * (hi if self.p >= 1.0 else lo) ** (self.p - 1.0)
+        return self._touched_slopes(lo, hi, np.maximum, 0.0)
+
+    def min_slope(self, lo, hi):
+        """Least one-sided derivative on [lo, hi], entrywise, 0 <= lo <= hi.
+
+        The mirror of max_slope: it is at most (F(s) - F(t)) / (s - t) for
+        all s != t in the interval.  Power laws take it at an end (lo for
+        p >= 1; hi for p < 1, where it is inf at hi = 0); tables take the
+        flattest segment that touches the interval, and 0 where the
+        interval reaches into a constant extension.
+        """
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if self.kind == "power":
+            with np.errstate(divide="ignore"):
+                return self.p * (lo if self.p >= 1.0 else hi) ** (self.p - 1.0)
+        out = self._touched_slopes(lo, hi, np.minimum, np.inf)
+        return np.where((lo < self.ts[0]) | (hi > self.ts[-1]), 0.0, out)
+
+    def _touched_slopes(self, lo, hi, pick, start):
+        """pick-reduction of start and the table's segment slopes touching [lo, hi]."""
         slopes = np.diff(self.values) / np.diff(self.ts)
         # segment j spans [ts[j], ts[j+1]]; first..last touch [lo, hi]
         first = np.searchsorted(self.ts[1:], lo, side="left")
         last = np.searchsorted(self.ts[:-1], hi, side="right") - 1
-        out = np.zeros(np.broadcast(lo, hi).shape)
+        out = np.full(np.broadcast(lo, hi).shape, start)
         touched = first <= last
         for offset in range(int(np.max(last - first, initial=-1)) + 1):
             j = np.clip(np.minimum(first + offset, last), 0, slopes.size - 1)
-            out = np.where(touched, np.maximum(out, slopes[j]), out)
+            out = np.where(touched, pick(out, slopes[j]), out)
         return out
 
 

@@ -241,20 +241,20 @@ class TestIterateMonotone:
     def test_limits_are_the_extreme_of_three_fixed_points(self, side, monkeypatch):
         # a = f = h = 1, F = 0: on constant fields the map is u -> H(u).
         # The lower table has fixed points 0.1556 (stable), 0.1722
-        # (unstable) and 1/3 (stable).  The lower side climbs at rate 0.9
-        # first, so its step-3 point 0.193 lands above 0.1722, where it is
+        # (unstable) and 1/3 (stable).  The point 0.19 injected as the
+        # lower side's first restart point lies above 0.1722, where it is
         # still a lower solution and H has slope 0.5 < 1; the slope 6.9
         # between the iterate and the point is what rules it out.
         # "upper" is the mirror image t -> 1 - t, with fixed points 2/3,
-        # 0.8278 and 0.8444.
+        # 0.8278 and 0.8444, and the point 0.81.
         ts = np.array([0.0, 0.01, 0.15, 0.17, 0.19, 0.2, 1.0])
         hs = np.array([0.0, 0.029, 0.155, 0.157, 0.295, 0.3, 0.5])
         minimal, maximal = 0.14 / 0.9, 1.0 / 3.0
-        bracket = (0.01, 1.0)
+        bracket, overshoot, call = (0.01, 1.0), 0.19, 1
         if side == "upper":
             ts, hs = 1.0 - ts[::-1], 1.0 - hs[::-1]
             minimal, maximal = 1.0 - maximal, 1.0 - minimal
-            bracket = (0.5, 0.99)
+            bracket, overshoot, call = (0.5, 0.99), 0.81, 2
         domain = subsup.build_flat_torus([(4, 1.0)] * 3)
         prob = subsup.NonlinearProblem(
             domain, 1.0, 1.0, 1.0,
@@ -268,10 +268,38 @@ class TestIterateMonotone:
         assert np.abs(pair.u_star.values - minimal).max() <= 1e-8
         assert np.abs(pair.u_upper_star.values - maximal).max() <= 1e-8
         assert not pair.coincide
+        # step 1 tries the lower side's point first, then the upper one's
+        point = np.full(domain.vertex_count, overshoot)
+        inject_restart_point(monkeypatch, call, point)
+        rates = spy_contraction_rate(monkeypatch)
+        pair, _ = iterate_monotone(prob, br, tol=1e-9)
+        (rate,) = [r for v, r in rates if np.array_equal(v, point)]
+        assert rate > 1.0
+        assert np.abs(pair.u_star.values - minimal).max() <= 1e-8
+        assert np.abs(pair.u_upper_star.values - maximal).max() <= 1e-8
         # the bracket rule alone passes a point past the extreme solution
-        monkeypatch.setattr(subsup.iteration, "_contraction_rate", lambda *args: 0.0)
+        inject_restart_point(monkeypatch, call, point)
+        spy_contraction_rate(monkeypatch, rate=0.0)
         pair, _ = iterate_monotone(prob, br, tol=1e-9)
         assert pair.coincide
+
+    def test_cg_iterations_are_counted_per_side(self, monkeypatch, icosphere3):
+        # with max_steps = 2 the solves run in this order: the plain steps
+        # of both sides, their shifted solves, the plain steps of step 2
+        real = subsup.iteration.solve_T
+        iterations = []
+
+        def solve_T(*args, **kwargs):
+            x, report = real(*args, **kwargs)
+            iterations.append(report.iterations)
+            return x, report
+
+        monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+        problem = sphere3_problem(icosphere3)
+        br = make_bracket(problem, icosphere3.field(0.01), icosphere3.field(1.0))
+        _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=2)
+        assert len(iterations) == 6 and min(iterations) > 0
+        assert trace.cg_iterations == (sum(iterations[0::2]), sum(iterations[1::2]))
 
     def test_chains_are_monotone(self, torus_problem, torus8):
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
@@ -483,6 +511,53 @@ def reject_all(lower, upper):
     )
 
 
+def inject_restart_point(monkeypatch, call, point):
+    """Make the call-th shifted solve of the iteration return point.
+
+    Step 1 solves for the lower side's point first, then the upper one's.
+    """
+    real = subsup.iteration._shifted_point
+    calls = []
+
+    def shifted_point(*args):
+        calls.append(None)
+        if len(calls) == call:
+            return point.copy(), 0
+        return real(*args)
+
+    monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
+
+
+def spy_contraction_rate(monkeypatch, rate=None):
+    """Record (point, rate) for every contraction rate the iteration computes.
+
+    With a rate, it replaces the computed one for every point.
+    """
+    real = subsup.iteration._contraction_rate
+    rates = []
+
+    def contraction_rate(problem, v, u, av):
+        rates.append((v, real(problem, v, u, av) if rate is None else rate))
+        return rates[-1][1]
+
+    monkeypatch.setattr(subsup.iteration, "_contraction_rate", contraction_rate)
+    return rates
+
+
+def spy_restarts(monkeypatch):
+    """Record (side, point) for every restart the iteration makes."""
+    real = subsup.iteration._restart
+    accepted = []
+
+    def restart(problem, u, *args):
+        sides = real(problem, u, *args)
+        accepted.extend((i, u[i].copy()) for i in sides)
+        return sides
+
+    monkeypatch.setattr(subsup.iteration, "_restart", restart)
+    return accepted
+
+
 class TestRestarts:
     @pytest.mark.parametrize("case", ["torus8", "icosphere3"])
     def test_all_rejected_is_the_plain_iteration(self, case, monkeypatch, request):
@@ -503,8 +578,16 @@ class TestRestarts:
 
     @pytest.mark.parametrize("path", SCENARIOS)
     def test_overshooting_points_are_rejected(self, path, monkeypatch):
+        # three times the shifted step lands past the limit, on the far
+        # side of the extreme solution
         problem, br, tol = shipped(path)
-        monkeypatch.setattr(subsup.iteration, "RESTART_DAMPING", 3.0)
+        real = subsup.iteration._shifted_point
+
+        def overshoot(problem, x, *args):
+            v, iterations = real(problem, x, *args)
+            return x + 3.0 * (v - x), iterations
+
+        monkeypatch.setattr(subsup.iteration, "_shifted_point", overshoot)
         calls = spy_bracket_rule(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=tol)
         _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
@@ -513,13 +596,30 @@ class TestRestarts:
         assert np.array_equal(pair.u_upper_star.values, upper)
 
     @pytest.mark.parametrize("path", SCENARIOS)
+    def test_restart_points_stay_on_their_side_of_the_plain_limits(
+        self, path, monkeypatch
+    ):
+        # the oracle: the restart-free iteration's limits, which every
+        # accepted lower (upper) point must not pass beyond the slack; the
+        # plain limits stop up to about tol short of the extreme solutions
+        problem, br, tol = shipped(path)
+        accepted = spy_restarts(monkeypatch)
+        _, trace = iterate_monotone(problem, br, tol=tol)
+        _, limits = plain_iteration(problem, br, tol, tol / 100.0)
+        slack = subsup.iteration.ORDERING_SLACK * np.abs(br.upper.values).max()
+        assert len(accepted) == sum(trace.restarts) > 0
+        for side, point in accepted:
+            sign = 1.0 if side == 0 else -1.0
+            assert (sign * (point - limits[side])).max() <= slack
+
+    @pytest.mark.parametrize("path", SCENARIOS)
     def test_shipped_scenarios_restart(self, path, monkeypatch):
         problem, br, tol = shipped(path)
         calls = spy_bracket_rule(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=tol)
         assert trace.converged
         assert min(trace.restarts) > 0
-        assert max(len(trace.lower_steps), len(trace.upper_steps)) <= 16
+        assert max(len(trace.lower_steps), len(trace.upper_steps)) <= 6
         # every restart point passed the bracket rule, at the run's tol or
         # tighter, so it passes at the run's tol
         passed = []
@@ -543,7 +643,7 @@ class TestRestarts:
         # let the chain cross; the restart is refused instead
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         monkeypatch.setattr(
-            subsup.iteration, "_aitken", lambda steps, current, previous: current + 1.0
+            subsup.iteration, "_shifted_point", lambda problem, x, *args: (x + 1.0, 0)
         )
         calls = spy_bracket_rule(
             monkeypatch, lambda lower, upper: (None, reject_all(None, upper)[1])
@@ -579,11 +679,12 @@ class TestRestarts:
     @pytest.mark.parametrize("path", SCENARIOS)
     def test_each_candidate_is_evaluated_once(self, path, monkeypatch):
         # make_bracket forms L v and S(v) at both ends; then each step one
-        # S per side, and each restart candidate one L v and one S, shared
-        # by the rule, the contraction rate and the restart
+        # T and one S per side, and each restart candidate one shifted T,
+        # which reuses the step's S(x) and A x, and one L v and one S,
+        # shared by the rule, the contraction rate and the restart
         scenario = load_scenario(path)
         _, problem, lower, upper = build_problem(scenario)
-        counts = {"stiffness_action": 0, "apply_S": 0}
+        counts = {"stiffness_action": 0, "apply_S": 0, "solve_T": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -598,23 +699,53 @@ class TestRestarts:
             "stiffness_action",
             counted("stiffness_action", domain_cls.stiffness_action),
         )
-        monkeypatch.setattr(
-            subsup.iteration, "apply_S", counted("apply_S", subsup.iteration.apply_S)
-        )
+        for name in ("apply_S", "solve_T"):
+            fn = getattr(subsup.iteration, name)
+            monkeypatch.setattr(subsup.iteration, name, counted(name, fn))
         br = make_bracket(problem, lower, upper, scenario.tol)
         calls = spy_bracket_rule(monkeypatch)
         _, trace = iterate_monotone(problem, br, tol=scenario.tol)
         candidates = sum(end is not None for (*ends, _), _ in calls for end in ends)
         steps = len(trace.lower_steps) + len(trace.upper_steps)
-        assert min(trace.restarts) > 0 and candidates > sum(trace.restarts)
+        assert min(trace.restarts) > 0 and candidates >= sum(trace.restarts)
+        assert counts["solve_T"] == steps + candidates
         assert counts["stiffness_action"] == 2 + candidates
         assert counts["apply_S"] == 2 + 2 + steps + candidates
 
-    @pytest.mark.parametrize("max_steps", range(5, 11))
-    def test_returns_the_last_recorded_iterate(self, max_steps, torus_problem, torus8):
+    @pytest.mark.parametrize("rate,restarts", [(0.0, True), (0.5, True), (0.99, False)])
+    def test_the_allowance_is_amplified_by_the_contraction_bound(
+        self, rate, restarts, monkeypatch, torus_problem, torus8, c_star
+    ):
+        # a lower point just above the fixed point keeps a positive defect
+        # of about 0.15 of the rule's allowance, so the rule passes it; the
+        # bound carries that defect over amplified by 1 / (1 - rate)
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        pair, trace = iterate_monotone(torus_problem, br, tol=1e-9, max_steps=max_steps)
-        assert not trace.converged and sum(trace.restarts) > 0
+        point = np.full(torus8.vertex_count, c_star * (1.0 + 3e-10))
+        d = subsup.defect(torus_problem, torus8.field(point)).values
+        allowance = 1e-9 * np.abs(torus8.mass * 2.0 * point).max()
+        assert 0.1 * allowance < d.max() < 0.2 * allowance
+        inject_restart_point(monkeypatch, 1, point)
+        calls = spy_bracket_rule(monkeypatch)
+        rates = spy_contraction_rate(monkeypatch, rate)
+        accepted = spy_restarts(monkeypatch)
+        iterate_monotone(torus_problem, br, tol=1e-9)
+        (_, failures), *_ = calls
+        assert failures[0] is None and np.array_equal(rates[0][0], point)
+        assert any(np.array_equal(p, point) for _, p in accepted) == restarts
+
+    @pytest.mark.parametrize("max_steps", range(5, 11))
+    def test_returns_the_last_recorded_iterate(self, max_steps, torus8):
+        # a = 1.0001: the upper end 1 is barely an upper solution and T(S(.))
+        # expands there (slope 2.75 > a), so the upper side's points fail
+        # the contraction certificate until it has crept away, while the
+        # lower side restarts; the upper one has not converged by step 10
+        problem = subsup.NonlinearProblem(
+            torus8, 1.0001, 0.5, 0.5,
+            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+        )
+        br = make_bracket(problem, torus8.field(0.01), torus8.field(1.0))
+        pair, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=max_steps)
+        assert not trace.converged and trace.restarts[0] > 0
         for u, steps in (
             (pair.u_star, trace.lower_steps),
             (pair.u_upper_star, trace.upper_steps),

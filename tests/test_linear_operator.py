@@ -389,6 +389,41 @@ class TestReturnedAction:
         assert exc.value.report.Ax is None
 
 
+class TestShiftedSolve:
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
+    def test_solves_the_shifted_system(self, case, tmp_path):
+        # A - diag(shift) stays positive definite while shift < m a
+        lp, rng = backend_problem(case, tmp_path)
+        shift = rng.uniform(0.0, 0.9, lp.domain.vertex_count)
+        shift *= lp.domain.mass * lp.a.values
+        psi = random_dual(lp.domain, rng)
+        u, report = solve_T(lp, psi, tol=1e-11, shift=shift)
+        J = lp.system_matrix.toarray() - np.diag(shift)
+        residual = np.linalg.norm(J @ u.values - psi.values)
+        assert residual <= 2e-11 * np.linalg.norm(psi.values)
+        rounding = 1e-12 * (np.abs(J) @ np.abs(u.values))
+        assert np.all(np.abs(report.Ax - J @ u.values) <= rounding)
+        expected = np.linalg.solve(J, psi.values)
+        assert np.abs(u.values - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
+    def test_zero_shift_changes_no_bit(self, case, tmp_path):
+        lp, rng = backend_problem(case, tmp_path)
+        psi = random_dual(lp.domain, rng)
+        plain, plain_report = solve_T(lp, psi, tol=1e-11)
+        shifted, report = solve_T(
+            lp, psi, tol=1e-11, shift=np.zeros(lp.domain.vertex_count)
+        )
+        assert np.array_equal(shifted.values, plain.values)
+        assert np.array_equal(report.Ax, plain_report.Ax)
+
+    def test_indefinite_shift_raises(self, icosphere2):
+        lp = LinearProblem(icosphere2, icosphere2.field(1.0))
+        psi = embed_function(icosphere2.field(1.0))
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            solve_T(lp, psi, shift=3.0 * lp.diagonal)
+
+
 class TestSlotMatvec:
     @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi", "hub", "cube"])
     def test_bitwise_the_csr_matvec(self, case, tmp_path):

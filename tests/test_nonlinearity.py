@@ -72,6 +72,49 @@ class TestScalarNonlinearity:
         # the touched segments, ends included; beyond the table, slope 0
         assert np.array_equal(T.max_slope(lo, hi), [1.0, 3.0, 3.0, 1.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize(
+        "F",
+        [
+            ScalarNonlinearity.power(0.5),
+            ScalarNonlinearity.power(1.0),
+            ScalarNonlinearity.power(5.0),
+            ScalarNonlinearity.table(
+                [0.0, 0.01, 0.15, 0.17, 0.2], [0.0, 0.029, 0.155, 0.157, 0.3]
+            ),
+            ScalarNonlinearity.table([0.05, 0.1, 0.2], [0.0, 0.2, 0.25]),
+        ],
+        ids=["sqrt", "linear", "quintic", "table", "table_from_0.05"],
+    )
+    def test_min_slope_bounds_every_secant(self, F):
+        rng = np.random.default_rng(7)
+        lo = rng.uniform(0.001, 0.3, 200)
+        lo[:40] = 0.0
+        hi = lo + rng.choice([0.0, 1e-6, 0.01, 0.2], 200)
+        bound = F.min_slope(lo, hi)
+        assert np.all(bound >= 0.0)
+        for _ in range(20):
+            s = lo + rng.uniform(0.0, 1.0, 200) * (hi - lo)
+            t = lo + rng.uniform(0.0, 1.0, 200) * (hi - lo)
+            # pairs closer than 1e-9 have secants dominated by rounding
+            far = np.abs(s - t) >= 1e-9
+            secant = (F(s[far]) - F(t[far])) / (s[far] - t[far])
+            assert np.all(secant >= bound[far] * (1.0 - 1e-6))
+
+    def test_min_slope_values(self):
+        H = ScalarNonlinearity.power(0.5)
+        assert H.min_slope(0.25, 1.0) == 0.5 and H.min_slope(0.0, 0.25) == 1.0
+        assert H.min_slope(0.0, 0.0) == np.inf
+        F = ScalarNonlinearity.power(5.0)
+        assert F.min_slope(0.0, 2.0) == 0.0 and F.min_slope(1.0, 2.0) == 5.0
+        assert ScalarNonlinearity.power(1.0).min_slope(0.0, 3.0) == 1.0
+        T = ScalarNonlinearity.table([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 5.0])
+        lo = np.array([0.2, 0.2, 1.2, 1.0, 2.5, 3.5, 0.5, 0.0])
+        hi = np.array([0.8, 1.5, 1.8, 1.0, 3.5, 9.0, 2.5, 3.0])
+        # the touched segments, ends included; reaching beyond the table, 0
+        assert np.array_equal(T.min_slope(lo, hi), [1.0, 1.0, 3.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        G = ScalarNonlinearity.table([1.0, 2.0], [0.0, 2.0])
+        assert np.array_equal(G.min_slope([0.5, 1.0], [1.5, 1.5]), [0.0, 2.0])
+
     def test_table_interpolation(self):
         F = ScalarNonlinearity.table([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         assert F(np.array([0.5]))[0] == pytest.approx(0.5)
