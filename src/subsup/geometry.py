@@ -143,12 +143,6 @@ class DiscreteDomain:
             (data[stored], (rows[stored], columns[stored])), shape=(n, n)
         )
 
-    @property
-    def mass_matrix(self):
-        import scipy.sparse as sp
-
-        return sp.diags(self.mass).tocsr()
-
     def field(self, values):
         """Coerce a scalar, array or Field to a Field on this domain."""
         if isinstance(values, Field):
@@ -235,6 +229,7 @@ def _edge_stiffness(n, i, j, w):
     order of CSR.  i != j throughout; i and j are int64.
     """
     keys, order = _sorted_order(np.minimum(i, j) * n + np.maximum(i, j), n * n)
+    del i, j
     w = w[order]
     del order
     start = np.flatnonzero(np.diff(keys, prepend=-1))

@@ -21,19 +21,19 @@ Equations in Several Variables, 1970, section 13.3) and C. V. Pao
 (Nonlinear Parabolic and Elliptic Equations, 1992).  Being a lower
 solution is not enough for the point to stay below the minimal
 solution: it may have jumped past it, to the lower solutions of a
-larger one.  So a point replaces the current iterate only if its
-certificates hold.  The bracket rule that verified the input bracket
-verifies it as a lower (upper) solution, at the run's tol or tighter;
-the pair stays ordered; T(S(.)) provably contracts between the
-current iterate and the point, at a rate Lambda < 1 (see
-_contraction_rate); and the point's wrong-sign defect stays within the
-rule's allowance even amplified by 1 / (1 - Lambda), as that bound
-carries it past the extreme solution.  That leaves no solution in the bracket below a lower point or above an
-upper one, whatever produced the point, so J needs no certificate of
-its own.  The lower sequence stays below every solution in the bracket
-and the upper one above, as without restarts, and the limits are still
-the minimal and maximal solutions.  The iteration keeps only the
-current pair, no history.
+larger one.  So a point replaces the current iterate only if one
+certificate holds (see _certified): T(S(.)) provably contracts between
+the current iterate and the point, at a rate Lambda < 1 (see
+_contraction_rate), and the point's wrong-sign defect stays within the
+bracket rule's allowance at the run's tol or tighter even amplified by
+1 / (1 - Lambda), as that bound carries it past the extreme solution.
+That makes the point a lower (upper) solution at that tol, and, with
+the restarted pair still ordered, leaves no solution in the bracket
+below a lower point or above an upper one, whatever produced the
+point, so J needs no certificate of its own.  The lower sequence stays
+below every solution in the bracket and the upper one above, as
+without restarts, and the limits are still the minimal and maximal
+solutions.  The iteration keeps only the current pair, no history.
 """
 
 from __future__ import annotations
@@ -178,13 +178,14 @@ class BracketFailure:
     defect: float | None = None
 
 
-def bracket_failures(problem, lower, upper, tol, images=(None, None)):
+def bracket_failures(problem, lower, upper, tol):
     """The first failure at each end of a candidate bracket, or None.
 
-    The one bracket rule; returns (lower failure, upper failure).  An end
-    given as None is not checked; "zero" and "unordered" need both ends.
-    images holds each end's (A v, S(v)) pair, or None to form it here.
-    Each end stops at the first check that fails, in this order:
+    The one bracket rule for input brackets, used by make_bracket and
+    verify_lower/verify_upper; returns (lower failure, upper failure).
+    An end given as None is not checked; "zero" and "unordered" need
+    both ends.  Each end stops at the first check that fails, in this
+    order:
 
     - "negative": some entry is below 0 (names the most negative one);
     - "zero": the lower end is identically 0;
@@ -196,14 +197,13 @@ def bracket_failures(problem, lower, upper, tol, images=(None, None)):
     lo, up = (
         None if v is None else problem.domain.field(v).values for v in (lower, upper)
     )
-    image_lo, image_up = images
     return (
-        None if lo is None else _end_failure(problem, "lower", lo, up, tol, image_lo),
-        None if up is None else _end_failure(problem, "upper", up, None, tol, image_up),
+        None if lo is None else _end_failure(problem, "lower", lo, up, tol),
+        None if up is None else _end_failure(problem, "upper", up, None, tol),
     )
 
 
-def _end_failure(problem, side, v, upper, tol, image):
+def _end_failure(problem, side, v, upper, tol):
     if v.min() < 0.0:
         bad = int(np.argmin(v))
         message = f"{side} solution negative at vertex {bad}"
@@ -214,7 +214,7 @@ def _end_failure(problem, side, v, upper, tol, image):
         bad = int(np.argmax(v - upper))
         return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
     sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
-    bad, excess, scale = _worst_defect(problem, sign, v, image)
+    bad, excess, scale = _worst_defect(problem, sign, v, defect(problem, v).values)
     allow = tol * scale
     if excess <= allow:
         return None
@@ -223,17 +223,12 @@ def _end_failure(problem, side, v, upper, tol, image):
     return BracketFailure("defect", message, bad, d)
 
 
-def _worst_defect(problem, sign, v, image):
+def _worst_defect(problem, sign, v, d):
     """(i, sign d_i, max|M a v|) for the defect d of v with the largest sign d_i.
 
     sign is 1 for a lower end, whose defect must be <= 0, and -1 for an
-    upper end; image is v's (A v, S(v)), or None to form it here.
+    upper end; d is overwritten with sign * d.
     """
-    if image is None:
-        d = defect(problem, v).values
-    else:
-        av, psi = image
-        d = av - psi.values
     d *= sign
     bad = int(np.argmax(d))
     scale = float(np.abs(problem.domain.mass * problem.a.values * v).max())
@@ -287,10 +282,10 @@ def _contraction_rate(problem, v, u, av):
     T(M D delta).  If delta <= t v then M D delta <= t Lambda A v, and T
     (inverse-positive) gives delta <= t Lambda v; with Lambda < 1 the
     least such t is 0.  The upper side is the mirror image, with
-    z = max(w, v).  v passes the bracket rule only within its allowance,
-    which the bound carries over amplified by 1 / (1 - Lambda); _restart
-    bounds the amplified defect too.  av is A v as the bracket rule
-    formed it, with L v in edge form.
+    z = max(w, v).  v is a lower (upper) solution only within an
+    allowance, which the bound carries over amplified by 1 / (1 - Lambda);
+    _certified bounds the amplified defect.  av is A v with L v in edge
+    form.
     """
     domain = problem.domain
     lo = np.maximum(np.minimum(u, v), 0.0)  # S clamps at 0
@@ -339,53 +334,60 @@ def _shifted_point(problem, x, psi, ax, shift, tol):
     return v.values, report.iterations
 
 
+def _certified(problem, sign, v, u, image, tol):
+    """Whether the restart point v may replace the iterate u of its side.
+
+    sign is 1 for the lower side and -1 for the upper one; image is v's
+    (A v, S(v)).  The one certificate of a restart point: the contraction
+    rate Lambda between u and v is below 1, and v's worst defect of the
+    wrong sign, which the rate's bound carries past the extreme solution
+    amplified by 1 / (1 - Lambda), stays within tol * max|M a v| even so.
+    It implies the bracket rule at tol: Lambda < 1 needs v > 0 and
+    A v > 0, and Lambda >= 0 (m > 0, f and h >= 0 by alpha2, slopes
+    >= 0), so the allowance (1 - Lambda) * tol * max|M a v| is at most
+    the rule's.
+    """
+    av, psi = image
+    rate = _contraction_rate(problem, v, u, av)
+    if not rate < 1.0:
+        return False
+    _, excess, scale = _worst_defect(problem, sign, v, av - psi.values)
+    return excess <= (1.0 - rate) * tol * scale
+
+
 def _restart(problem, u, psi, action, converged, restart_tol, linear_tol, cg):
-    """Restart each running side whose shifted point is verified; returns those sides.
+    """Restart each running side whose shifted point is certified; returns those sides.
 
     Each side that has not converged gets its point from _shifted_point,
     with D taken over the current pair u; the CG iterations of the solve
-    are added to cg.  The points of both sides go through
-    bracket_failures at restart_tol in one call.  A side restarts only if its point passes as a lower
-    (upper) solution, the restarted pair stays ordered, the contraction
-    rate Lambda between its current iterate and the point is below 1,
-    and the point's worst defect of the wrong sign, which the rate's
-    bound carries past the extreme solution amplified by 1 / (1 - Lambda),
-    stays within restart_tol * max|M a v| even so.  Each point's A v and
-    S(v) are formed once, for the rule, the rate and the restart.  A
-    restarted side gets the point as u, its S as psi and no A u, so the
-    next warm start forms A v through the slot layout.
+    are added to cg.  Each point's A v and S(v) are formed once, for
+    _certified at restart_tol.  The certified points restart their sides
+    only if the pair they leave stays ordered.  A restarted side gets the
+    point as u, its S as psi and no A u, so the next warm start forms
+    A v through the slot layout.
     """
     shift = problem.domain.mass * _least_slope(problem, *u)
-    candidates = [None, None]
+    points = [None, None]
     for i in (0, 1):
         if not converged[i]:
-            candidates[i], iterations = _shifted_point(
+            points[i], iterations = _shifted_point(
                 problem, u[i], psi[i], action[i], shift, linear_tol
             )
             cg[i] += iterations
     del shift
-    if all(c is None for c in candidates):
-        return []
-    images = [
-        None if c is None else _image(problem, Field(problem.domain, c))
-        for c in candidates
-    ]
-    failures = bracket_failures(problem, *candidates, restart_tol, images=images)
-    passed = [c if f is None else None for c, f in zip(candidates, failures)]
-    lower, upper = (v if p is None else p for p, v in zip(passed, u))
-    # the rule orders the two ends only when both are candidates
+    kept = {}
+    for i, (v, sign) in enumerate(zip(points, (1, -1))):
+        if v is not None:
+            image = _image(problem, Field(problem.domain, v))
+            if _certified(problem, sign, v, u[i], image, restart_tol):
+                kept[i] = v, image[1]
+    lower, upper = (kept[i][0] if i in kept else u[i] for i in (0, 1))
     if np.any(lower > upper):
         return []
-    sides = []
-    for i, (p, sign) in enumerate(zip(passed, (1, -1))):
-        if p is None:
-            continue
-        rate = _contraction_rate(problem, p, u[i], images[i][0])
-        _, excess, scale = _worst_defect(problem, sign, p, images[i])
-        if rate < 1.0 and excess <= (1.0 - rate) * restart_tol * scale:
-            u[i], psi[i], action[i] = p, images[i][1], None
-            sides.append(i)
-    return sides
+    for i in kept:
+        u[i], psi[i] = kept[i]
+        action[i] = None
+    return list(kept)
 
 
 def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
@@ -401,13 +403,13 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     At every step but the last, each running side may then restart from
     its shifted point (see _restart): one more CG solve, on
     J = A - M diag(D) with A's preconditioner and T's tolerance.  The
-    point replaces the iterate if bracket_failures verifies it, the pair
-    stays ordered, and _contraction_rate certifies, with room for the
-    rule's allowance, that no solution in the bracket lies on the far
-    side of it; a rejected point changes nothing.  The point is verified
-    at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that is
-    smaller, so that the step after a restart cannot move back beyond
-    the slack.  The per-step checks run after a restart as before, and
+    point replaces the iterate if _certified finds it a lower (upper)
+    solution that no solution in the bracket lies beyond, and the pair
+    stays ordered; a refused point changes nothing.  The point is
+    certified at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that
+    is smaller, so that the step after a restart cannot move back beyond
+    the slack.  The bracket rule runs on the input bracket only, in
+    make_bracket.  The per-step checks run after a restart as before, and
     the limits are checked against the input bracket (the sandwich).
 
     Returns (SolutionPair, IterationTrace).  Non-convergence within

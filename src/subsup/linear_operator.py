@@ -106,10 +106,6 @@ class LinearProblem:
         diagonal = sp.diags(self.domain.mass * self.a.values)
         return (self.domain.stiffness + diagonal).tocsr()
 
-    def matvec(self, values):
-        """A @ values: the diagonal term, then each row's other entries in CSR order."""
-        return self.domain.L.product(values, self.diagonal)
-
     @property
     def preconditioner(self):
         """r -> P^{-1} r for the CG loop in solve_T, built on first use.
@@ -281,14 +277,8 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     _require_same_domain(problem.domain, psi)
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite number > 0")
-    if shift is None:
-        matvec = problem.matvec
-    else:
-        diagonal = problem.diagonal - shift
-
-        def matvec(values):
-            return problem.domain.L.product(values, diagonal)
-
+    diagonal = problem.diagonal if shift is None else problem.diagonal - shift
+    product = problem.domain.L.product
     b = psi.values
     n = b.size
     if x0 is None:
@@ -297,7 +287,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     else:
         _require_same_domain(problem.domain, x0)
         x = x0.values.copy()
-        Ax = matvec(x) if Ax0 is None else Ax0
+        Ax = product(x, diagonal) if Ax0 is None else Ax0
     precondition = problem.preconditioner
 
     bnorm = np.linalg.norm(b)
@@ -326,7 +316,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
                         "a may be near-singular or badly conditioned",
                         report,
                     )
-                Ap = matvec(p)
+                Ap = product(p, diagonal)
                 pAp = p @ Ap
                 if pAp <= 0.0:
                     report = SolveReport(iterations, float(resid), history)
@@ -350,7 +340,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
                 rz = rz_new
                 p = z + beta * p
         # the recurrence residual can drift from the true one; re-check
-        Ax = matvec(x)
+        Ax = product(x, diagonal)
         r = b - Ax
         resid = np.linalg.norm(r)
         if resid <= stop:

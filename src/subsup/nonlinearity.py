@@ -18,6 +18,8 @@ import numpy as np
 from .geometry import Field
 from .linear_operator import DualVector, LinearProblem
 
+ALPHA1_SAMPLES = 1000  # evenly spaced points of [-1, t_max] that check_alpha1 tests
+
 
 def critical_exponent(n):
     """2n/(n-2), the growth threshold; defined for n >= 3."""
@@ -230,14 +232,14 @@ def _table_points(G, p):
     return points
 
 
-def check_alpha1(F, H, n, q, t_max, samples=1000):
+def check_alpha1(F, H, n, q, t_max):
     """Check the growth bounds 0 <= F <= t^(2*-1), 0 <= H <= t^q on
     [-1, t_max] and the vanishing clause on t < 0.
 
-    Power laws are sampled.  A table is checked exactly: its breakpoints,
-    0, t_max and the points where it can peak against its bound (see
-    _table_points) join the samples, and between them the excess over
-    the bound has no larger maximum.  Returns a report naming the first
+    Power laws are sampled at ALPHA1_SAMPLES points.  A table is checked
+    exactly: its breakpoints, 0, t_max and the points where it can peak
+    against its bound (see _table_points) join the samples, and between
+    them the excess over the bound has no larger maximum.  Returns a report naming the first
     violated clause at the lowest such point.  q >= 1 is legal for the
     bound but outside the sublinear range the power-law instance uses,
     so it is flagged as a warning rather than rejected.
@@ -256,7 +258,7 @@ def check_alpha1(F, H, n, q, t_max, samples=1000):
             f"setting, continuing with the bound q < {p_crit:g}"
         )
 
-    points = [np.linspace(-1.0, t_max, samples), [0.0]]
+    points = [np.linspace(-1.0, t_max, ALPHA1_SAMPLES), [0.0]]
     for G, p in ((F, p_crit), (H, q)):
         if G.kind == "table":
             points += _table_points(G, p)

@@ -423,11 +423,6 @@ class TestDomainApi:
         with pytest.raises(ValueError):
             torus8.field(f)
 
-    def test_mass_matrix_diagonal(self, icosphere2):
-        M = icosphere2.mass_matrix
-        assert np.allclose(M.diagonal(), icosphere2.mass)
-        assert M.nnz == icosphere2.vertex_count
-
     def test_to_json_dict(self, torus8, icosphere2):
         d = torus8.to_json_dict()
         assert d["kind"] == "flat_torus"

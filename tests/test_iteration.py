@@ -3,7 +3,7 @@ import pytest
 
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
-from subsup.iteration import BracketFailure, bracket_failures
+from subsup.iteration import bracket_failures
 from subsup.scenario import build_problem, load_scenario
 
 from tests.conftest import make_constant_problem
@@ -277,7 +277,7 @@ class TestIterateMonotone:
         assert rate > 1.0
         assert np.abs(pair.u_star.values - minimal).max() <= 1e-8
         assert np.abs(pair.u_upper_star.values - maximal).max() <= 1e-8
-        # the bracket rule alone passes a point past the extreme solution
+        # the defect bound alone passes a point past the extreme solution
         inject_restart_point(monkeypatch, call, point)
         spy_contraction_rate(monkeypatch, rate=0.0)
         pair, _ = iterate_monotone(prob, br, tol=1e-9)
@@ -484,31 +484,24 @@ def sphere3_problem(icosphere3):
     )
 
 
-def spy_bracket_rule(monkeypatch, verdict=None):
-    """Record (args, result) of every bracket_failures call in the iteration.
+def spy_certificate(monkeypatch, verdict=None):
+    """Record (sign, point, tol, verdict) of every restart certificate.
 
-    With a verdict, its result replaces the rule's.
+    With a verdict, verdict(sign, point) replaces the certificate's.
     """
-    real = subsup.iteration.bracket_failures
+    real = subsup.iteration._certified
     calls = []
 
-    def rule(problem, lower, upper, tol, images=(None, None)):
+    def certified(problem, sign, v, u, image, tol):
         if verdict is None:
-            result = real(problem, lower, upper, tol, images=images)
+            result = real(problem, sign, v, u, image, tol)
         else:
-            result = verdict(lower, upper)
-        calls.append(((lower, upper, tol), result))
+            result = verdict(sign, v)
+        calls.append((sign, v, tol, result))
         return result
 
-    monkeypatch.setattr(subsup.iteration, "bracket_failures", rule)
+    monkeypatch.setattr(subsup.iteration, "_certified", certified)
     return calls
-
-
-def reject_all(lower, upper):
-    return tuple(
-        None if end is None else BracketFailure("defect", "rejected")
-        for end in (lower, upper)
-    )
 
 
 def inject_restart_point(monkeypatch, call, point):
@@ -567,7 +560,7 @@ class TestRestarts:
         else:
             problem = sphere3_problem(domain)
         br = make_bracket(problem, domain.field(0.01), domain.field(1.0))
-        calls = spy_bracket_rule(monkeypatch, reject_all)
+        calls = spy_certificate(monkeypatch, lambda sign, v: False)
         pair, trace = iterate_monotone(problem, br, tol=1e-9)
         rows, (lower, upper) = plain_iteration(problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
@@ -588,7 +581,7 @@ class TestRestarts:
             return x + 3.0 * (v - x), iterations
 
         monkeypatch.setattr(subsup.iteration, "_shifted_point", overshoot)
-        calls = spy_bracket_rule(monkeypatch)
+        calls = spy_certificate(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=tol)
         _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
         assert calls and trace.restarts == (0, 0)
@@ -615,23 +608,20 @@ class TestRestarts:
     @pytest.mark.parametrize("path", SCENARIOS)
     def test_shipped_scenarios_restart(self, path, monkeypatch):
         problem, br, tol = shipped(path)
-        calls = spy_bracket_rule(monkeypatch)
+        calls = spy_certificate(monkeypatch)
+        accepted = spy_restarts(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=tol)
         assert trace.converged
         assert min(trace.restarts) > 0
         assert max(len(trace.lower_steps), len(trace.upper_steps)) <= 6
-        # every restart point passed the bracket rule, at the run's tol or
-        # tighter, so it passes at the run's tol
-        passed = []
-        for (lower, upper, rule_tol), failures in calls:
-            assert rule_tol <= tol
-            if lower is not None and failures[0] is None:
-                passed.append((lower, None))
-            if upper is not None and failures[1] is None:
-                passed.append((None, upper))
-        assert len(passed) == sum(trace.restarts)
-        for ends in passed:
-            assert bracket_failures(problem, *ends, tol) == (None, None)
+        # the certificate implies the bracket rule at its tol, the run's
+        # tol or tighter: every accepted point passes the rule there
+        (restart_tol,) = {call_tol for _, _, call_tol, _ in calls}
+        assert restart_tol <= tol
+        assert len(accepted) == sum(trace.restarts)
+        for side, point in accepted:
+            ends = (point, None) if side == 0 else (None, point)
+            assert bracket_failures(problem, *ends, restart_tol) == (None, None)
         _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
         assert np.abs(pair.u_star.values - lower).max() <= 10.0 * tol
         assert np.abs(pair.u_upper_star.values - upper).max() <= 10.0 * tol
@@ -639,15 +629,13 @@ class TestRestarts:
     def test_a_restart_must_keep_the_pair_ordered(
         self, monkeypatch, torus_problem, torus8
     ):
-        # a rule that passed a lower point above the upper iterate would
-        # let the chain cross; the restart is refused instead
+        # a certificate that passed a lower point above the upper iterate
+        # would let the chain cross; the restart is refused instead
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         monkeypatch.setattr(
             subsup.iteration, "_shifted_point", lambda problem, x, *args: (x + 1.0, 0)
         )
-        calls = spy_bracket_rule(
-            monkeypatch, lambda lower, upper: (None, reject_all(None, upper)[1])
-        )
+        calls = spy_certificate(monkeypatch, lambda sign, v: sign == 1)
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
         rows, _ = plain_iteration(torus_problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
@@ -681,7 +669,7 @@ class TestRestarts:
         # make_bracket forms L v and S(v) at both ends; then each step one
         # T and one S per side, and each restart candidate one shifted T,
         # which reuses the step's S(x) and A x, and one L v and one S,
-        # shared by the rule, the contraction rate and the restart
+        # shared by the certificate and the restart
         scenario = load_scenario(path)
         _, problem, lower, upper = build_problem(scenario)
         counts = {"stiffness_action": 0, "apply_S": 0, "solve_T": 0}
@@ -703,9 +691,9 @@ class TestRestarts:
             fn = getattr(subsup.iteration, name)
             monkeypatch.setattr(subsup.iteration, name, counted(name, fn))
         br = make_bracket(problem, lower, upper, scenario.tol)
-        calls = spy_bracket_rule(monkeypatch)
+        calls = spy_certificate(monkeypatch)
         _, trace = iterate_monotone(problem, br, tol=scenario.tol)
-        candidates = sum(end is not None for (*ends, _), _ in calls for end in ends)
+        candidates = len(calls)
         steps = len(trace.lower_steps) + len(trace.upper_steps)
         assert min(trace.restarts) > 0 and candidates >= sum(trace.restarts)
         assert counts["solve_T"] == steps + candidates
@@ -724,14 +712,49 @@ class TestRestarts:
         d = subsup.defect(torus_problem, torus8.field(point)).values
         allowance = 1e-9 * np.abs(torus8.mass * 2.0 * point).max()
         assert 0.1 * allowance < d.max() < 0.2 * allowance
+        assert bracket_failures(torus_problem, point, None, 1e-9) == (None, None)
         inject_restart_point(monkeypatch, 1, point)
-        calls = spy_bracket_rule(monkeypatch)
         rates = spy_contraction_rate(monkeypatch, rate)
         accepted = spy_restarts(monkeypatch)
         iterate_monotone(torus_problem, br, tol=1e-9)
-        (_, failures), *_ = calls
-        assert failures[0] is None and np.array_equal(rates[0][0], point)
+        assert np.array_equal(rates[0][0], point)
         assert any(np.array_equal(p, point) for _, p in accepted) == restarts
+
+    @pytest.mark.parametrize("kind", ["zero", "negative", "A v <= 0"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_points_not_positive_are_refused(
+        self, side, kind, monkeypatch, torus_problem, torus8, c_star
+    ):
+        # the bracket rule's "negative" and "zero" checks do not run on
+        # restart points: the contraction rate is finite only where v > 0
+        # and A v > 0, and the certificate refuses every other point.  A
+        # dip to 1e-9 at one vertex keeps v > 0 but makes A v < 0 there.
+        sign = 1 - 2 * side
+        iterate = np.full(torus8.vertex_count, c_star * (1.0 - sign * 2e-3))
+        point = np.full(torus8.vertex_count, c_star * (1.0 - sign * 1e-3))
+
+        def image(v):
+            return subsup.iteration._image(torus_problem, torus8.field(v))
+
+        certified = subsup.iteration._certified
+        assert certified(torus_problem, sign, point, iterate, image(point), 1e-9)
+        point[0] = {"zero": 0.0, "negative": -1e-3, "A v <= 0": 1e-9}[kind]
+        av, _ = image(point)
+        if kind == "A v <= 0":
+            assert point.min() > 0.0 and av.min() <= 0.0
+        rate = subsup.iteration._contraction_rate(torus_problem, point, iterate, av)
+        assert rate == np.inf
+        assert not certified(torus_problem, sign, point, iterate, image(point), 1e-9)
+        # and in a run, as the side's first restart point
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        inject_restart_point(monkeypatch, side + 1, point)
+        calls = spy_certificate(monkeypatch)
+        accepted = spy_restarts(monkeypatch)
+        _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
+        assert trace.converged
+        verdicts = [result for _, v, _, result in calls if np.array_equal(v, point)]
+        assert verdicts == [False]
+        assert not any(np.array_equal(p, point) for _, p in accepted)
 
     @pytest.mark.parametrize("max_steps", range(5, 11))
     def test_returns_the_last_recorded_iterate(self, max_steps, torus8):
