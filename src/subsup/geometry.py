@@ -134,9 +134,10 @@ class DiscreteDomain:
         import scipy.sparse as sp
 
         L, n = self.L, self.vertex_count
+        rows, columns = L.entries()
         index = np.arange(n)
-        rows = np.concatenate([np.tile(index, len(L.columns)), L.rest_rows, index])
-        columns = np.concatenate([L.columns.ravel(), L.rest_columns, index])
+        rows = np.concatenate([rows, index])
+        columns = np.concatenate([columns, index])
         data = np.concatenate([L.weights, L.diagonal])
         stored = data != 0.0  # not the pads, nor the diagonal of an empty row
         return sp.csr_matrix(
@@ -305,6 +306,18 @@ class SlotLayout(NamedTuple):
         fixed = index[: width * n].reshape(width, n)
         layout = cls(fixed, rows[rest], index[width * n :], flat_weights, np.zeros(n))
         return layout._replace(diagonal=-layout.product(np.ones(n), layout.diagonal))
+
+    def entries(self):
+        """(rows, columns) of ``weights``, entry for entry, pads included."""
+        rows = np.tile(np.arange(self.diagonal.size), len(self.columns))
+        rows = np.concatenate([rows, self.rest_rows])
+        return rows, np.concatenate([self.columns.ravel(), self.rest_columns])
+
+    def dense(self, diagonal):
+        """The matrix with these off-diagonal entries and ``diagonal``, dense."""
+        out = np.diag(diagonal)
+        np.add.at(out, self.entries(), self.weights)  # a pad adds 0 to its row's diagonal
+        return out
 
     def product(self, values, diagonal):
         """M v for the matrix with these off-diagonal entries and ``diagonal``."""

@@ -214,7 +214,15 @@ def _end_failure(problem, side, v, upper, tol):
         bad = int(np.argmax(v - upper))
         return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
     sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
-    bad, excess, scale = _worst_defect(problem, sign, v, defect(problem, v).values)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = defect(problem, v).values
+    except ValueError:  # no check can be made: the input is at fault
+        raise ValueError(
+            f"'bracket.{side}' overflows: S({side}) = f F({side}) + h H({side}) "
+            f"or A {side} is non-finite (largest {side} entry {v.max():g})"
+        ) from None
+    bad, excess, scale = _worst_defect(problem, sign, v, d)
     allow = tol * scale
     if excess <= allow:
         return None

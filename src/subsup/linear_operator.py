@@ -14,9 +14,9 @@ the structure that domain has:
   otherwise);
 - subdivided icosphere: the meshes are nested, so one symmetric
   geometric-multigrid V-cycle down to icosphere 2 (a mesh-independent
-  count; icospheres up to 2 subdivisions are solved exactly); the
-  V-cycle's Galerkin hierarchy is the one place a solve uses
-  scipy.sparse;
+  count; icospheres up to 2 subdivisions are solved exactly), each
+  coarser level assembled by the same cotangent rule as the mesh and
+  applied through the same slot layout, so no solve imports scipy;
 - any other surface (OFF meshes): the Jacobi diagonal, the reference
   path.
 
@@ -31,10 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Field, mesh_quality
+from .geometry import Field, _assemble_surface, mesh_quality
 
-# Multigrid on icospheres: levels down to this many vertices (icosphere
-# 2) get smoothed, the coarsest one is solved with a dense inverse.  Two
+# Multigrid on icospheres: every level above this many vertices
+# (icosphere 2) gets smoothed, and the level at or below it, the
+# coarsest, is solved with a dense inverse.  Each level is the icosphere
+# of its subdivision, assembled anew, with a taken at its vertices.  Two
 # damped Jacobi sweeps before and after the coarse correction make the
 # V-cycle symmetric, and omega = 0.8 keeps omega * max eig(D^-1 A) below
 # 2 on every level, which makes it positive definite too.
@@ -115,16 +117,18 @@ class LinearProblem:
         (condition number at most max a / min a, whatever the mesh size).
         Icospheres: P^{-1} is one multigrid V-cycle over the domain's
         refinement chain, symmetric and positive definite, with an
-        iteration count that does not grow with the subdivisions; up to
-        icosphere 2 it is a dense inverse of A.  Other surfaces have no
-        such structure and use P = diag(A) (Jacobi).
+        iteration count that does not grow with the subdivisions; its
+        coarse levels are the coarser icospheres, assembled from the
+        domain's own vertices and faces, and up to icosphere 2 it is a
+        dense inverse of A.  Other surfaces have no such structure and
+        use P = diag(A) (Jacobi).
         """
         if self._preconditioner is None:
             if self.domain.grid_cells is not None:
                 self._preconditioner = _fft_preconditioner(self.domain, self.a.values)
             elif self.domain.refinement is not None:
                 self._preconditioner = _multigrid_preconditioner(
-                    self.system_matrix, self.domain.refinement
+                    self.domain, self.a.values
                 )
             else:
                 diagonal = self.diagonal
@@ -158,22 +162,6 @@ def _fft_preconditioner(domain, a):
     return apply
 
 
-def _prolongation(coarse_count, parents):
-    """Linear interpolation from a mesh to its subdivision.
-
-    Coarse vertices keep their value; a midpoint takes the mean of the
-    two ends of the edge it splits.
-    """
-    import scipy.sparse as sp
-
-    new = np.arange(coarse_count, coarse_count + len(parents))
-    rows = np.concatenate([np.arange(coarse_count), new, new])
-    cols = np.concatenate([np.arange(coarse_count), parents[:, 0], parents[:, 1]])
-    data = np.concatenate([np.ones(coarse_count), np.full(2 * len(parents), 0.5)])
-    shape = (coarse_count + len(parents), coarse_count)
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
-
-
 def _spd_inverse(a):
     """Inverse of a symmetric positive definite matrix.
 
@@ -196,20 +184,52 @@ def _spd_inverse(a):
     return a
 
 
-def _multigrid_preconditioner(A, refinement):
-    # Galerkin coarse operators P'AP: each stays SPD, and the V-cycle
-    # needs nothing of the geometry beyond the refinement chain
+def _coarse_mesh(coordinates, faces, coarse_count):
+    """The icosphere one subdivision below (coordinates, faces).
+
+    Its vertices are the first coarse_count ones, and its face t is made
+    of the first corners of faces 4t, 4t + 1 and 4t + 2, which are its
+    corners a, b and c under build_icosphere's numbering.
+    """
+    return coordinates[:coarse_count], faces.reshape(-1, 4, 3)[:, :3, 0]
+
+
+def _prolong(y, ends):
+    """P y: coarse vertices keep their value, a midpoint takes the mean
+    of the two ends of the edge it splits; ends is the (2, n_new)
+    transpose of a refinement step's parents."""
+    first, second = np.take(y, ends)
+    return np.concatenate([y, 0.5 * (first + second)])
+
+
+def _restrict(r, ends):
+    """P' r, the adjoint of _prolong: each midpoint hands half of its
+    entry to either end of its edge."""
+    coarse_count = r.size - ends.shape[1]
+    half = 0.5 * r[coarse_count:]
+    return r[:coarse_count] + np.bincount(
+        ends.ravel(), weights=np.concatenate([half, half]), minlength=coarse_count
+    )
+
+
+def _multigrid_preconditioner(domain, a):
+    # each coarse level is the coarser icosphere assembled anew, with a
+    # injected; coarse and fine L then act through the same slot layout
+    coordinates, faces = domain.coordinates, domain.faces
+    L, mass = domain.L, domain.mass
     levels = []
-    for coarse_count, parents in reversed(refinement):
-        if A.shape[0] <= COARSEST_VERTICES:
+    for coarse_count, parents in reversed(domain.refinement):
+        if a.size <= COARSEST_VERTICES:
             break
-        P = _prolongation(coarse_count, parents)
-        R = P.T.tocsr()
-        levels.append((A, SMOOTHING_WEIGHT / A.diagonal(), P, R))
-        A = (R @ A @ P).tocsr()
+        diagonal = L.diagonal + mass * a
+        ends = np.ascontiguousarray(parents.T)
+        levels.append((L, diagonal, SMOOTHING_WEIGHT / diagonal, ends))
+        coordinates, faces = _coarse_mesh(coordinates, faces, coarse_count)
+        L, mass = _assemble_surface(coordinates, faces)
+        a = a[:coarse_count]
     # applied by einsum, which calls no BLAS (a threaded gemv could stall
     # like the factorization above)
-    coarse_inverse = _spd_inverse(A.toarray())
+    coarse_inverse = _spd_inverse(L.dense(L.diagonal + mass * a))
 
     def coarse_solve(r):
         return np.einsum("ij,j->i", coarse_inverse, r)
@@ -217,13 +237,14 @@ def _multigrid_preconditioner(A, refinement):
     def cycle(level, r):
         if level == len(levels):
             return coarse_solve(r)
-        A, weight, P, R = levels[level]
+        L, diagonal, weight, ends = levels[level]
         x = weight * r  # the first sweep, from x = 0
         for _ in range(SMOOTHING_SWEEPS - 1):
-            x += weight * (r - A @ x)
-        x += P @ cycle(level + 1, R @ (r - A @ x))
+            x += weight * (r - L.product(x, diagonal))
+        coarse = cycle(level + 1, _restrict(r - L.product(x, diagonal), ends))
+        x += _prolong(coarse, ends)
         for _ in range(SMOOTHING_SWEEPS):
-            x += weight * (r - A @ x)
+            x += weight * (r - L.product(x, diagonal))
         return x
 
     return lambda r: cycle(0, r)

@@ -266,8 +266,10 @@ def check_alpha1(F, H, n, q, t_max):
     # checked twice gives the same verdict
     ts = np.sort(np.concatenate(points))
     ts = ts[(ts >= -1.0) & (ts <= t_max)]
-    fvals = np.asarray(F(ts), dtype=float)
-    hvals = np.asarray(H(ts), dtype=float)
+    # a power law overflows to inf at large t, which the F and H clauses refuse
+    with np.errstate(over="ignore"):
+        fvals = np.asarray(F(ts), dtype=float)
+        hvals = np.asarray(H(ts), dtype=float)
 
     def report(clause, i, value, bound):
         return Alpha1Report(
@@ -282,7 +284,7 @@ def check_alpha1(F, H, n, q, t_max):
     neg = ts < 0.0
     pos = ~neg
     tpos = np.where(pos, ts, 0.0)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         f_bound = tpos ** p_crit
         h_bound = tpos ** q
     # slack keeps the equality case F = power(2*-1) from tripping on rounding

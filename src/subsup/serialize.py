@@ -21,6 +21,8 @@ import json
 import math
 from functools import cached_property
 
+import numpy as np
+
 CHUNK = 4096
 
 
@@ -53,17 +55,18 @@ class FloatColumn:
     """
 
     def __init__(self, values):
-        self.values = values
+        self.values = np.asarray(values, dtype=float)
 
     @cached_property
     def chunks(self):
-        chunks = []
-        for i in range(0, len(self.values), CHUNK):
-            chunk = self.values[i : i + CHUNK].tolist()
-            if not _is_finite_floats(chunk):
-                raise ValueError("non-finite value has no JSON form")
-            chunks.append(_join_floats(chunk, "\n"))
-        return chunks
+        # one check for the column: tolist() of a float array gives floats
+        values = self.values
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite value has no JSON form")
+        return [
+            _join_floats(values[i : i + CHUNK].tolist(), "\n")
+            for i in range(0, len(values), CHUNK)
+        ]
 
     def lines(self):
         for chunk in self.chunks:

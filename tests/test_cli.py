@@ -22,6 +22,25 @@ def read_masked(path):
     return re.sub(r'"wall_time": [^,\n]+', '"wall_time": 0', text)
 
 
+SCENARIOS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios"
+)
+SHIPPED_SPHERE = os.path.join(SCENARIOS, "sphere_variable.json")
+SHIPPED_TORUS = os.path.join(SCENARIOS, "torus_constant.json")
+
+
+def run_cli_process(args):
+    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
+    import subsup
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(subsup.__file__))
+    script = "import sys; from subsup.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+
+
 class TestCheck:
     def test_passing_scenario(self, tmp_scenario, capsys):
         assert main(["check", tmp_scenario(base_torus_doc())]) == 0
@@ -220,6 +239,35 @@ class TestInputErrors:
         assert len(lines) == 2
         assert all(f"'{MALFORMED[case][0]}'" in line for line in lines)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("verb", ["check", "solve"])
+    def test_bracket_end_whose_S_overflows(self, verb, tmp_scenario, tmp_path):
+        # S(1e300) = f 1e1500 + h 1e150 used to print two numpy overflow
+        # warnings and then an error that named no input; a fresh
+        # interpreter shows the warnings a numpy call would print
+        with open(SHIPPED_SPHERE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["bracket"]["upper"] = 1e300
+        args = [verb, tmp_scenario(doc)]
+        if verb == "solve":
+            args += ["--out", str(tmp_path / "run")]
+        proc = run_cli_process(args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: 'bracket.upper' overflows: S(upper) = f F(upper) + h H(upper) "
+            "or A upper is non-finite (largest upper entry 1e+300)"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    def test_large_finite_bracket_end_fails_its_check(self, tmp_scenario):
+        with open(SHIPPED_SPHERE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["bracket"]["upper"] = 1e61
+        proc = run_cli_process(["check", tmp_scenario(doc)])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert "upper solution check: FAIL (defect" in proc.stdout
 
 
 class TestSolve:
@@ -534,12 +582,6 @@ class TestEntryPoint:
         assert proc.stdout.count("PASS") == 4
 
 
-SCENARIOS = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios"
-)
-SHIPPED_SPHERE = os.path.join(SCENARIOS, "sphere_variable.json")
-SHIPPED_TORUS = os.path.join(SCENARIOS, "torus_constant.json")
-
 IMPORTS_SCRIPT = """
 import sys
 
@@ -551,14 +593,14 @@ def scipy_modules():
 sphere, torus, off, out = sys.argv[1:]
 assert main(["check", sphere]) == 0
 assert main(["check", torus]) == 0
-# a torus is connected by construction and solved by FFT
+# a torus is connected by construction and solved by FFT, an icosphere
+# by a V-cycle over coarse levels assembled like the mesh itself
 assert main(["solve", torus, "--out", out + "-torus"]) == 0
-assert scipy_modules() == [], scipy_modules()
-# the V-cycle builds its hierarchy with scipy.sparse, its coarse solve without
 assert main(["solve", sphere, "--out", out + "-sphere"]) == 0
-assert "scipy.sparse" in sys.modules
-assert "scipy.sparse.linalg" not in sys.modules, scipy_modules()
+assert scipy_modules() == [], scipy_modules()
 assert main(["spectrum", sphere, "--k", "3"]) == 0
+# the spectrum of 642 vertices is found by shift-invert Lanczos
+assert "scipy.sparse.linalg" in sys.modules
 assert main(["mesh-info", sphere]) == 0
 assert main(["mesh-info", off]) == 0
 assert "scipy.sparse.csgraph" in sys.modules

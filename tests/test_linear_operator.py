@@ -3,6 +3,7 @@ import pytest
 
 import subsup
 from subsup import ConvergenceError, LinearProblem, embed_function, solve_T
+from subsup.geometry import _assemble_surface
 from subsup.linear_operator import DualVector
 
 
@@ -243,17 +244,44 @@ def sphere_problem(subdivisions):
 
 
 class TestMultigridPreconditioner:
-    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
+    def test_coarse_level_is_the_coarser_icosphere(self, subdivisions, radius):
+        from subsup.linear_operator import _coarse_mesh
+
+        fine = subsup.build_icosphere(subdivisions, radius=radius)
+        coarse = subsup.build_icosphere(subdivisions - 1, radius=radius)
+        coarse_count, _ = fine.refinement[-1]
+        coordinates, faces = _coarse_mesh(fine.coordinates, fine.faces, coarse_count)
+        assert np.array_equal(coordinates, coarse.coordinates)
+        assert np.array_equal(faces, coarse.faces)
+        L, mass = _assemble_surface(coordinates, faces)
+        for got, expected in zip(L, coarse.L):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert np.array_equal(mass, coarse.mass)
+
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
     def test_prolongation_interpolates(self, subdivisions):
-        from subsup.linear_operator import _prolongation
+        from subsup.linear_operator import _prolong, _restrict
 
         domain = subsup.build_icosphere(subdivisions)
         coarse_count, parents = domain.refinement[-1]
-        P = _prolongation(coarse_count, parents)
-        assert P.shape == (domain.vertex_count, coarse_count)
-        assert np.array_equal(P @ np.ones(coarse_count), np.ones(domain.vertex_count))
-        assert np.array_equal(P[:coarse_count].toarray(), np.eye(coarse_count))
-        assert np.all(P.getnnz(axis=1)[coarse_count:] == 2)
+        ends = np.ascontiguousarray(parents.T)
+        n = domain.vertex_count
+        assert np.array_equal(_prolong(np.ones(coarse_count), ends), np.ones(n))
+        rng = np.random.default_rng(subdivisions)
+        y = rng.standard_normal(coarse_count)
+        Py = _prolong(y, ends)
+        assert np.array_equal(Py[:coarse_count], y)
+        assert np.array_equal(Py[coarse_count:], 0.5 * (y[parents[:, 0]] + y[parents[:, 1]]))
+        # restriction is the adjoint: x . (P y) = (R x) . y within rounding,
+        # each side a sum of at most n products, so within n eps of exact
+        x = rng.standard_normal(n)
+        Rx = _restrict(x, ends)
+        assert Rx.shape == (coarse_count,)
+        scale = np.abs(x) @ np.abs(Py)
+        assert abs(x @ Py - Rx @ y) <= 2 * n * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("subdivisions", [3, 4])
     def test_symmetric_positive_definite(self, subdivisions):
