@@ -18,9 +18,6 @@ import numpy as np
 from .geometry import Field
 from .linear_operator import DualVector, LinearProblem
 
-ALPHA1_SAMPLES = 1000  # evenly spaced points of [-1, t_max] that check_alpha1 tests
-
-
 def critical_exponent(n):
     """2n/(n-2), the growth threshold; defined for n >= 3."""
     n = int(n)
@@ -39,14 +36,15 @@ class ScalarNonlinearity:
     has something to reject.
     """
 
-    def __init__(self, kind, p=None, ts=None, values=None, truncate=True, source=None):
+    def __init__(self, kind, p=None, ts=None, values=None, truncate=True):
         self.kind = kind
         self.truncate = bool(truncate)
-        self.source = source  # table path, when loaded from CSV
         if kind == "power":
             self.p = float(p)
-            if self.p <= 0.0:
-                raise ValueError("power exponent must be positive")
+            # past 1e18, t^p overflows within a few ulp above t = 1, and no
+            # float t > 1 shows its growth to the alpha1 check
+            if not 0.0 < self.p <= 1e18:
+                raise ValueError(f"power exponent must lie in (0, 1e18], got {self.p:g}")
             self.ts = None
             self.values = None
         elif kind == "table":
@@ -71,8 +69,8 @@ class ScalarNonlinearity:
         return cls("power", p=p)
 
     @classmethod
-    def table(cls, ts, values, truncate=True, source=None):
-        return cls("table", ts=ts, values=values, truncate=truncate, source=source)
+    def table(cls, ts, values, truncate=True):
+        return cls("table", ts=ts, values=values, truncate=truncate)
 
     @classmethod
     def from_csv(cls, path, truncate=True):
@@ -95,16 +93,15 @@ class ScalarNonlinearity:
                     ) from None
                 ts.append(t)
                 values.append(value)
-        return cls("table", ts=ts, values=values, truncate=truncate, source=str(path))
+        return cls("table", ts=ts, values=values, truncate=truncate)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
         if self.kind == "power":
-            out = np.zeros_like(t)
-            pos = t > 0.0
-            out[pos] = t[pos] ** self.p
+            # np.maximum(-0.0, 0.0) is +0.0, so no output is -0.0
+            out = np.maximum(t, 0.0) ** self.p
         else:
             out = np.interp(t, self.ts, self.values)
             if self.truncate:
@@ -217,32 +214,78 @@ class Alpha2Report:
         return out
 
 
-def _table_points(G, p):
-    """The points where a table G minus the bound t^p can peak.
+def _finite_limit(e):
+    """The largest t <= max_float^(1/e) at which t**e is finite."""
+    with np.errstate(over="ignore"):
+        t = np.finfo(float).max ** (1.0 / e)
+        while np.isinf(t ** e):
+            t = np.nextafter(t, 0.0)
+    return t
 
-    On each segment G is linear: G - t^p is convex there for p <= 1, so
-    its maximum is at an end, and for p > 1 it is concave, so it
-    can also peak inside, where the slopes meet, t = (slope/p)^(1/(p-1)).
+
+def _peak_points(G, b, t_max):
+    """The points of [-1, t_max] that decide G's clauses against t^b.
+
+    On [-1, 0) G must vanish.  A power law does; a table is linear
+    between its breakpoints, so it vanishes there if it does at -1, at
+    the largest double below 0 and at its breakpoints.  On t >= 0,
+    G - t^b peaks at 0, at t_max or at one of these: a table's
+    breakpoints, and for b > 1, where G - t^b is concave on each segment,
+    the point inside where the slopes meet, t = (slope/b)^(1/(b-1)); a
+    power law t^p's one critical point (b/p)^(1/(p-b)).  A power law is
+    checked only as far as t^p and t^b are finite: beyond that point
+    t^p - t^b keeps its sign.
     """
-    points = [G.ts]
-    if p > 1.0:
-        slopes = np.diff(G.values) / np.diff(G.ts)
-        with np.errstate(over="ignore"):  # an inf point lies past t_max
-            points.append((np.maximum(slopes, 0.0) / p) ** (1.0 / (p - 1.0)))
-    return points
+    points = [[-1.0, np.nextafter(0.0, -1.0), 0.0]]
+    if G.kind == "power":
+        t_max = min(t_max, _finite_limit(max(G.p, b)))
+        if G.p != b:
+            points.append([(b / G.p) ** (1.0 / (G.p - b))])
+    else:
+        points.append(G.ts)
+        if b > 1.0:
+            slopes = np.diff(G.values) / np.diff(G.ts)
+            with np.errstate(over="ignore"):  # an inf point lies past t_max
+                points.append((np.maximum(slopes, 0.0) / b) ** (1.0 / (b - 1.0)))
+    points.append([t_max])
+    # np.sort, not np.unique, which imports numpy.ma (~20 ms); a point
+    # checked twice gives the same verdict
+    ts = np.sort(np.concatenate(points))
+    return ts[(ts >= -1.0) & (ts <= t_max)]
+
+
+def _first_violation(G, name, b, bound_name, t_max):
+    """(t, clause, value, bound) at the lowest peak point where G breaks
+    a clause against the bound t^b, or None."""
+    ts = _peak_points(G, b, t_max)
+    values = G(ts)
+    # slack keeps the equality case F = power(2*-1) from tripping on
+    # rounding; an allowance that overflows exceeds every finite value
+    with np.errstate(over="ignore"):
+        bounds = np.maximum(ts, 0.0) ** b
+        allowed = bounds + 1e-12 * (bounds + 1.0)
+    negative = ts < 0.0
+    broken = np.where(negative, values != 0.0, (values < 0.0) | (values > allowed))
+    if not broken.any():
+        return None
+    i = int(np.argmax(broken))
+    if negative[i]:
+        return ts[i], f"{name}(t) = 0 for t < 0", values[i], 0.0
+    if values[i] < 0.0:
+        return ts[i], f"0 <= {name}(t)", values[i], 0.0
+    return ts[i], f"{name}(t) <= {bound_name}", values[i], bounds[i]
 
 
 def check_alpha1(F, H, n, q, t_max):
     """Check the growth bounds 0 <= F <= t^(2*-1), 0 <= H <= t^q on
     [-1, t_max] and the vanishing clause on t < 0.
 
-    Power laws are sampled at ALPHA1_SAMPLES points.  A table is checked
-    exactly: its breakpoints, 0, t_max and the points where it can peak
-    against its bound (see _table_points) join the samples, and between
-    them the excess over the bound has no larger maximum.  Returns a report naming the first
-    violated clause at the lowest such point.  q >= 1 is legal for the
-    bound but outside the sublinear range the power-law instance uses,
-    so it is flagged as a warning rather than rejected.
+    Each of F and H is checked exactly, at the points where it minus its
+    bound can peak (see _peak_points), so between them no clause fails
+    that holds at them.  Returns a report naming the first violated
+    clause at the lowest such point, F's before H's.  q >= 1 is legal for
+    the bound but outside the sublinear range the power-law instance
+    uses, so it is flagged as a warning rather than rejected.
     """
     q = float(q)
     t_max = float(t_max)
@@ -257,56 +300,19 @@ def check_alpha1(F, H, n, q, t_max):
             f"q = {q:g} is >= 1; the sublinear range 0 < q < 1 is the usual "
             f"setting, continuing with the bound q < {p_crit:g}"
         )
-
-    points = [np.linspace(-1.0, t_max, ALPHA1_SAMPLES), [0.0]]
-    for G, p in ((F, p_crit), (H, q)):
-        if G.kind == "table":
-            points += _table_points(G, p)
-    # np.sort, not np.unique, which imports numpy.ma (~20 ms); a point
-    # checked twice gives the same verdict
-    ts = np.sort(np.concatenate(points))
-    ts = ts[(ts >= -1.0) & (ts <= t_max)]
-    # a power law overflows to inf at large t, which the F and H clauses refuse
-    with np.errstate(over="ignore"):
-        fvals = np.asarray(F(ts), dtype=float)
-        hvals = np.asarray(H(ts), dtype=float)
-
-    def report(clause, i, value, bound):
-        return Alpha1Report(
-            passed=False,
-            clause=clause,
-            t=float(ts[i]),
-            value=float(value),
-            bound=float(bound),
-            warnings=warnings,
+    found = [
+        v
+        for v in (
+            _first_violation(F, "F", p_crit, "t^(2*-1)", t_max),
+            _first_violation(H, "H", q, "t^q", t_max),
         )
-
-    neg = ts < 0.0
-    pos = ~neg
-    tpos = np.where(pos, ts, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_bound = tpos ** p_crit
-        h_bound = tpos ** q
-    # slack keeps the equality case F = power(2*-1) from tripping on rounding
-    f_allow = f_bound + 1e-12 * (f_bound + 1.0)
-    h_allow = h_bound + 1e-12 * (h_bound + 1.0)
-
-    for i in range(ts.size):
-        if neg[i]:
-            if fvals[i] != 0.0:
-                return report("F(t) = 0 for t < 0", i, fvals[i], 0.0)
-            if hvals[i] != 0.0:
-                return report("H(t) = 0 for t < 0", i, hvals[i], 0.0)
-        else:
-            if not np.isfinite(fvals[i]) or fvals[i] < 0.0:
-                return report("0 <= F(t)", i, fvals[i], 0.0)
-            if fvals[i] > f_allow[i]:
-                return report("F(t) <= t^(2*-1)", i, fvals[i], f_bound[i])
-            if not np.isfinite(hvals[i]) or hvals[i] < 0.0:
-                return report("0 <= H(t)", i, hvals[i], 0.0)
-            if hvals[i] > h_allow[i]:
-                return report("H(t) <= t^q", i, hvals[i], h_bound[i])
-    return Alpha1Report(passed=True, warnings=warnings)
+        if v is not None
+    ]
+    if not found:
+        return Alpha1Report(passed=True, warnings=warnings)
+    # min keeps the first of equal points, so F's clauses come before H's
+    t, clause, value, bound = min(found, key=lambda v: v[0])
+    return Alpha1Report(False, clause, float(t), float(value), float(bound), warnings)
 
 
 def check_alpha2(problem):

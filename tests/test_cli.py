@@ -108,8 +108,9 @@ class TestCheck:
     def test_alpha1_table_is_checked_between_the_samples(
         self, tmp_scenario, tmp_path, capsys
     ):
-        # H(0.001) = 0.05 > 0.001^0.5, but no sample of [-1, 2] falls in
-        # the (0.0004, 0.0025) where H exceeds t^0.5; the breakpoint does
+        # H(0.001) = 0.05 > 0.001^0.5, but H exceeds t^0.5 only on
+        # (0.0004, 0.0025), which 1000 even steps of [-1, 2] would miss;
+        # the breakpoint does not
         (tmp_path / "h.csv").write_text("t,value\n0,0\n0.001,0.05\n0.003,0.05\n10,0.05\n")
         doc = base_torus_doc()
         doc["domain"] = {"kind": "icosphere", "subdivisions": 1, "radius": 1.0}
@@ -268,6 +269,28 @@ class TestInputErrors:
         assert proc.returncode == 1
         assert proc.stderr == ""
         assert "upper solution check: FAIL (defect" in proc.stdout
+
+    def test_alpha1_passes_where_the_power_law_overflows(self, tmp_scenario, tmp_path):
+        # t_max = 5e61 lies past 4.48e61, where F = t^5 overflows; the α1
+        # check stops at the last finite point, so only the upper defect fails
+        with open(SHIPPED_SPHERE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["bracket"]["upper"] = 2.5e61
+        report = tmp_path / "report.json"
+        proc = run_cli_process(["check", tmp_scenario(doc), "--json", str(report)])
+        assert proc.returncode == 1
+        assert proc.stderr == ""  # no RuntimeWarning
+        assert proc.stdout.splitlines()[:3] == [
+            "alpha1 growth bounds: PASS",
+            "alpha2 sign conditions: PASS",
+            "lower solution check: PASS",
+        ]
+        assert "upper solution check: FAIL (defect" in proc.stdout
+        written = json.loads(report.read_text())
+        assert written["alpha1"] == {"passed": True, "warnings": []}
+        assert [written[k]["passed"] for k in ("alpha2", "lower", "upper")] == [
+            True, True, False
+        ]
 
 
 class TestSolve:

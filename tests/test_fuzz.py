@@ -11,7 +11,9 @@ Malformed nonlinearity tables (a short row, an extra or empty or text
 cell, a header alone) must make `check` exit 2 with one error line, and
 so must a broken OFF mesh (an unused vertex, a non-finite coordinate, a
 face index out of range, a quad face, a cut-off file, a face collapsed
-to zero area).
+to zero area).  The α1 growth check's verdict on random power laws
+(p in (0, 8]) and random non-decreasing tables must match a dense
+reference, also where t^p overflows before t_max.
 """
 
 import contextlib
@@ -19,9 +21,11 @@ import copy
 import io
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from subsup import ScalarNonlinearity, check_alpha1
 from subsup.cli import main
 
 from tests.conftest import base_torus_doc
@@ -232,3 +236,122 @@ def test_check_exits_2_on_broken_off_meshes(data, tmp_path_factory):
     assert code == 2, (fault, text)
     assert out.getvalue() == ""
     assert len(err.getvalue().splitlines()) == 1
+
+
+# α1 against a dense reference.  The reference evaluates G's clauses at
+# 10^5 points of [-1, t_max] (even steps on [-1, 0] and [0, t_max], and
+# geometric ones up to t_max) plus the analytic points where G - t^b
+# peaks; where t^p or t^b overflows it compares p ln t with b ln t.
+SLACK = 1e-12
+T_MAX = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([1e40, 1e62, 1e300]),  # past 1.3e38, t^8 overflows; past 4.5e61, t^5
+)
+
+
+def analytic_peaks(G, b):
+    if G.kind == "power":
+        return [] if G.p == b else [(b / G.p) ** (1.0 / (G.p - b))]
+    peaks = [*G.ts, np.nextafter(0.0, -1.0)]
+    if b > 1.0:
+        slopes = np.maximum(np.diff(G.values) / np.diff(G.ts), 0.0)
+        with np.errstate(over="ignore"):
+            peaks += list((slopes / b) ** (1.0 / (b - 1.0)))
+    return peaks
+
+
+def reference_holds(G, b, t_max):
+    """True or False as G keeps its clauses against t^b on the reference
+    points; None when the largest excess sits within rounding of the slack."""
+    ts = np.concatenate([
+        np.linspace(-1.0, 0.0, 10_000),
+        np.linspace(0.0, t_max, 45_000),
+        np.geomspace(1e-9, t_max, 45_000),
+        analytic_peaks(G, b),
+    ])
+    ts = ts[(ts >= -1.0) & (ts <= t_max)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = G(ts)
+        bounds = np.maximum(ts, 0.0) ** b
+        slack = SLACK * (bounds + 1.0)
+        # in units of the slack: > 0 breaks the bound; rounding is ~1e-4
+        excess = (values - bounds - slack) / slack
+    negative = ts < 0.0
+    if np.any(negative & (values != 0.0)) or np.any(~negative & (values < 0.0)):
+        return False
+    over = ~negative & ~np.isfinite(values + slack)  # t^p or t^b overflowed
+    if G.kind == "table":  # its values are finite
+        excess[over] = -np.inf
+    elif over.any():  # there t^b >> 1, and t^b (1 + SLACK) is the allowance
+        excess[over] = ((G.p - b) * np.log(ts[over]) - np.log1p(SLACK)) / SLACK
+    excess = excess[~negative]
+    if np.any(excess > 0.01):
+        return False
+    if np.any(np.abs(excess) <= 0.01):
+        return None
+    return True
+
+
+def alpha1_matches_reference(G, role, q, t_max):
+    """Assert that check_alpha1 gives the reference's verdict on G in the
+    given role; False when the reference cannot decide."""
+    b = 5.0 if role == "F" else q  # n = 3: 2* - 1 = 5
+    expected = reference_holds(G, b, t_max)
+    if expected is None:
+        return False
+    # the other function meets its own bound exactly
+    F, H = (G, ScalarNonlinearity.power(q)) if role == "F" else (ScalarNonlinearity.power(5.0), G)
+    report = check_alpha1(F, H, 3, q, t_max)
+    assert report.passed == expected
+    if not report.passed:
+        assert f"{role}(t)" in report.clause
+        assert np.all(np.isfinite([report.t, report.value, report.bound]))
+        assert report.value == G(report.t)
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_alpha1_power_law_matches_a_dense_reference(data):
+    role = data.draw(st.sampled_from(["F", "H"]), label="role")
+    q = data.draw(st.floats(0.05, 4.95), label="q")
+    b = 5.0 if role == "F" else q
+    p = data.draw(st.one_of(st.just(b), st.floats(0.01, 8.0)), label="p")
+    t_max = data.draw(T_MAX, label="t_max")
+    assume(alpha1_matches_reference(ScalarNonlinearity.power(p), role, q, t_max))
+
+
+@pytest.mark.parametrize("p", [5.0, 4.0, 6.0, 0.3, 8.0])
+@pytest.mark.parametrize("t_max", [1e62, 1e300])
+def test_alpha1_power_law_past_its_float_range(p, t_max):
+    # p = b, p < b and p > b against F's bound t^5, and p < 0.5 = q for H;
+    # t^p or t^5 overflows before t_max
+    for role in ("F", "H"):
+        assert alpha1_matches_reference(ScalarNonlinearity.power(p), role, 0.5, t_max)
+
+
+@st.composite
+def tables(draw):
+    ts = sorted(set(draw(st.lists(st.floats(-2.0, 10.0), min_size=2, max_size=6))))
+    assume(len(ts) >= 2)
+    start = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), label="start")
+    steps = draw(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+            min_size=len(ts) - 1,
+            max_size=len(ts) - 1,
+        ),
+        label="steps",
+    )
+    values = start + np.concatenate([[0.0], np.cumsum(steps)])
+    truncate = draw(st.booleans(), label="truncate")
+    return ScalarNonlinearity.table(ts, values, truncate=truncate)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_alpha1_table_matches_a_dense_reference(data):
+    role = data.draw(st.sampled_from(["F", "H"]), label="role")
+    q = data.draw(st.floats(0.05, 4.95), label="q")
+    G = data.draw(tables(), label="table")
+    assume(alpha1_matches_reference(G, role, q, data.draw(T_MAX, label="t_max")))

@@ -31,11 +31,20 @@ class TestScalarNonlinearity:
         out = H(np.array([-4.0, 0.0, 4.0]))
         assert np.array_equal(out, [0.0, 0.0, 2.0])
 
+    def test_power_returns_positive_zero_at_and_below_zero(self):
+        for p in (0.5, 1.0, 5.0):
+            out = ScalarNonlinearity.power(p)(np.array([-0.0, -1e-300, -3.0, 0.0]))
+            assert np.array_equal(out, np.zeros(4))
+            assert not np.signbit(out).any()
+        assert not np.signbit(ScalarNonlinearity.power(5.0)(-0.0))
+
     def test_power_requires_positive_exponent(self):
         with pytest.raises(ValueError):
             ScalarNonlinearity.power(0.0)
         with pytest.raises(ValueError):
             ScalarNonlinearity.power(-2.0)
+        with pytest.raises(ValueError, match="1e18"):
+            ScalarNonlinearity.power(1e19)  # t^p is inf at every float t > 1
 
     @pytest.mark.parametrize(
         "F",
@@ -142,7 +151,6 @@ class TestScalarNonlinearity:
         path.write_text("t,value\n0.0,0.0\n1.0,2.0\n")
         F = ScalarNonlinearity.from_csv(str(path))
         assert F(np.array([0.5]))[0] == pytest.approx(1.0)
-        assert F.source == str(path)
 
     def test_from_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -181,8 +189,8 @@ class TestCheckAlpha1:
 
     def test_table_excess_inside_a_segment_is_found(self):
         # a chord of the convex t^5 lies above it: a segment from a to b,
-        # both on t^5 and between two neighbouring samples, exceeds the
-        # bound only strictly inside, where the slopes meet
+        # both on t^5 and between two points of an evenly spaced grid,
+        # exceeds the bound only strictly inside, where the slopes meet
         samples = np.linspace(-1.0, 2.0, 1000)
         a, b = samples[833] + 5e-4, samples[834] - 5e-4
         F = ScalarNonlinearity.table([0.0, a - 0.1, a, b, b + 1.0], [0.0, 0.0, a**5, b**5, b**5])
@@ -196,6 +204,32 @@ class TestCheckAlpha1:
         inside = np.linspace(a, b, 10001)
         excess = F(inside) - inside**5
         assert report.value - report.bound >= excess.max() - 1e-15
+
+    def test_supercritical_power_past_its_float_range(self):
+        # 6^th powers overflow past 5.6e51, short of t_max = 5e61: the
+        # report stands on the last point where t^6 and t^5 are finite
+        report = check_alpha1(
+            ScalarNonlinearity.power(6.0), ScalarNonlinearity.power(0.5), 3, 0.5, 5e61
+        )
+        assert not report.passed
+        assert report.clause == "F(t) <= t^(2*-1)"
+        assert all(np.isfinite([report.t, report.value, report.bound]))
+        assert 1.0 < report.t < 5e61 and report.value > report.bound
+        # the largest exponent: t^p is finite only a few ulp past t = 1
+        report = check_alpha1(
+            ScalarNonlinearity.power(1e18), ScalarNonlinearity.power(0.5), 3, 0.5, 2.0
+        )
+        assert report.clause == "F(t) <= t^(2*-1)"
+        assert 1.0 < report.t < 1.0 + 1e-15 and np.isfinite(report.value)
+        assert report.value > 1e200 * report.bound
+
+    def test_sublinear_power_fails_at_its_critical_point(self):
+        # t^0.3 - t^0.5 peaks at (0.5/0.3)^(1/(0.3-0.5)), inside (0, 1)
+        report = check_alpha1(
+            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.3), 3, 0.5, 2.0
+        )
+        assert report.clause == "H(t) <= t^q"
+        assert report.t == pytest.approx((0.5 / 0.3) ** (1.0 / (0.3 - 0.5)))
 
     def test_h_checked_against_q(self):
         report = check_alpha1(

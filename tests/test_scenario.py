@@ -12,6 +12,26 @@ from subsup.iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
 from tests.conftest import base_torus_doc
 
 
+def readme_block(heading, language):
+    """The first ```language block after a README heading."""
+    readme = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
+    )
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split(heading, 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_example_runs(capsys):
+    exec(readme_block("## Library", "python"), {})
+    # the example prints steps, restarts and coincide, then min u_* and
+    # max u^*, which the bracket [0.01, 1] encloses
+    first, second = capsys.readouterr().out.splitlines()
+    assert first.endswith(" True")
+    low, high = map(float, second.split())
+    assert 0.01 <= low <= high <= 1.0
+
+
 class TestParse:
     def test_minimal_document(self):
         s = parse_scenario(json.dumps(base_torus_doc()))
@@ -176,12 +196,7 @@ class TestRoundTrip:
         assert serialize_scenario(s2) == text
 
     def test_readme_example_round_trips(self):
-        readme = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
-        )
-        with open(readme, encoding="utf-8") as fh:
-            section = fh.read().split("## Scenario files", 1)[1]
-        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        block = readme_block("## Scenario files", "json")
         # README says the example shows the solver defaults
         assert json.loads(block)["solver"] == {
             "tol": DEFAULT_TOL, "max_steps": DEFAULT_MAX_STEPS
