@@ -132,6 +132,7 @@ def cmd_solve(args):
         "bracket_verified": [report["lower"]["passed"], report["upper"]["passed"]],
         "steps": int(trace.steps),
         "restarts": {"lower": trace.restarts[0], "upper": trace.restarts[1]},
+        "refusals": {"lower": trace.refusals[0], "upper": trace.refusals[1]},
         "cg_iterations": {
             "lower": trace.cg_iterations[0],
             "upper": trace.cg_iterations[1],

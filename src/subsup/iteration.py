@@ -10,30 +10,33 @@ sequences in lockstep and checks each new link of that chain as it is
 made, within a small relative slack; the first bend beyond it (from
 floating point or a broken precondition) aborts the run loudly.
 
-Each step, each running side also tries a restart point from one
-shifted linear solve.  With D the entrywise least slope of f F + h H
-over the current pair and J = A - M diag(D), the point of a side with
-iterate x is v = J^-1 (S(x) - M D x): D = 0 gives back the plain step,
-and as the pair narrows D tends to the derivative of S at the limit, so
-the point becomes a Newton step.  This is the monotone Newton-type
-iteration of Ortega and Rheinboldt (Iterative Solution of Nonlinear
-Equations in Several Variables, 1970, section 13.3) and C. V. Pao
-(Nonlinear Parabolic and Elliptic Equations, 1992).  Being a lower
-solution is not enough for the point to stay below the minimal
-solution: it may have jumped past it, to the lower solutions of a
-larger one.  So a point replaces the current iterate only if one
+A step of a side is one linear solve: either the plain step T(S(x))
+or a restart point from one shifted solve.  With D the entrywise least
+slope of f F + h H over the current pair and J = A - M diag(D), the
+point of a side with iterate x is v = J^-1 (S(x) - M D x): D = 0 gives
+back the plain step, and as the pair narrows D tends to the derivative
+of S at the limit, so the point becomes a Newton step.  This is the
+monotone Newton-type iteration of Ortega and Rheinboldt (Iterative
+Solution of Nonlinear Equations in Several Variables, 1970, section
+13.3) and C. V. Pao (Nonlinear Parabolic and Elliptic Equations, 1992).
+Being a lower solution is not enough for the point to stay below the
+minimal solution: it may have jumped past it, to the lower solutions of
+a larger one.  So a point becomes the side's step only if one
 certificate holds (see _certified): T(S(.)) provably contracts between
 the current iterate and the point, at a rate Lambda < 1 (see
 _contraction_rate), and the point's wrong-sign defect stays within the
 bracket rule's allowance at the run's tol or tighter even amplified by
 1 / (1 - Lambda), as that bound carries it past the extreme solution.
 That makes the point a lower (upper) solution at that tol, and, with
-the restarted pair still ordered, leaves no solution in the bracket
-below a lower point or above an upper one, whatever produced the
-point, so J needs no certificate of its own.  The lower sequence stays
-below every solution in the bracket and the upper one above, as
-without restarts, and the limits are still the minimal and maximal
-solutions.  The iteration keeps only the current pair, no history.
+the pair still ordered, leaves no solution in the bracket below a
+lower point or above an upper one, whatever produced the point.  So
+neither J nor the accuracy of the shifted solve needs a certificate of
+its own, and that solve runs only as far as the pair's width calls for
+(an inexact Newton step: Dembo, Eisenstat and Steihaug, SIAM J. Numer.
+Anal. 19, 1982).  The lower sequence stays below every solution in the
+bracket and the upper one above, as without restarts, and the limits
+are still the minimal and maximal solutions.  The iteration keeps only
+the current pair, no history.
 """
 
 from __future__ import annotations
@@ -87,8 +90,12 @@ class IterationTrace:
     """Per-step records of both sequences.
 
     A trace only exists for an intact chain: a bend beyond slack raises
-    OrderingError at the step where it happens.  restarts counts the
-    accepted restarts of (lower, upper); a restart adds no row.
+    OrderingError at the step where it happens.  A step's record is its
+    plain step's or, after a restart, the kept point's, whose defect_norm
+    is max|A v - S(v)| from the point's certificate image.  restarts
+    counts the kept points of (lower, upper), and refusals the points
+    tried and not kept: refused by the certificate, the backward check
+    or the ordering, or left without a point by a failed CG solve.
     cg_iterations counts the CG iterations of each side's linear solves,
     the plain steps' and the shifted ones' together.
     """
@@ -98,6 +105,7 @@ class IterationTrace:
     steps: int
     converged: bool
     restarts: tuple
+    refusals: tuple
     cg_iterations: tuple
 
     def rows(self):
@@ -363,62 +371,68 @@ def _certified(problem, sign, v, u, image, tol):
     return excess <= (1.0 - rate) * tol * scale
 
 
-def _restart(problem, u, psi, action, converged, restart_tol, linear_tol, cg):
-    """Restart each running side whose shifted point is certified; returns those sides.
+def _kept_points(problem, u, psi, action, sides, linear_tol, restart_tol, slack, cg):
+    """The restart points that become their sides' steps: {side: (v, (A v, S(v)))}.
 
-    Each side that has not converged gets its point from _shifted_point,
-    with D taken over the current pair u; the CG iterations of the solve
-    are added to cg.  Each point's A v and S(v) are formed once, for
-    _certified at restart_tol.  The certified points restart their sides
-    only if the pair they leave stays ordered.  A restarted side gets the
-    point as u, its S as psi and no A u, so the next warm start forms
-    A v through the slot layout.
+    Each side in sides gets its point from _shifted_point, with D taken
+    over the current pair u and CG run to max(linear_tol, min(1e-2, w^2)),
+    w = max(upper - lower): the solve gets as accurate as the pair is
+    narrow, and a looser point can only be refused, never trusted.  The
+    CG iterations are added to cg.  A point is kept if _certified
+    accepts it at restart_tol, from its (A v, S(v)), formed once, and it
+    moves its side back by at most slack; the kept points stand only if
+    the pair they leave stays ordered.
     """
-    shift = problem.domain.mass * _least_slope(problem, *u)
-    points = [None, None]
-    for i in (0, 1):
-        if not converged[i]:
-            points[i], iterations = _shifted_point(
-                problem, u[i], psi[i], action[i], shift, linear_tol
-            )
-            cg[i] += iterations
+    domain = problem.domain
+    width = float((u[1] - u[0]).max())
+    eta = max(linear_tol, min(1e-2, width * width))
+    shift = domain.mass * _least_slope(problem, *u)
+    points = {}
+    for i in sides:
+        v, iterations = _shifted_point(problem, u[i], psi[i], action[i], shift, eta)
+        cg[i] += iterations
+        if v is not None:
+            points[i] = v
     del shift
     kept = {}
-    for i, (v, sign) in enumerate(zip(points, (1, -1))):
-        if v is not None:
-            image = _image(problem, Field(problem.domain, v))
-            if _certified(problem, sign, v, u[i], image, restart_tol):
-                kept[i] = v, image[1]
+    for i, v in points.items():
+        sign = 1 - 2 * i
+        image = _image(problem, Field(domain, v))
+        if (
+            _certified(problem, sign, v, u[i], image, restart_tol)
+            and float((sign * (u[i] - v)).max()) <= slack
+        ):
+            kept[i] = v, image
     lower, upper = (kept[i][0] if i in kept else u[i] for i in (0, 1))
     if np.any(lower > upper):
-        return []
-    for i in kept:
-        u[i], psi[i] = kept[i]
-        action[i] = None
-    return list(kept)
+        return {}
+    return kept
 
 
 def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
     """Run both monotone sequences in lockstep and certify the chain.
 
     The bracket is trusted: make_bracket, its only producer, verified
-    it.  Each step advances every side that has not converged, one
-    T(S(.)) each with T solved to tol / 100, and checks within
-    ORDERING_SLACK that the lower side did not go down, the upper side
-    did not go up, and lower <= upper.  A converged side stays frozen at
-    its last iterate.
+    it.  Each step advances every side that has not converged by one
+    linear solve, and checks within ORDERING_SLACK that the lower side
+    did not go down, the upper side did not go up, and lower <= upper.
+    A converged side stays frozen at its last iterate.
 
-    At every step but the last, each running side may then restart from
-    its shifted point (see _restart): one more CG solve, on
-    J = A - M diag(D) with A's preconditioner and T's tolerance.  The
-    point replaces the iterate if _certified finds it a lower (upper)
-    solution that no solution in the bracket lies beyond, and the pair
-    stays ordered; a refused point changes nothing.  The point is
-    certified at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that
-    is smaller, so that the step after a restart cannot move back beyond
-    the slack.  The bracket rule runs on the input bracket only, in
-    make_bracket.  The per-step checks run after a restart as before, and
-    the limits are checked against the input bracket (the sandwich).
+    A side whose last step was a plain step, or a kept point that moved
+    by more than tol, first tries its shifted point (see _kept_points):
+    one CG solve on J = A - M diag(D) with A's preconditioner, warm
+    started from the iterate's own A x and S(x).  The point becomes the
+    side's step if _certified finds it a lower (upper) solution that no
+    solution in the bracket lies beyond, it moves its side back by at
+    most the slack, and the pair stays ordered.  The point is certified
+    at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that is
+    smaller, so that the plain step after it cannot move back beyond the
+    slack.  Otherwise, and at the first and the last step, the side takes
+    the plain step T(S(.)), with T solved to tol / 100.  A side stops
+    only on a plain step that changes it by at most tol: a shifted solve
+    to a loose tolerance can return its start unchanged.  The bracket
+    rule runs on the input bracket only, in make_bracket, and the limits
+    are checked against the input bracket (the sandwich).
 
     Returns (SolutionPair, IterationTrace).  Non-convergence within
     max_steps is reported through the trace's converged flag, not an
@@ -460,41 +474,57 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
 
     linear_tol = tol / 100.0
     u = [bracket.lower.values.copy(), bracket.upper.values.copy()]
-    # A u from solve_T's last re-check; None where u was not solved for
+    # A u from solve_T's last re-check or a kept point's image; None
+    # where u was not solved for
     action = [None, None]
     psi = [apply_S(problem, Field(domain, v)) for v in u]
     records = ([], [])
     converged = [False, False]
+    # whether a side's next step tries its shifted point
+    shifting = [False, False]
     restarts = [0, 0]
+    refusals = [0, 0]
     cg = [0, 0]
     for k in range(1, max_steps + 1):
+        # never at the last step: its recorded iterate is a plain step's
+        sides = [i for i in (0, 1) if shifting[i] and not converged[i]]
+        kept = {}
+        if sides and k < max_steps:
+            kept = _kept_points(
+                problem, u, psi, action, sides, linear_tol, restart_tol, slack, cg
+            )
+            for i in sides:
+                refusals[i] += i not in kept
         # lower must climb, upper must descend
         for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
             if converged[i]:
                 continue
-            x, report = solve_T(
-                linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
-            )
-            cg[i] += report.iterations
-            gap = float((sign * (u[i] - x.values)).max())
-            require(gap, f"{name} sequence not monotone at step {k}")
-            change = float(np.abs(x.values - u[i]).max())
-            u[i], action[i], psi[i] = x.values, report.Ax, apply_S(problem, x)
-            del x, report  # a restart replaces u[i] and action[i]; free them then
+            if i in kept:
+                v, (action[i], psi[i]) = kept[i]
+                change = float(np.abs(v - u[i]).max())
+                u[i] = v
+                restarts[i] += 1
+                # a move within tol is confirmed by a plain step
+                shifting[i] = change > tol
+            else:
+                x, report = solve_T(
+                    linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
+                )
+                cg[i] += report.iterations
+                gap = float((sign * (u[i] - x.values)).max())
+                require(gap, f"{name} sequence not monotone at step {k}")
+                change = float(np.abs(x.values - u[i]).max())
+                u[i], action[i], psi[i] = x.values, report.Ax, apply_S(problem, x)
+                del x, report  # a kept point replaces u[i] and action[i]; free them then
+                converged[i] = change <= tol
+                shifting[i] = True
             resid = float(np.abs(action[i] - psi[i].values).max())
             records[i].append(
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
             )
-            converged[i] = change <= tol
         require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
         if all(converged):
             break
-        # never at the last step: its recorded iterate is the one returned
-        if k < max_steps:
-            for i in _restart(
-                problem, u, psi, action, converged, restart_tol, linear_tol, cg
-            ):
-                restarts[i] += 1
 
     u_star, u_upper_star = u
     sandwich = max(
@@ -520,6 +550,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
         steps=k,
         converged=all(converged),
         restarts=tuple(restarts),
+        refusals=tuple(refusals),
         cg_iterations=tuple(cg),
     )
     return pair, trace

@@ -18,6 +18,11 @@ import numpy as np
 from .geometry import Field
 from .linear_operator import DualVector, LinearProblem
 
+# past 1e18, t^p overflows within a few ulp above t = 1, and no float
+# t > 1 shows a power law's growth to the alpha1 check
+MAX_EXPONENT = 1e18
+
+
 def critical_exponent(n):
     """2n/(n-2), the growth threshold; defined for n >= 3."""
     n = int(n)
@@ -41,9 +46,7 @@ class ScalarNonlinearity:
         self.truncate = bool(truncate)
         if kind == "power":
             self.p = float(p)
-            # past 1e18, t^p overflows within a few ulp above t = 1, and no
-            # float t > 1 shows its growth to the alpha1 check
-            if not 0.0 < self.p <= 1e18:
+            if not 0.0 < self.p <= MAX_EXPONENT:
                 raise ValueError(f"power exponent must lie in (0, 1e18], got {self.p:g}")
             self.ts = None
             self.values = None
@@ -104,6 +107,13 @@ class ScalarNonlinearity:
             out = np.maximum(t, 0.0) ** self.p
         else:
             out = np.interp(t, self.ts, self.values)
+            # np.interp overflows to inf inside a segment whose slope has
+            # no float; there the value is the ends' convex combination
+            steep = np.isinf(out)
+            if steep.any():
+                j = np.searchsorted(self.ts, t[steep]) - 1
+                w = (t[steep] - self.ts[j]) / (self.ts[j + 1] - self.ts[j])
+                out[steep] = (1.0 - w) * self.values[j] + w * self.values[j + 1]
             if self.truncate:
                 out = np.where(t < 0.0, 0.0, out)
         return float(out[0]) if scalar else out
@@ -244,8 +254,8 @@ def _peak_points(G, b, t_max):
     else:
         points.append(G.ts)
         if b > 1.0:
-            slopes = np.diff(G.values) / np.diff(G.ts)
             with np.errstate(over="ignore"):  # an inf point lies past t_max
+                slopes = np.diff(G.values) / np.diff(G.ts)
                 points.append((np.maximum(slopes, 0.0) / b) ** (1.0 / (b - 1.0)))
     points.append([t_max])
     # np.sort, not np.unique, which imports numpy.ma (~20 ms); a point

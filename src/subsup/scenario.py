@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .expressions import parse_coefficient
 from .geometry import build_flat_torus, build_icosphere, load_off
 from .iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
-from .nonlinearity import NonlinearProblem, ScalarNonlinearity
+from .nonlinearity import MAX_EXPONENT, NonlinearProblem, ScalarNonlinearity
 from .serialize import dumps
 
 
@@ -118,7 +118,10 @@ def _nonlin_spec(raw, where):
         _known(raw, where, ("kind", "p"))
         if "p" not in raw:
             raise ScenarioError(f"{where}: power law needs 'p'")
-        return {"kind": "power", "p": _number(raw["p"], f"{where}.p")}
+        p = _number(raw["p"], f"{where}.p")
+        if not 0.0 < p <= MAX_EXPONENT:
+            raise ScenarioError(f"'{where}.p' must lie in (0, 1e18], got {p:g}")
+        return {"kind": "power", "p": p}
     if kind == "table":
         _known(raw, where, ("kind", "path"))
         if "path" not in raw:

@@ -293,6 +293,22 @@ class TestInputErrors:
         ]
 
 
+    def test_steep_table_checks_without_a_warning(self, tmp_scenario, tmp_path):
+        # the segment [0, 1e-300] rising to 1e10 has slope 1e310, which
+        # overflows; its peak point is inf and lies past t_max
+        with open(SHIPPED_SPHERE, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (tmp_path / "steep.csv").write_text("t,value\n0,0\n1e-300,1e10\n1,1e10\n")
+        doc["nonlinearity"]["F"] = {"kind": "table", "path": "steep.csv"}
+        proc = run_cli_process(["check", tmp_scenario(doc)])
+        assert proc.returncode == 1
+        assert proc.stderr == ""  # no RuntimeWarning
+        assert proc.stdout.splitlines()[0] == (
+            "alpha1 growth bounds: FAIL (F(t) <= t^(2*-1) at t = 1e-300, "
+            "value 1e+10, bound 0)"
+        )
+
+
 class TestSolve:
     def test_writes_artifacts(self, tmp_scenario, tmp_path, capsys):
         out = tmp_path / "run"
@@ -312,6 +328,7 @@ class TestSolve:
         assert min(summary["restarts"].values()) > 0
         assert sorted(summary["cg_iterations"]) == ["lower", "upper"]
         assert min(summary["cg_iterations"].values()) > 0
+        assert sorted(summary["refusals"]) == ["lower", "upper"]
         assert "converged" in capsys.readouterr().out
 
     def test_deterministic_artifacts(self, tmp_scenario, tmp_path):
@@ -490,7 +507,9 @@ class TestSolve:
         self, domain, monkeypatch, tmp_scenario, tmp_path, capsys
     ):
         # --tol 1e-12 asks CG for 1e-14, below what rounding leaves; the
-        # first solve used to run to the cap of 10 n iterations
+        # first solve used to run to the cap of 10 n iterations.  A shifted
+        # solve that fails first is caught, as a refused point; the first
+        # plain solve that fails stops the run.
         import subsup.iteration
         from subsup import ConvergenceError
 
@@ -512,8 +531,8 @@ class TestSolve:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "linear tolerance not attainable" in err
-        (exc,) = errors
-        assert 0 < exc.report.iterations <= 50
+        assert errors and all(0 < exc.report.iterations <= 50 for exc in errors)
+        assert err == f"error: {errors[-1]}\n"
         assert not (out / "summary.json").exists()
 
     def test_refuses_bad_scenario(self, tmp_scenario, tmp_path, capsys):

@@ -254,8 +254,8 @@ def analytic_peaks(G, b):
         return [] if G.p == b else [(b / G.p) ** (1.0 / (G.p - b))]
     peaks = [*G.ts, np.nextafter(0.0, -1.0)]
     if b > 1.0:
-        slopes = np.maximum(np.diff(G.values) / np.diff(G.ts), 0.0)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a steep segment's inf peak lies past t_max
+            slopes = np.maximum(np.diff(G.values) / np.diff(G.ts), 0.0)
             peaks += list((slopes / b) ** (1.0 / (b - 1.0)))
     return peaks
 

@@ -284,8 +284,9 @@ class TestIterateMonotone:
         assert pair.coincide
 
     def test_cg_iterations_are_counted_per_side(self, monkeypatch, icosphere3):
-        # with max_steps = 2 the solves run in this order: the plain steps
-        # of both sides, their shifted solves, the plain steps of step 2
+        # with max_steps = 3 and both points of step 2 kept, the solves run
+        # in this order: the plain steps of both sides, their shifted
+        # solves, and the plain steps of the last step
         real = subsup.iteration.solve_T
         iterations = []
 
@@ -297,7 +298,8 @@ class TestIterateMonotone:
         monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
         problem = sphere3_problem(icosphere3)
         br = make_bracket(problem, icosphere3.field(0.01), icosphere3.field(1.0))
-        _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=2)
+        _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=3)
+        assert trace.restarts == (1, 1) and trace.refusals == (0, 0)
         assert len(iterations) == 6 and min(iterations) > 0
         assert trace.cg_iterations == (sum(iterations[0::2]), sum(iterations[1::2]))
 
@@ -507,7 +509,8 @@ def spy_certificate(monkeypatch, verdict=None):
 def inject_restart_point(monkeypatch, call, point):
     """Make the call-th shifted solve of the iteration return point.
 
-    Step 1 solves for the lower side's point first, then the upper one's.
+    Step 2, the first that tries points, solves for the lower side's
+    point first, then the upper one's.
     """
     real = subsup.iteration._shifted_point
     calls = []
@@ -538,16 +541,16 @@ def spy_contraction_rate(monkeypatch, rate=None):
 
 
 def spy_restarts(monkeypatch):
-    """Record (side, point) for every restart the iteration makes."""
-    real = subsup.iteration._restart
+    """Record (side, point) for every point the iteration keeps."""
+    real = subsup.iteration._kept_points
     accepted = []
 
-    def restart(problem, u, *args):
-        sides = real(problem, u, *args)
-        accepted.extend((i, u[i].copy()) for i in sides)
-        return sides
+    def kept_points(*args):
+        kept = real(*args)
+        accepted.extend((i, v.copy()) for i, (v, _) in kept.items())
+        return kept
 
-    monkeypatch.setattr(subsup.iteration, "_restart", restart)
+    monkeypatch.setattr(subsup.iteration, "_kept_points", kept_points)
     return accepted
 
 
@@ -564,6 +567,10 @@ class TestRestarts:
         pair, trace = iterate_monotone(problem, br, tol=1e-9)
         rows, (lower, upper) = plain_iteration(problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
+        # every point tried is refused, and a refused side takes its plain step
+        assert trace.refusals == tuple(
+            sum(call[0] == sign for call in calls) for sign in (1, -1)
+        )
         assert trace.steps == 29
         assert trace.rows() == rows
         assert np.array_equal(pair.u_star.values, lower)
@@ -613,7 +620,7 @@ class TestRestarts:
         pair, trace = iterate_monotone(problem, br, tol=tol)
         assert trace.converged
         assert min(trace.restarts) > 0
-        assert max(len(trace.lower_steps), len(trace.upper_steps)) <= 6
+        assert max(len(trace.lower_steps), len(trace.upper_steps)) <= 8
         # the certificate implies the bracket rule at its tol, the run's
         # tol or tighter: every accepted point passes the rule there
         (restart_tol,) = {call_tol for _, _, call_tol, _ in calls}
@@ -625,6 +632,33 @@ class TestRestarts:
         _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
         assert np.abs(pair.u_star.values - lower).max() <= 10.0 * tol
         assert np.abs(pair.u_upper_star.values - upper).max() <= 10.0 * tol
+        assert (pair.u_upper_star.values - pair.u_star.values).max() < 1e-11
+
+    def test_a_kept_point_is_the_step(self, monkeypatch):
+        # icosphere 5 with a = c + 0.5 z, c drawn as the benchmark's seed-0
+        # sphere: every point tried is kept, so each step of a side is one
+        # solve, and the last plain steps leave a pair narrower than 1e-11
+        domain = subsup.build_icosphere(5, 1.0)
+        a = subsup.parse_coefficient("2.036997641311417+0.5*z", domain)
+        problem = subsup.NonlinearProblem(
+            domain, a, 0.5, 0.5,
+            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+        )
+        br = make_bracket(problem, domain.field(0.01), domain.field(1.0))
+        solves = []
+        real = subsup.iteration.solve_T
+
+        def solve_T(*args, **kwargs):
+            solves.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+        pair, trace = iterate_monotone(problem, br, tol=1e-9)
+        assert trace.converged and trace.refusals == (0, 0)
+        assert min(trace.restarts) > 0
+        assert len(solves) == len(trace.lower_steps) + len(trace.upper_steps)
+        assert sum(trace.cg_iterations) <= 60
+        assert (pair.u_upper_star.values - pair.u_star.values).max() < 1e-11
 
     def test_a_restart_must_keep_the_pair_ordered(
         self, monkeypatch, torus_problem, torus8
@@ -639,6 +673,28 @@ class TestRestarts:
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
         rows, _ = plain_iteration(torus_problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
+        assert trace.rows() == rows
+
+    def test_a_kept_point_must_not_move_its_side_back(
+        self, monkeypatch, torus_problem, torus8, c_star
+    ):
+        # Lambda < 1 does not imply v >= u for a lower point (v <= u for an
+        # upper one); a certified point that moves its side back beyond
+        # the slack is refused, and the side takes its plain step.  Lower
+        # iterates lie below the fixed point c*, upper ones above.
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        monkeypatch.setattr(
+            subsup.iteration,
+            "_shifted_point",
+            lambda problem, x, *args: (x + (-1e-6 if x.max() < c_star else 1e-6), 0),
+        )
+        calls = spy_certificate(monkeypatch, lambda sign, v: True)
+        _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
+        rows, _ = plain_iteration(torus_problem, br, 1e-9, 1e-11)
+        assert calls and trace.restarts == (0, 0)
+        assert trace.refusals == tuple(
+            sum(call[0] == sign for call in calls) for sign in (1, -1)
+        )
         assert trace.rows() == rows
 
     @pytest.mark.parametrize(
@@ -666,10 +722,11 @@ class TestRestarts:
 
     @pytest.mark.parametrize("path", SCENARIOS)
     def test_each_candidate_is_evaluated_once(self, path, monkeypatch):
-        # make_bracket forms L v and S(v) at both ends; then each step one
-        # T and one S per side, and each restart candidate one shifted T,
-        # which reuses the step's S(x) and A x, and one L v and one S,
-        # shared by the certificate and the restart
+        # make_bracket forms L v and S(v) at both ends, and the iteration S
+        # at both; then each plain step one T and one S, and each restart
+        # candidate one shifted T, which reuses its iterate's S(x) and A x,
+        # and one L v and one S, shared by the certificate and the step the
+        # kept point becomes
         scenario = load_scenario(path)
         _, problem, lower, upper = build_problem(scenario)
         counts = {"stiffness_action": 0, "apply_S": 0, "solve_T": 0}
@@ -694,11 +751,37 @@ class TestRestarts:
         calls = spy_certificate(monkeypatch)
         _, trace = iterate_monotone(problem, br, tol=scenario.tol)
         candidates = len(calls)
-        steps = len(trace.lower_steps) + len(trace.upper_steps)
-        assert min(trace.restarts) > 0 and candidates >= sum(trace.restarts)
-        assert counts["solve_T"] == steps + candidates
+        plain = len(trace.lower_steps) + len(trace.upper_steps) - sum(trace.restarts)
+        assert min(trace.restarts) > 0
+        assert candidates == sum(trace.restarts) + sum(trace.refusals)
+        assert counts["solve_T"] == plain + candidates
         assert counts["stiffness_action"] == 2 + candidates
-        assert counts["apply_S"] == 2 + 2 + steps + candidates
+        assert counts["apply_S"] == 2 + 2 + plain + candidates
+
+    def test_a_side_never_stops_on_a_point_that_does_not_move(
+        self, monkeypatch, torus_problem, torus8
+    ):
+        # a shifted solve whose start already meets its loose tolerance
+        # returns the start after zero CG iterations.  Every such point is
+        # kept here, a step of change 0, and each side still stops only on
+        # a plain step: its plain steps are those of the restart-free run.
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        monkeypatch.setattr(
+            subsup.iteration, "_shifted_point", lambda problem, x, *args: (x.copy(), 0)
+        )
+        pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
+        rows, limits = plain_iteration(torus_problem, br, 1e-9, 1e-11)
+        assert trace.converged and trace.refusals == (0, 0)
+        for side, name in enumerate(("lower", "upper")):
+            steps = (trace.lower_steps, trace.upper_steps)[side]
+            plain = [row[2] for row in rows if row[1] == name]
+            assert trace.restarts[side] == len(plain) - 1
+            assert [r.max_change for r in steps[1::2]] == [0.0] * (len(plain) - 1)
+            np.testing.assert_allclose(
+                [r.max_change for r in steps[0::2]], plain, rtol=1e-6, atol=1e-13
+            )
+        assert np.abs(pair.u_star.values - limits[0]).max() <= 1e-12
+        assert np.abs(pair.u_upper_star.values - limits[1]).max() <= 1e-12
 
     @pytest.mark.parametrize("rate,restarts", [(0.0, True), (0.5, True), (0.99, False)])
     def test_the_allowance_is_amplified_by_the_contraction_bound(

@@ -38,6 +38,20 @@ class TestScalarNonlinearity:
             assert not np.signbit(out).any()
         assert not np.signbit(ScalarNonlinearity.power(5.0)(-0.0))
 
+    def test_steep_table_segment_has_finite_values(self):
+        # the slope 1e10 / 1e-300 has no float; np.interp alone returns inf
+        # inside the segment
+        G = ScalarNonlinearity.table([0.0, 1e-300, 1.0], [0.0, 1e10, 1e10])
+        np.testing.assert_allclose(
+            G(np.array([2.5e-301, 5e-301, 1e-300, 0.5])),
+            [2.5e9, 5e9, 1e10, 1e10],
+            rtol=1e-15,
+        )
+        G = ScalarNonlinearity.table(
+            [-1.0, -2.2250738585e-313, 0.0], [0.0, 0.0, 1.0], truncate=False
+        )
+        assert 0.99 < G(-5e-324) <= 1.0
+
     def test_power_requires_positive_exponent(self):
         with pytest.raises(ValueError):
             ScalarNonlinearity.power(0.0)

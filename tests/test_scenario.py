@@ -156,6 +156,16 @@ MALFORMED = {
         "nonlinearity",
         {"F": POWER_5, "H": {"kind": "table", "path": "h.csv", "p": 0.5}, "q": 0.5},
     ),
+    # a power law's exponent lies in (0, 1e18]
+    "power_exponent_huge": (
+        "nonlinearity.F.p", "nonlinearity", {"F": {"kind": "power", "p": 1e19}, "H": POWER_HALF}
+    ),
+    "power_exponent_zero": (
+        "nonlinearity.F.p", "nonlinearity", {"F": {"kind": "power", "p": 0}, "H": POWER_HALF}
+    ),
+    "power_exponent_negative": (
+        "nonlinearity.F.p", "nonlinearity", {"F": {"kind": "power", "p": -1}, "H": POWER_HALF}
+    ),
     "bracket_unknown_key": (
         "bracket.lowr", "bracket", {"lower": 0.01, "upper": 1.0, "lowr": 0.01}
     ),
