@@ -20,6 +20,7 @@ and u' M u approximate the Dirichlet energy and the volume integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +51,8 @@ _ICO_FACES = np.array(
 )
 
 MAX_SUBDIVISIONS = 8
+# the largest icosphere's vertex count, also the largest flat torus
+MAX_VERTICES = 10 * 4**MAX_SUBDIVISIONS + 2
 
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 _SQRT_MAX = np.sqrt(np.finfo(float).max)
@@ -445,7 +448,10 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
 
 
 def build_flat_torus(dims, dimension=None):
-    """Periodic grid from [(cells, length), ...] with 1 to 3 axes."""
+    """Periodic grid from [(cells, length), ...] with 1 to 3 axes.
+
+    At most MAX_VERTICES vertices, refused before any allocation.
+    """
     dims = list(dims)
     if not 1 <= len(dims) <= 3:
         raise ValueError("flat torus takes 1 to 3 axes")
@@ -460,6 +466,10 @@ def build_flat_torus(dims, dimension=None):
             raise ValueError("axis length must be a finite number > 0")
         cells.append(c)
         lengths.append(l)
+    # counted in Python ints: np.prod of [10**7] * 3 overflows int64
+    n = math.prod(cells)
+    if n > MAX_VERTICES:
+        raise ValueError(f"flat torus of {n} vertices exceeds the limit of {MAX_VERTICES}")
 
     spacings = [l / c for c, l in zip(cells, lengths)]
     with np.errstate(all="ignore"):  # the grid weights are volume / h^2
@@ -468,7 +478,6 @@ def build_flat_torus(dims, dimension=None):
         raise ValueError("axis lengths put the grid weights out of floating-point range")
     axes = [np.arange(c) * h for c, h in zip(cells, spacings)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    n = int(np.prod(cells))
     coords = np.zeros((n, 3))
     for k, ax in enumerate(mesh):
         coords[:, k] = ax.ravel()

@@ -10,12 +10,12 @@ sequences in lockstep and checks each new link of that chain as it is
 made, within a small relative slack; the first bend beyond it (from
 floating point or a broken precondition) aborts the run loudly.
 
-A step of a side is one linear solve: either the plain step T(S(x))
-or a restart point from one shifted solve.  With D the entrywise least
-slope of f F + h H over the current pair and J = A - M diag(D), the
-point of a side with iterate x is v = J^-1 (S(x) - M D x): D = 0 gives
-back the plain step, and as the pair narrows D tends to the derivative
-of S at the limit, so the point becomes a Newton step.  This is the
+A step of a side is either the plain step T(S(x)) or a restart point
+from one shifted solve.  With D the entrywise least slope of f F + h H
+over the current pair and J = A - M diag(D), the point of a side with
+iterate x is v = J^-1 (S(x) - M D x): D = 0 gives back the plain step,
+and as the pair narrows D tends to the derivative of S at the limit,
+so the point becomes a Newton step.  This is the
 monotone Newton-type iteration of Ortega and Rheinboldt (Iterative
 Solution of Nonlinear Equations in Several Variables, 1970, section
 13.3) and C. V. Pao (Nonlinear Parabolic and Elliptic Equations, 1992).
@@ -35,8 +35,11 @@ its own, and that solve runs only as far as the pair's width calls for
 (an inexact Newton step: Dembo, Eisenstat and Steihaug, SIAM J. Numer.
 Anal. 19, 1982).  The lower sequence stays below every solution in the
 bracket and the upper one above, as without restarts, and the limits
-are still the minimal and maximal solutions.  The iteration keeps only
-the current pair, no history.
+are still the minimal and maximal solutions.  A point within tol of
+its iterate is not tried, and its side takes the plain step, so every
+kept point moves its side by more than tol and one rule stops a side:
+a step that moves it by at most tol.  The iteration keeps only the
+current pair, no history.
 """
 
 from __future__ import annotations
@@ -94,8 +97,10 @@ class IterationTrace:
     plain step's or, after a restart, the kept point's, whose defect_norm
     is max|A v - S(v)| from the point's certificate image.  restarts
     counts the kept points of (lower, upper), and refusals the points
-    tried and not kept: refused by the certificate, the backward check
-    or the ordering, or left without a point by a failed CG solve.
+    tried and not kept: points that moved their side by more than tol
+    and were refused by the certificate, the backward check or the
+    ordering, and failed shifted CG solves.  A point within tol of its
+    iterate is neither.
     cg_iterations counts the CG iterations of each side's linear solves,
     the plain steps' and the shifted ones' together.
     """
@@ -371,17 +376,20 @@ def _certified(problem, sign, v, u, image, tol):
     return excess <= (1.0 - rate) * tol * scale
 
 
-def _kept_points(problem, u, psi, action, sides, linear_tol, restart_tol, slack, cg):
-    """The restart points that become their sides' steps: {side: (v, (A v, S(v)))}.
+def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg):
+    """{side: (v, (A v, S(v))) if kept, else None} for the points tried.
 
     Each side in sides gets its point from _shifted_point, with D taken
     over the current pair u and CG run to max(linear_tol, min(1e-2, w^2)),
     w = max(upper - lower): the solve gets as accurate as the pair is
     narrow, and a looser point can only be refused, never trusted.  The
-    CG iterations are added to cg.  A point is kept if _certified
-    accepts it at restart_tol, from its (A v, S(v)), formed once, and it
-    moves its side back by at most slack; the kept points stand only if
-    the pair they leave stays ordered.
+    CG iterations are added to cg.  A point within tol of its iterate is
+    not tried: it gets no image and no certificate, and its side takes
+    the plain step.  A failed solve is tried and not kept.  Any other
+    point is kept if _certified accepts it at restart_tol, from its
+    (A v, S(v)), formed once, and it moves its side back by at most
+    slack; the kept points stand only if the pair they leave stays
+    ordered.
     """
     domain = problem.domain
     width = float((u[1] - u[0]).max())
@@ -391,11 +399,13 @@ def _kept_points(problem, u, psi, action, sides, linear_tol, restart_tol, slack,
     for i in sides:
         v, iterations = _shifted_point(problem, u[i], psi[i], action[i], shift, eta)
         cg[i] += iterations
-        if v is not None:
+        if v is None or float(np.abs(v - u[i]).max()) > tol:
             points[i] = v
     del shift
     kept = {}
     for i, v in points.items():
+        if v is None:
+            continue
         sign = 1 - 2 * i
         image = _image(problem, Field(domain, v))
         if (
@@ -405,8 +415,8 @@ def _kept_points(problem, u, psi, action, sides, linear_tol, restart_tol, slack,
             kept[i] = v, image
     lower, upper = (kept[i][0] if i in kept else u[i] for i in (0, 1))
     if np.any(lower > upper):
-        return {}
-    return kept
+        kept = {}
+    return {i: kept.get(i) for i in points}
 
 
 def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
@@ -418,21 +428,21 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     did not go down, the upper side did not go up, and lower <= upper.
     A converged side stays frozen at its last iterate.
 
-    A side whose last step was a plain step, or a kept point that moved
-    by more than tol, first tries its shifted point (see _kept_points):
-    one CG solve on J = A - M diag(D) with A's preconditioner, warm
-    started from the iterate's own A x and S(x).  The point becomes the
-    side's step if _certified finds it a lower (upper) solution that no
-    solution in the bracket lies beyond, it moves its side back by at
-    most the slack, and the pair stays ordered.  The point is certified
-    at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that is
-    smaller, so that the plain step after it cannot move back beyond the
-    slack.  Otherwise, and at the first and the last step, the side takes
-    the plain step T(S(.)), with T solved to tol / 100.  A side stops
-    only on a plain step that changes it by at most tol: a shifted solve
-    to a loose tolerance can return its start unchanged.  The bracket
-    rule runs on the input bracket only, in make_bracket, and the limits
-    are checked against the input bracket (the sandwich).
+    At every step but the first and the last, each running side first
+    solves for its shifted point (see _kept_points): one CG solve on
+    J = A - M diag(D) with A's preconditioner, warm started from the
+    iterate's own A x and S(x).  A point within tol of the iterate is
+    not tried.  Any other point becomes the side's step if _certified
+    finds it a lower (upper) solution that no solution in the bracket
+    lies beyond, it moves its side back by at most the slack, and the
+    pair stays ordered.  The point is certified at tol, or at
+    ORDERING_SLACK * min(m a) / max(m a) if that is smaller, so that the
+    plain step after it cannot move back beyond the slack.  Otherwise
+    the side takes the plain step T(S(.)), with T solved to tol / 100.
+    A side stops on a step that moves it by at most tol, which a kept
+    point never does.  The bracket rule runs on the input bracket only,
+    in make_bracket, and the limits are checked against the input
+    bracket (the sandwich).
 
     Returns (SolutionPair, IterationTrace).  Non-convergence within
     max_steps is reported through the trace's converged flag, not an
@@ -480,32 +490,29 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     psi = [apply_S(problem, Field(domain, v)) for v in u]
     records = ([], [])
     converged = [False, False]
-    # whether a side's next step tries its shifted point
-    shifting = [False, False]
     restarts = [0, 0]
     refusals = [0, 0]
     cg = [0, 0]
     for k in range(1, max_steps + 1):
-        # never at the last step: its recorded iterate is a plain step's
-        sides = [i for i in (0, 1) if shifting[i] and not converged[i]]
-        kept = {}
-        if sides and k < max_steps:
-            kept = _kept_points(
-                problem, u, psi, action, sides, linear_tol, restart_tol, slack, cg
+        tried = {}
+        # plain at step 1, which has no A x at hand, and at the last step,
+        # whose recorded iterate is a plain step's
+        if 1 < k < max_steps:
+            sides = [i for i in (0, 1) if not converged[i]]
+            tried = _kept_points(
+                problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg
             )
-            for i in sides:
-                refusals[i] += i not in kept
+            for i, point in tried.items():
+                refusals[i] += point is None
         # lower must climb, upper must descend
         for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
             if converged[i]:
                 continue
-            if i in kept:
-                v, (action[i], psi[i]) = kept[i]
+            if tried.get(i) is not None:
+                v, (action[i], psi[i]) = tried[i]
                 change = float(np.abs(v - u[i]).max())
                 u[i] = v
                 restarts[i] += 1
-                # a move within tol is confirmed by a plain step
-                shifting[i] = change > tol
             else:
                 x, report = solve_T(
                     linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
@@ -516,8 +523,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 change = float(np.abs(x.values - u[i]).max())
                 u[i], action[i], psi[i] = x.values, report.Ax, apply_S(problem, x)
                 del x, report  # a kept point replaces u[i] and action[i]; free them then
-                converged[i] = change <= tol
-                shifting[i] = True
+            converged[i] = change <= tol
             resid = float(np.abs(action[i] - psi[i].values).max())
             records[i].append(
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)

@@ -79,7 +79,10 @@ def _known(raw, where, keys):
 def _number(raw, where):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"'{where}' must be a number")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:  # an integer past the float range: a float literal's inf
+        return math.inf if raw > 0 else -math.inf
 
 
 def _integer(raw, where):
@@ -105,9 +108,14 @@ def _max_steps(raw, where):
 
 
 def _coeff(raw, where):
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ScenarioError(f"{where}: expected a number or expression string")
-    return float(raw) if isinstance(raw, (int, float)) else raw
+    if isinstance(raw, str):
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ScenarioError(f"'{where}' must be a number or an expression string")
+    value = _number(raw, where)
+    if not math.isfinite(value):
+        raise ScenarioError(f"'{where}' must be a finite number, got {value!r}")
+    return value
 
 
 def _nonlin_spec(raw, where):

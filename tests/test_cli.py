@@ -151,6 +151,17 @@ class TestInputErrors:
         assert main(["check", tmp_scenario(doc)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dims", [[[10**12, 1.0]], [[10**7, 1.0]] * 2])
+    def test_oversized_torus(self, dims, tmp_scenario, tmp_path, capsys):
+        doc = base_torus_doc()
+        doc["domain"]["dims"] = dims
+        path = tmp_scenario(doc)
+        assert main(["check", path]) == 2
+        assert main(["solve", path, "--out", str(tmp_path / "run")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all("vertices exceeds the limit of 655362" in line for line in lines)
+
     def test_non_finite_expression(self, tmp_scenario):
         doc = base_torus_doc()
         doc["coefficients"]["a"] = "1/(x-x)"

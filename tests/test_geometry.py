@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -225,6 +226,22 @@ class TestFlatTorus:
             subsup.build_flat_torus([])
         with pytest.raises(ValueError):
             subsup.build_flat_torus([(4, 1.0)] * 4)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[(10**12, 1.0)], [(10**7, 1.0)] * 2, [(10**7, 1.0)] * 3, [(128, 1.0)] * 3],
+    )
+    def test_refuses_more_vertices_than_the_largest_icosphere(self, dims, monkeypatch):
+        # refused before any grid is built; [10**7] * 3 overflows an int64
+        # product, and 128^3 is the first cube past 655,362 vertices
+        def meshgrid(*args, **kwargs):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(np, "meshgrid", meshgrid)
+        count = math.prod(c for c, _ in dims)
+        assert count > subsup.geometry.MAX_VERTICES == 655_362
+        with pytest.raises(ValueError, match=f"torus of {count} vertices exceeds"):
+            subsup.build_flat_torus(dims)
 
     def test_quality_clean(self, torus8):
         q = subsup.mesh_quality(torus8)

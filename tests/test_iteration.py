@@ -268,7 +268,7 @@ class TestIterateMonotone:
         assert np.abs(pair.u_star.values - minimal).max() <= 1e-8
         assert np.abs(pair.u_upper_star.values - maximal).max() <= 1e-8
         assert not pair.coincide
-        # step 1 tries the lower side's point first, then the upper one's
+        # step 2 tries the lower side's point first, then the upper one's
         point = np.full(domain.vertex_count, overshoot)
         inject_restart_point(monkeypatch, call, point)
         rates = spy_contraction_rate(monkeypatch)
@@ -546,9 +546,9 @@ def spy_restarts(monkeypatch):
     accepted = []
 
     def kept_points(*args):
-        kept = real(*args)
-        accepted.extend((i, v.copy()) for i, (v, _) in kept.items())
-        return kept
+        tried = real(*args)
+        accepted.extend((i, p[0].copy()) for i, p in tried.items() if p is not None)
+        return tried
 
     monkeypatch.setattr(subsup.iteration, "_kept_points", kept_points)
     return accepted
@@ -637,7 +637,9 @@ class TestRestarts:
     def test_a_kept_point_is_the_step(self, monkeypatch):
         # icosphere 5 with a = c + 0.5 z, c drawn as the benchmark's seed-0
         # sphere: every point tried is kept, so each step of a side is one
-        # solve, and the last plain steps leave a pair narrower than 1e-11
+        # solve, except its last, which holds a shifted solve whose point
+        # lies within tol and its plain step; these leave a pair narrower
+        # than 1e-11
         domain = subsup.build_icosphere(5, 1.0)
         a = subsup.parse_coefficient("2.036997641311417+0.5*z", domain)
         problem = subsup.NonlinearProblem(
@@ -654,9 +656,10 @@ class TestRestarts:
 
         monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
         pair, trace = iterate_monotone(problem, br, tol=1e-9)
-        assert trace.converged and trace.refusals == (0, 0)
-        assert min(trace.restarts) > 0
-        assert len(solves) == len(trace.lower_steps) + len(trace.upper_steps)
+        assert trace.converged and trace.steps == 7
+        assert trace.restarts == (5, 5) and trace.refusals == (0, 0)
+        assert len(trace.lower_steps) == len(trace.upper_steps) == 7
+        assert len(solves) == 7 + 7 + 2
         assert sum(trace.cg_iterations) <= 60
         assert (pair.u_upper_star.values - pair.u_star.values).max() < 1e-11
 
@@ -723,13 +726,13 @@ class TestRestarts:
     @pytest.mark.parametrize("path", SCENARIOS)
     def test_each_candidate_is_evaluated_once(self, path, monkeypatch):
         # make_bracket forms L v and S(v) at both ends, and the iteration S
-        # at both; then each plain step one T and one S, and each restart
-        # candidate one shifted T, which reuses its iterate's S(x) and A x,
-        # and one L v and one S, shared by the certificate and the step the
-        # kept point becomes
+        # at both; then each plain step one T and one S, each shifted solve
+        # one T, which reuses its iterate's S(x) and A x, and each point
+        # that moves its side by more than tol one L v and one S, shared by
+        # the certificate and the step the kept point becomes
         scenario = load_scenario(path)
         _, problem, lower, upper = build_problem(scenario)
-        counts = {"stiffness_action": 0, "apply_S": 0, "solve_T": 0}
+        counts = {"stiffness_action": 0, "apply_S": 0, "solve_T": 0, "_shifted_point": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -744,7 +747,7 @@ class TestRestarts:
             "stiffness_action",
             counted("stiffness_action", domain_cls.stiffness_action),
         )
-        for name in ("apply_S", "solve_T"):
+        for name in ("apply_S", "solve_T", "_shifted_point"):
             fn = getattr(subsup.iteration, name)
             monkeypatch.setattr(subsup.iteration, name, counted(name, fn))
         br = make_bracket(problem, lower, upper, scenario.tol)
@@ -754,7 +757,7 @@ class TestRestarts:
         plain = len(trace.lower_steps) + len(trace.upper_steps) - sum(trace.restarts)
         assert min(trace.restarts) > 0
         assert candidates == sum(trace.restarts) + sum(trace.refusals)
-        assert counts["solve_T"] == plain + candidates
+        assert counts["solve_T"] == plain + counts["_shifted_point"]
         assert counts["stiffness_action"] == 2 + candidates
         assert counts["apply_S"] == 2 + 2 + plain + candidates
 
@@ -762,26 +765,55 @@ class TestRestarts:
         self, monkeypatch, torus_problem, torus8
     ):
         # a shifted solve whose start already meets its loose tolerance
-        # returns the start after zero CG iterations.  Every such point is
-        # kept here, a step of change 0, and each side still stops only on
-        # a plain step: its plain steps are those of the restart-free run.
+        # returns the start after zero CG iterations.  Every point is such
+        # a copy here: none is certified, kept or refused, and each side
+        # takes its plain steps, those of the restart-free run.
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         monkeypatch.setattr(
             subsup.iteration, "_shifted_point", lambda problem, x, *args: (x.copy(), 0)
         )
+        calls = spy_certificate(monkeypatch)
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
-        rows, limits = plain_iteration(torus_problem, br, 1e-9, 1e-11)
+        rows, (lower, upper) = plain_iteration(torus_problem, br, 1e-9, 1e-11)
+        assert trace.converged and not calls
+        assert trace.restarts == trace.refusals == (0, 0)
+        assert trace.rows() == rows
+        assert np.array_equal(pair.u_star.values, lower)
+        assert np.array_equal(pair.u_upper_star.values, upper)
+
+    def test_a_point_within_tol_is_not_tried(self, monkeypatch, torus_problem, torus8):
+        # the lower side's first point moves it by tol / 2: it gets no
+        # image and no certificate, is no refusal, and the side takes its
+        # plain step at step 2.  tol = 1e-8 lies above the ordering slack,
+        # 1e-9 here, so the test tells the two apart.
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        real = subsup.iteration._shifted_point
+        points = []
+
+        def shifted_point(problem, x, *args):
+            if points:
+                return real(problem, x, *args)
+            points.append(x + 0.5e-8)
+            return points[0].copy(), 0
+
+        monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
+        real_image = subsup.iteration._image
+        images = []
+
+        def image(problem, v):
+            images.append(v.values.copy())
+            return real_image(problem, v)
+
+        monkeypatch.setattr(subsup.iteration, "_image", image)
+        calls = spy_certificate(monkeypatch)
+        _, trace = iterate_monotone(torus_problem, br, tol=1e-8)
+        rows, _ = plain_iteration(torus_problem, br, 1e-8, 1e-10)
         assert trace.converged and trace.refusals == (0, 0)
-        for side, name in enumerate(("lower", "upper")):
-            steps = (trace.lower_steps, trace.upper_steps)[side]
-            plain = [row[2] for row in rows if row[1] == name]
-            assert trace.restarts[side] == len(plain) - 1
-            assert [r.max_change for r in steps[1::2]] == [0.0] * (len(plain) - 1)
-            np.testing.assert_allclose(
-                [r.max_change for r in steps[0::2]], plain, rtol=1e-6, atol=1e-13
-            )
-        assert np.abs(pair.u_star.values - limits[0]).max() <= 1e-12
-        assert np.abs(pair.u_upper_star.values - limits[1]).max() <= 1e-12
+        assert images and calls
+        assert not any(np.array_equal(v, points[0]) for v in images)
+        assert not any(np.array_equal(v, points[0]) for _, v, _, _ in calls)
+        # step 1 and the lower side's step 2 are the restart-free run's
+        assert trace.rows()[:3] == rows[:3]
 
     @pytest.mark.parametrize("rate,restarts", [(0.0, True), (0.5, True), (0.99, False)])
     def test_the_allowance_is_amplified_by_the_contraction_bound(

@@ -122,6 +122,8 @@ MALFORMED = {
     "tol_negative": ("solver.tol", "solver", {"tol": -1}),
     "tol_zero": ("solver.tol", "solver", {"tol": 0}),
     "tol_nan": ("solver.tol", "solver", {"tol": float("nan")}),
+    # an integer past the float range reads as inf
+    "tol_huge_integer": ("solver.tol", "solver", {"tol": 10**400}),
     # linear_tol is no key: the linear solves run at tol / 100
     "linear_tol_zero": ("solver.linear_tol", "solver", {"linear_tol": 0}),
     "linear_tol_string": ("solver.linear_tol", "solver", {"linear_tol": "1e-11"}),
@@ -166,6 +168,11 @@ MALFORMED = {
     "power_exponent_negative": (
         "nonlinearity.F.p", "nonlinearity", {"F": {"kind": "power", "p": -1}, "H": POWER_HALF}
     ),
+    # a constant coefficient or bracket end is finite
+    "coefficient_nan": (
+        "coefficients.a", "coefficients", {"a": float("nan"), "f": 0.5, "h": 0.5}
+    ),
+    "bracket_infinity": ("bracket.upper", "bracket", {"lower": 0.01, "upper": float("inf")}),
     "bracket_unknown_key": (
         "bracket.lowr", "bracket", {"lower": 0.01, "upper": 1.0, "lowr": 0.01}
     ),
