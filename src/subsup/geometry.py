@@ -186,10 +186,10 @@ class DiscreteDomain:
         out = {
             "kind": self.kind,
             "vertex_count": self.vertex_count,
-            "coordinates": self.coordinates.tolist(),
+            "coordinates": self.coordinates,
         }
         if self.is_surface:
-            out["faces"] = self.faces.tolist()
+            out["faces"] = self.faces
         else:
             out["grid"] = {
                 "cells": list(self.grid_cells),

@@ -107,6 +107,15 @@ def _max_steps(raw, where):
     return value
 
 
+def _dimension(raw, where):
+    # 2n/(n - 2), the critical exponent, needs n >= 3, and n - 2 is exact
+    # as a float up to 2**53
+    value = _integer(raw, where)
+    if not 3 <= value <= 2**53:
+        raise ScenarioError(f"'{where}' must be an integer in [3, 2**53]")
+    return value
+
+
 def _coeff(raw, where):
     if isinstance(raw, str):
         return raw
@@ -205,7 +214,7 @@ def parse_scenario(text, base_dir="."):
 
     return Scenario(
         domain_spec=spec,
-        n=_integer(need("n"), "n"),
+        n=_dimension(need("n"), "n"),
         a=_coeff(need("a", "coefficients", coeffs), "coefficients.a"),
         f=_coeff(need("f", "coefficients", coeffs), "coefficients.f"),
         h=_coeff(need("h", "coefficients", coeffs), "coefficients.h"),

@@ -5,18 +5,15 @@ repr() gives shortest-round-trip strings of varying width; artifacts
 want a fixed 17-significant-digit form so that every float round-trips
 exactly and repeated runs are byte-identical.
 
-Lists of floats and float columns are formatted CHUNK values at a time
-through one %-template per chunk: '%.17g' % x is format(x, '.17g') for
-every finite double, and one % call does the work of a chunk's format
-calls.  A FloatColumn keeps such strings, so that one float array can
-go into a JSON list and a CSV column with one formatting pass.  CSVs
-are written by columns whose types the caller knows: FloatColumns for
-floats, ints or strs for the rest.
+Floats are formatted CHUNK values at a time through one %-template per
+chunk: '%.17g' % x is format(x, '.17g') for every finite double.  A
+FloatColumn formats each distinct value of a float array once, for a
+JSON list and a CSV column alike; CSVs are written by columns whose
+types the caller knows, CHUNK rows at a time as the file is written.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from functools import cached_property
@@ -27,14 +24,9 @@ CHUNK = 4096
 
 
 def format_float(x):
-    x = float(x)
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x := float(x)):
         raise ValueError(f"non-finite value {x!r} has no JSON form")
     return format(x, ".17g")
-
-
-def _is_finite_floats(seq):
-    return all(type(v) is float for v in seq) and all(map(math.isfinite, seq))
 
 
 def _join_floats(values, sep):
@@ -46,12 +38,13 @@ def _join_floats(values, sep):
 
 
 class FloatColumn:
-    """A float array whose %.17g strings are formatted once, on first use.
+    """A float array and its %.17g strings, formatted once, on first use.
 
-    write_json renders it as the JSON list of its values, and write_csv
-    as a column of the same strings, which lines() yields one by one:
-    the bytes are those of the array's values as a float list.  The
-    strings are kept CHUNK at a time, joined by newlines.
+    chunks holds the strings in row-major order, CHUNK at a time, for
+    write_json's list and write_csv's column alike.  Each distinct bit
+    pattern is formatted once (-0.0 and 0.0 differ in bits as in text), and
+    a chunk is the list of its entries' strings, shared among repeats; in a
+    column where nothing repeats, a chunk is one newline-joined string.
     """
 
     def __init__(self, values):
@@ -59,26 +52,50 @@ class FloatColumn:
 
     @cached_property
     def chunks(self):
-        # one check for the column: tolist() of a float array gives floats
-        values = self.values
+        values = self.values.ravel()
         if not np.isfinite(values).all():
             raise ValueError("non-finite value has no JSON form")
-        return [
-            _join_floats(values[i : i + CHUNK].tolist(), "\n")
-            for i in range(0, len(values), CHUNK)
-        ]
+        distinct = np.sort(values.view(np.int64))
+        distinct = np.concatenate(
+            (distinct[:1], distinct[1:][distinct[1:] != distinct[:-1]])
+        )
+        starts = range(0, values.size, CHUNK)
+        if distinct.size == values.size:  # one string per chunk, not per entry
+            return [_join_floats(values[i : i + CHUNK].tolist(), "\n") for i in starts]
+        text = _join_floats(distinct.view(float).tolist(), "\n").split("\n")
+        text = np.array(text, dtype=object)
+        index = np.searchsorted(distinct, values.view(np.int64))
+        return [text[index[i : i + CHUNK]].tolist() for i in starts]
 
-    def lines(self):
-        for chunk in self.chunks:
-            yield from chunk.split("\n")
+
+def _cells(column):
+    """The column's cells as text, CHUNK at a time; a FloatColumn is formatted now."""
+    if isinstance(column, FloatColumn):
+        return (c.splitlines() if isinstance(c, str) else c for c in column.chunks)
+    return (map(str, column[i : i + CHUNK]) for i in range(0, len(column), CHUNK))
+
+
+def _list(body, pad, out):
+    """Append the JSON list at pad's depth whose items, one to a line, make body."""
+    out.extend(("[\n" + pad + "  ", body, "\n" + pad + "]") if body else ("[]",))
+
+
+def _rows(array, pad):
+    """The body of an (n, k) float or int array's JSON list: one row template."""
+    if array.dtype.kind == "f":
+        item, items = "%s", [s for cells in _cells(FloatColumn(array)) for s in cells]
+    else:
+        item, items = "%d", array.ravel().tolist()
+    inner = pad + "  "
+    row = "[\n" + inner + "  " + (",\n" + inner + "  ").join([item] * array.shape[1])
+    return (",\n" + inner).join([row + "\n" + inner + "]"] * len(array)) % tuple(items)
 
 
 def _render(obj, indent, out):
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+    pad, sep = "  " * indent, ",\n" + "  " * (indent + 1)
+    if isinstance(obj, dict) and not obj:
+        out.append("{}")
+    elif isinstance(obj, dict):
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f"{pad}  {json.dumps(str(key))}: ")
@@ -86,31 +103,15 @@ def _render(obj, indent, out):
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, FloatColumn):
-        if not obj.chunks:
-            out.append("[]")
-            return
-        sep = ",\n" + pad + "  "
-        out.append("[\n" + pad + "  ")
-        out.append(sep.join(chunk.replace("\n", sep) for chunk in obj.chunks))
-        out.append("\n" + pad + "]")
+        _list(sep.join([sep.join(cells) for cells in _cells(obj)]), pad, out)
+    elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "fi":
+        _list(_rows(obj, pad), pad, out)
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        if _is_finite_floats(seq):
-            # the bytes of the per-item path below, one template per chunk
-            item_pad = pad + "  "
-            out.append("[\n" + item_pad)
-            out.append(_join_floats(seq, ",\n" + item_pad))
-            out.append("\n" + pad + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad + "  ")
-            _render(value, indent + 1, out)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+        # finite floats: the per-item bytes, one template per chunk
+        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
+            _list(_join_floats(obj, sep), pad, out)
+        else:
+            _list(sep.join("".join(_pieces(v, indent + 1)) for v in obj), pad, out)
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:
@@ -125,33 +126,32 @@ def _render(obj, indent, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _pieces(obj):
+def _pieces(obj, indent=0):
     out = []
-    _render(obj, 0, out)
-    out.append("\n")
+    _render(obj, indent, out)
     return out
 
 
 def dumps(obj):
-    return "".join(_pieces(obj))
+    return "".join([*_pieces(obj), "\n"])
 
 
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_pieces(obj))
+        fh.writelines([*_pieces(obj), "\n"])
 
 
 def write_csv(path, header, columns):
-    """Write equal-length columns, CHUNK rows through one template.
+    """Write equal-length columns, CHUNK rows at a time.
 
-    A FloatColumn contributes its %.17g strings; any other column (ints
-    or strs) is written with str().
+    A FloatColumn gives its %.17g strings, any other column str() of its
+    cells.  Floats are formatted, and lengths checked, before the open.
     """
-    cells = [c.lines() if isinstance(c, FloatColumn) else c for c in columns]
-    rows = zip(*cells, strict=True)
-    line = ",".join(["%s"] * len(cells)) + "\n"
-    text = [",".join(header) + "\n"]
-    while chunk := list(itertools.islice(rows, CHUNK)):
-        text.append((line * len(chunk)) % tuple(itertools.chain.from_iterable(chunk)))
+    sizes = {len(c.values if isinstance(c, FloatColumn) else c) for c in columns}
+    if len(sizes) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(sizes)}")
+    cells = [_cells(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(text)
+        fh.write(",".join(header) + "\n")
+        for rows in zip(*cells):
+            fh.write("\n".join(map(",".join, zip(*rows))) + "\n")

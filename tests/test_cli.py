@@ -600,6 +600,8 @@ class TestMeshInfo:
         "domain",
         [
             {"kind": "icosphere", "subdivisions": 2},
+            # 7,686 coordinates and 15,360 face indices: more than CHUNK
+            {"kind": "icosphere", "subdivisions": 4},
             {"kind": "flat_torus", "dims": [[4, 1.0], [5, 2.0], [3, 0.5]]},
         ],
     )

@@ -119,6 +119,10 @@ MALFORMED = {
     "bracket_number": ("bracket", "bracket", 5),
     "nonlinearity_number": ("nonlinearity", "nonlinearity", 5),
     "n_null": ("n", "n", None),
+    # n - 2 overflows a float
+    "n_huge_integer": ("n", "n", 10**400),
+    # the critical exponent 2n/(n - 2) needs n >= 3
+    "n_two": ("n", "n", 2),
     "tol_negative": ("solver.tol", "solver", {"tol": -1}),
     "tol_zero": ("solver.tol", "solver", {"tol": 0}),
     "tol_nan": ("solver.tol", "solver", {"tol": float("nan")}),

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from subsup import serialize
 from subsup.serialize import (
     CHUNK,
     FloatColumn,
@@ -220,3 +221,80 @@ class TestChunkedWriters:
     def test_percent_template_is_the_17_digit_format(self):
         values = chunk_floats(CHUNK) + [-0.0, 5e-324, 2.2250738585072014e-308, 1e16]
         assert ["%.17g" % x for x in values] == [format(x, ".17g") for x in values]
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The lists of floats that reach _join_floats, one per call."""
+    calls = []
+    join = serialize._join_floats
+
+    def spy(values, sep):
+        calls.append(list(values))
+        return join(values, sep)
+
+    monkeypatch.setattr(serialize, "_join_floats", spy)
+    return calls
+
+
+def tiled(length):
+    """length floats cycling through 13 chunk_floats values, -0.0 and 0.0."""
+    base = chunk_floats(13) + [0.0, -0.0]
+    return [base[i % len(base)] for i in range(length)]
+
+
+class TestRepeatedValues:
+    def test_a_constant_column_formats_one_value(self, formatted, tmp_path):
+        column = FloatColumn(np.full(10_000, 0.1))
+        write_csv(str(tmp_path / "o.csv"), ["u"], [column])
+        text = dumps({"u": column})
+        assert formatted == [[0.1]]
+        assert text == dumps({"u": [0.1] * 10_000})
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_repeats_write_the_per_item_bytes(self, length, tmp_path):
+        values = tiled(length)
+        column = FloatColumn(np.array(values))
+        assert dumps({"u": column}) == dumps(per_item({"u": values}))
+        path = tmp_path / "o.csv"
+        write_csv(str(path), ["vertex", "u"], [range(length), column])
+        expected = reference_csv(["vertex", "u"], list(zip(range(length), values)))
+        assert path.read_bytes() == expected
+
+    def test_repeated_and_in_place_paths_write_the_same_bytes(self, formatted, tmp_path):
+        # distinct values, -0.0 and 0.0 among them, past one CHUNK
+        values = list(dict.fromkeys(chunk_floats(2 * CHUNK))) + [0.0]
+        assert len(values) > CHUNK
+        once = FloatColumn(np.array(values))
+        twice = FloatColumn(np.array(values + values))
+        write_csv(str(tmp_path / "once.csv"), ["u"], [once])
+        # nothing repeats: formatted in place, a chunk at a time, in order
+        assert formatted == [values[:CHUNK], values[CHUNK:]]
+        formatted.clear()
+        write_csv(str(tmp_path / "twice.csv"), ["u"], [twice])
+        # each distinct value once, in the order of its bits
+        assert formatted[0] == sorted(values, key=lambda x: np.float64(x).view(np.int64))
+        body = (tmp_path / "once.csv").read_bytes()[len(b"u\n") :]
+        assert (tmp_path / "twice.csv").read_bytes() == b"u\n" + body + body
+        assert dumps({"u": twice}) == dumps({"u": values + values})
+
+
+class TestArrays:
+    @pytest.mark.parametrize("repeats", [True, False])
+    @pytest.mark.parametrize("rows", [0, 1, CHUNK + 1])
+    def test_rows_match_the_per_item_rendering(self, rows, repeats):
+        # with repeats the strings are shared; without, split from chunks
+        rng = np.random.default_rng(rows)
+        values = tiled(3 * rows) if repeats else rng.random(3 * rows)
+        coordinates = np.array(values).reshape(rows, 3)
+        faces = np.arange(3 * rows, dtype=np.int64).reshape(rows, 3)
+        doc = {"coordinates": coordinates, "faces": faces}
+        slow = {
+            "coordinates": [[np.float64(c) for c in row] for row in coordinates.tolist()],
+            "faces": faces.tolist(),
+        }
+        assert dumps(doc) == dumps(slow)
+
+    def test_one_dimensional_arrays_need_a_float_column(self):
+        with pytest.raises(TypeError):
+            dumps({"u": np.zeros(3)})
