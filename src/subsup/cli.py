@@ -33,18 +33,14 @@ def _run_checks(problem, lower, upper, tol):
     a2 = check_alpha2(problem)
     report = {"alpha1": a1.to_json_dict(), "alpha2": a2.to_json_dict()}
 
-    # the defects need the linear operator, which a <= 0 breaks
-    skipped = not a2.passed and a2.clause == "a > 0"
     bracket, failures = None, (None, None)
-    if not skipped:
-        try:
-            bracket = make_bracket(problem, lower, upper, tol)
-        except BracketError as exc:
-            failures = exc.failures
+    try:
+        bracket = make_bracket(problem, lower, upper, tol)
+    except BracketError as exc:
+        failures = exc.failures
     for side, failure in zip(("lower", "upper"), failures):
         report[side] = {
-            "passed": not skipped and failure is None,
-            "skipped": skipped,
+            "passed": failure is None,
             "vertex": None if failure is None else failure.vertex,
             "defect": None if failure is None else failure.defect,
             "unordered": failure is not None and failure.kind == "unordered",
@@ -74,9 +70,7 @@ def _print_checks(report):
     for side in ("lower", "upper"):
         entry = report[side]
         label = f"{side} solution check"
-        if entry["skipped"]:
-            print(f"{label}: SKIPPED (a > 0 failed)")
-        elif entry["passed"]:
+        if entry["passed"]:
             print(f"{label}: PASS")
         elif entry["defect"] is not None:
             print(

@@ -12,8 +12,9 @@ Grammar (total, side-effect-free):
 
 Precedence, loosest to tightest: + - (binary), * /, unary + -, ^.
 "^" is right-associative and binds tighter than unary minus, so
--x^2 == -(x^2) and 2^-3 is accepted.  NUMBER is a decimal literal with
-optional fraction and exponent (1, 0.5, 1e-9, 2.5E+3).
+-x^2 == -(x^2) and 2^-3 is accepted.  NUMBER is an ASCII decimal literal
+with optional fraction and exponent (1, 0.5, 1e-9, 2.5E+3).  Nesting
+deeper than the interpreter's recursion limit allows is an error.
 
 Evaluation is vectorized over all vertices at once; any non-finite
 result (division by zero, overflow, fractional power of a negative)
@@ -21,6 +22,8 @@ is reported as an evaluation error.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -38,51 +41,34 @@ class ExpressionError(ValueError):
         self.position = position
 
 
+# a number is a run of digits and dots with an optional exponent, read by
+# float(); anything that is neither space nor a token is an error
+_TOKEN = re.compile(
+    r"(?P<num>[0-9.]+(?:[eE][+-]?[0-9]+)?)|(?P<name>[A-Za-z]+)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>\S)"
+)
+
+
 def _tokenize(text):
     tokens = []  # (kind, value, position)
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, i = match.lastgroup, match.group(), match.start()
+        if kind == "num":
             try:
-                value = float(lit)
+                tokens.append(("num", float(lexeme), i))
             except ValueError:
-                raise ExpressionError(f"bad number literal '{lit}'", i) from None
-            tokens.append(("num", value, i))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            name = text[i:j]
-            if name in _VARIABLES:
-                tokens.append(("var", name, i))
-            elif name in _FUNCTIONS:
-                tokens.append(("func", name, i))
-            else:
-                raise ExpressionError(f"unknown name '{name}'", i)
-            i = j
+                raise ExpressionError(f"bad number literal '{lexeme}'", i) from None
+        elif kind == "op":
+            tokens.append((lexeme, lexeme, i))
+        elif kind == "name" and lexeme in _VARIABLES:
+            tokens.append(("var", lexeme, i))
+        elif kind == "name" and lexeme in _FUNCTIONS:
+            tokens.append(("func", lexeme, i))
+        elif kind == "name":
+            raise ExpressionError(f"unknown name '{lexeme}'", i)
         else:
-            raise ExpressionError(f"unexpected character '{ch}'", i)
-    tokens.append(("end", None, n))
+            raise ExpressionError(f"unexpected character '{lexeme}'", i)
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
@@ -166,8 +152,11 @@ def evaluate_expression(text, coordinates):
     env = {name: coords[:, k] for k, name in enumerate(_VARIABLES)}
     tokens = _tokenize(text)
     parser = _Parser(tokens, env)
-    with np.errstate(all="ignore"):
-        value = parser.expr()
+    try:
+        with np.errstate(all="ignore"):
+            value = parser.expr()
+    except RecursionError:
+        raise ExpressionError("expression nests too deeply", 0) from None
     end = parser.take()
     if end[0] != "end":
         raise ExpressionError(f"trailing input '{end[1]}'", end[2])

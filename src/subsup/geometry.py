@@ -71,12 +71,12 @@ class DiscreteDomain:
         unused coordinates zero).
     faces : (F, 3) int ndarray or None
         Triangles for surfaces, None for grids.
-    grid_cells, grid_lengths, grid_spacings : tuples or None
+    grid_cells, grid_lengths : tuples or None
         Lattice description, grids only.
     dimension : int
-        Declared dimension n of the problem; independent of the embedding
-        (a surface scenario may declare n = 3, which is what feeds the
-        growth exponents downstream).
+        Natural dimension: 2 for surfaces, the number of axes for grids.
+        The problem's n is declared on NonlinearProblem, which defaults
+        to this.
     L : SlotLayout
         The stiffness matrix; ``stiffness`` builds a scipy copy of it.
     mass : (N,) ndarray
@@ -90,9 +90,7 @@ class DiscreteDomain:
         edge it splits.
     """
 
-    def __init__(
-        self, kind, coordinates, faces=None, grid=None, dimension=None, refinement=None
-    ):
+    def __init__(self, kind, coordinates, faces=None, grid=None, refinement=None):
         self.kind = str(kind)
         self.refinement = refinement
         self.coordinates = np.ascontiguousarray(coordinates, dtype=float)
@@ -101,26 +99,20 @@ class DiscreteDomain:
         self.faces = None
         self.grid_cells = None
         self.grid_lengths = None
-        self.grid_spacings = None
         if faces is not None:
             self.faces = np.ascontiguousarray(faces, dtype=np.int64)
             if self.faces.ndim != 2 or self.faces.shape[1] != 3:
                 raise ValueError("faces must be an (F, 3) array")
-            natural = 2
+            self.dimension = 2
+            self.L, self.mass = _assemble_surface(self.coordinates, self.faces)
         elif grid is not None:
             cells, lengths = grid
             self.grid_cells = tuple(int(c) for c in cells)
             self.grid_lengths = tuple(float(l) for l in lengths)
-            self.grid_spacings = tuple(
-                l / c for c, l in zip(self.grid_cells, self.grid_lengths)
-            )
-            natural = len(self.grid_cells)
+            self.dimension = len(self.grid_cells)
+            self.L, self.mass = _assemble_grid(self.grid_cells, self.grid_lengths)
         else:
             raise ValueError("domain needs faces or a grid description")
-        self.dimension = int(dimension) if dimension is not None else natural
-        if self.dimension < 1:
-            raise ValueError("declared dimension must be >= 1")
-        self.L, self.mass = assemble_operators(self)
         self._connected = None
 
     @property
@@ -373,11 +365,12 @@ class MeshQualityReport:
     is_m_matrix_compatible: bool
 
 
-def build_icosphere(subdivisions, radius=1.0, dimension=None):
+def build_icosphere(subdivisions, radius=1.0):
     """Subdivided icosahedron projected to the sphere of given radius.
 
-    Vertex count is 10 * 4**subdivisions + 2.  Each subdivision appends
-    the midpoints of the current edges after the current vertices, and
+    A surface, so its natural dimension is 2.  Vertex count is
+    10 * 4**subdivisions + 2.  Each subdivision appends the midpoints of
+    the current edges after the current vertices, and
     ``domain.refinement`` records their parent edges.
 
     Midpoints are numbered in creation order: walk the faces in order and
@@ -434,11 +427,7 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
     coords = radius * verts
     try:
         return DiscreteDomain(
-            "icosphere",
-            coords,
-            faces=faces,
-            dimension=dimension,
-            refinement=tuple(refinement),
+            "icosphere", coords, faces=faces, refinement=tuple(refinement)
         )
     except AssemblyError as exc:
         # the unit mesh assembles, so only the radius can break it
@@ -447,10 +436,11 @@ def build_icosphere(subdivisions, radius=1.0, dimension=None):
         ) from exc
 
 
-def build_flat_torus(dims, dimension=None):
+def build_flat_torus(dims):
     """Periodic grid from [(cells, length), ...] with 1 to 3 axes.
 
-    At most MAX_VERTICES vertices, refused before any allocation.
+    Its natural dimension is the number of axes.  At most MAX_VERTICES
+    vertices, refused before any allocation.
     """
     dims = list(dims)
     if not 1 <= len(dims) <= 3:
@@ -482,13 +472,11 @@ def build_flat_torus(dims, dimension=None):
     for k, ax in enumerate(mesh):
         coords[:, k] = ax.ravel()
 
-    return DiscreteDomain(
-        "flat_torus", coords, grid=(cells, lengths), dimension=dimension
-    )
+    return DiscreteDomain("flat_torus", coords, grid=(cells, lengths))
 
 
-def load_off(path, dimension=None):
-    """Read an ASCII OFF triangle mesh."""
+def load_off(path):
+    """Read an ASCII OFF triangle mesh, a surface of natural dimension 2."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line in fh:
@@ -521,7 +509,7 @@ def load_off(path, dimension=None):
         raise AssemblyError(f"{path}: no faces")
     if faces.min() < 0 or faces.max() >= nv:
         raise AssemblyError(f"{path}: face index out of range")
-    return DiscreteDomain("off", coords, faces=faces, dimension=dimension)
+    return DiscreteDomain("off", coords, faces=faces)
 
 
 def _corner_cotangents(coords, faces):
@@ -583,13 +571,6 @@ def _assemble_grid(cells, lengths):
     )
     mass = np.full(n, volume)
     return stiffness, mass
-
-
-def assemble_operators(domain):
-    """Assemble (L as a SlotLayout, lumped mass diagonal) for a domain."""
-    if domain.is_surface:
-        return _assemble_surface(domain.coordinates, domain.faces)
-    return _assemble_grid(domain.grid_cells, domain.grid_lengths)
 
 
 def mesh_quality(domain):

@@ -24,7 +24,9 @@ fixed point.  No object holds keys other than those shown for it (a
 table nonlinearity holds "kind" and "path"): an unknown key is an error
 that names it, so a misspelt key cannot run a different problem.
 Relative paths (OFF meshes, nonlinearity tables) resolve against the
-scenario file's directory.
+scenario file's directory.  "n", the dimension of the manifold, enters
+only through the critical exponent 2n/(n - 2), so it is passed to the
+NonlinearProblem and to no domain builder.
 """
 
 from __future__ import annotations
@@ -150,7 +152,9 @@ def _nonlin_spec(raw, where):
 def parse_scenario(text, base_dir="."):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (RecursionError, ValueError) as exc:
+        # ValueError: a JSONDecodeError, or an integer literal past the
+        # interpreter's digit limit; RecursionError: nesting too deep
         raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -256,17 +260,15 @@ def serialize_scenario(scenario):
 def build_domain(scenario):
     spec = scenario.domain_spec
     if spec["kind"] == "icosphere":
-        return build_icosphere(
-            spec["subdivisions"], spec["radius"], dimension=scenario.n
-        )
+        return build_icosphere(spec["subdivisions"], spec["radius"])
     if spec["kind"] == "flat_torus":
-        return build_flat_torus(spec["dims"], dimension=scenario.n)
+        return build_flat_torus(spec["dims"])
     path = spec["path"]
     if not os.path.isabs(path):
         path = os.path.join(scenario.base_dir, path)
     if not os.path.exists(path):
         raise ScenarioError(f"mesh file not found: {path}")
-    return load_off(path, dimension=scenario.n)
+    return load_off(path)
 
 
 def _field_from(domain, raw):
@@ -289,10 +291,13 @@ def _nonlin_from(spec, base_dir):
         raise ScenarioError(str(exc)) from None
 
 
-def build_problem(scenario, domain=None):
-    """Instantiate (domain, problem, lower, upper) from a scenario."""
-    if domain is None:
-        domain = build_domain(scenario)
+def build_problem(scenario):
+    """Instantiate (domain, problem, lower, upper) from a scenario.
+
+    The scenario's n goes to the problem only; the domain keeps its
+    natural dimension.
+    """
+    domain = build_domain(scenario)
     problem = NonlinearProblem(
         domain,
         a=_field_from(domain, scenario.a),

@@ -107,11 +107,7 @@ def _render(obj, indent, out):
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "fi":
         _list(_rows(obj, pad), pad, out)
     elif isinstance(obj, (list, tuple)):
-        # finite floats: the per-item bytes, one template per chunk
-        if all(type(v) is float for v in obj) and all(map(math.isfinite, obj)):
-            _list(_join_floats(obj, sep), pad, out)
-        else:
-            _list(sep.join("".join(_pieces(v, indent + 1)) for v in obj), pad, out)
+        _list(sep.join("".join(_pieces(v, indent + 1)) for v in obj), pad, out)
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:

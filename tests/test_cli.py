@@ -85,7 +85,6 @@ class TestCheck:
         entry = json.loads(report.read_text())["lower"]
         assert entry == {
             "passed": False,
-            "skipped": False,
             "vertex": None,
             "defect": None,
             "unordered": False,
@@ -105,6 +104,24 @@ class TestCheck:
         assert main(["check", tmp_scenario(doc)]) == 1
         assert "alpha1 growth bounds: FAIL" in capsys.readouterr().out
 
+    def test_alpha1_warning_is_printed(self, tmp_scenario, capsys):
+        doc = base_torus_doc()
+        doc["nonlinearity"]["H"] = {"kind": "power", "p": 1.5}
+        main(["check", tmp_scenario(doc)])
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            "alpha1 growth bounds: PASS",
+            "  warning: q = 1.5 is >= 1; the sublinear range 0 < q < 1 is the "
+            "usual setting, continuing with the bound q < 5",
+        ]
+
+    def test_negative_lower_fails(self, tmp_scenario, capsys):
+        doc = base_torus_doc()
+        doc["bracket"]["lower"] = "-0.01"
+        assert main(["check", tmp_scenario(doc)]) == 1
+        out = capsys.readouterr().out
+        assert "lower solution check: FAIL (negative entry at vertex 0)" in out
+        assert "upper solution check: PASS" in out
+
     def test_alpha1_table_is_checked_between_the_samples(
         self, tmp_scenario, tmp_path, capsys
     ):
@@ -122,12 +139,27 @@ class TestCheck:
             "bound 0.0316228)" in capsys.readouterr().out
         )
 
-    def test_nonpositive_a_skips_bracket_checks(self, tmp_scenario, capsys):
+    def test_nonpositive_a_checks_the_bracket(self, tmp_scenario, tmp_path, capsys):
+        # the defect is L v in edge form plus M a v: it needs no a > 0
         doc = base_torus_doc()
         doc["coefficients"]["a"] = -1.0
-        assert main(["check", tmp_scenario(doc)]) == 1
-        out = capsys.readouterr().out
-        assert "SKIPPED" in out
+        report = tmp_path / "report.json"
+        assert main(["check", tmp_scenario(doc), "--json", str(report)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "alpha1 growth bounds: PASS",
+            "alpha2 sign conditions: FAIL (a > 0 at vertex 0)",
+            "lower solution check: PASS",
+            "upper solution check: FAIL (defect -3.906250e-03 of the wrong sign "
+            "at vertex 0)",
+        ]
+        written = json.loads(report.read_text())
+        assert written["lower"] == {
+            "passed": True, "vertex": None, "defect": None, "unordered": False
+        }
+        assert written["upper"] == {
+            "passed": False, "vertex": 0, "defect": -0.00390625, "unordered": False
+        }
+        assert written["passed"] is False
 
 
 class TestInputErrors:
@@ -251,6 +283,43 @@ class TestInputErrors:
         assert len(lines) == 2
         assert all(f"'{MALFORMED[case][0]}'" in line for line in lines)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("nested_parentheses", "error: expression nests too deeply (position 0)"),
+            ("nested_minus", "error: expression nests too deeply (position 0)"),
+            (
+                "nested_arrays",
+                "error: scenario is not valid JSON: maximum recursion depth exceeded",
+            ),
+            (
+                "huge_integer",
+                "error: scenario is not valid JSON: Exceeds the limit (4300 digits)",
+            ),
+        ],
+    )
+    def test_deep_nesting_and_huge_integers(self, case, message, tmp_path, capsys):
+        # each used to end in a RecursionError traceback, or an error that
+        # did not say the scenario's JSON was at fault
+        doc = base_torus_doc()
+        if case == "nested_parentheses":
+            doc["coefficients"]["a"] = "(" * 3000 + "2" + ")" * 3000
+        elif case == "nested_minus":
+            doc["coefficients"]["a"] = "-" * 3000 + "2"
+        text = json.dumps(doc)
+        if case == "nested_arrays":
+            text = "[" * 100_000 + "]" * 100_000
+        elif case == "huge_integer":
+            text = text.replace('"n": 3', '"n": 1' + "0" * 4999)
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(message)
 
     @pytest.mark.parametrize("verb", ["check", "solve"])
     def test_bracket_end_whose_S_overflows(self, verb, tmp_scenario, tmp_path):

@@ -1,14 +1,90 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import subsup
 from subsup import ExpressionError, evaluate_expression
+from subsup.expressions import _FUNCTIONS, _VARIABLES, _tokenize
 
 ORIGIN = np.zeros((1, 3))
 
 
 def ev(text, coords=ORIGIN):
     return evaluate_expression(text, coords)
+
+
+def reference_tokenize(text):
+    """The hand-written scanner that the regular expression replaced."""
+    tokens = []  # (kind, value, position)
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, i))
+            i += 1
+        elif ch.isdigit() or ch == ".":
+            j = i
+            while j < n and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            if j < n and text[j] in "eE":
+                k = j + 1
+                if k < n and text[k] in "+-":
+                    k += 1
+                if k < n and text[k].isdigit():
+                    j = k
+                    while j < n and text[j].isdigit():
+                        j += 1
+            lit = text[i:j]
+            try:
+                value = float(lit)
+            except ValueError:
+                raise ExpressionError(f"bad number literal '{lit}'", i) from None
+            tokens.append(("num", value, i))
+            i = j
+        elif ch.isalpha():
+            j = i
+            while j < n and text[j].isalpha():
+                j += 1
+            name = text[i:j]
+            if name in _VARIABLES:
+                tokens.append(("var", name, i))
+            elif name in _FUNCTIONS:
+                tokens.append(("func", name, i))
+            else:
+                raise ExpressionError(f"unknown name '{name}'", i)
+            i = j
+        else:
+            raise ExpressionError(f"unexpected character '{ch}'", i)
+    tokens.append(("end", None, n))
+    return tokens
+
+
+def scanned(tokenize, text):
+    """The token list, or the error's message and position."""
+    try:
+        return tokenize(text)
+    except ExpressionError as exc:
+        return str(exc), exc.position
+
+
+# pieces whose joins make literals, names and their boundaries
+FRAGMENTS = ["1", "25", ".", "1e", "E+", "-2", "e", "x", "sin", "(", ")", " ", "^", "&"]
+
+
+class TestTokenize:
+    # the scanner read str.isdigit/isalpha digits and letters, the pattern
+    # reads ASCII ones: the two agree on every ASCII string
+    @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+    @given(
+        st.text(alphabet="0123456789.eE+-*/^() xyzsincoexpab&_#")
+        | st.text(alphabet=st.characters(max_codepoint=127))
+        | st.lists(st.sampled_from(FRAGMENTS)).map("".join)
+    )
+    def test_matches_the_reference_scanner(self, text):
+        assert scanned(_tokenize, text) == scanned(reference_tokenize, text)
 
 
 class TestArithmetic:

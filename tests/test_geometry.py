@@ -587,10 +587,11 @@ def scipy_stiffness(domain):
             for k in range(3)
         ]
     else:
-        volume = float(np.prod(domain.grid_spacings))
+        spacings = [l / c for c, l in zip(domain.grid_cells, domain.grid_lengths)]
+        volume = float(np.prod(spacings))
         idx = np.arange(n).reshape(domain.grid_cells)
         pairs = []
-        for k, h in enumerate(domain.grid_spacings):
+        for k, h in enumerate(spacings):
             j = np.roll(idx, -1, axis=k).ravel()
             pairs.append((idx.ravel(), j, np.full(n, volume / (h * h))))
     rows, cols, data = [], [], []

@@ -375,8 +375,7 @@ class TestIterateMonotone:
 
         verts = [(0, 0, 0), (4, 0, 0), (2, 0.2, 0), (2, -0.2, 0)]
         d = subsup.load_off(
-            write_off(tmp_path / "o.off", verts, [(0, 1, 2), (1, 0, 3)]),
-            dimension=3,
+            write_off(tmp_path / "o.off", verts, [(0, 1, 2), (1, 0, 3)])
         )
         prob = make_constant_problem(d)
         br = subsup.Bracket(d.field(0.01), d.field(1.0))
@@ -418,6 +417,20 @@ class TestOrderingError:
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         with pytest.raises(subsup.OrderingError, match="lower above upper at step 1"):
             iterate_monotone(torus_problem, br, tol=1e-9, max_steps=1)
+
+    def test_sandwich_catches_a_drift_past_the_input_bracket(
+        self, monkeypatch, torus_problem, torus8
+    ):
+        # the lower side goes down by 0.6 slack at each of two steps, which
+        # no step check refuses, and ends 1.2 slack below its bracket end;
+        # a tol below 0.6 slack keeps it running after the first
+        slack = subsup.iteration.ORDERING_SLACK  # max|upper| = 1
+        first, second = 0.01 - 0.6 * slack, 0.01 - 1.2 * slack
+        bend_first_solve(monkeypatch, 0.01, first)
+        bend_first_solve(monkeypatch, first, second)
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        with pytest.raises(subsup.OrderingError, match="sandwich violated by 1.2"):
+            iterate_monotone(torus_problem, br, tol=0.1 * slack, max_steps=2)
 
     def test_cli_reports_the_violation(self, monkeypatch, tmp_scenario, tmp_path, capsys):
         from subsup.cli import main
