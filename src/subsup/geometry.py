@@ -13,6 +13,11 @@ diagonal as a vector.  scipy is imported only where it is used: the
 scipy matrix built from L on access, OFF-mesh connectivity and the
 spectrum.
 
+On a large mesh the first touches of fresh arrays cost more than the
+arithmetic, so the build makes few full-length passes and temporaries:
+one sort of the face edges per icosphere level, the three edge vectors
+of each face for its cotangents, and in-place sorts in the assembly.
+
 Surfaces use cotangent weights with barycentric mass lumping, grids the
 standard second-order finite-difference stencil scaled so that u' L u
 and u' M u approximate the Dirichlet energy and the volume integral.
@@ -73,10 +78,6 @@ class DiscreteDomain:
         Triangles for surfaces, None for grids.
     grid_cells, grid_lengths : tuples or None
         Lattice description, grids only.
-    dimension : int
-        Natural dimension: 2 for surfaces, the number of axes for grids.
-        The problem's n is declared on NonlinearProblem, which defaults
-        to this.
     L : SlotLayout
         The stiffness matrix; ``stiffness`` builds a scipy copy of it.
     mass : (N,) ndarray
@@ -103,14 +104,15 @@ class DiscreteDomain:
             self.faces = np.ascontiguousarray(faces, dtype=np.int64)
             if self.faces.ndim != 2 or self.faces.shape[1] != 3:
                 raise ValueError("faces must be an (F, 3) array")
-            self.dimension = 2
-            self.L, self.mass = _assemble_surface(self.coordinates, self.faces)
+            self.L, self.mass, self._obtuse_count = _assemble_surface(
+                self.coordinates, self.faces
+            )
         elif grid is not None:
             cells, lengths = grid
             self.grid_cells = tuple(int(c) for c in cells)
             self.grid_lengths = tuple(float(l) for l in lengths)
-            self.dimension = len(self.grid_cells)
             self.L, self.mass = _assemble_grid(self.grid_cells, self.grid_lengths)
+            self._obtuse_count = 0
         else:
             raise ValueError("domain needs faces or a grid description")
         self._connected = None
@@ -193,61 +195,77 @@ class DiscreteDomain:
         return f"DiscreteDomain(kind={self.kind!r}, vertices={self.vertex_count})"
 
 
-# _sorted_order sorts key * size + position when that stays below this
+# _sorted_order sorts key << shift | position when that stays below this
 _TAGGED_LIMIT = np.iinfo(np.int64).max
 
 
 def _sorted_order(keys, bound):
     """np.sort(keys) and np.argsort(keys, kind="stable"), keys in [0, bound).
 
-    One value sort of key * size + position orders the keys the same
-    way: the tagged values are distinct, and their SIMD quicksort is
-    several times faster than a stable argsort, which is the fallback
-    when they would overflow int64.
+    One value sort of key << shift | position, 2**shift >= size, orders
+    the keys the same way: the tagged values are distinct, and their
+    SIMD quicksort is several times faster than a stable argsort, which
+    is the fallback when they would overflow int64.  keys is int64 and
+    is sorted in place: its buffer comes back as the order.
     """
     size = keys.size
-    if bound * size > _TAGGED_LIMIT:
+    shift = max(size - 1, 0).bit_length()
+    if int(bound) << shift > _TAGGED_LIMIT:
         order = np.argsort(keys, kind="stable")
         return keys[order], order
-    tagged = np.sort(keys * size + np.arange(size))
-    keys = tagged // size
-    return keys, tagged - keys * size
+    tagged = keys
+    tagged <<= shift
+    tagged |= np.arange(size)
+    tagged.sort()
+    keys = tagged >> shift
+    tagged &= (1 << shift) - 1
+    return keys, tagged
 
 
-def _edge_stiffness(n, i, j, w):
-    """L = W - diag(W 1) for the symmetric W that sums w over the pairs {i, j}.
+def _run_heads(keys):
+    """True where a run of equal values of the sorted keys starts."""
+    head = np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return head
+
+
+def _pair_keys(n, blocks):
+    """The pairs {i, j}, i != j, of equal-length blocks (i, j) in turn,
+    coded min * n + max for _edge_stiffness."""
+    keys = np.empty((len(blocks), blocks[0][0].size), dtype=np.int64)
+    for out, (i, j) in zip(keys, blocks):
+        np.minimum(i, j, out=out)
+        out *= n
+        out += np.maximum(i, j)
+    return keys.ravel()
+
+
+def _edge_stiffness(n, keys, w):
+    """L = W - diag(W 1) for the symmetric W that sums w over the pairs
+    coded by keys (see _pair_keys).
 
     One sort by (min, max) brings the weights of each pair together;
     they are summed in input order, and a pair whose sum is exactly 0 is
-    dropped.  A second sort groups the two directed entries of every
-    pair by row, the lower-triangle block (row max, column min) before
-    the upper one, so each row comes out in ascending column order, the
-    order of CSR.  i != j throughout; i and j are int64.
+    dropped.  The pairs come out in CSR order of the upper triangle,
+    which SlotLayout.of takes.  keys is sorted in place.
     """
-    keys, order = _sorted_order(np.minimum(i, j) * n + np.maximum(i, j), n * n)
-    del i, j
+    keys, order = _sorted_order(keys, n * n)
     w = w[order]
     del order
-    start = np.flatnonzero(np.diff(keys, prepend=-1))
+    start = np.flatnonzero(_run_heads(keys))
     weight = w[start]
     run = np.diff(start, append=keys.size)
     for k in range(1, run.max(initial=1)):
-        longer = np.flatnonzero(run > k)
-        weight[longer] += w[start[longer] + k]
+        np.add(weight, w.take(start + k, mode="clip"), out=weight, where=run > k)
     del w, run
     kept = weight != 0.0
     keys = keys[start[kept]]
     weight = weight[kept]
     del start, kept
     lo = keys // n
-    hi = keys - lo * n
-    del keys
-    rows, by_row = _sorted_order(np.concatenate([hi, lo]), n)
-    columns = np.concatenate([lo, hi])[by_row]
-    del lo, hi
-    weight = np.concatenate([weight, weight])[by_row]
-    del by_row
-    return SlotLayout.of(n, rows, columns, weight)
+    keys -= lo * n
+    return SlotLayout.of(n, lo, keys, weight)
 
 
 class SlotLayout(NamedTuple):
@@ -278,29 +296,62 @@ class SlotLayout(NamedTuple):
     diagonal: np.ndarray
 
     @classmethod
-    def of(cls, n, rows, columns, weights):
-        """The matrix of the off-diagonal entries (rows, columns, weights),
-        grouped by row in CSR order, whose diagonal is minus each row's
-        sum, taken in that order."""
-        valence = np.bincount(rows, minlength=n)
-        slot = np.arange(rows.size) - (np.cumsum(valence) - valence)[rows]
+    def of(cls, n, lo, hi, weights):
+        """The symmetric matrix whose entries (lo, hi, weights), lo < hi,
+        above the diagonal are listed in CSR order; its diagonal is minus
+        each row's sum, taken in CSR order."""
+        below = np.bincount(hi, minlength=n)
+        above = np.bincount(lo, minlength=n)
         # filled[k] counts the rows with a slot k; non-increasing in k
-        filled = np.cumsum(np.bincount(valence)[::-1])[-2::-1]
+        filled = np.cumsum(np.bincount(below + above)[::-1])[-2::-1]
         width = int(np.count_nonzero(2 * filled >= n))
-        rest = np.flatnonzero(slot >= width)
-        # each entry's index in the flat weights
-        flat = slot * n + rows
-        del slot
-        flat[rest] = width * n + np.arange(rest.size)
+        fixed = width * n
+        # each entry's slot in either of its rows.  A row holds its entries
+        # left of the diagonal, (hi, lo), first, in the order of lo, which
+        # a stable sort by hi keeps; then its entries (lo, hi), listed in
+        # the order of hi
+        rows, by_row = _sorted_order(hi.copy(), n)
+        upper = np.arange(lo.size)
+        rank = (np.cumsum(below) - below).take(rows)
+        del rows
+        np.subtract(upper, rank, out=rank)
+        lower = np.empty_like(rank)
+        lower[by_row] = rank
+        del rank, by_row
+        upper -= (np.cumsum(above) - above - below).take(lo)
+        # the entries past the fixed-width slots follow them in CSR order
+        up, down = np.flatnonzero(upper >= width), np.flatnonzero(lower >= width)
+        rest_rows = np.concatenate([lo[up], hi[down]])
+        csr = np.lexsort((np.concatenate([upper[up], lower[down]]), rest_rows))
+        rest_rows = rest_rows[csr]
+        rest = np.empty_like(csr)
+        rest[csr] = np.arange(fixed, fixed + csr.size)
+        # each entry's index in the flat weights, slot * n + row
+        upper *= n
+        upper += lo
+        upper[up] = rest[: up.size]
+        lower *= n
+        lower += hi
+        lower[down] = rest[up.size :]
+        del up, down, csr, rest
         # the columns, flat in the same way; a pad's column is its row
-        index = np.resize(np.arange(n), width * n + rest.size)
-        index[flat] = columns
+        index = np.empty(fixed + rest_rows.size, dtype=np.intp)
+        index[:fixed].reshape(width, n)[:] = np.arange(n)
+        index[upper] = hi
+        index[lower] = lo
         flat_weights = np.zeros(index.size)
-        flat_weights[flat] = weights
-        del flat
-        fixed = index[: width * n].reshape(width, n)
-        layout = cls(fixed, rows[rest], index[width * n :], flat_weights, np.zeros(n))
-        return layout._replace(diagonal=-layout.product(np.ones(n), layout.diagonal))
+        flat_weights[upper] = weights
+        flat_weights[lower] = weights
+        del upper, lower
+        # minus each row's sum, taken as product() takes it: slot by
+        # slot from 0, then the rest in order
+        diagonal = np.zeros(n)
+        for w in flat_weights[:fixed].reshape(width, n):
+            diagonal += w
+        np.add.at(diagonal, rest_rows, flat_weights[fixed:])
+        np.negative(diagonal, out=diagonal)
+        fixed_columns = index[:fixed].reshape(width, n)
+        return cls(fixed_columns, rest_rows, index[fixed:], flat_weights, diagonal)
 
     def entries(self):
         """(rows, columns) of ``weights``, entry for entry, pads included."""
@@ -368,9 +419,8 @@ class MeshQualityReport:
 def build_icosphere(subdivisions, radius=1.0):
     """Subdivided icosahedron projected to the sphere of given radius.
 
-    A surface, so its natural dimension is 2.  Vertex count is
-    10 * 4**subdivisions + 2.  Each subdivision appends the midpoints of
-    the current edges after the current vertices, and
+    Vertex count is 10 * 4**subdivisions + 2.  Each subdivision appends
+    the midpoints of the current edges after the current vertices, and
     ``domain.refinement`` records their parent edges.
 
     Midpoints are numbered in creation order: walk the faces in order and
@@ -394,37 +444,58 @@ def build_icosphere(subdivisions, radius=1.0):
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be a finite number > 0")
 
-    def normalized(v):
-        return v / np.sqrt((v * v).sum(axis=1, keepdims=True))
+    def normalized(v, out):
+        np.divide(v, np.sqrt((v * v).sum(axis=1, keepdims=True)), out=out)
 
-    verts = normalized(_ICO_VERTICES)
+    # each subdivision appends its midpoints after the vertices it refines
+    verts = np.empty((10 * 4**subdivisions + 2, 3))
+    count = len(_ICO_VERTICES)
+    normalized(_ICO_VERTICES, verts[:count])
     faces = _ICO_FACES
     refinement = []
     for _ in range(subdivisions):
-        coarse_count = len(verts)
-        # the 3F face edges in creation order, as sorted pairs coded i*n + j
-        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-        _, first, inverse = np.unique(
-            edges[:, 0] * coarse_count + edges[:, 1],
-            return_index=True,
-            return_inverse=True,
-        )
-        # number the unique edges by rank of first appearance
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        parents = edges[first[order]]
-        verts = np.concatenate(
-            [verts, normalized(verts[parents[:, 0]] + verts[parents[:, 1]])]
-        )
-        a, b, c = faces.T
-        ab, bc, ca = (coarse_count + rank[inverse]).reshape(-1, 3).T
-        faces = np.stack(
-            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
-        ).reshape(-1, 3)
-        refinement.append((coarse_count, parents))
+        # the face edges (a, b), (b, c), (c, a) in creation order, as
+        # pairs lo < hi coded lo * count + hi
+        following = np.roll(faces, -1, axis=1)
+        lo = np.minimum(faces, following).ravel()
+        hi = np.maximum(faces, following, out=following).ravel()
+        keys, order = _sorted_order(lo * count + hi, count * count)
+        # the sort is stable, so each edge's run starts at its first
+        # appearance, and the running count of first appearances numbers
+        # the midpoints in creation order
+        head = _run_heads(keys)
+        del keys
+        first = order[head]
+        appears = np.zeros(head.size, dtype=bool)
+        appears[first] = True
+        number = np.cumsum(appears)
+        number += count - 1
+        run = np.cumsum(head)
+        run -= 1
+        # each face edge's midpoint: the number of its run's head
+        mid = np.empty_like(number)
+        mid[order] = number[first][run]
+        del order, head, first, number, run
+        split = np.flatnonzero(appears)
+        parents = np.stack([lo[split], hi[split]], axis=1)
+        fine = count + len(split)
+        midpoints = np.take(verts, parents[:, 0], axis=0)
+        midpoints += np.take(verts, parents[:, 1], axis=0)
+        normalized(midpoints, verts[count:fine])
+        refinement.append((count, parents))
+        count = fine
+        # face t becomes (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
+        mid = mid.reshape(-1, 3)
+        refined = np.empty((len(faces), 4, 3), dtype=np.int64)
+        refined[:, :3, 0] = faces
+        refined[:, :3, 1] = mid
+        refined[:, 0, 2] = mid[:, 2]
+        refined[:, 1:3, 2] = mid[:, :2]
+        refined[:, 3] = mid
+        faces = refined.reshape(-1, 3)
 
-    coords = radius * verts
+    coords = verts
+    coords *= radius
     try:
         return DiscreteDomain(
             "icosphere", coords, faces=faces, refinement=tuple(refinement)
@@ -439,8 +510,7 @@ def build_icosphere(subdivisions, radius=1.0):
 def build_flat_torus(dims):
     """Periodic grid from [(cells, length), ...] with 1 to 3 axes.
 
-    Its natural dimension is the number of axes.  At most MAX_VERTICES
-    vertices, refused before any allocation.
+    At most MAX_VERTICES vertices, refused before any allocation.
     """
     dims = list(dims)
     if not 1 <= len(dims) <= 3:
@@ -476,7 +546,7 @@ def build_flat_torus(dims):
 
 
 def load_off(path):
-    """Read an ASCII OFF triangle mesh, a surface of natural dimension 2."""
+    """Read an ASCII OFF triangle mesh."""
     with open(path, "r", encoding="utf-8") as fh:
         tokens = []
         for line in fh:
@@ -513,10 +583,35 @@ def load_off(path):
 
 
 def _corner_cotangents(coords, faces):
-    """Cotangent of the interior angle at each face corner, plus face areas."""
-    v = [coords[faces[:, k]] for k in range(3)]
+    """Cotangent of the interior angle at each face corner, plus face areas.
+
+    The cotangents come as a (3, F) array, row k for corner k.  Each is
+    formed from the three edges of its face, E_k from corner k + 1 to
+    corner k + 2: corner k lies between E_{k+2} and -E_{k+1}, so its
+    cotangent is -E_{k+1}.E_{k+2} / |E_1 x E_2|.  Negation and the order
+    of a product's factors are exact, so this gives every nonzero value
+    bit for bit as the dot and cross products of the differences from
+    the corner would.
+    """
+    # rows: corners 0, 1, 2, overwritten by E_0, E_2, E_1 in turn
+    edges = np.take(coords, faces.T, axis=0)
+    e0, e2, e1 = edges
+    corner = e0.copy()
+    np.subtract(e1, e2, out=e0)
+    np.subtract(corner, e1, out=e1)
+    np.subtract(e2, corner, out=e2)
+    # the twice-area vector E_1 x E_2, in corner's place, as np.cross
+    # forms it, then its norm
+    normal, term = corner, np.empty(len(faces))
     with np.errstate(all="ignore"):
-        double_area = np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]), axis=1)
+        for k in range(3):
+            i, j = (k + 1) % 3, (k + 2) % 3
+            np.multiply(e1[:, i], e2[:, j], out=normal[:, k])
+            np.multiply(e1[:, j], e2[:, i], out=term)
+            normal[:, k] -= term
+        normal *= normal
+        double_area = np.sqrt(normal.sum(axis=1))
+    del term
     # the norm sums the squares of a twice-area vector, so the mesh's scale
     # must keep the largest one finite and normal; zero and relatively
     # small faces are left to the degenerate-face test below
@@ -528,33 +623,35 @@ def _corner_cotangents(coords, faces):
     bad = np.flatnonzero(areas <= 1e-14 * mean_area)
     if bad.size:
         raise AssemblyError(f"degenerate face {int(bad[0])} (area {areas[bad[0]]:.3e})")
-    cots = np.empty((len(faces), 3))
-    for k in range(3):
-        a, b, c = v[k], v[(k + 1) % 3], v[(k + 2) % 3]
-        cots[:, k] = np.einsum("ij,ij->i", b - a, c - a) / double_area
+    # the cotangents take the place of the twice-area vectors
+    cots = normal.reshape(3, len(faces))
+    for k, (a, b) in enumerate([(e1, e2), (e2, e0), (e0, e1)]):
+        np.einsum("ij,ij->i", a, b, out=cots[k])
+    cots /= double_area
+    np.negative(cots, out=cots)
     return cots, areas
 
 
 def _assemble_surface(coords, faces):
+    """(L, mass, obtuse triangle count) of a triangle surface."""
     n = coords.shape[0]
     used = np.zeros(n, dtype=bool)
-    used[faces.ravel()] = True
+    used[faces] = True
     unused = np.flatnonzero(~used)
     if unused.size:
         # it would get no stiffness entry and mass 0
         raise AssemblyError(f"vertex {int(unused[0])} belongs to no face")
     cots, areas = _corner_cotangents(coords, faces)
+    obtuse = int(np.count_nonzero(cots.min(axis=0) < 0.0))
+    # bincount adds in index order, face by face, as np.add.at would
+    mass = np.bincount(faces.ravel(), np.repeat(areas / 3.0, 3), minlength=n)
+    del areas
     # the edge opposite corner k joins corners k + 1 and k + 2 and gets
     # half the corner's cotangent
-    stiffness = _edge_stiffness(
-        n,
-        faces[:, [1, 2, 0]].T.ravel(),
-        faces[:, [2, 0, 1]].T.ravel(),
-        -(0.5 * cots.T.ravel()),
-    )
-    mass = np.zeros(n)
-    np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))
-    return stiffness, mass
+    cots *= -0.5
+    c = faces.T
+    keys = _pair_keys(n, [(c[(k + 1) % 3], c[(k + 2) % 3]) for k in range(3)])
+    return _edge_stiffness(n, keys, cots.ravel()), mass, obtuse
 
 
 def _assemble_grid(cells, lengths):
@@ -563,11 +660,11 @@ def _assemble_grid(cells, lengths):
     n = int(np.prod(cells))
     idx = np.arange(n).reshape(cells)
     # each vertex with its successor along each axis
+    keys = _pair_keys(
+        n, [(idx.ravel(), np.roll(idx, -1, axis=k).ravel()) for k in range(len(cells))]
+    )
     stiffness = _edge_stiffness(
-        n,
-        np.tile(idx.ravel(), len(cells)),
-        np.concatenate([np.roll(idx, -1, axis=k).ravel() for k in range(len(cells))]),
-        np.repeat([-volume / (h * h) for h in spacings], n),
+        n, keys, np.repeat([-volume / (h * h) for h in spacings], n)
     )
     mass = np.full(n, volume)
     return stiffness, mass
@@ -582,12 +679,8 @@ def mesh_quality(domain):
     """
     # the pads of the layout are 0 and never count
     positive = int(np.count_nonzero(domain.L.weights > 1e-12))
-    obtuse = 0
-    if domain.is_surface:
-        cots, _ = _corner_cotangents(domain.coordinates, domain.faces)
-        obtuse = int(np.count_nonzero(cots.min(axis=1) < 0.0))
     return MeshQualityReport(
-        obtuse_triangle_count=obtuse,
+        obtuse_triangle_count=domain._obtuse_count,
         positive_offdiagonal_count=positive,
         is_m_matrix_compatible=positive == 0,
     )

@@ -225,7 +225,7 @@ def _multigrid_preconditioner(domain, a):
         ends = np.ascontiguousarray(parents.T)
         levels.append((L, diagonal, SMOOTHING_WEIGHT / diagonal, ends))
         coordinates, faces = _coarse_mesh(coordinates, faces, coarse_count)
-        L, mass = _assemble_surface(coordinates, faces)
+        L, mass, _ = _assemble_surface(coordinates, faces)
         a = a[:coarse_count]
     # applied by einsum, which calls no BLAS (a threaded gemv could stall
     # like the factorization above)

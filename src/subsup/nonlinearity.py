@@ -171,14 +171,14 @@ class NonlinearProblem:
     instances; the iteration driver is the gatekeeper.
     """
 
-    def __init__(self, domain, a, f, h, F, H, n=None, q=None):
+    def __init__(self, domain, a, f, h, F, H, n, q=None):
         self.domain = domain
         self.a = domain.field(a)
         self.f = domain.field(f)
         self.h = domain.field(h)
         self.F = F
         self.H = H
-        self.n = int(n) if n is not None else domain.dimension
+        self.n = int(n)
         if q is not None:
             self.q = float(q)
         elif H.kind == "power":

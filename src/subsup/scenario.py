@@ -292,11 +292,7 @@ def _nonlin_from(spec, base_dir):
 
 
 def build_problem(scenario):
-    """Instantiate (domain, problem, lower, upper) from a scenario.
-
-    The scenario's n goes to the problem only; the domain keeps its
-    natural dimension.
-    """
+    """Instantiate (domain, problem, lower, upper) from a scenario."""
     domain = build_domain(scenario)
     problem = NonlinearProblem(
         domain,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -63,6 +64,74 @@ def reference_icosphere(subdivisions):
     return np.array(verts), faces, refinement
 
 
+def reference_subdivision(subdivisions, radius):
+    """(coordinates, faces, refinement) of the icosphere by np.unique.
+
+    The oracle for the single-sort subdivision: the edges numbered by
+    np.unique's first indices and an argsort of them, the midpoints
+    appended by concatenation.  Bit for bit the earlier program's build.
+    """
+    from subsup.geometry import _ICO_FACES, _ICO_VERTICES
+
+    def normalized(v):
+        return v / np.sqrt((v * v).sum(axis=1, keepdims=True))
+
+    verts = normalized(_ICO_VERTICES)
+    faces = _ICO_FACES
+    refinement = []
+    for _ in range(subdivisions):
+        coarse_count = len(verts)
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        _, first, inverse = np.unique(
+            edges[:, 0] * coarse_count + edges[:, 1],
+            return_index=True,
+            return_inverse=True,
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        parents = edges[first[order]]
+        verts = np.concatenate(
+            [verts, normalized(verts[parents[:, 0]] + verts[parents[:, 1]])]
+        )
+        a, b, c = faces.T
+        ab, bc, ca = (coarse_count + rank[inverse]).reshape(-1, 3).T
+        faces = np.stack(
+            [a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+        refinement.append((coarse_count, parents))
+    return radius * verts, faces, refinement
+
+
+def reference_cotangents(coords, faces):
+    """(F, 3) corner cotangents and face areas from the corners' differences.
+
+    The oracle for the edge-vector cotangents: three vertex gathers, the
+    differences from each corner, np.cross, np.linalg.norm and einsum.
+    """
+    v = [coords[faces[:, k]] for k in range(3)]
+    double_area = np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]), axis=1)
+    cots = np.empty((len(faces), 3))
+    for k in range(3):
+        a, b, c = v[k], v[(k + 1) % 3], v[(k + 2) % 3]
+        cots[:, k] = np.einsum("ij,ij->i", b - a, c - a) / double_area
+    return cots, 0.5 * double_area
+
+
+def corner_major_reference(coords, faces):
+    """reference_cotangents with the cotangents as (3, F), the program's layout."""
+    cots, areas = reference_cotangents(coords, faces)
+    return np.ascontiguousarray(cots.T), areas
+
+
+def reference_mass(coords, faces):
+    """Lumped mass by np.add.at: a third of each face's area to each corner."""
+    _, areas = reference_cotangents(coords, faces)
+    mass = np.zeros(len(coords))
+    np.add.at(mass, faces.ravel(), np.repeat(areas / 3.0, 3))
+    return mass
+
+
 class TestIcosphereOracle:
     EPS = np.finfo(float).eps
 
@@ -81,6 +150,26 @@ class TestIcosphereOracle:
         r = np.sqrt((d.coordinates**2).sum(axis=1))
         assert np.abs(r - 1.0).max() <= 4 * self.EPS
 
+    @pytest.mark.parametrize("radius", [1.0, 1.5])
+    @pytest.mark.parametrize("subdivisions", range(7))
+    def test_bitwise_the_reference_build(self, subdivisions, radius, monkeypatch):
+        d = subsup.build_icosphere(subdivisions, radius=radius)
+        coords, faces, refinement = reference_subdivision(subdivisions, radius)
+        assert_bitwise(d.coordinates, coords)
+        assert d.faces.dtype == faces.dtype and np.array_equal(d.faces, faces)
+        assert len(d.refinement) == len(refinement)
+        for (c, p), (rc, rp) in zip(d.refinement, refinement):
+            assert c == rc
+            assert p.dtype == rp.dtype and np.array_equal(p, rp)
+        assert_bitwise(d.mass, reference_mass(coords, faces))
+        # the same mesh assembled from the oracle's cotangents
+        monkeypatch.setattr(
+            subsup.geometry, "_corner_cotangents", corner_major_reference
+        )
+        expected = subsup.DiscreteDomain("icosphere", coords, faces=faces)
+        for got, want in zip(d.L, expected.L):
+            assert_bitwise(got, want)
+
     @pytest.mark.parametrize("subdivisions", range(6))
     def test_closed_outward_mesh(self, subdivisions):
         d = subsup.build_icosphere(subdivisions)
@@ -94,6 +183,30 @@ class TestIcosphereOracle:
         v = d.coordinates[d.faces]
         normals = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
         assert np.all(np.einsum("ij,ij->i", normals, v.mean(axis=1)) > 0.0)
+
+
+class TestBuildMemory:
+    # the tracemalloc peak of a build, in float64 vectors of the vertex
+    # count: 61.0 on icosphere 5 and 39.0 on torus 32^3, bounded with 15%
+    # to spare; the build with an (F, 3) vertex gather per corner and
+    # both directions of every entry held through the layout peaked at
+    # 74.7 on icosphere 5
+    @pytest.mark.parametrize(
+        "build, bound",
+        [
+            (lambda: subsup.build_icosphere(5), 70.0),
+            (lambda: subsup.build_flat_torus([(32, 1.0)] * 3), 45.0),
+        ],
+        ids=["icosphere5", "torus32"],
+    )
+    def test_peak_in_vertex_vectors(self, build, bound):
+        tracemalloc.start()
+        try:
+            domain = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * domain.vertex_count) <= bound
 
 
 class TestIcosphere:
@@ -578,10 +691,8 @@ def scipy_stiffness(domain):
 
     n = domain.vertex_count
     if domain.is_surface:
-        from subsup.geometry import _corner_cotangents
-
         faces = domain.faces
-        cots, _ = _corner_cotangents(domain.coordinates, faces)
+        cots, _ = reference_cotangents(domain.coordinates, faces)
         pairs = [
             (faces[:, (k + 1) % 3], faces[:, (k + 2) % 3], 0.5 * cots[:, k])
             for k in range(3)
@@ -680,6 +791,14 @@ class TestCSRAssembly:
                 magnitude = abs(expected) @ np.ones(domain.vertex_count)
             error = np.abs(domain.L.diagonal - expected.diagonal())
             assert np.all(error <= 4 * np.spacing(magnitude))
+
+    @pytest.mark.parametrize("name", sorted(ASSEMBLY_DOMAINS))
+    def test_diagonal_is_minus_the_csr_order_row_sum(self, name, tmp_path):
+        # each row's off-diagonal entries summed one after another from 0
+        domain = ASSEMBLY_DOMAINS[name](tmp_path)
+        rows, _, weights = layout_entries(domain.L)
+        expected = -np.bincount(rows, weights, minlength=domain.vertex_count)
+        assert_bitwise(domain.L.diagonal, expected)
 
     def test_exactly_zero_cotangents_are_dropped(self, tmp_path):
         domain = cube_off(tmp_path / "cube.off")

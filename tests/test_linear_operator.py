@@ -255,7 +255,7 @@ class TestMultigridPreconditioner:
         coordinates, faces = _coarse_mesh(fine.coordinates, fine.faces, coarse_count)
         assert np.array_equal(coordinates, coarse.coordinates)
         assert np.array_equal(faces, coarse.faces)
-        L, mass = _assemble_surface(coordinates, faces)
+        L, mass, _ = _assemble_surface(coordinates, faces)
         for got, expected in zip(L, coarse.L):
             assert got.dtype == expected.dtype
             assert np.array_equal(got, expected)

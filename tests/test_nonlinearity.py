@@ -384,6 +384,14 @@ class TestNonlinearProblem:
         assert prob.q == 0.5
         assert prob.n == 3
 
+    def test_n_is_required(self, torus8):
+        # n enters only through the critical exponent; no domain implies it
+        with pytest.raises(TypeError):
+            subsup.NonlinearProblem(
+                torus8, 2.0, 0.5, 0.5,
+                ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5),
+            )
+
     def test_q_none_for_table_h(self, torus8):
         H = ScalarNonlinearity.table([0.0, 1.0], [0.0, 0.5])
         prob = subsup.NonlinearProblem(
