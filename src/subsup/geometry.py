@@ -17,6 +17,11 @@ On a large mesh the first touches of fresh arrays cost more than the
 arithmetic, so the build makes few full-length passes and temporaries:
 one sort of the face edges per icosphere level, the three edge vectors
 of each face for its cotangents, and in-place sorts in the assembly.
+Each level's temporaries die with _subdivide.  The pair-length arrays
+are owned by the callee: a caller hands them on in a list, [keys, w]
+to _edge_stiffness and [lo, hi, weights] to SlotLayout.of, keeps no
+other reference, and the callee empties the list and frees each array
+at its last use.
 
 Surfaces use cotangent weights with barycentric mass lumping, grids the
 standard second-order finite-difference stencil scaled so that u' L u
@@ -241,15 +246,17 @@ def _pair_keys(n, blocks):
     return keys.ravel()
 
 
-def _edge_stiffness(n, keys, w):
-    """L = W - diag(W 1) for the symmetric W that sums w over the pairs
-    coded by keys (see _pair_keys).
+def _edge_stiffness(n, pairs):
+    """L = W - diag(W 1) for the symmetric W that sums the weights w over
+    the pairs coded by keys (see _pair_keys), pairs = [keys, w].
 
     One sort by (min, max) brings the weights of each pair together;
     they are summed in input order, and a pair whose sum is exactly 0 is
     dropped.  The pairs come out in CSR order of the upper triangle,
-    which SlotLayout.of takes.  keys is sorted in place.
+    which SlotLayout.of takes.  The key buffer becomes the sort order.
     """
+    keys, w = pairs
+    pairs.clear()
     keys, order = _sorted_order(keys, n * n)
     w = w[order]
     del order
@@ -260,12 +267,14 @@ def _edge_stiffness(n, keys, w):
         np.add(weight, w.take(start + k, mode="clip"), out=weight, where=run > k)
     del w, run
     kept = weight != 0.0
-    keys = keys[start[kept]]
+    hi = keys[start[kept]]
     weight = weight[kept]
-    del start, kept
-    lo = keys // n
-    keys -= lo * n
-    return SlotLayout.of(n, lo, keys, weight)
+    del keys, start, kept
+    lo = hi // n
+    hi -= lo * n
+    entries = [lo, hi, weight]
+    del lo, hi, weight
+    return SlotLayout.of(n, entries)
 
 
 class SlotLayout(NamedTuple):
@@ -296,10 +305,12 @@ class SlotLayout(NamedTuple):
     diagonal: np.ndarray
 
     @classmethod
-    def of(cls, n, lo, hi, weights):
-        """The symmetric matrix whose entries (lo, hi, weights), lo < hi,
+    def of(cls, n, entries):
+        """The symmetric matrix whose entries [lo, hi, weights], lo < hi,
         above the diagonal are listed in CSR order; its diagonal is minus
-        each row's sum, taken in CSR order."""
+        each row's sum, taken in CSR order.  Empties the list."""
+        lo, hi, weights = entries
+        entries.clear()
         below = np.bincount(hi, minlength=n)
         above = np.bincount(lo, minlength=n)
         # filled[k] counts the rows with a slot k; non-increasing in k
@@ -339,10 +350,11 @@ class SlotLayout(NamedTuple):
         index[:fixed].reshape(width, n)[:] = np.arange(n)
         index[upper] = hi
         index[lower] = lo
+        del hi, lo
         flat_weights = np.zeros(index.size)
         flat_weights[upper] = weights
         flat_weights[lower] = weights
-        del upper, lower
+        del weights, upper, lower
         # minus each row's sum, taken as product() takes it: slot by
         # slot from 0, then the rest in order
         diagonal = np.zeros(n)
@@ -444,55 +456,16 @@ def build_icosphere(subdivisions, radius=1.0):
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be a finite number > 0")
 
-    def normalized(v, out):
-        np.divide(v, np.sqrt((v * v).sum(axis=1, keepdims=True)), out=out)
-
     # each subdivision appends its midpoints after the vertices it refines
     verts = np.empty((10 * 4**subdivisions + 2, 3))
     count = len(_ICO_VERTICES)
-    normalized(_ICO_VERTICES, verts[:count])
+    _normalized(_ICO_VERTICES, verts[:count])
     faces = _ICO_FACES
     refinement = []
     for _ in range(subdivisions):
-        # the face edges (a, b), (b, c), (c, a) in creation order, as
-        # pairs lo < hi coded lo * count + hi
-        following = np.roll(faces, -1, axis=1)
-        lo = np.minimum(faces, following).ravel()
-        hi = np.maximum(faces, following, out=following).ravel()
-        keys, order = _sorted_order(lo * count + hi, count * count)
-        # the sort is stable, so each edge's run starts at its first
-        # appearance, and the running count of first appearances numbers
-        # the midpoints in creation order
-        head = _run_heads(keys)
-        del keys
-        first = order[head]
-        appears = np.zeros(head.size, dtype=bool)
-        appears[first] = True
-        number = np.cumsum(appears)
-        number += count - 1
-        run = np.cumsum(head)
-        run -= 1
-        # each face edge's midpoint: the number of its run's head
-        mid = np.empty_like(number)
-        mid[order] = number[first][run]
-        del order, head, first, number, run
-        split = np.flatnonzero(appears)
-        parents = np.stack([lo[split], hi[split]], axis=1)
-        fine = count + len(split)
-        midpoints = np.take(verts, parents[:, 0], axis=0)
-        midpoints += np.take(verts, parents[:, 1], axis=0)
-        normalized(midpoints, verts[count:fine])
+        faces, parents = _subdivide(verts, count, faces)
         refinement.append((count, parents))
-        count = fine
-        # face t becomes (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
-        mid = mid.reshape(-1, 3)
-        refined = np.empty((len(faces), 4, 3), dtype=np.int64)
-        refined[:, :3, 0] = faces
-        refined[:, :3, 1] = mid
-        refined[:, 0, 2] = mid[:, 2]
-        refined[:, 1:3, 2] = mid[:, :2]
-        refined[:, 3] = mid
-        faces = refined.reshape(-1, 3)
+        count += len(parents)
 
     coords = verts
     coords *= radius
@@ -505,6 +478,54 @@ def build_icosphere(subdivisions, radius=1.0):
         raise ValueError(
             f"radius {radius:g} puts the face areas out of floating-point range"
         ) from exc
+
+
+def _normalized(v, out):
+    """The rows of v scaled to length 1, written to out."""
+    np.divide(v, np.sqrt((v * v).sum(axis=1, keepdims=True)), out=out)
+
+
+def _subdivide(verts, count, faces):
+    """One subdivision of the faces on the first count vertices of verts:
+    (refined faces, parents), the midpoints written after those vertices."""
+    # the face edges (a, b), (b, c), (c, a) in creation order, as
+    # pairs lo < hi coded lo * count + hi
+    following = np.roll(faces, -1, axis=1)
+    lo = np.minimum(faces, following).ravel()
+    hi = np.maximum(faces, following, out=following).ravel()
+    keys, order = _sorted_order(lo * count + hi, count * count)
+    # the sort is stable, so each edge's run starts at its first
+    # appearance, and the running count of first appearances numbers
+    # the midpoints in creation order
+    head = _run_heads(keys)
+    del keys
+    first = order[head]
+    appears = np.zeros(head.size, dtype=bool)
+    appears[first] = True
+    number = np.cumsum(appears)
+    number += count - 1
+    run = np.cumsum(head)
+    run -= 1
+    # each face edge's midpoint: the number of its run's head
+    mid = np.empty_like(number)
+    mid[order] = number[first][run]
+    del order, head, first, number, run
+    split = np.flatnonzero(appears)
+    parents = np.stack([lo[split], hi[split]], axis=1)
+    del appears, split, lo, hi, following
+    midpoints = np.take(verts, parents[:, 0], axis=0)
+    midpoints += np.take(verts, parents[:, 1], axis=0)
+    _normalized(midpoints, verts[count : count + len(parents)])
+    del midpoints
+    # face t becomes (a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)
+    mid = mid.reshape(-1, 3)
+    refined = np.empty((len(faces), 4, 3), dtype=np.int64)
+    refined[:, :3, 0] = faces
+    refined[:, :3, 1] = mid
+    refined[:, 0, 2] = mid[:, 2]
+    refined[:, 1:3, 2] = mid[:, :2]
+    refined[:, 3] = mid
+    return refined.reshape(-1, 3), parents
 
 
 def build_flat_torus(dims):
@@ -537,10 +558,10 @@ def build_flat_torus(dims):
     if not np.all((weights > 0.0) & (weights < np.inf)):
         raise ValueError("axis lengths put the grid weights out of floating-point range")
     axes = [np.arange(c) * h for c, h in zip(cells, spacings)]
-    mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.zeros((n, 3))
-    for k, ax in enumerate(mesh):
-        coords[:, k] = ax.ravel()
+    lattice = coords.reshape(*cells, 3)
+    for k, ax in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+        lattice[..., k] = ax
 
     return DiscreteDomain("flat_torus", coords, grid=(cells, lengths))
 
@@ -650,8 +671,12 @@ def _assemble_surface(coords, faces):
     # half the corner's cotangent
     cots *= -0.5
     c = faces.T
-    keys = _pair_keys(n, [(c[(k + 1) % 3], c[(k + 2) % 3]) for k in range(3)])
-    return _edge_stiffness(n, keys, cots.ravel()), mass, obtuse
+    pairs = [
+        _pair_keys(n, [(c[(k + 1) % 3], c[(k + 2) % 3]) for k in range(3)]),
+        cots.ravel(),
+    ]
+    del cots
+    return _edge_stiffness(n, pairs), mass, obtuse
 
 
 def _assemble_grid(cells, lengths):
@@ -660,14 +685,14 @@ def _assemble_grid(cells, lengths):
     n = int(np.prod(cells))
     idx = np.arange(n).reshape(cells)
     # each vertex with its successor along each axis
-    keys = _pair_keys(
-        n, [(idx.ravel(), np.roll(idx, -1, axis=k).ravel()) for k in range(len(cells))]
-    )
-    stiffness = _edge_stiffness(
-        n, keys, np.repeat([-volume / (h * h) for h in spacings], n)
-    )
-    mass = np.full(n, volume)
-    return stiffness, mass
+    pairs = [
+        _pair_keys(
+            n, [(idx.ravel(), np.roll(idx, -1, axis=k).ravel()) for k in range(len(cells))]
+        ),
+        np.repeat([-volume / (h * h) for h in spacings], n),
+    ]
+    del idx
+    return _edge_stiffness(n, pairs), np.full(n, volume)
 
 
 def mesh_quality(domain):

@@ -194,6 +194,21 @@ class TestInputErrors:
         assert len(lines) == 2
         assert all("vertices exceeds the limit of 655362" in line for line in lines)
 
+    @pytest.mark.parametrize("verb", ["check", "solve"])
+    def test_out_of_memory(self, verb, tmp_scenario, tmp_path, monkeypatch, capsys):
+        def build_problem(scenario):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr("subsup.cli.build_problem", build_problem)
+        args = [verb, tmp_scenario(base_torus_doc())]
+        if verb == "solve":
+            args += ["--out", str(tmp_path / "run")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: out of memory: Unable to allocate 2.00 GiB for an array"
+        ]
+
     def test_non_finite_expression(self, tmp_scenario):
         doc = base_torus_doc()
         doc["coefficients"]["a"] = "1/(x-x)"
