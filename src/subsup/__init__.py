@@ -5,8 +5,8 @@ The pieces, bottom up:
 
 - :mod:`subsup.geometry` builds discrete domains (icosphere surfaces, flat
   tori, OFF meshes) and assembles stiffness/mass operators.
-- :mod:`subsup.linear_operator` solves the coercive linear problem and
-  certifies comparison, coercivity, and Lipschitz bounds.
+- :mod:`subsup.linear_operator` solves the coercive linear problem
+  (the operator T).
 - :mod:`subsup.nonlinearity` holds the scalar nonlinearities, the growth
   and sign hypothesis checks, and the substitution operator S.
 - :mod:`subsup.iteration` verifies lower/upper solution brackets and runs
@@ -38,19 +38,12 @@ from .iteration import (
     defect,
     iterate_monotone,
     make_bracket,
-    positivity_check,
-    verify_lower,
-    verify_upper,
 )
 from .linear_operator import (
     ConvergenceError,
     DualVector,
     LinearProblem,
     SolveReport,
-    check_comparison,
-    embed_function,
-    h1_norm,
-    lipschitz_certificate,
     solve_T,
 )
 from .nonlinearity import (
@@ -70,7 +63,6 @@ from .scenario import (
     build_problem,
     load_scenario,
     parse_scenario,
-    serialize_scenario,
 )
 
 __version__ = "0.1.0"
@@ -104,24 +96,16 @@ __all__ = [
     "build_problem",
     "check_alpha1",
     "check_alpha2",
-    "check_comparison",
     "critical_exponent",
     "defect",
-    "embed_function",
     "evaluate_expression",
     "generalized_spectrum",
-    "h1_norm",
     "iterate_monotone",
-    "lipschitz_certificate",
     "load_off",
     "load_scenario",
     "make_bracket",
     "mesh_quality",
     "parse_coefficient",
     "parse_scenario",
-    "positivity_check",
-    "serialize_scenario",
     "solve_T",
-    "verify_lower",
-    "verify_upper",
 ]

@@ -20,7 +20,9 @@ from .geometry import generalized_spectrum, mesh_quality
 from .iteration import BracketError, OrderingError, iterate_monotone, make_bracket
 from .linear_operator import ConvergenceError
 from .nonlinearity import check_alpha1, check_alpha2
-from .scenario import ScenarioError, _max_steps, _positive, build_problem, load_scenario
+from .scenario import (
+    ScenarioError, _max_steps, _positive, build_domain, build_problem, load_scenario,
+)
 from .serialize import format_float, write_json
 
 SPECTRUM_VERTEX_LIMIT = 5000
@@ -161,8 +163,6 @@ def cmd_solve(args):
 
 def cmd_spectrum(args):
     scenario = load_scenario(args.scenario)
-    from .scenario import build_domain
-
     domain = build_domain(scenario)
     if domain.vertex_count > SPECTRUM_VERTEX_LIMIT:
         raise ScenarioError(
@@ -177,8 +177,6 @@ def cmd_spectrum(args):
 
 def cmd_mesh_info(args):
     scenario = load_scenario(args.scenario)
-    from .scenario import build_domain
-
     domain = build_domain(scenario)
     quality = mesh_quality(domain)
     print(f"kind: {domain.kind}")

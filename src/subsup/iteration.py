@@ -194,11 +194,10 @@ class BracketFailure:
 def bracket_failures(problem, lower, upper, tol):
     """The first failure at each end of a candidate bracket, or None.
 
-    The one bracket rule for input brackets, used by make_bracket and
-    verify_lower/verify_upper; returns (lower failure, upper failure).
-    An end given as None is not checked; "zero" and "unordered" need
-    both ends.  Each end stops at the first check that fails, in this
-    order:
+    The one bracket rule for input brackets, used by make_bracket;
+    returns (lower failure, upper failure).  An end given as None is
+    not checked; "zero" and "unordered" need both ends.  Each end stops
+    at the first check that fails, in this order:
 
     - "negative": some entry is below 0 (names the most negative one);
     - "zero": the lower end is identically 0;
@@ -256,22 +255,6 @@ def _worst_defect(problem, sign, v, d):
     return bad, float(d[bad]), scale
 
 
-def _holds(failure, side):
-    if failure is not None and failure.kind == "negative":
-        raise ValueError(f"candidate {side} solution must be nonnegative")
-    return failure is None
-
-
-def verify_lower(problem, v, tol):
-    """True iff every defect entry <= tol * scale; v must be >= 0."""
-    return _holds(bracket_failures(problem, v, None, tol)[0], "lower")
-
-
-def verify_upper(problem, v, tol):
-    """True iff every defect entry >= -tol * scale; v must be >= 0."""
-    return _holds(bracket_failures(problem, None, v, tol)[1], "upper")
-
-
 def make_bracket(problem, lower, upper, verification_tol=DEFAULT_TOL):
     """Verify and package a (lower, upper) pair; raises BracketError."""
     lower = problem.domain.field(lower)
@@ -281,14 +264,6 @@ def make_bracket(problem, lower, upper, verification_tol=DEFAULT_TOL):
         if failure is not None:
             raise BracketError(failure.message, failures)
     return Bracket(lower=lower, upper=upper)
-
-
-def positivity_check(domain, u):
-    """min u > 0; only meaningful (and only allowed) on connected domains."""
-    if not domain.is_connected():
-        raise ValueError("positivity check requires a connected domain")
-    u = domain.field(u)
-    return bool(u.values.min() > 0.0)
 
 
 def _contraction_rate(problem, v, u, av):

@@ -1,4 +1,4 @@
-"""The linear solution operator T and its order/continuity certificates.
+"""The linear solution operator T.
 
 T maps a dual vector psi to the unique u with (L + M diag(a)) u = psi,
 computed by preconditioned conjugate-gradient minimization of the energy
@@ -20,9 +20,9 @@ the structure that domain has:
 - any other surface (OFF meshes): the Jacobi diagonal, the reference
   path.
 
-check_comparison and lipschitz_certificate expose the comparison
-principle and the 1/C Lipschitz bound as checkable operations; both are
-exercised heavily by the test suite.
+The comparison principle, the H1 Lipschitz bound of T and the
+coercivity of A are facts of the existence proof: the tests assert them,
+and no run-time check relies on them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Field, _assemble_surface, mesh_quality
+from .geometry import Field, _assemble_surface
 
 # Multigrid on icospheres: every level above this many vertices
 # (icosphere 2) gets smoothed, and the level at or below it, the
@@ -96,13 +96,16 @@ class LinearProblem:
         amin = float(self.a.values.min())
         if amin <= 0.0:
             raise ValueError(f"a must be positive everywhere (min a = {amin:g})")
-        self.coercivity_constant = min(1.0, amin)
         self.diagonal = domain.L.diagonal + domain.mass * self.a.values
         self._preconditioner = None
 
     @property
     def system_matrix(self):
-        """A as a scipy CSR matrix, built on each access."""
+        """A as a scipy CSR matrix, built on each access.
+
+        No solve uses it.  It stays for perfbench's problem-size record
+        (n, nnz and CSR bytes) and as the tests' reference A.
+        """
         import scipy.sparse as sp
 
         diagonal = sp.diags(self.domain.mass * self.a.values)
@@ -134,13 +137,6 @@ class LinearProblem:
                 diagonal = self.diagonal
                 self._preconditioner = lambda r: r / diagonal
         return self._preconditioner
-
-    @property
-    def h1_matrix(self):
-        """L + M, the discrete H1 inner product, as a scipy CSR matrix."""
-        import scipy.sparse as sp
-
-        return (self.domain.stiffness + sp.diags(self.domain.mass)).tocsr()
 
 
 def _fft_preconditioner(domain, a):
@@ -253,18 +249,6 @@ def _multigrid_preconditioner(domain, a):
 def _require_same_domain(domain, other):
     if other.domain is not domain:
         raise ValueError("domain mismatch")
-
-
-def embed_function(field):
-    """A function acts on test functions through the mass matrix: M f."""
-    return DualVector(field.domain, field.domain.mass * field.values)
-
-
-def h1_norm(domain, values):
-    """sqrt(v' (L + M) v)."""
-    v = np.asarray(values, dtype=float)
-    L = domain.L
-    return float(np.sqrt(max(v @ L.product(v, L.diagonal) + v @ (domain.mass * v), 0.0)))
 
 
 def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
@@ -382,45 +366,3 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     report = SolveReport(iterations, float(resid), history, Ax)
     return Field(problem.domain, x), report
 
-
-def check_comparison(problem, psi1, psi2, tol=1e-10):
-    """Ordered right-hand sides give ordered solutions.
-
-    Requires psi1 <= psi2 entrywise (anything else is an input error, not
-    a False) and an M-matrix compatible domain.
-    """
-    _require_same_domain(problem.domain, psi1)
-    _require_same_domain(problem.domain, psi2)
-    if np.any(psi1.values > psi2.values):
-        raise ValueError("psi1 <= psi2 entrywise is required")
-    if not mesh_quality(problem.domain).is_m_matrix_compatible:
-        raise ValueError(
-            "domain is not M-matrix compatible; comparison is not trusted here"
-        )
-    u1, _ = solve_T(problem, psi1, tol=tol)
-    u2, _ = solve_T(problem, psi2, tol=tol)
-    slack = 1e-9 * float(np.abs(u2.values).max())
-    return bool(np.all(u1.values <= u2.values + slack))
-
-
-def lipschitz_certificate(problem, psi1, psi2, tol=1e-12):
-    """Return (lhs, rhs) of ||u1 - u2||_H1 <= (1/C) ||psi1 - psi2||_*.
-
-    The dual norm ||r||_*^2 = r' (L+M)^{-1} r is computed densely, so the
-    domain is capped at 2000 vertices.
-    """
-    n = problem.domain.vertex_count
-    if n > 2000:
-        raise ValueError(f"domain too large for dense dual norm ({n} > 2000 vertices)")
-    _require_same_domain(problem.domain, psi1)
-    _require_same_domain(problem.domain, psi2)
-    from scipy.linalg import cho_factor, cho_solve
-
-    u1, _ = solve_T(problem, psi1, tol=tol)
-    u2, _ = solve_T(problem, psi2, tol=tol)
-    d = u1.values - u2.values
-    lhs = h1_norm(problem.domain, d)
-    r = psi1.values - psi2.values
-    w = cho_solve(cho_factor(problem.h1_matrix.toarray()), r)
-    rhs = float(np.sqrt(max(r @ w, 0.0))) / problem.coercivity_constant
-    return lhs, rhs

@@ -1,6 +1,6 @@
 """Scenario files: the JSON description of one solver run.
 
-Schema (all floats round-trip at 17 significant digits):
+Schema:
 
     {
       "domain": {"kind": "icosphere", "subdivisions": 3, "radius": 1.0}
@@ -18,11 +18,10 @@ Schema (all floats round-trip at 17 significant digits):
 Coefficients and bracket ends are JSON numbers (constants) or strings
 in the expression grammar.  "q" defaults to H's exponent for power-law
 H and is required for tables.  The "solver" block is optional; the
-linear solves run at tol / 100 (see iterate_monotone).  Serialization
-always writes the solver block out, so parse -> serialize -> parse is a
-fixed point.  No object holds keys other than those shown for it (a
-table nonlinearity holds "kind" and "path"): an unknown key is an error
-that names it, so a misspelt key cannot run a different problem.
+linear solves run at tol / 100 (see iterate_monotone).  No object holds
+keys other than those shown for it (a table nonlinearity holds "kind"
+and "path"): an unknown key is an error that names it, so a misspelt
+key cannot run a different problem.
 Relative paths (OFF meshes, nonlinearity tables) resolve against the
 scenario file's directory.  "n", the dimension of the manifold, enters
 only through the critical exponent 2n/(n - 2), so it is passed to the
@@ -40,7 +39,6 @@ from .expressions import parse_coefficient
 from .geometry import build_flat_torus, build_icosphere, load_off
 from .iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
 from .nonlinearity import MAX_EXPONENT, NonlinearProblem, ScalarNonlinearity
-from .serialize import dumps
 
 
 class ScenarioError(ValueError):
@@ -239,22 +237,6 @@ def load_scenario(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_scenario(text, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def serialize_scenario(scenario):
-    doc = {
-        "domain": scenario.domain_spec,
-        "n": scenario.n,
-        "coefficients": {"a": scenario.a, "f": scenario.f, "h": scenario.h},
-        "nonlinearity": {
-            "F": scenario.F_spec,
-            "H": scenario.H_spec,
-            "q": scenario.q,
-        },
-        "bracket": {"lower": scenario.lower, "upper": scenario.upper},
-        "solver": {"tol": scenario.tol, "max_steps": scenario.max_steps},
-    }
-    return dumps(doc)
 
 
 def build_domain(scenario):

@@ -50,28 +50,36 @@ class TestDefect:
         assert np.abs(d.values - expected).max() <= 1e-15
 
 
+def end_failure(problem, side, v, tol=1e-9):
+    """The bracket rule's verdict on one end alone: its failure kind or None."""
+    if side == "lower":
+        failure = bracket_failures(problem, v, None, tol)[0]
+    else:
+        failure = bracket_failures(problem, None, v, tol)[1]
+    return None if failure is None else failure.kind
+
+
 class TestVerify:
     def test_constant_bracket(self, torus_problem, torus8):
-        assert subsup.verify_lower(torus_problem, torus8.field(0.01), 1e-9)
-        assert subsup.verify_upper(torus_problem, torus8.field(1.0), 1e-9)
+        assert end_failure(torus_problem, "lower", torus8.field(0.01)) is None
+        assert end_failure(torus_problem, "upper", torus8.field(1.0)) is None
 
     def test_wrong_sides_fail(self, torus_problem, torus8):
         # 0.5 sits above the fixed point: a*c > f F(c) + h H(c) fails there
-        assert not subsup.verify_lower(torus_problem, torus8.field(0.5), 1e-9)
-        assert not subsup.verify_upper(torus_problem, torus8.field(0.01), 1e-9)
+        assert end_failure(torus_problem, "lower", torus8.field(0.5)) == "defect"
+        assert end_failure(torus_problem, "upper", torus8.field(0.01)) == "defect"
 
     def test_solution_passes_both(self, torus_problem, torus8, c_star):
         u = torus8.field(c_star)
-        assert subsup.verify_lower(torus_problem, u, 1e-9)
-        assert subsup.verify_upper(torus_problem, u, 1e-9)
+        assert end_failure(torus_problem, "lower", u) is None
+        assert end_failure(torus_problem, "upper", u) is None
 
     def test_negative_candidate_rejected(self, torus_problem, torus8):
-        with pytest.raises(ValueError):
-            subsup.verify_lower(torus_problem, torus8.field(-0.01), 1e-9)
+        assert end_failure(torus_problem, "lower", torus8.field(-0.01)) == "negative"
 
     def test_zero_verifies_but_cannot_seed_a_bracket(self, torus_problem, torus8):
         # power laws vanish at 0, so the defect is exactly zero there
-        assert subsup.verify_lower(torus_problem, torus8.field(0.0), 1e-9)
+        assert end_failure(torus_problem, "lower", torus8.field(0.0)) is None
         with pytest.raises(BracketError):
             make_bracket(torus_problem, torus8.field(0.0), torus8.field(1.0))
 
@@ -152,8 +160,8 @@ class TestBracketFailures:
         d = float(subsup.defect(torus_problem, torus8.field(0.5)).values.max())
         scale = float(torus8.mass.max()) * 2.0 * 0.5
         just_below = 0.99 * d / scale
-        assert not subsup.verify_lower(torus_problem, torus8.field(0.5), just_below)
-        assert subsup.verify_lower(torus_problem, torus8.field(0.5), 1.01 * d / scale)
+        assert end_failure(torus_problem, "lower", torus8.field(0.5), just_below) == "defect"
+        assert end_failure(torus_problem, "lower", torus8.field(0.5), 1.01 * d / scale) is None
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-8, 1e-4, 1.0, 1e4])
     @pytest.mark.parametrize("kind", ["icosphere", "flat_torus"])
@@ -906,31 +914,12 @@ class TestRestarts:
 
 
 class TestPositivity:
-    def test_positive_on_connected(self, torus8):
-        assert subsup.positivity_check(torus8, torus8.field(0.1))
-        assert not subsup.positivity_check(torus8, torus8.field(0.0))
-
-    def test_single_zero_entry_fails(self, torus8):
-        u = np.ones(torus8.vertex_count)
-        u[100] = 0.0
-        assert not subsup.positivity_check(torus8, torus8.field(u))
-
     def test_solution_is_positive(self, torus_problem, torus8):
+        # on a connected domain the limit is positive everywhere
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         pair, _ = iterate_monotone(torus_problem, br, tol=1e-9)
-        assert subsup.positivity_check(torus8, pair.u_star)
+        assert torus8.is_connected()
         assert pair.u_star.values.min() >= 0.01 - 1e-9
-
-    def test_disconnected_raises(self, tmp_path):
-        from tests.test_geometry import write_off
-
-        verts = [
-            (0, 0, 0), (1, 0, 0), (0, 1, 0),
-            (10, 0, 0), (11, 0, 0), (10, 1, 0),
-        ]
-        d = subsup.load_off(write_off(tmp_path / "d.off", verts, [(0, 1, 2), (3, 4, 5)]))
-        with pytest.raises(ValueError, match="connected"):
-            subsup.positivity_check(d, d.field(1.0))
 
 
 class TestArtifacts:

@@ -1,8 +1,13 @@
+import importlib
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import subsup
-from subsup import ConvergenceError, LinearProblem, embed_function, solve_T
+from subsup import ConvergenceError, LinearProblem, solve_T
 from subsup.geometry import _assemble_surface
 from subsup.linear_operator import DualVector
 
@@ -56,13 +61,6 @@ class TestLinearProblem:
         with pytest.raises(ValueError):
             LinearProblem(icosphere2, icosphere2.field(a))
 
-    def test_coercivity_constant(self, icosphere2):
-        assert LinearProblem(icosphere2, icosphere2.field(4.0)).coercivity_constant == 1.0
-        assert LinearProblem(icosphere2, icosphere2.field(0.25)).coercivity_constant == 0.25
-        a = np.full(icosphere2.vertex_count, 2.0)
-        a[3] = 0.5
-        assert LinearProblem(icosphere2, icosphere2.field(a)).coercivity_constant == 0.5
-
     def test_system_matrix(self, torus8):
         import scipy.sparse as sp
 
@@ -72,23 +70,72 @@ class TestLinearProblem:
         assert abs(A - expected).max() == 0.0
 
 
+class TestProblemSizes:
+    """perfbench's size record of A follows from the slot layout alone.
+
+    perfbench/run.py reads n, nnz and the CSR bytes of system_matrix; the
+    same figures come from L.weights (pads are 0, a stored entry never
+    is) plus the diagonal, with float64 values and int32 indices.
+    """
+
+    @pytest.fixture(scope="class")
+    def perfbench(self):
+        path = str(Path(__file__).resolve().parents[1] / "perfbench")
+        sys.path.insert(0, path)  # run.py imports its siblings by bare name
+        try:
+            return importlib.import_module("run"), importlib.import_module("workloads")
+        finally:
+            sys.path.remove(path)
+
+    @pytest.mark.parametrize(
+        "key, workload",
+        [
+            ("sphere_variable", "shipped_cli"),
+            ("torus_constant", "shipped_cli"),
+            ("ico5", "sphere_ico5_solve"),
+            ("torus32", "torus32_solve"),
+            ("hub", None),
+        ],
+    )
+    def test_nnz_and_csr_bytes_follow_from_the_slots(self, perfbench, key, workload, tmp_path):
+        from tests.test_geometry import bipyramid_off
+
+        run, workloads = perfbench
+        if workload is None:  # an OFF mesh with two apexes of valence 300
+            bipyramid_off(tmp_path / "hub.off", 300)
+            doc = json.loads(Path(run.ROOT, "scenarios", "torus_constant.json").read_text())
+            doc["domain"] = {"kind": "off", "path": "hub.off"}
+            path = tmp_path / "hub.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            paths = {key: str(path)}
+        else:
+            paths = workloads.WORKLOADS[workload].scenario_paths(run.ROOT, tmp_path, 0)
+        built = run.build_problems(paths)
+        sizes = run.problem_sizes(built)[key]
+        domain = built[key][1].domain
+        n = domain.vertex_count
+        assert sizes["n"] == n
+        assert sizes["nnz"] == np.count_nonzero(domain.L.weights) + n
+        assert sizes["csr_bytes"] == (8 + 4) * sizes["nnz"] + 4 * (n + 1)
+
+
 class TestSolveT:
     def test_constant_identity(self, icosphere2):
         # a = 1, psi = M*1: u = 1 exactly
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        u, report = solve_T(lp, embed_function(icosphere2.field(1.0)))
+        u, report = solve_T(lp, DualVector(icosphere2, icosphere2.mass))
         assert np.abs(u.values - 1.0).max() <= 1e-12
         assert report.final_residual_norm <= 1e-10
 
     def test_constant_scaling(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(4.0))
-        u, _ = solve_T(lp, embed_function(icosphere2.field(2.0)))
+        u, _ = solve_T(lp, DualVector(icosphere2, icosphere2.mass * 2.0))
         assert np.abs(u.values - 0.5).max() <= 1e-12
 
     def test_cosine_mode_on_torus(self, torus16_2d):
         x = torus16_2d.coordinates[:, 0]
         lp = LinearProblem(torus16_2d, torus16_2d.field(1.0))
-        u, _ = solve_T(lp, embed_function(torus16_2d.field(np.cos(x))))
+        u, _ = solve_T(lp, DualVector(torus16_2d, torus16_2d.mass * np.cos(x)))
         assert np.abs(u.values - np.cos(x) / 2.0).max() <= 0.02 * 0.5
 
     def test_matches_dense_solve(self, icosphere2):
@@ -137,7 +184,7 @@ class TestSolveT:
 
     def test_unreachable_tolerance_raises(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = embed_function(icosphere2.field(1.0))
+        psi = DualVector(icosphere2, icosphere2.mass)
         with pytest.raises(ConvergenceError) as exc:
             solve_T(lp, psi, tol=1e-40)  # below roundoff floor
         assert exc.value.report.iterations > 0
@@ -148,13 +195,13 @@ class TestSolveT:
     def test_rejects_tol_that_is_not_finite_and_positive(self, icosphere2, tol):
         # a nan stop rule compares false both ways and would loop forever
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = embed_function(icosphere2.field(1.0))
+        psi = DualVector(icosphere2, icosphere2.mass)
         with pytest.raises(ValueError, match="tol"):
             solve_T(lp, psi, tol=tol)
 
     def test_rejects_foreign_domain(self, icosphere2, torus8):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = embed_function(torus8.field(1.0))
+        psi = DualVector(torus8, torus8.mass)
         with pytest.raises(ValueError):
             solve_T(lp, psi)
 
@@ -232,7 +279,7 @@ class TestFFTPreconditioner:
             domain = subsup.build_flat_torus([(cells, 1.0)] * 3)
             x, _, z = domain.coordinates.T
             lp = LinearProblem(domain, smooth_positive_field(domain))
-            psi = embed_function(domain.field(np.cos(2.0 * np.pi * z) + x))
+            psi = DualVector(domain, domain.mass * (np.cos(2.0 * np.pi * z) + x))
             _, report = solve_T(lp, psi)
             counts.append(report.iterations)
         assert counts[1] <= counts[0] + 2
@@ -329,7 +376,7 @@ class TestMultigridPreconditioner:
         for subdivisions in (3, 5):
             lp = sphere_problem(subdivisions)
             x, _, z = lp.domain.coordinates.T
-            psi = embed_function(lp.domain.field(np.cos(3.0 * z) + x))
+            psi = DualVector(lp.domain, lp.domain.mass * (np.cos(3.0 * z) + x))
             _, report = solve_T(lp, psi, tol=1e-11)
             counts.append(report.iterations)
         assert counts[1] <= counts[0] + 2
@@ -449,7 +496,7 @@ class TestShiftedSolve:
 
     def test_indefinite_shift_raises(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = embed_function(icosphere2.field(1.0))
+        psi = DualVector(icosphere2, icosphere2.mass)
         with pytest.raises(ConvergenceError, match="not positive definite"):
             solve_T(lp, psi, shift=3.0 * lp.diagonal)
 
@@ -478,22 +525,6 @@ class TestSlotMatvec:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
             assert_within_rounding(got, A, x)
 
-    def test_h1_norm_uses_the_csr_matvec_of_L(self, icosphere2):
-        v = np.random.default_rng(17).standard_normal(icosphere2.vertex_count)
-        Lv = csr_matvec_reference(icosphere2.stiffness, v)
-        expected = np.sqrt(v @ Lv + v @ (icosphere2.mass * v))
-        assert subsup.h1_norm(icosphere2, v) == expected
-
-    def test_h1_matrix_is_stiffness_plus_mass(self, icosphere2):
-        import scipy.sparse as sp
-
-        lp = LinearProblem(icosphere2, icosphere2.field(2.0))
-        expected = (icosphere2.stiffness + sp.diags(icosphere2.mass)).tocsr()
-        H = lp.h1_matrix
-        assert np.array_equal(H.indptr, expected.indptr)
-        assert np.array_equal(H.indices, expected.indices)
-        assert np.array_equal(H.data, expected.data)
-
 
 class TestCoarseInverse:
     @pytest.mark.parametrize("subdivisions", [0, 1, 2])
@@ -508,30 +539,42 @@ class TestCoarseInverse:
         assert np.abs(inverse - np.linalg.inv(A)).max() <= 1e-13 * np.abs(inverse).max()
 
 
-class TestEmbedFunction:
-    def test_zero_field(self, torus8):
-        psi = embed_function(torus8.field(0.0))
-        assert np.all(psi.values == 0.0)
+def h1_gram(domain):
+    """L + M as a dense matrix, the Gram matrix of the discrete H1 product."""
+    return domain.stiffness.toarray() + np.diag(domain.mass)
 
-    def test_unit_field_sums_to_volume(self, torus8):
-        psi = embed_function(torus8.field(1.0))
-        assert np.array_equal(psi.values, torus8.mass)
-        assert psi.values.sum() == pytest.approx(1.0, rel=1e-12)
 
-    def test_indicator_picks_one_mass_entry(self, icosphere2):
-        v = np.zeros(icosphere2.vertex_count)
-        v[17] = 1.0
-        psi = embed_function(icosphere2.field(v))
-        assert psi.values[17] == icosphere2.mass[17]
-        assert np.count_nonzero(psi.values) == 1
+def lipschitz_pair(lp, psi1, psi2):
+    """(||T psi1 - T psi2||_H1, ||psi1 - psi2||_* / min(1, min a)).
+
+    The dual norm is ||r||_*^2 = r' (L + M)^{-1} r, from a dense solve.
+    """
+    H = h1_gram(lp.domain)
+    u1, _ = solve_T(lp, psi1, tol=1e-12)
+    u2, _ = solve_T(lp, psi2, tol=1e-12)
+    d = u1.values - u2.values
+    r = psi1.values - psi2.values
+    coercivity = min(1.0, float(lp.a.values.min()))
+    return np.sqrt(d @ H @ d), np.sqrt(r @ np.linalg.solve(H, r)) / coercivity
+
+
+def assert_ordered(lp, lo, hi):
+    """lo <= hi entrywise gives T lo <= T hi, up to the solves' tolerance.
+
+    This is the comparison principle, which holds where A is an M-matrix.
+    """
+    assert subsup.mesh_quality(lp.domain).is_m_matrix_compatible
+    assert np.all(lo.values <= hi.values)
+    u1, _ = solve_T(lp, lo, tol=1e-10)
+    u2, _ = solve_T(lp, hi, tol=1e-10)
+    assert np.all(u1.values <= u2.values + 1e-9 * np.abs(u2.values).max())
 
 
 class TestComparison:
     def test_constants_are_ordered(self, torus8):
         lp = LinearProblem(torus8, torus8.field(1.0))
-        lo = embed_function(torus8.field(0.0))
-        hi = embed_function(torus8.field(1.0))
-        assert subsup.check_comparison(lp, lo, hi)
+        zero = DualVector(torus8, torus8.mass * 0.0)
+        assert_ordered(lp, zero, DualVector(torus8, torus8.mass))
 
     def test_ordered_rhs_gives_ordered_solutions(self, icosphere2):
         rng = np.random.default_rng(23)
@@ -539,29 +582,14 @@ class TestComparison:
         for _ in range(10):
             lo = random_dual(icosphere2, rng)
             hi_vals = lo.values + rng.uniform(0.0, 1.0, icosphere2.vertex_count)
-            assert subsup.check_comparison(lp, lo, DualVector(icosphere2, hi_vals))
+            assert_ordered(lp, lo, DualVector(icosphere2, hi_vals))
 
     def test_equal_rhs_passes(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = embed_function(icosphere2.field(1.0))
-        assert subsup.check_comparison(lp, psi, psi)
-
-    def test_unordered_rhs_is_input_error(self, icosphere2):
-        lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        lo = embed_function(icosphere2.field(1.0))
-        hi = embed_function(icosphere2.field(0.5))
-        with pytest.raises(ValueError):
-            subsup.check_comparison(lp, lo, hi)
-
-    def test_refuses_non_m_matrix(self, tmp_path):
-        from tests.test_geometry import write_off
-
-        verts = [(0, 0, 0), (4, 0, 0), (2, 0.2, 0), (2, -0.2, 0)]
-        d = subsup.load_off(write_off(tmp_path / "o.off", verts, [(0, 1, 2), (1, 0, 3)]))
-        lp = LinearProblem(d, d.field(1.0))
-        psi = embed_function(d.field(1.0))
-        with pytest.raises(ValueError, match="[Mm].matrix"):
-            subsup.check_comparison(lp, psi, psi)
+        psi = DualVector(icosphere2, icosphere2.mass)
+        u1, _ = solve_T(lp, psi)
+        u2, _ = solve_T(lp, psi)
+        assert np.array_equal(u1.values, u2.values)
 
 
 class TestLipschitz:
@@ -569,7 +597,7 @@ class TestLipschitz:
         rng = np.random.default_rng(31)
         for _ in range(5):
             lp = LinearProblem(icosphere2, random_positive_field(icosphere2, rng, 0.3, 4.0))
-            lhs, rhs = subsup.lipschitz_certificate(
+            lhs, rhs = lipschitz_pair(
                 lp, random_dual(icosphere2, rng), random_dual(icosphere2, rng)
             )
             assert lhs <= rhs + 1e-9
@@ -578,55 +606,36 @@ class TestLipschitz:
         # C = 1 and the operator equals L + M, so the bound is sharp
         rng = np.random.default_rng(37)
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        lhs, rhs = subsup.lipschitz_certificate(
+        lhs, rhs = lipschitz_pair(
             lp, random_dual(icosphere2, rng), random_dual(icosphere2, rng)
         )
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_identical_rhs_gives_zero_pair(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(2.0))
-        psi = embed_function(icosphere2.field(1.0))
-        lhs, rhs = subsup.lipschitz_certificate(lp, psi, psi)
-        assert lhs == pytest.approx(0.0, abs=1e-12)
-        assert rhs == pytest.approx(0.0, abs=1e-12)
+        psi = DualVector(icosphere2, icosphere2.mass)
+        assert lipschitz_pair(lp, psi, psi) == (0.0, 0.0)
 
     def test_strict_gap_when_a_large(self, torus8):
         # a = 4 shrinks solutions more than the H1 pair (L + M), so the
         # certified bound is loose by a definite margin
         lp = LinearProblem(torus8, torus8.field(4.0))
-        zero = embed_function(torus8.field(0.0))
-        one = embed_function(torus8.field(1.0))
-        lhs, rhs = subsup.lipschitz_certificate(lp, zero, one)
+        zero = DualVector(torus8, torus8.mass * 0.0)
+        one = DualVector(torus8, torus8.mass)
+        lhs, rhs = lipschitz_pair(lp, zero, one)
         assert lhs < rhs - 1e-6
-
-    def test_size_cap(self):
-        d = subsup.build_flat_torus([(13, 1.0)] * 3)  # 2197 > 2000
-        lp = LinearProblem(d, d.field(1.0))
-        psi = embed_function(d.field(1.0))
-        with pytest.raises(ValueError, match="2000"):
-            subsup.lipschitz_certificate(lp, psi, psi)
-
-
-class TestH1Norm:
-    def test_matches_quadratic_form(self, icosphere2):
-        rng = np.random.default_rng(41)
-        v = rng.standard_normal(icosphere2.vertex_count)
-        H = icosphere2.stiffness.toarray() + np.diag(icosphere2.mass)
-        assert subsup.h1_norm(icosphere2, v) == pytest.approx(np.sqrt(v @ H @ v), rel=1e-12)
-
-    def test_constant_norm_is_volume(self, torus8):
-        # stiffness kills constants, mass contributes the volume
-        assert subsup.h1_norm(torus8, np.ones(512)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestCoercivity:
     def test_energy_lower_bound(self, icosphere2):
+        # v' A v >= min(1, min a) v' (L + M) v
         rng = np.random.default_rng(43)
         a = random_positive_field(icosphere2, rng, 0.2, 5.0)
         lp = LinearProblem(icosphere2, a)
         A = lp.system_matrix
-        C = lp.coercivity_constant
+        H = h1_gram(icosphere2)
+        C = min(1.0, float(a.values.min()))
         for _ in range(20):
             v = rng.standard_normal(icosphere2.vertex_count)
             energy = v @ (A @ v)
-            assert 0.5 * energy >= 0.5 * C * subsup.h1_norm(icosphere2, v) ** 2 - 1e-10
+            assert 0.5 * energy >= 0.5 * C * (v @ H @ v) - 1e-10
