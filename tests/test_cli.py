@@ -29,15 +29,22 @@ SHIPPED_SPHERE = os.path.join(SCENARIOS, "sphere_variable.json")
 SHIPPED_TORUS = os.path.join(SCENARIOS, "torus_constant.json")
 
 
-def run_cli_process(args):
-    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
+def run_python(script, *args):
+    """Run script in a fresh interpreter that imports this subsup; returns
+    the CompletedProcess."""
     import subsup
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(subsup.__file__))
-    script = "import sys; from subsup.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run(
         [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
+    )
+
+
+def run_cli_process(args):
+    """Run the CLI in a fresh interpreter; returns the CompletedProcess."""
+    return run_python(
+        "import sys; from subsup.cli import main; sys.exit(main(sys.argv[1:]))", *args
     )
 
 
@@ -435,6 +442,17 @@ class TestSolve:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
         assert read_masked(a / "summary.json") == read_masked(b / "summary.json")
 
+    def test_fresh_process_writes_the_in_process_bytes(self, tmp_path):
+        # a command-line process, whose start-up objects the collector
+        # never visits, writes what main writes inside this process
+        fresh, inside = tmp_path / "fresh", tmp_path / "inside"
+        proc = run_cli_process(["solve", SHIPPED_SPHERE, "--out", str(fresh)])
+        assert proc.returncode == 0, proc.stderr
+        assert main(["solve", SHIPPED_SPHERE, "--out", str(inside)]) == 0
+        for name in ("solution.json", "solution.csv", "trace.csv"):
+            assert (fresh / name).read_bytes() == (inside / name).read_bytes(), name
+        assert read_masked(fresh / "summary.json") == read_masked(inside / "summary.json")
+
     def test_scenario_tol_and_tol_override_agree(self, tmp_scenario, tmp_path):
         # one tol sets T's tolerance too, however it is passed
         with open(SHIPPED_SPHERE) as fh:
@@ -747,6 +765,17 @@ print("imports ok")
 """
 
 
+FREEZE_SCRIPT = """
+import gc
+
+import subsup
+assert gc.get_freeze_count() == 0, gc.get_freeze_count()
+import subsup.cli
+assert gc.get_freeze_count() > 0
+print("freeze ok")
+"""
+
+
 class TestImports:
     def test_scipy_only_where_it_is_used(self, tmp_path, tmp_scenario):
         # a fresh interpreter that imports nothing first: this test
@@ -761,16 +790,9 @@ class TestImports:
             "kind": "off",
             "path": write_off(tmp_path / "ico1.off", ico.coordinates, ico.faces),
         }
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(subsup.__file__))
-        proc = subprocess.run(
-            [
-                sys.executable, "-c", IMPORTS_SCRIPT,
-                SHIPPED_SPHERE, SHIPPED_TORUS, tmp_scenario(doc), str(tmp_path / "out"),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
+        proc = run_python(
+            IMPORTS_SCRIPT,
+            SHIPPED_SPHERE, SHIPPED_TORUS, tmp_scenario(doc), str(tmp_path / "out"),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.rstrip().endswith("imports ok")
@@ -778,3 +800,10 @@ class TestImports:
         assert proc.stdout.count("connected: true") == 2
         assert (tmp_path / "out-torus" / "summary.json").exists()
         assert (tmp_path / "out-sphere" / "summary.json").exists()
+
+    def test_only_the_command_line_freezes_the_collector(self):
+        # the library leaves the caller's collector alone; the command
+        # line moves its start-up objects into the permanent generation
+        proc = run_python(FREEZE_SCRIPT)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip() == "freeze ok"

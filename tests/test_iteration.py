@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -499,6 +501,15 @@ def shipped(path):
     return problem, make_bracket(problem, lower, upper, scenario.tol), scenario.tol
 
 
+def benchmark_problem(domain, a):
+    """(problem, bracket, tol) of the benchmark's scenario on domain."""
+    problem = subsup.NonlinearProblem(
+        domain, subsup.parse_coefficient(a, domain), 0.5, 0.5,
+        ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+    )
+    return problem, make_bracket(problem, domain.field(0.01), domain.field(1.0)), 1e-9
+
+
 def sphere3_problem(icosphere3):
     a = subsup.parse_coefficient("2+0.5*z", icosphere3)
     return subsup.NonlinearProblem(
@@ -661,13 +672,9 @@ class TestRestarts:
         # solve, except its last, which holds a shifted solve whose point
         # lies within tol and its plain step; these leave a pair narrower
         # than 1e-11
-        domain = subsup.build_icosphere(5, 1.0)
-        a = subsup.parse_coefficient("2.036997641311417+0.5*z", domain)
-        problem = subsup.NonlinearProblem(
-            domain, a, 0.5, 0.5,
-            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+        problem, br, _ = benchmark_problem(
+            subsup.build_icosphere(5, 1.0), "2.036997641311417+0.5*z"
         )
-        br = make_bracket(problem, domain.field(0.01), domain.field(1.0))
         solves = []
         real = subsup.iteration.solve_T
 
@@ -911,6 +918,45 @@ class TestRestarts:
         ):
             last = steps[-1]
             assert (u.values.min(), u.values.max()) == (last.min_u, last.max_u)
+
+
+class TestIterationMemory:
+    # the tracemalloc peak of iterate_monotone above what was traced at
+    # its entry, in float64 vectors of the vertex count, with the
+    # preconditioner built first.  Peaks: 18.0 on the benchmark's seed-0
+    # torus 32^3, 20.6 on its seed-0 icosphere 5 and 19.7 on the shipped
+    # torus 8^3, bounded with 5-7% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the test
+    # measures from the traced size at its start and leaves the trace
+    # running.
+    @pytest.mark.parametrize(
+        "make, peak_bound",
+        [
+            (lambda: benchmark_problem(
+                subsup.build_flat_torus([(32, 1.0)] * 3), "1.9593627596061982"
+            ), 19.0),
+            (lambda: benchmark_problem(
+                subsup.build_icosphere(5, 1.0), "2.036997641311417+0.5*z"
+            ), 22.0),
+            (lambda: shipped(SCENARIOS[0]), 21.0),
+        ],
+        ids=["torus32", "icosphere5", "shipped_torus"],
+    )
+    def test_peak_in_vertex_vectors(self, make, peak_bound):
+        problem, br, tol = make()
+        problem.linear.preconditioner
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, trace = iterate_monotone(problem, br, tol=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert trace.converged
+        assert (peak - before) / (8 * problem.domain.vertex_count) <= peak_bound
 
 
 class TestPositivity:
