@@ -41,7 +41,6 @@ from .iteration import (
 )
 from .linear_operator import (
     ConvergenceError,
-    DualVector,
     LinearProblem,
     SolveReport,
     solve_T,
@@ -75,7 +74,6 @@ __all__ = [
     "BracketError",
     "ConvergenceError",
     "DiscreteDomain",
-    "DualVector",
     "ExpressionError",
     "Field",
     "IterationTrace",

@@ -157,17 +157,6 @@ class DiscreteDomain:
             arr = np.full(self.vertex_count, float(arr))
         return Field(self, arr)
 
-    def stiffness_action(self, values):
-        """L v evaluated as sum_j L_ij (v_j - v_i) over the entries of L.
-
-        Every term vanishes on constants, so the result is exactly 0 there
-        and its roundoff follows the local variation of v rather than
-        |L| |v|: its sign survives at any mesh scale.  Each row is summed
-        in CSR order from 0 (see SlotLayout), so the result is bitwise
-        the CSR-order edge sum, sign of zero included.
-        """
-        return self.L.edge_product(values)
-
     def is_connected(self):
         """Periodic grids and icospheres are connected by construction."""
         if self.grid_cells is not None or self.refinement is not None:
@@ -382,7 +371,13 @@ class SlotLayout(NamedTuple):
         return self._sum(values, diagonal * values, False)
 
     def edge_product(self, values):
-        """sum_j M_ij (v_j - v_i) over the off-diagonal entries."""
+        """sum_j M_ij (v_j - v_i) over the off-diagonal entries.
+
+        For L, that is L v: every term vanishes on constants, so the
+        result is exactly 0 there and its roundoff follows the local
+        variation of v rather than |L| |v|, and its sign survives at any
+        mesh scale.
+        """
         return self._sum(values, np.zeros(values.size), True)
 
     def _sum(self, values, out, edge):
@@ -725,11 +720,8 @@ def generalized_spectrum(domain, k):
     if n <= 400 or k >= n - 1:
         from scipy.linalg import eigh
 
-        vals = eigh(
-            domain.stiffness.toarray(),
-            np.diag(domain.mass),
-            eigvals_only=True,
-        )
+        L = domain.L
+        vals = eigh(L.dense(L.diagonal), np.diag(domain.mass), eigvals_only=True)
         return np.sort(vals)[:k]
     import scipy.sparse as sp
     from scipy.sparse.linalg import eigsh

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Field, mesh_quality
-from .linear_operator import ConvergenceError, DualVector, solve_T
+from .linear_operator import ConvergenceError, solve_T
 from .nonlinearity import apply_S, check_alpha2
 from .serialize import FloatColumn, write_csv, write_json
 
@@ -164,9 +164,9 @@ class SolutionPair:
 
 
 def _image(problem, v):
-    """(A v, S(v)) for a Field v, A = L + M diag(a) with L v in edge form."""
-    av = problem.domain.stiffness_action(v.values)
-    av += problem.domain.mass * problem.a.values * v.values
+    """(A v, S(v)) for an array v, A = L + M diag(a) with L v in edge form."""
+    av = problem.domain.L.edge_product(v)
+    av += problem.domain.mass * problem.a.values * v
     return av, apply_S(problem, v)
 
 
@@ -176,10 +176,10 @@ def defect(problem, v):
     Nonpositive everywhere means v is a lower solution, nonnegative an
     upper one; testing against nodal hats suffices since every
     nonnegative test function is a nonnegative combination of them.
-    L v takes the edge form of DiscreteDomain.stiffness_action, exactly 0
-    on constants, so its roundoff does not swamp M a v on small meshes.
+    L v takes the edge form of SlotLayout.edge_product, exactly 0 on
+    constants, so its roundoff does not swamp M a v on small meshes.
     """
-    av, psi = _image(problem, problem.domain.field(v))
+    av, psi = _image(problem, problem.domain.field(v).values)
     return Field(problem.domain, av - psi.values)
 
 
@@ -317,17 +317,14 @@ def _shifted_point(problem, x, psi, ax, shift, tol):
     product of its own.  The point is None when CG fails on J, which
     need not be positive definite; the iterations count either way.
     """
-    domain = problem.domain
     mdx = shift * x
-    rhs = DualVector(domain, psi.values - mdx)
+    rhs = Field(problem.domain, psi.values - mdx)
     jx = np.subtract(ax, mdx, out=mdx)  # J x, in the buffer of M D x
     try:
-        v, report = solve_T(
-            problem.linear, rhs, tol=tol, x0=Field(domain, x), Ax0=jx, shift=shift
-        )
+        v, report = solve_T(problem.linear, rhs, tol=tol, x0=x, Ax0=jx, shift=shift)
     except ConvergenceError as exc:
         return None, exc.report.iterations
-    return v.values, report.iterations
+    return v, report.iterations
 
 
 def _certified(problem, sign, v, u, image, tol):
@@ -366,10 +363,9 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     slack; the kept points stand only if the pair they leave stays
     ordered.
     """
-    domain = problem.domain
     width = float((u[1] - u[0]).max())
     eta = max(linear_tol, min(1e-2, width * width))
-    shift = domain.mass * _least_slope(problem, *u)
+    shift = problem.domain.mass * _least_slope(problem, *u)
     points = {}
     for i in sides:
         v, iterations = _shifted_point(problem, u[i], psi[i], action[i], shift, eta)
@@ -382,7 +378,7 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
         if v is None:
             continue
         sign = 1 - 2 * i
-        image = _image(problem, Field(domain, v))
+        image = _image(problem, v)
         if (
             _certified(problem, sign, v, u[i], image, restart_tol)
             and float((sign * (u[i] - v)).max()) <= slack
@@ -462,7 +458,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     # A u from solve_T's last re-check or a kept point's image; None
     # where u was not solved for
     action = [None, None]
-    psi = [apply_S(problem, Field(domain, v)) for v in u]
+    psi = [apply_S(problem, v) for v in u]
     records = ([], [])
     converged = [False, False]
     restarts = [0, 0]
@@ -490,13 +486,13 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 restarts[i] += 1
             else:
                 x, report = solve_T(
-                    linear, psi[i], tol=linear_tol, x0=Field(domain, u[i]), Ax0=action[i]
+                    linear, psi[i], tol=linear_tol, x0=u[i], Ax0=action[i]
                 )
                 cg[i] += report.iterations
-                gap = float((sign * (u[i] - x.values)).max())
+                gap = float((sign * (u[i] - x)).max())
                 require(gap, f"{name} sequence not monotone at step {k}")
-                change = float(np.abs(x.values - u[i]).max())
-                u[i], action[i], psi[i] = x.values, report.Ax, apply_S(problem, x)
+                change = float(np.abs(x - u[i]).max())
+                u[i], action[i], psi[i] = x, report.Ax, apply_S(problem, x)
                 del x, report  # a kept point replaces u[i] and action[i]; free them then
             converged[i] = change <= tol
             resid = float(np.abs(action[i] - psi[i].values).max())

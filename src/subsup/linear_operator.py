@@ -1,6 +1,7 @@
 """The linear solution operator T.
 
-T maps a dual vector psi to the unique u with (L + M diag(a)) u = psi,
+T maps a dual vector psi (a Field whose entry i is its value on the
+nodal hat at vertex i) to the unique u with (L + M diag(a)) u = psi,
 computed by preconditioned conjugate-gradient minimization of the energy
 
     I(u) = 1/2 u'Lu + 1/2 u'M diag(a) u - u'psi.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Field, _assemble_surface
+from .geometry import _assemble_surface
 
 # Multigrid on icospheres: every level above this many vertices
 # (icosphere 2) gets smoothed, and the level at or below it, the
@@ -56,21 +57,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message, report):
         super().__init__(message)
         self.report = report
-
-
-@dataclass(eq=False)
-class DualVector:
-    """A functional: entry i is its value on the nodal hat at vertex i."""
-
-    domain: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.domain.vertex_count,):
-            raise ValueError("dual vector length does not match domain")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("dual vector contains non-finite entries")
 
 
 @dataclass(eq=False)
@@ -246,13 +232,9 @@ def _multigrid_preconditioner(domain, a):
     return lambda r: cycle(0, r)
 
 
-def _require_same_domain(domain, other):
-    if other.domain is not domain:
-        raise ValueError("domain mismatch")
-
-
 def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
-    """Solve A u = psi by preconditioned conjugate gradients.
+    """Solve A u = psi, psi a Field on problem.domain, by preconditioned
+    conjugate gradients.
 
     The preconditioner is problem.preconditioner: an FFT solve on periodic
     grids (exact for constant a, so one iteration from any start), a
@@ -263,23 +245,31 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     construction: each step subtracts the exact CG decrement
     alpha * (r'z) / 2 >= 0, and P is SPD on all three paths.
 
-    x0 is a warm start; Ax0, if given, must be A @ x0.values, which is
-    then not formed again.  The report's Ax is A @ u for the returned u,
-    formed by the final true-residual re-check, so a caller needs no
-    matvec of its own for the residual or the next warm start.  Raises
-    ConvergenceError at the iteration cap of 10 n, and once STALL_SWEEPS
-    true-residual re-checks in a row are no lower than the lowest before
-    them (the starting residual included): tol is then below the floor
-    that rounding leaves, and more sweeps would only redraw the noise
-    around it until the cap.
+    Returns (u, report) with u a float array of length N.  u is finite:
+    the solve returns only once the true residual passes
+    ||A u - psi||_2 <= tol * ||psi||_2, a finite bound that no
+    non-finite u meets.  Raises ValueError if ||psi||_2 overflows, as
+    that bound would then pass any start.
+
+    x0 is a warm start, an array of length N, copied once; Ax0, if
+    given, must be A @ x0, which is then not formed again.  The report's
+    Ax is A @ u for the returned u, formed by the final true-residual
+    re-check, so a caller needs no matvec of its own for the residual or
+    the next warm start.  Raises ConvergenceError at the iteration cap of
+    10 n, and once STALL_SWEEPS true-residual re-checks in a row are no
+    lower than the lowest before them (the starting residual included):
+    tol is then below the floor that rounding leaves, and more sweeps
+    would only redraw the noise around it until the cap.
 
     With a shift (a length-N array), the system is instead
     (A - diag(shift)) u = psi, and Ax0 and the report's Ax are products
     with that matrix; the preconditioner stays the one built for A.  A
     shift that leaves the matrix not positive definite may end in the
-    pAp <= 0 breakdown, a ConvergenceError.
+    pAp <= 0 breakdown, a ConvergenceError.  A non-finite x0 leaves a
+    NaN residual or p'Ap, and ends in ConvergenceError within a sweep.
     """
-    _require_same_domain(problem.domain, psi)
+    if psi.domain is not problem.domain:
+        raise ValueError("domain mismatch")
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be a finite number > 0")
     diagonal = problem.diagonal if shift is None else problem.diagonal - shift
@@ -290,12 +280,19 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
         x = np.zeros(n)
         Ax = np.zeros(n)
     else:
-        _require_same_domain(problem.domain, x0)
-        x = x0.values.copy()
+        x = np.array(x0, dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
         Ax = product(x, diagonal) if Ax0 is None else Ax0
     precondition = problem.preconditioner
 
-    bnorm = np.linalg.norm(b)
+    with np.errstate(over="ignore"):
+        bnorm = np.linalg.norm(b)
+    if not bnorm < np.inf:
+        raise ValueError(
+            f"the right-hand side's 2-norm overflows (largest entry "
+            f"{np.abs(b).max():g}), so no residual test can be made"
+        )
     stop = tol * bnorm if bnorm > 0.0 else tol
     cap = 10 * n
 
@@ -323,11 +320,11 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
                     )
                 Ap = product(p, diagonal)
                 pAp = p @ Ap
-                if pAp <= 0.0:
+                if not pAp > 0.0:  # nan too, from a non-finite start
                     report = SolveReport(iterations, float(resid), history)
                     raise ConvergenceError(
-                        "conjugate-gradient breakdown: system matrix not positive "
-                        "definite",
+                        f"conjugate-gradient breakdown (p'Ap = {pAp:.3g}): system "
+                        "matrix not positive definite, or a non-finite start",
                         report,
                     )
                 alpha = rz / pAp
@@ -364,5 +361,5 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
         # otherwise the next sweep runs, or raises at the iteration cap
 
     report = SolveReport(iterations, float(resid), history, Ax)
-    return Field(problem.domain, x), report
+    return x, report
 

@@ -1,6 +1,7 @@
 """The substitution operator S and the growth-hypothesis checkers.
 
-S maps a candidate solution v to the dual vector of f*F(v) + h*H(v);
+S maps a candidate solution v to the dual vector of f*F(v) + h*H(v),
+a Field whose entry i is its value on the nodal hat at vertex i;
 it is bounded, non-decreasing and continuous as long as F and H are
 monotone, which is all the monotone iteration needs.  check_alpha1 and
 check_alpha2 validate the growth conditions on (F, H) and the sign
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .geometry import Field
-from .linear_operator import DualVector, LinearProblem
+from .linear_operator import LinearProblem
 
 # past 1e18, t^p overflows within a few ulp above t = 1, and no float
 # t > 1 shows a power law's growth to the alpha1 check
@@ -341,10 +342,14 @@ def check_alpha2(problem):
 
 
 def apply_S(problem, v):
-    """Dual vector of f F(v) + h H(v); v is clamped at 0 first, so
-    apply_S(v) == apply_S(max(v, 0)) holds exactly."""
-    if v.domain is not problem.domain:
-        raise ValueError("domain mismatch")
-    vp = np.maximum(v.values, 0.0)
+    """The dual vector of f F(v) + h H(v), a Field, for an array v of length N.
+
+    v is clamped at 0 first, so apply_S(v) == apply_S(max(v, 0)) holds
+    exactly.  Raises ValueError for any other length, which would
+    broadcast, and where F or H overflows, as the Field is finite.
+    """
+    vp = np.maximum(v, 0.0)
+    if vp.shape != problem.f.values.shape:
+        raise ValueError(f"v has shape {vp.shape}, expected {problem.f.values.shape}")
     rhs = problem.f.values * problem.F(vp) + problem.h.values * problem.H(vp)
-    return DualVector(problem.domain, problem.domain.mass * rhs)
+    return Field(problem.domain, problem.domain.mass * rhs)

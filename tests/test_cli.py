@@ -363,6 +363,30 @@ class TestInputErrors:
         ]
         assert not (tmp_path / "run").exists()
 
+    def test_right_hand_side_whose_norm_overflows(self, tmp_scenario, tmp_path):
+        # all four checks pass and every entry of S(lower) is finite, but
+        # its 2-norm is not: the solve's stop rule tol ||S(lower)||_2 was
+        # inf and took the bracket ends as the limits after 0 CG iterations
+        doc = {
+            "domain": {"kind": "icosphere", "subdivisions": 2, "radius": 1.0},
+            "n": 3,
+            "coefficients": {"a": 1e241, "f": 1.0, "h": 1e200},
+            "nonlinearity": {
+                "F": {"kind": "power", "p": 5.0},
+                "H": {"kind": "power", "p": 0.5},
+            },
+            "bracket": {"lower": 1e-83, "upper": 1e60},
+        }
+        out = tmp_path / "run"
+        proc = run_cli_process(["solve", tmp_scenario(doc), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stdout.count("PASS") == 4
+        assert proc.stderr.splitlines() == [
+            "error: the right-hand side's 2-norm overflows (largest entry "
+            "2.56546e+157), so no residual test can be made"
+        ]
+        assert not out.exists()
+
     def test_large_finite_bracket_end_fails_its_check(self, tmp_scenario):
         with open(SHIPPED_SPHERE, encoding="utf-8") as fh:
             doc = json.load(fh)

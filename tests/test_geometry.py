@@ -590,13 +590,13 @@ class TestDomainApi:
         rng = np.random.default_rng(7)
         v = rng.uniform(0.0, 1.0, n)
         expected = domain.stiffness @ v
-        got = domain.stiffness_action(v)
+        got = domain.L.edge_product(v)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
         # exact cancellation on constants, which the CSR matvec lacks
-        assert np.all(domain.stiffness_action(np.full(n, 0.3)) == 0.0)
+        assert np.all(domain.L.edge_product(np.full(n, 0.3)) == 0.0)
         # bitwise the CSR-order edge sum, sign of zero included
         for field in (v, np.full(n, 0.3), 1e-12 * v, -rng.uniform(0.0, 1.0, n)):
-            got = domain.stiffness_action(field)
+            got = domain.L.edge_product(field)
             expected = edge_sum_reference(domain, field)
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
@@ -632,7 +632,7 @@ class TestDomainApi:
 def edge_sum_reference(domain, values):
     """L v as sum_j L_ij (v_j - v_i), accumulated by bincount in CSR order.
 
-    The reference for stiffness_action: the entries of each row, diagonal
+    The reference for SlotLayout.edge_product: the entries of each row, diagonal
     included, summed one after another from 0.
     """
     L, n = domain.stiffness, domain.vertex_count

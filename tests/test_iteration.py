@@ -404,9 +404,9 @@ def bend_first_solve(monkeypatch, start, value):
 
     def solve_T(problem, psi, **kwargs):
         u, report = real(problem, psi, **kwargs)
-        if not bent and np.all(kwargs["x0"].values == start):
+        if not bent and np.all(kwargs["x0"] == start):
             bent.append(True)
-            return problem.domain.field(value), report
+            return np.full_like(u, value), report
         return u, report
 
     monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
@@ -474,19 +474,16 @@ def plain_iteration(problem, bracket, tol, linear_tol):
     Each side runs on its own until its max change is <= tol; the rows
     are then interleaved as IterationTrace.rows() orders them.
     """
-    domain = problem.domain
     A = problem.linear.system_matrix
     rows, limits = [], []
     for seq, start in (("lower", bracket.lower), ("upper", bracket.upper)):
         u, k, change = start.values, 0, np.inf
         while change > tol:
             k += 1
-            psi = subsup.apply_S(problem, domain.field(u))
-            x, _ = subsup.solve_T(
-                problem.linear, psi, tol=linear_tol, x0=domain.field(u)
-            )
-            change = float(np.abs(x.values - u).max())
-            u = x.values
+            psi = subsup.apply_S(problem, u)
+            x, _ = subsup.solve_T(problem.linear, psi, tol=linear_tol, x0=u)
+            change = float(np.abs(x - u).max())
+            u = x
             Au = csr_matvec_reference(A, u)
             resid = np.abs(Au - subsup.apply_S(problem, x).values).max()
             rows.append((k, seq, change, float(u.min()), float(u.max()), float(resid)))
@@ -757,10 +754,13 @@ class TestRestarts:
         # at both; then each plain step one T and one S, each shifted solve
         # one T, which reuses its iterate's S(x) and A x, and each point
         # that moves its side by more than tol one L v and one S, shared by
-        # the certificate and the step the kept point becomes
+        # the certificate and the step the kept point becomes.  Inside the
+        # iteration a Field is made only for each S(v), each shifted
+        # solve's right-hand side and the two limits: no iterate is wrapped.
         scenario = load_scenario(path)
         _, problem, lower, upper = build_problem(scenario)
-        counts = {"stiffness_action": 0, "apply_S": 0, "solve_T": 0, "_shifted_point": 0}
+        names = ["edge_product", "apply_S", "solve_T", "_shifted_point", "Field"]
+        counts = dict.fromkeys(names, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -769,25 +769,28 @@ class TestRestarts:
 
             return wrapper
 
-        domain_cls = subsup.geometry.DiscreteDomain
+        layout = subsup.geometry.SlotLayout
         monkeypatch.setattr(
-            domain_cls,
-            "stiffness_action",
-            counted("stiffness_action", domain_cls.stiffness_action),
+            layout, "edge_product", counted("edge_product", layout.edge_product)
         )
+        field = subsup.geometry.Field
+        monkeypatch.setattr(field, "__post_init__", counted("Field", field.__post_init__))
         for name in ("apply_S", "solve_T", "_shifted_point"):
             fn = getattr(subsup.iteration, name)
             monkeypatch.setattr(subsup.iteration, name, counted(name, fn))
         br = make_bracket(problem, lower, upper, scenario.tol)
         calls = spy_certificate(monkeypatch)
+        before = dict(counts)
         _, trace = iterate_monotone(problem, br, tol=scenario.tol)
         candidates = len(calls)
         plain = len(trace.lower_steps) + len(trace.upper_steps) - sum(trace.restarts)
         assert min(trace.restarts) > 0
         assert candidates == sum(trace.restarts) + sum(trace.refusals)
         assert counts["solve_T"] == plain + counts["_shifted_point"]
-        assert counts["stiffness_action"] == 2 + candidates
+        assert counts["edge_product"] == 2 + candidates
         assert counts["apply_S"] == 2 + 2 + plain + candidates
+        fields, run_S = (counts[k] - before[k] for k in ("Field", "apply_S"))
+        assert fields == run_S + counts["_shifted_point"] + 2
 
     def test_a_side_never_stops_on_a_point_that_does_not_move(
         self, monkeypatch, torus_problem, torus8
@@ -829,7 +832,7 @@ class TestRestarts:
         images = []
 
         def image(problem, v):
-            images.append(v.values.copy())
+            images.append(v.copy())
             return real_image(problem, v)
 
         monkeypatch.setattr(subsup.iteration, "_image", image)
@@ -877,7 +880,7 @@ class TestRestarts:
         point = np.full(torus8.vertex_count, c_star * (1.0 - sign * 1e-3))
 
         def image(v):
-            return subsup.iteration._image(torus_problem, torus8.field(v))
+            return subsup.iteration._image(torus_problem, v)
 
         certified = subsup.iteration._certified
         assert certified(torus_problem, sign, point, iterate, image(point), 1e-9)

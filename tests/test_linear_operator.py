@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import subsup
-from subsup import ConvergenceError, LinearProblem, solve_T
+from subsup import ConvergenceError, Field, LinearProblem, solve_T
 from subsup.geometry import _assemble_surface
-from subsup.linear_operator import DualVector
 
 
 def random_positive_field(domain, rng, low=0.5, high=3.0):
@@ -49,7 +48,7 @@ def assert_within_rounding(got, A, values):
 
 
 def random_dual(domain, rng, scale=1.0):
-    return DualVector(domain, rng.standard_normal(domain.vertex_count) * scale)
+    return Field(domain, rng.standard_normal(domain.vertex_count) * scale)
 
 
 class TestLinearProblem:
@@ -123,20 +122,20 @@ class TestSolveT:
     def test_constant_identity(self, icosphere2):
         # a = 1, psi = M*1: u = 1 exactly
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        u, report = solve_T(lp, DualVector(icosphere2, icosphere2.mass))
-        assert np.abs(u.values - 1.0).max() <= 1e-12
+        u, report = solve_T(lp, Field(icosphere2, icosphere2.mass))
+        assert np.abs(u - 1.0).max() <= 1e-12
         assert report.final_residual_norm <= 1e-10
 
     def test_constant_scaling(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(4.0))
-        u, _ = solve_T(lp, DualVector(icosphere2, icosphere2.mass * 2.0))
-        assert np.abs(u.values - 0.5).max() <= 1e-12
+        u, _ = solve_T(lp, Field(icosphere2, icosphere2.mass * 2.0))
+        assert np.abs(u - 0.5).max() <= 1e-12
 
     def test_cosine_mode_on_torus(self, torus16_2d):
         x = torus16_2d.coordinates[:, 0]
         lp = LinearProblem(torus16_2d, torus16_2d.field(1.0))
-        u, _ = solve_T(lp, DualVector(torus16_2d, torus16_2d.mass * np.cos(x)))
-        assert np.abs(u.values - np.cos(x) / 2.0).max() <= 0.02 * 0.5
+        u, _ = solve_T(lp, Field(torus16_2d, torus16_2d.mass * np.cos(x)))
+        assert np.abs(u - np.cos(x) / 2.0).max() <= 0.02 * 0.5
 
     def test_matches_dense_solve(self, icosphere2):
         rng = np.random.default_rng(11)
@@ -144,7 +143,7 @@ class TestSolveT:
         psi = random_dual(icosphere2, rng)
         u, report = solve_T(lp, psi, tol=1e-12)
         expected = np.linalg.solve(lp.system_matrix.toarray(), psi.values)
-        assert np.abs(u.values - expected).max() <= 1e-8
+        assert np.abs(u - expected).max() <= 1e-8
         assert report.iterations >= 1
 
     def test_residual_contract(self, icosphere3):
@@ -153,7 +152,7 @@ class TestSolveT:
         psi = random_dual(icosphere3, rng)
         for tol in (1e-6, 1e-10):
             u, report = solve_T(lp, psi, tol=tol)
-            true_resid = np.linalg.norm(lp.system_matrix @ u.values - psi.values)
+            true_resid = np.linalg.norm(lp.system_matrix @ u - psi.values)
             bound = tol * np.linalg.norm(psi.values)
             assert true_resid <= bound
             assert report.final_residual_norm <= bound
@@ -169,8 +168,8 @@ class TestSolveT:
 
     def test_zero_rhs(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        u, report = solve_T(lp, DualVector(icosphere2, np.zeros(icosphere2.vertex_count)))
-        assert np.all(u.values == 0.0)
+        u, report = solve_T(lp, Field(icosphere2, np.zeros(icosphere2.vertex_count)))
+        assert np.all(u == 0.0)
         assert report.iterations == 0
 
     def test_warm_start(self, icosphere2):
@@ -179,12 +178,12 @@ class TestSolveT:
         psi = random_dual(icosphere2, rng)
         cold, _ = solve_T(lp, psi, tol=1e-12)
         warm, report = solve_T(lp, psi, tol=1e-12, x0=cold)
-        assert np.abs(warm.values - cold.values).max() <= 1e-9
+        assert np.abs(warm - cold).max() <= 1e-9
         assert report.iterations <= 2
 
     def test_unreachable_tolerance_raises(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = DualVector(icosphere2, icosphere2.mass)
+        psi = Field(icosphere2, icosphere2.mass)
         with pytest.raises(ConvergenceError) as exc:
             solve_T(lp, psi, tol=1e-40)  # below roundoff floor
         assert exc.value.report.iterations > 0
@@ -195,15 +194,42 @@ class TestSolveT:
     def test_rejects_tol_that_is_not_finite_and_positive(self, icosphere2, tol):
         # a nan stop rule compares false both ways and would loop forever
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = DualVector(icosphere2, icosphere2.mass)
+        psi = Field(icosphere2, icosphere2.mass)
         with pytest.raises(ValueError, match="tol"):
             solve_T(lp, psi, tol=tol)
 
     def test_rejects_foreign_domain(self, icosphere2, torus8):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = DualVector(torus8, torus8.mass)
+        psi = Field(torus8, torus8.mass)
         with pytest.raises(ValueError):
             solve_T(lp, psi)
+
+    @pytest.mark.parametrize("length", [1, 161, 163])
+    def test_rejects_x0_of_another_length(self, icosphere2, length):
+        # a length-1 start would broadcast against every product
+        lp = LinearProblem(icosphere2, icosphere2.field(1.0))
+        psi = Field(icosphere2, icosphere2.mass)
+        with pytest.raises(ValueError, match="x0"):
+            solve_T(lp, psi, x0=np.ones(length))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_x0_never_returns(self, icosphere2, torus8, bad):
+        for domain in (icosphere2, torus8):
+            lp = LinearProblem(domain, domain.field(1.0))
+            x0 = np.ones(domain.vertex_count)
+            x0[5] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError):
+                solve_T(lp, Field(domain, domain.mass), x0=x0)
+
+    def test_an_overflowing_norm_of_psi_raises(self, icosphere2):
+        # every entry is finite, but ||psi||_2 is not: the stop rule
+        # tol * ||psi||_2 would be inf and pass any start
+        lp = LinearProblem(icosphere2, icosphere2.field(1.0))
+        psi = Field(icosphere2, np.full(icosphere2.vertex_count, 1e200))
+        with pytest.raises(ValueError, match="overflows"):
+            solve_T(lp, psi)
+        # entries of 1e150 leave the norm finite, and the solve runs
+        solve_T(lp, Field(icosphere2, np.full(icosphere2.vertex_count, 1e150)))
 
 
 def smooth_positive_field(domain, low=1.0, high=10.0):
@@ -234,7 +260,7 @@ class TestFFTPreconditioner:
         psi = random_dual(domain, rng)
         u, report = solve_T(lp, psi, tol=1e-12)
         expected = np.linalg.solve(lp.system_matrix.toarray(), psi.values)
-        assert np.abs(u.values - expected).max() <= 1e-8
+        assert np.abs(u - expected).max() <= 1e-8
         if not variable:
             # P = A, so CG from zero lands on the solution in one step
             assert report.iterations == 1
@@ -261,7 +287,7 @@ class TestFFTPreconditioner:
         psi = random_dual(torus8, rng)
         cold, _ = solve_T(lp, psi, tol=1e-12)
         warm, report = solve_T(lp, psi, tol=1e-12, x0=cold)
-        assert np.abs(warm.values - cold.values).max() <= 1e-9
+        assert np.abs(warm - cold).max() <= 1e-9
         assert report.iterations <= 2
 
     def test_unreachable_tolerance_raises(self):
@@ -279,7 +305,7 @@ class TestFFTPreconditioner:
             domain = subsup.build_flat_torus([(cells, 1.0)] * 3)
             x, _, z = domain.coordinates.T
             lp = LinearProblem(domain, smooth_positive_field(domain))
-            psi = DualVector(domain, domain.mass * (np.cos(2.0 * np.pi * z) + x))
+            psi = Field(domain, domain.mass * (np.cos(2.0 * np.pi * z) + x))
             _, report = solve_T(lp, psi)
             counts.append(report.iterations)
         assert counts[1] <= counts[0] + 2
@@ -350,7 +376,7 @@ class TestMultigridPreconditioner:
         psi = random_dual(domain, rng)
         u, _ = solve_T(lp, psi, tol=1e-12)
         expected = np.linalg.solve(lp.system_matrix.toarray(), psi.values)
-        assert np.abs(u.values - expected).max() <= 1e-8
+        assert np.abs(u - expected).max() <= 1e-8
 
     @pytest.mark.parametrize("subdivisions", [0, 1, 2])
     def test_exact_up_to_icosphere_2(self, subdivisions):
@@ -365,10 +391,10 @@ class TestMultigridPreconditioner:
         domain = as_off(multigrid.domain, tmp_path / "ico5.off")
         jacobi = LinearProblem(domain, domain.field(multigrid.a.values))
         values = np.random.default_rng(61).standard_normal(domain.vertex_count)
-        u_mg, r_mg = solve_T(multigrid, DualVector(multigrid.domain, values), tol=1e-12)
-        u_j, r_j = solve_T(jacobi, DualVector(domain, values), tol=1e-12)
-        scale = np.abs(u_j.values).max()
-        assert np.abs(u_mg.values - u_j.values).max() <= 1e-9 * scale
+        u_mg, r_mg = solve_T(multigrid, Field(multigrid.domain, values), tol=1e-12)
+        u_j, r_j = solve_T(jacobi, Field(domain, values), tol=1e-12)
+        scale = np.abs(u_j).max()
+        assert np.abs(u_mg - u_j).max() <= 1e-9 * scale
         assert 10 * r_mg.iterations < r_j.iterations
 
     def test_iterations_independent_of_subdivisions(self):
@@ -376,7 +402,7 @@ class TestMultigridPreconditioner:
         for subdivisions in (3, 5):
             lp = sphere_problem(subdivisions)
             x, _, z = lp.domain.coordinates.T
-            psi = DualVector(lp.domain, lp.domain.mass * (np.cos(3.0 * z) + x))
+            psi = Field(lp.domain, lp.domain.mass * (np.cos(3.0 * z) + x))
             _, report = solve_T(lp, psi, tol=1e-11)
             counts.append(report.iterations)
         assert counts[1] <= counts[0] + 2
@@ -393,7 +419,7 @@ class TestMultigridPreconditioner:
         psi = random_dual(lp.domain, np.random.default_rng(71))
         cold, _ = solve_T(lp, psi, tol=1e-12)
         warm, report = solve_T(lp, psi, tol=1e-12, x0=cold)
-        assert np.abs(warm.values - cold.values).max() <= 1e-9
+        assert np.abs(warm - cold).max() <= 1e-9
         assert report.iterations <= 2
 
     def test_unreachable_tolerance_raises(self):
@@ -422,8 +448,8 @@ class TestReturnedAction:
         lp, rng = backend_problem(case, tmp_path)
         u, report = solve_T(lp, random_dual(lp.domain, rng), tol=1e-11)
         A = lp.system_matrix
-        assert np.array_equal(report.Ax, csr_matvec_reference(A, u.values))
-        assert_within_rounding(report.Ax, A, u.values)
+        assert np.array_equal(report.Ax, csr_matvec_reference(A, u))
+        assert_within_rounding(report.Ax, A, u)
 
     @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
     def test_handing_ax0_back_changes_no_bit(self, case, tmp_path):
@@ -432,7 +458,7 @@ class TestReturnedAction:
         psi = random_dual(lp.domain, rng)
         plain, plain_report = solve_T(lp, psi, tol=1e-11, x0=x0)
         handed, report = solve_T(lp, psi, tol=1e-11, x0=x0, Ax0=first.Ax)
-        assert np.array_equal(handed.values, plain.values)
+        assert np.array_equal(handed, plain)
         assert np.array_equal(report.Ax, plain_report.Ax)
         assert report.energy_history == plain_report.energy_history
 
@@ -476,12 +502,12 @@ class TestShiftedSolve:
         psi = random_dual(lp.domain, rng)
         u, report = solve_T(lp, psi, tol=1e-11, shift=shift)
         J = lp.system_matrix.toarray() - np.diag(shift)
-        residual = np.linalg.norm(J @ u.values - psi.values)
+        residual = np.linalg.norm(J @ u - psi.values)
         assert residual <= 2e-11 * np.linalg.norm(psi.values)
-        rounding = 1e-12 * (np.abs(J) @ np.abs(u.values))
-        assert np.all(np.abs(report.Ax - J @ u.values) <= rounding)
+        rounding = 1e-12 * (np.abs(J) @ np.abs(u))
+        assert np.all(np.abs(report.Ax - J @ u) <= rounding)
         expected = np.linalg.solve(J, psi.values)
-        assert np.abs(u.values - expected).max() <= 1e-8 * np.abs(expected).max()
+        assert np.abs(u - expected).max() <= 1e-8 * np.abs(expected).max()
 
     @pytest.mark.parametrize("case", ["fft", "multigrid", "jacobi"])
     def test_zero_shift_changes_no_bit(self, case, tmp_path):
@@ -491,12 +517,12 @@ class TestShiftedSolve:
         shifted, report = solve_T(
             lp, psi, tol=1e-11, shift=np.zeros(lp.domain.vertex_count)
         )
-        assert np.array_equal(shifted.values, plain.values)
+        assert np.array_equal(shifted, plain)
         assert np.array_equal(report.Ax, plain_report.Ax)
 
     def test_indefinite_shift_raises(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = DualVector(icosphere2, icosphere2.mass)
+        psi = Field(icosphere2, icosphere2.mass)
         with pytest.raises(ConvergenceError, match="not positive definite"):
             solve_T(lp, psi, shift=3.0 * lp.diagonal)
 
@@ -552,7 +578,7 @@ def lipschitz_pair(lp, psi1, psi2):
     H = h1_gram(lp.domain)
     u1, _ = solve_T(lp, psi1, tol=1e-12)
     u2, _ = solve_T(lp, psi2, tol=1e-12)
-    d = u1.values - u2.values
+    d = u1 - u2
     r = psi1.values - psi2.values
     coercivity = min(1.0, float(lp.a.values.min()))
     return np.sqrt(d @ H @ d), np.sqrt(r @ np.linalg.solve(H, r)) / coercivity
@@ -567,14 +593,14 @@ def assert_ordered(lp, lo, hi):
     assert np.all(lo.values <= hi.values)
     u1, _ = solve_T(lp, lo, tol=1e-10)
     u2, _ = solve_T(lp, hi, tol=1e-10)
-    assert np.all(u1.values <= u2.values + 1e-9 * np.abs(u2.values).max())
+    assert np.all(u1 <= u2 + 1e-9 * np.abs(u2).max())
 
 
 class TestComparison:
     def test_constants_are_ordered(self, torus8):
         lp = LinearProblem(torus8, torus8.field(1.0))
-        zero = DualVector(torus8, torus8.mass * 0.0)
-        assert_ordered(lp, zero, DualVector(torus8, torus8.mass))
+        zero = Field(torus8, torus8.mass * 0.0)
+        assert_ordered(lp, zero, Field(torus8, torus8.mass))
 
     def test_ordered_rhs_gives_ordered_solutions(self, icosphere2):
         rng = np.random.default_rng(23)
@@ -582,14 +608,14 @@ class TestComparison:
         for _ in range(10):
             lo = random_dual(icosphere2, rng)
             hi_vals = lo.values + rng.uniform(0.0, 1.0, icosphere2.vertex_count)
-            assert_ordered(lp, lo, DualVector(icosphere2, hi_vals))
+            assert_ordered(lp, lo, Field(icosphere2, hi_vals))
 
     def test_equal_rhs_passes(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(1.0))
-        psi = DualVector(icosphere2, icosphere2.mass)
+        psi = Field(icosphere2, icosphere2.mass)
         u1, _ = solve_T(lp, psi)
         u2, _ = solve_T(lp, psi)
-        assert np.array_equal(u1.values, u2.values)
+        assert np.array_equal(u1, u2)
 
 
 class TestLipschitz:
@@ -613,15 +639,15 @@ class TestLipschitz:
 
     def test_identical_rhs_gives_zero_pair(self, icosphere2):
         lp = LinearProblem(icosphere2, icosphere2.field(2.0))
-        psi = DualVector(icosphere2, icosphere2.mass)
+        psi = Field(icosphere2, icosphere2.mass)
         assert lipschitz_pair(lp, psi, psi) == (0.0, 0.0)
 
     def test_strict_gap_when_a_large(self, torus8):
         # a = 4 shrinks solutions more than the H1 pair (L + M), so the
         # certified bound is loose by a definite margin
         lp = LinearProblem(torus8, torus8.field(4.0))
-        zero = DualVector(torus8, torus8.mass * 0.0)
-        one = DualVector(torus8, torus8.mass)
+        zero = Field(torus8, torus8.mass * 0.0)
+        one = Field(torus8, torus8.mass)
         lhs, rhs = lipschitz_pair(lp, zero, one)
         assert lhs < rhs - 1e-6
 

@@ -329,7 +329,7 @@ class TestCheckAlpha2:
 class TestApplyS:
     def test_constant_example(self, torus_problem, torus8):
         # f = h = 1/2, F(1) = H(1) = 1: the dual vector is just the mass
-        psi = apply_S(torus_problem, torus8.field(1.0))
+        psi = apply_S(torus_problem, np.full(torus8.vertex_count, 1.0))
         assert np.abs(psi.values - torus8.mass).max() == 0.0
 
     def test_monotone(self, torus_problem, torus8):
@@ -337,30 +337,36 @@ class TestApplyS:
         for _ in range(20):
             v = rng.uniform(-1.0, 2.0, torus8.vertex_count)
             w = v + rng.uniform(0.0, 1.0, torus8.vertex_count)
-            sv = apply_S(torus_problem, torus8.field(v)).values
-            sw = apply_S(torus_problem, torus8.field(w)).values
+            sv = apply_S(torus_problem, v).values
+            sw = apply_S(torus_problem, w).values
             assert np.all(sv <= sw + 1e-15)
 
     def test_truncation_exact(self, torus_problem, torus8):
         rng = np.random.default_rng(13)
         v = rng.uniform(-2.0, 2.0, torus8.vertex_count)
         clamped = np.maximum(v, 0.0)
-        sv = apply_S(torus_problem, torus8.field(v)).values
-        sc = apply_S(torus_problem, torus8.field(clamped)).values
+        sv = apply_S(torus_problem, v).values
+        sc = apply_S(torus_problem, clamped).values
         assert np.array_equal(sv, sc)
 
     def test_all_negative_gives_zero(self, torus_problem, torus8):
-        psi = apply_S(torus_problem, torus8.field(-3.0))
+        psi = apply_S(torus_problem, np.full(torus8.vertex_count, -3.0))
         assert np.all(psi.values == 0.0)
 
     def test_zero_is_a_fixed_input(self, torus_problem, torus8):
-        psi = apply_S(torus_problem, torus8.field(0.0))
+        psi = apply_S(torus_problem, np.full(torus8.vertex_count, 0.0))
         assert np.all(psi.values == 0.0)
 
     def test_nonnegative_outputs(self, torus_problem, torus8):
         rng = np.random.default_rng(19)
         v = rng.uniform(0.0, 2.0, torus8.vertex_count)
-        assert apply_S(torus_problem, torus8.field(v)).values.min() >= 0.0
+        assert apply_S(torus_problem, v).values.min() >= 0.0
+
+    @pytest.mark.parametrize("length", [1, 511, 513])
+    def test_rejects_v_of_another_length(self, torus_problem, length):
+        # a length-1 v would broadcast to a full-length S(v)
+        with pytest.raises(ValueError, match="shape"):
+            apply_S(torus_problem, np.ones(length))
 
     def test_dual_norm_monotone(self, icosphere2):
         # 0 <= v <= w gives ||S(v)||_* <= ||S(w)||_* in the dual norm
@@ -371,8 +377,8 @@ class TestApplyS:
         for _ in range(5):
             v = rng.uniform(0.0, 1.0, icosphere2.vertex_count)
             w = v + rng.uniform(0.0, 1.0, icosphere2.vertex_count)
-            sv = apply_S(prob, icosphere2.field(v)).values
-            sw = apply_S(prob, icosphere2.field(w)).values
+            sv = apply_S(prob, v).values
+            sw = apply_S(prob, w).values
             norm_v = sv @ np.linalg.solve(Hmat, sv)
             norm_w = sw @ np.linalg.solve(Hmat, sw)
             assert norm_v <= norm_w + 1e-12
