@@ -35,79 +35,69 @@ from .serialize import format_float, write_json
 gc.freeze()
 
 SPECTRUM_VERTEX_LIMIT = 5000
+SIDES = ("lower", "upper")
+# how a failed bracket end is printed, by its BracketFailure.kind
+FAILURE_TEXT = {
+    "negative": "negative entry at vertex {vertex}",
+    "zero": "identically zero",
+    "unordered": "lower exceeds upper at vertex {vertex}",
+    "defect": "defect {defect:.6e} of the wrong sign at vertex {vertex}",
+}
 
 
 def _run_checks(problem, lower, upper, tol):
-    """The four hypothesis/bracket checks; returns (report, bracket or None)."""
-    t_max = 2.0 * float(upper.values.max())
+    """Run and print the four hypothesis/bracket checks.
+
+    Returns (report, bracket): the report is what check --json writes,
+    and the bracket is the verified one, or None unless every check
+    passed.
+    """
+    # alpha1 is checked up to twice the upper end, and t_max must be
+    # positive: an upper end <= 0 everywhere, which fails the bracket
+    # rule, leaves it checked up to the least positive normal double
+    t_max = 2.0 * max(float(upper.values.max()), sys.float_info.min)
     a1 = check_alpha1(problem.F, problem.H, problem.n, problem.q, t_max)
     a2 = check_alpha2(problem)
-    report = {"alpha1": a1.to_json_dict(), "alpha2": a2.to_json_dict()}
-
     bracket, failures = None, (None, None)
     try:
         bracket = make_bracket(problem, lower, upper, tol)
     except BracketError as exc:
         failures = exc.failures
-    for side, failure in zip(("lower", "upper"), failures):
+
+    verdict = "PASS" if a1.passed else (
+        f"FAIL ({a1.clause} at t = {a1.t:g}, value {a1.value:g}, bound {a1.bound:g})"
+    )
+    print(f"alpha1 growth bounds: {verdict}")
+    for w in a1.warnings:
+        print(f"  warning: {w}")
+    where = "" if a2.vertex is None else f" at vertex {a2.vertex}"
+    verdict = "PASS" if a2.passed else f"FAIL ({a2.clause}{where})"
+    print(f"alpha2 sign conditions: {verdict}")
+    report = {"alpha1": a1.to_json_dict(), "alpha2": a2.to_json_dict()}
+    for side, failure in zip(SIDES, failures):
         report[side] = {
             "passed": failure is None,
             "vertex": None if failure is None else failure.vertex,
             "defect": None if failure is None else failure.defect,
             "unordered": failure is not None and failure.kind == "unordered",
         }
-
+        verdict = "PASS" if failure is None else (
+            f"FAIL ({FAILURE_TEXT[failure.kind].format_map(vars(failure))})"
+        )
+        print(f"{side} solution check: {verdict}")
     report["passed"] = a1.passed and a2.passed and bracket is not None
     return report, bracket if report["passed"] else None
 
 
-def _print_checks(report):
-    a1 = report["alpha1"]
-    if a1["passed"]:
-        print("alpha1 growth bounds: PASS")
-    else:
-        print(
-            f"alpha1 growth bounds: FAIL ({a1['clause']} at t = {a1['t']:g}, "
-            f"value {a1['value']:g}, bound {a1['bound']:g})"
-        )
-    for w in a1.get("warnings", []):
-        print(f"  warning: {w}")
-    a2 = report["alpha2"]
-    if a2["passed"]:
-        print("alpha2 sign conditions: PASS")
-    else:
-        where = f" at vertex {a2['vertex']}" if a2.get("vertex") is not None else ""
-        print(f"alpha2 sign conditions: FAIL ({a2['clause']}{where})")
-    for side in ("lower", "upper"):
-        entry = report[side]
-        label = f"{side} solution check"
-        if entry["passed"]:
-            print(f"{label}: PASS")
-        elif entry["defect"] is not None:
-            print(
-                f"{label}: FAIL (defect {entry['defect']:.6e} of the wrong sign "
-                f"at vertex {entry['vertex']})"
-            )
-        elif entry.get("unordered"):
-            print(f"{label}: FAIL (lower exceeds upper at vertex {entry['vertex']})")
-        elif entry["vertex"] is None:
-            print(f"{label}: FAIL (identically zero)")
-        else:
-            print(f"{label}: FAIL (negative entry at vertex {entry['vertex']})")
-
-
-def cmd_check(args):
-    scenario = load_scenario(args.scenario)
+def cmd_check(args, scenario):
     _, problem, lower, upper = build_problem(scenario)
     report, _ = _run_checks(problem, lower, upper, scenario.tol)
-    _print_checks(report)
     if args.json:
         write_json(args.json, report)
     return 0 if report["passed"] else 1
 
 
-def cmd_solve(args):
-    scenario = load_scenario(args.scenario)
+def cmd_solve(args, scenario):
     # overrides obey the scenario's own solver rules
     tol = scenario.tol if args.tol is None else _positive(args.tol, "--tol")
     max_steps = (
@@ -117,7 +107,6 @@ def cmd_solve(args):
     )
     domain, problem, lower, upper = build_problem(scenario)
     report, bracket = _run_checks(problem, lower, upper, tol)
-    _print_checks(report)
     if bracket is None:
         print("checks failed; not iterating")
         return 1
@@ -132,21 +121,16 @@ def cmd_solve(args):
     trace.write_csv(os.path.join(args.out, "trace.csv"))
 
     min_u_star = float(pair.u_star.values.min())
+    residuals = float(pair.residual_lower), float(pair.residual_upper)
     summary = {
         "alpha1_warnings": report["alpha1"]["warnings"],
-        "bracket_verified": [report["lower"]["passed"], report["upper"]["passed"]],
+        "bracket_verified": [report[side]["passed"] for side in SIDES],
         "steps": int(trace.steps),
-        "restarts": {"lower": trace.restarts[0], "upper": trace.restarts[1]},
-        "refusals": {"lower": trace.refusals[0], "upper": trace.refusals[1]},
-        "cg_iterations": {
-            "lower": trace.cg_iterations[0],
-            "upper": trace.cg_iterations[1],
-        },
+        "restarts": dict(zip(SIDES, trace.restarts)),
+        "refusals": dict(zip(SIDES, trace.refusals)),
+        "cg_iterations": dict(zip(SIDES, trace.cg_iterations)),
         "converged": bool(trace.converged),
-        "residuals": {
-            "lower": float(pair.residual_lower),
-            "upper": float(pair.residual_upper),
-        },
+        "residuals": dict(zip(SIDES, residuals)),
         "coincide": bool(pair.coincide),
         "min_u_star": min_u_star,
         "wall_time": float(wall),
@@ -170,8 +154,7 @@ def cmd_solve(args):
     return 0
 
 
-def cmd_spectrum(args):
-    scenario = load_scenario(args.scenario)
+def cmd_spectrum(args, scenario):
     domain = build_domain(scenario)
     if domain.vertex_count > SPECTRUM_VERTEX_LIMIT:
         raise ScenarioError(
@@ -184,8 +167,7 @@ def cmd_spectrum(args):
     return 0
 
 
-def cmd_mesh_info(args):
-    scenario = load_scenario(args.scenario)
+def cmd_mesh_info(args, scenario):
     domain = build_domain(scenario)
     quality = mesh_quality(domain)
     print(f"kind: {domain.kind}")
@@ -241,10 +223,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, load_scenario(args.scenario))
     except (BracketError, OrderingError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

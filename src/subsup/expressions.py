@@ -23,6 +23,8 @@ is reported as an evaluation error.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 
 import numpy as np
@@ -72,78 +74,66 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    """Recursive descent, evaluating directly on coordinate arrays."""
+_BINARY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv
+}
 
-    def __init__(self, tokens, env):
-        self.tokens = tokens
-        self.pos = 0
-        self.env = env
 
-    def peek(self):
-        return self.tokens[self.pos]
+def _evaluate(tokens, env):
+    """Recursive descent over tokens, evaluating directly on the coordinate
+    arrays in env; returns (value of the leading expr, the token after it).
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    expr and term are the one left-associative loop, binary, over their
+    own operators; unary reads the unary and power rules, atom the rest.
+    """
+    pos = 0
 
-    def expect(self, kind):
-        tok = self.take()
-        if tok[0] != kind:
+    def take(kind=None):
+        nonlocal pos
+        tok = tokens[pos]
+        if kind is not None and tok[0] != kind:
             raise ExpressionError(f"expected '{kind}', found '{tok[1]}'", tok[2])
+        pos += 1
         return tok
 
-    def expr(self):
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+    def binary(ops, operand):
+        value = operand()
+        while tokens[pos][0] in ops:
+            op = take()[0]
+            value = _BINARY[op](value, operand())
         return value
 
-    def term(self):
-        value = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def unary(self):
-        kind = self.peek()[0]
-        if kind in ("+", "-"):
-            op = self.take()[0]
-            value = self.unary()
+    def unary():  # unary and power
+        if tokens[pos][0] in ("+", "-"):
+            op = take()[0]
+            value = unary()
             return -value if op == "-" else value
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            exponent = self.unary()  # right-associative
-            return base ** exponent
+        base = atom()
+        if tokens[pos][0] == "^":
+            take()
+            return base ** unary()  # right-associative
         return base
 
-    def atom(self):
-        tok = self.take()
-        kind, value, pos = tok
+    def atom():
+        kind, value, position = take()
         if kind == "num":
             # np.float64 so that 1/0 yields inf (flagged later), not a raise
             return np.float64(value)
         if kind == "var":
-            return self.env[value]
-        if kind == "func":
-            self.expect("(")
-            arg = self.expr()
-            self.expect(")")
-            return _FUNCTIONS[value](arg)
-        if kind == "(":
-            inner = self.expr()
-            self.expect(")")
-            return inner
-        raise ExpressionError(f"unexpected token '{value}'", pos)
+            return env[value]
+        if kind in ("func", "("):
+            if kind == "func":
+                take("(")
+            inner = expr()
+            take(")")
+            return _FUNCTIONS[value](inner) if kind == "func" else inner
+        raise ExpressionError(f"unexpected token '{value}'", position)
+
+    # partials, not closures: they add no Python frame, so each nesting
+    # level costs four frames of the recursion limit
+    term = functools.partial(binary, ("*", "/"), unary)
+    expr = functools.partial(binary, ("+", "-"), term)
+    return expr(), take()
 
 
 def evaluate_expression(text, coordinates):
@@ -151,13 +141,11 @@ def evaluate_expression(text, coordinates):
     coords = np.asarray(coordinates, dtype=float)
     env = {name: coords[:, k] for k, name in enumerate(_VARIABLES)}
     tokens = _tokenize(text)
-    parser = _Parser(tokens, env)
     try:
         with np.errstate(all="ignore"):
-            value = parser.expr()
+            value, end = _evaluate(tokens, env)
     except RecursionError:
         raise ExpressionError("expression nests too deeply", 0) from None
-    end = parser.take()
     if end[0] != "end":
         raise ExpressionError(f"trailing input '{end[1]}'", end[2])
     value = np.broadcast_to(np.asarray(value, dtype=float), (coords.shape[0],))

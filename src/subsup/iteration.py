@@ -114,16 +114,14 @@ class IterationTrace:
     cg_iterations: tuple
 
     def rows(self):
-        """Interleaved per-step rows for the CSV export."""
-        out = []
-        for k in range(max(len(self.lower_steps), len(self.upper_steps))):
-            for seq, records in (("lower", self.lower_steps), ("upper", self.upper_steps)):
-                if k < len(records):
-                    r = records[k]
-                    out.append(
-                        (r.step, seq, r.max_change, r.min_u, r.max_u, r.defect_norm)
-                    )
-        return out
+        """Per-step rows for the CSV export, by step, lower before upper."""
+        sides = (("lower", self.lower_steps), ("upper", self.upper_steps))
+        rows = [
+            (r.step, seq, r.max_change, r.min_u, r.max_u, r.defect_norm)
+            for seq, records in sides
+            for r in records
+        ]
+        return sorted(rows, key=lambda row: row[0])  # stable: lower first
 
     def write_csv(self, path):
         step, seq, *floats = zip(*self.rows())
@@ -504,9 +502,9 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
             break
 
     u_star, u_upper_star = u
+    # the middle link, u_star <= u_upper_star, is the last step's require
     sandwich = max(
         float((bracket.lower.values - u_star).max()),
-        float((u_star - u_upper_star).max()),
         float((u_upper_star - bracket.upper.values).max()),
     )
     if sandwich > slack:

@@ -252,7 +252,10 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     that bound would then pass any start.
 
     x0 is a warm start, an array of length N, copied once; Ax0, if
-    given, must be A @ x0, which is then not formed again.  The report's
+    given, must be A @ x0, which is then not formed again.  One CG loop
+    runs: whenever the recurrence residual passes the test, the starting
+    one included, the true residual b - A u is formed and tested, and a
+    failed re-check starts a new sweep from it.  The report's
     Ax is A @ u for the returned u, formed by the final true-residual
     re-check, so a caller needs no matvec of its own for the residual or
     the next warm start.  Raises ConvergenceError at the iteration cap of
@@ -302,64 +305,53 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     iterations = 0
     resid = np.linalg.norm(r)
     lowest, stalled = resid, 0  # the lowest true residual, sweeps since
+    p = None  # no search direction: the next iteration starts a sweep
+
+    def fail(message):
+        raise ConvergenceError(message, SolveReport(iterations, float(resid), history))
 
     while True:
-        # inner CG sweep on the recurrence residual
-        if resid > stop:
-            z = precondition(r)
-            rz = r @ z
-            p = z
-            while True:
-                if iterations >= cap:
-                    report = SolveReport(iterations, float(resid), history)
-                    raise ConvergenceError(
-                        f"no convergence in {cap} iterations "
-                        f"(residual {resid:.3e}, target {stop:.3e}); "
-                        "a may be near-singular or badly conditioned",
-                        report,
-                    )
-                Ap = product(p, diagonal)
-                pAp = p @ Ap
-                if not pAp > 0.0:  # nan too, from a non-finite start
-                    report = SolveReport(iterations, float(resid), history)
-                    raise ConvergenceError(
-                        f"conjugate-gradient breakdown (p'Ap = {pAp:.3g}): system "
-                        "matrix not positive definite, or a non-finite start",
-                        report,
-                    )
-                alpha = rz / pAp
-                x += alpha * p
-                r -= alpha * Ap
-                energy -= 0.5 * alpha * rz
-                history.append(float(energy))
-                iterations += 1
-                resid = np.linalg.norm(r)
-                if resid <= stop:
-                    break
-                z = precondition(r)
-                rz_new = r @ z
-                beta = rz_new / rz
-                rz = rz_new
-                p = z + beta * p
-        # the recurrence residual can drift from the true one; re-check
-        Ax = product(x, diagonal)
-        r = b - Ax
-        resid = np.linalg.norm(r)
-        if resid <= stop:
-            break
-        stalled = 0 if resid < lowest else stalled + 1
-        lowest = min(lowest, resid)
-        if stalled == STALL_SWEEPS:
-            report = SolveReport(iterations, float(resid), history)
-            raise ConvergenceError(
-                f"linear tolerance not attainable: true residual {resid:.3e} "
-                f"after {iterations} iterations, and none of the last "
-                f"{STALL_SWEEPS} sweeps went below {lowest:.3e} "
-                f"(target {stop:.3e})",
-                report,
+        if not resid > stop:  # a NaN residual too, which stalls out here
+            # the recurrence residual can drift from the true one; re-check,
+            # and start a new sweep from the true residual if it fails
+            Ax = product(x, diagonal)
+            r = b - Ax
+            resid = np.linalg.norm(r)
+            if resid <= stop:
+                return x, SolveReport(iterations, float(resid), history, Ax)
+            stalled = 0 if resid < lowest else stalled + 1
+            lowest = min(lowest, resid)
+            if stalled == STALL_SWEEPS:
+                fail(
+                    f"linear tolerance not attainable: true residual {resid:.3e} "
+                    f"after {iterations} iterations, and none of the last "
+                    f"{STALL_SWEEPS} sweeps went below {lowest:.3e} "
+                    f"(target {stop:.3e})"
+                )
+            p = None
+            continue
+        if iterations >= cap:
+            fail(
+                f"no convergence in {cap} iterations "
+                f"(residual {resid:.3e}, target {stop:.3e}); "
+                "a may be near-singular or badly conditioned"
             )
-        # otherwise the next sweep runs, or raises at the iteration cap
-
-    report = SolveReport(iterations, float(resid), history, Ax)
-    return x, report
+        z = precondition(r)
+        rz_new = r @ z
+        p = z if p is None else z + (rz_new / rz) * p
+        rz = rz_new
+        Ap = product(p, diagonal)
+        pAp = p @ Ap
+        if not pAp > 0.0:  # nan too, from a non-finite start
+            fail(
+                f"conjugate-gradient breakdown (p'Ap = {pAp:.3g}): system "
+                "matrix not positive definite, or a non-finite start"
+            )
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        energy -= 0.5 * alpha * rz
+        history.append(float(energy))
+        iterations += 1
+        resid = np.linalg.norm(r)
 

@@ -129,6 +129,38 @@ class TestCheck:
         assert "lower solution check: FAIL (negative entry at vertex 0)" in out
         assert "upper solution check: PASS" in out
 
+    @pytest.mark.parametrize(
+        "lower,upper,lines",
+        [
+            (0.01, 0.0, ["lower exceeds upper at vertex 0", None]),
+            (0.0, 0.0, ["identically zero", None]),
+            (
+                0.01,
+                -1.0,
+                ["lower exceeds upper at vertex 0", "negative entry at vertex 0"],
+            ),
+        ],
+    )
+    def test_upper_end_not_positive_fails_its_check(
+        self, lower, upper, lines, tmp_scenario, tmp_path, capsys
+    ):
+        # alpha1 used to be checked up to t_max = 2 max(upper) <= 0, which
+        # exited 2 with "error: t_max must be positive"
+        doc = base_torus_doc()
+        doc["bracket"] = {"lower": lower, "upper": upper}
+        path = tmp_scenario(doc)
+        assert main(["check", path]) == 1
+        assert main(["solve", path, "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        report = ["alpha1 growth bounds: PASS", "alpha2 sign conditions: PASS"]
+        for side, text in zip(("lower", "upper"), lines):
+            verdict = "PASS" if text is None else f"FAIL ({text})"
+            report.append(f"{side} solution check: {verdict}")
+        expected = [*report, *report, "checks failed; not iterating"]
+        assert captured.out.splitlines() == expected
+        assert captured.err == ""
+        assert not (tmp_path / "run").exists()
+
     def test_alpha1_table_is_checked_between_the_samples(
         self, tmp_scenario, tmp_path, capsys
     ):

@@ -118,6 +118,57 @@ class TestArithmetic:
         assert ev("  1 +   2 * 3 ")[0] == 7.0
 
 
+def python_source(text):
+    """The token list of text as Python source: "^" becomes "**", and each
+    number np.float64 of its value.  Python's ** has the precedence and
+    associativity of "^": it binds tighter than unary minus on its left,
+    takes a unary operand on its right, and groups right to left."""
+    pieces = []
+    for kind, value, _ in _tokenize(text)[:-1]:
+        if kind == "num":
+            pieces.append(f"np.float64({value!r})")
+        else:
+            pieces.append("**" if kind == "^" else value)
+    return " ".join(pieces)
+
+
+def _wrap(inner):
+    space = st.sampled_from(["", " "])
+    call = st.tuples(st.sampled_from(sorted(_FUNCTIONS)), inner)
+    return st.one_of(
+        st.tuples(inner, space, st.sampled_from("+-*/^"), space, inner).map("".join),
+        st.tuples(st.sampled_from("+-"), inner).map("".join),
+        inner.map("({})".format),
+        call.map("{0[0]}({0[1]})".format),
+    )
+
+
+# well-formed expressions: literals and variables joined by every rule of
+# the grammar, binary operators with no parentheses of their own
+EXPRESSIONS = st.recursive(
+    st.sampled_from(["0", "1", "2", "0.5", "3.25", ".5", "7.", "1e-3", "2.5E+2"])
+    | st.sampled_from(_VARIABLES),
+    _wrap,
+    max_leaves=12,
+)
+POINTS = np.random.default_rng(3).uniform(-2.0, 2.0, (5, 3))
+
+
+class TestPythonGrammar:
+    @settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+    @given(EXPRESSIONS)
+    def test_evaluates_as_python_bit_for_bit(self, text):
+        namespace = {"np": np, **_FUNCTIONS, **dict(zip(_VARIABLES, POINTS.T))}
+        with np.errstate(all="ignore"):
+            expected = eval(python_source(text), namespace)
+        expected = np.broadcast_to(np.asarray(expected, float), (len(POINTS),))
+        if np.all(np.isfinite(expected)):
+            assert ev(text, POINTS).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(ExpressionError, match="non-finite"):
+                ev(text, POINTS)
+
+
 class TestVariablesAndFunctions:
     def test_coordinates(self):
         coords = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -158,19 +209,33 @@ class TestVariablesAndFunctions:
         assert np.all(f.values == 1.0)
 
 
+# each malformed text's message and position
+MALFORMED = {
+    "": ("unexpected token 'None'", 0),
+    "2+": ("unexpected token 'None'", 2),
+    "sin": ("expected '(', found 'None'", 3),
+    "sin 2": ("expected '(', found '2.0'", 4),
+    "(1+2": ("expected ')', found 'None'", 4),
+    "1+2)": ("trailing input ')'", 3),
+    "foo(2)": ("unknown name 'foo'", 0),
+    "2..5": ("bad number literal '2..5'", 0),
+    "x y": ("trailing input 'y'", 2),
+}
+
+
 class TestErrors:
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ExpressionError) as exc:
             ev("2 +* 3")
         assert exc.value.position == 3
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "2+", "sin", "sin 2", "(1+2", "1+2)", "foo(2)", "2..5", "x y"],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed(self, text):
-        with pytest.raises(ExpressionError):
+        message, position = MALFORMED[text]
+        with pytest.raises(ExpressionError) as exc:
             ev(text)
+        assert str(exc.value) == f"{message} (position {position})"
+        assert exc.value.position == position
 
     def test_unknown_character(self):
         with pytest.raises(ExpressionError):

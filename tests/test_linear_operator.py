@@ -8,7 +8,7 @@ import pytest
 
 import subsup
 from subsup import ConvergenceError, Field, LinearProblem, solve_T
-from subsup.geometry import _assemble_surface
+from subsup.geometry import SlotLayout, _assemble_surface
 
 
 def random_positive_field(domain, rng, low=0.5, high=3.0):
@@ -490,6 +490,46 @@ class TestReturnedAction:
         # at most a tenth of the cap
         assert 0 < exc.value.report.iterations <= lp.domain.vertex_count
         assert exc.value.report.Ax is None
+
+
+class TestRestartSweep:
+    @pytest.mark.parametrize("case,tol", [("torus8", 1e-14), ("icosphere4", 1e-13)])
+    def test_a_failed_recheck_starts_a_sweep_that_converges(
+        self, case, tol, monkeypatch
+    ):
+        # the first lower-side solve of the benchmark's iteration,
+        # psi = S(0.01) for f = h = 0.5, F = t^5, H = t^0.5, from x0 = 0.01:
+        # the recurrence residual passes before the true one does
+        if case == "torus8":
+            domain = subsup.build_flat_torus([(8, 1.0)] * 3)
+            lp = LinearProblem(domain, domain.field(2.0))
+        else:
+            lp = sphere_problem(4)
+        psi = Field(lp.domain, lp.domain.mass * 0.5 * (0.01**5 + 0.01**0.5))
+        x0 = np.full(lp.domain.vertex_count, 0.01)
+        Ax0 = lp.domain.L.product(x0, lp.diagonal)
+        precondition, applications = lp.preconditioner, []
+
+        def counted(r):
+            applications.append(r)
+            return precondition(r)
+
+        product, vectors = SlotLayout.product, []
+
+        def spy(layout, v, diagonal):
+            vectors.append(v)
+            return product(layout, v, diagonal)
+
+        counting = property(lambda _: counted)
+        monkeypatch.setattr(LinearProblem, "preconditioner", counting)
+        monkeypatch.setattr(SlotLayout, "product", spy)
+        u, report = solve_T(lp, psi, tol=tol, x0=x0, Ax0=Ax0)
+        # the search directions are fresh arrays, and CG updates its iterate
+        # in place: each product with the returned array is a re-check
+        assert sum(v is u for v in vectors) >= 2
+        assert len(applications) == report.iterations
+        assert report.final_residual_norm <= tol * np.linalg.norm(psi.values)
+        assert np.array_equal(report.Ax, csr_matvec_reference(lp.system_matrix, u))
 
 
 class TestShiftedSolve:
