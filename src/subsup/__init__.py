@@ -21,7 +21,6 @@ from .geometry import (
     AssemblyError,
     DiscreteDomain,
     Field,
-    MeshQualityReport,
     build_flat_torus,
     build_icosphere,
     generalized_spectrum,
@@ -31,10 +30,7 @@ from .geometry import (
 from .iteration import (
     Bracket,
     BracketError,
-    IterationTrace,
     OrderingError,
-    SolutionPair,
-    StepRecord,
     defect,
     iterate_monotone,
     make_bracket,
@@ -42,12 +38,9 @@ from .iteration import (
 from .linear_operator import (
     ConvergenceError,
     LinearProblem,
-    SolveReport,
     solve_T,
 )
 from .nonlinearity import (
-    Alpha1Report,
-    Alpha2Report,
     NonlinearProblem,
     ScalarNonlinearity,
     apply_S,
@@ -56,9 +49,7 @@ from .nonlinearity import (
     critical_exponent,
 )
 from .scenario import (
-    Scenario,
     ScenarioError,
-    build_domain,
     build_problem,
     load_scenario,
     parse_scenario,
@@ -67,8 +58,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alpha1Report",
-    "Alpha2Report",
     "AssemblyError",
     "Bracket",
     "BracketError",
@@ -76,19 +65,12 @@ __all__ = [
     "DiscreteDomain",
     "ExpressionError",
     "Field",
-    "IterationTrace",
     "LinearProblem",
-    "MeshQualityReport",
     "NonlinearProblem",
     "OrderingError",
-    "Scenario",
     "ScenarioError",
     "ScalarNonlinearity",
-    "SolutionPair",
-    "SolveReport",
-    "StepRecord",
     "apply_S",
-    "build_domain",
     "build_flat_torus",
     "build_icosphere",
     "build_problem",

@@ -92,7 +92,8 @@ def _evaluate(tokens, env):
         nonlocal pos
         tok = tokens[pos]
         if kind is not None and tok[0] != kind:
-            raise ExpressionError(f"expected '{kind}', found '{tok[1]}'", tok[2])
+            found = "end of input" if tok[0] == "end" else f"'{tok[1]}'"
+            raise ExpressionError(f"expected '{kind}', found {found}", tok[2])
         pos += 1
         return tok
 
@@ -127,6 +128,8 @@ def _evaluate(tokens, env):
             inner = expr()
             take(")")
             return _FUNCTIONS[value](inner) if kind == "func" else inner
+        if kind == "end":
+            raise ExpressionError("unexpected end of input", position)
         raise ExpressionError(f"unexpected token '{value}'", position)
 
     # partials, not closures: they add no Python frame, so each nesting

@@ -181,12 +181,23 @@ def defect(problem, v):
     return Field(problem.domain, av - psi.values)
 
 
+# how a failed bracket end reads, by its BracketFailure.kind
+FAILURE_TEXT = {
+    "negative": "negative entry at vertex {vertex}",
+    "zero": "identically zero",
+    "unordered": "lower exceeds upper at vertex {vertex}",
+    "defect": "defect {defect:.6e} of the wrong sign at vertex {vertex}",
+}
+
+
 @dataclass
 class BracketFailure:
     kind: str  # "negative", "zero", "unordered" or "defect"
-    message: str
     vertex: int | None = None
     defect: float | None = None
+
+    def __str__(self):
+        return FAILURE_TEXT[self.kind].format_map(vars(self))
 
 
 def bracket_failures(problem, lower, upper, tol):
@@ -215,15 +226,12 @@ def bracket_failures(problem, lower, upper, tol):
 
 def _end_failure(problem, side, v, upper, tol):
     if v.min() < 0.0:
-        bad = int(np.argmin(v))
-        message = f"{side} solution negative at vertex {bad}"
-        return BracketFailure("negative", message, bad)
+        return BracketFailure("negative", int(np.argmin(v)))
     if upper is not None and v.max() <= 0.0:
-        return BracketFailure("zero", "lower solution is identically zero")
+        return BracketFailure("zero")
     if upper is not None and np.any(v > upper):
-        bad = int(np.argmax(v - upper))
-        return BracketFailure("unordered", f"lower > upper at vertex {bad}", bad)
-    sign, word, op = (1, "positive", ">") if side == "lower" else (-1, "negative", "<")
+        return BracketFailure("unordered", int(np.argmax(v - upper)))
+    sign = 1 if side == "lower" else -1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             d = defect(problem, v).values
@@ -233,12 +241,9 @@ def _end_failure(problem, side, v, upper, tol):
             f"or A {side} is non-finite (largest {side} entry {v.max():g})"
         ) from None
     bad, excess, scale = _worst_defect(problem, sign, v, d)
-    allow = tol * scale
-    if excess <= allow:
+    if excess <= tol * scale:
         return None
-    d = sign * excess
-    message = f"{side} defect {word} at vertex {bad}: {d:.6e} {op} {sign * allow:.6e}"
-    return BracketFailure("defect", message, bad, d)
+    return BracketFailure("defect", bad, sign * excess)
 
 
 def _worst_defect(problem, sign, v, d):
@@ -258,9 +263,9 @@ def make_bracket(problem, lower, upper, verification_tol=DEFAULT_TOL):
     lower = problem.domain.field(lower)
     upper = problem.domain.field(upper)
     failures = bracket_failures(problem, lower, upper, verification_tol)
-    for failure in failures:
+    for side, failure in zip(("lower", "upper"), failures):
         if failure is not None:
-            raise BracketError(failure.message, failures)
+            raise BracketError(f"{side} solution check: {failure}", failures)
     return Bracket(lower=lower, upper=upper)
 
 

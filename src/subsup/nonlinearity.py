@@ -77,8 +77,8 @@ class ScalarNonlinearity:
         return cls("table", ts=ts, values=values, truncate=truncate)
 
     @classmethod
-    def from_csv(cls, path, truncate=True):
-        """A table from a 't,value' CSV; each data row holds two numbers."""
+    def from_csv(cls, path):
+        """A truncating table from a 't,value' CSV; each data row holds two numbers."""
         ts, values = [], []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -97,7 +97,7 @@ class ScalarNonlinearity:
                     ) from None
                 ts.append(t)
                 values.append(value)
-        return cls("table", ts=ts, values=values, truncate=truncate)
+        return cls("table", ts=ts, values=values)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -298,6 +298,8 @@ def check_alpha1(F, H, n, q, t_max):
     the bound but outside the sublinear range the power-law instance
     uses, so it is flagged as a warning rather than rejected.
     """
+    if q is None:  # a table H whose problem was given no q
+        raise ValueError("q is None: a table H needs its growth exponent q")
     q = float(q)
     t_max = float(t_max)
     p_crit = critical_exponent(n) - 1.0

@@ -22,8 +22,11 @@ linear solves run at tol / 100 (see iterate_monotone).  No object holds
 keys other than those shown for it (a table nonlinearity holds "kind"
 and "path"): an unknown key is an error that names it, so a misspelt
 key cannot run a different problem.
-Relative paths (OFF meshes, nonlinearity tables) resolve against the
-scenario file's directory.  "n", the dimension of the manifold, enters
+parse_scenario resolves each path (OFF meshes, nonlinearity tables)
+once, as os.path.join(base_dir, path), so a relative one resolves
+against the scenario file's directory and an absolute one stays as
+it is.  A malformed coefficient or bracket expression is an error
+that names its field.  "n", the dimension of the manifold, enters
 only through the critical exponent 2n/(n - 2), so it is passed to the
 NonlinearProblem and to no domain builder.
 """
@@ -33,9 +36,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
-from .expressions import parse_coefficient
+from .expressions import ExpressionError, parse_coefficient
 from .geometry import build_flat_torus, build_icosphere, load_off
 from .iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
 from .nonlinearity import MAX_EXPONENT, NonlinearProblem, ScalarNonlinearity
@@ -59,7 +62,6 @@ class Scenario:
     upper: object
     tol: float = DEFAULT_TOL
     max_steps: int = DEFAULT_MAX_STEPS
-    base_dir: str = dataclass_field(default=".", compare=False)
 
 
 def _object(raw, where, keys):
@@ -127,7 +129,7 @@ def _coeff(raw, where):
     return value
 
 
-def _nonlin_spec(raw, where):
+def _nonlin_spec(raw, where, base_dir):
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ScenarioError(f"{where}: expected an object with a 'kind'")
     kind = raw["kind"]
@@ -143,7 +145,7 @@ def _nonlin_spec(raw, where):
         _known(raw, where, ("kind", "path"))
         if "path" not in raw:
             raise ScenarioError(f"{where}: table needs 'path'")
-        return {"kind": "table", "path": str(raw["path"])}
+        return {"kind": "table", "path": os.path.join(base_dir, str(raw["path"]))}
     raise ScenarioError(f"{where}: unknown nonlinearity kind '{kind}'")
 
 
@@ -198,7 +200,8 @@ def parse_scenario(text, base_dir="."):
         }
     elif kind == "off":
         _known(dom, "domain", ("kind", "path"))
-        spec = {"kind": "off", "path": str(need("path", "domain", dom))}
+        path = os.path.join(base_dir, str(need("path", "domain", dom)))
+        spec = {"kind": "off", "path": path}
     else:
         raise ScenarioError(f"unknown domain kind '{kind}'")
 
@@ -207,7 +210,7 @@ def parse_scenario(text, base_dir="."):
     bracket = _object(need("bracket"), "bracket", ("lower", "upper"))
     solver = _object(doc.get("solver", {}), "solver", ("tol", "max_steps"))
 
-    H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H")
+    H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H", base_dir)
     q = nl.get("q")
     if q is None and H_spec["kind"] == "power":
         q = H_spec["p"]
@@ -220,7 +223,7 @@ def parse_scenario(text, base_dir="."):
         a=_coeff(need("a", "coefficients", coeffs), "coefficients.a"),
         f=_coeff(need("f", "coefficients", coeffs), "coefficients.f"),
         h=_coeff(need("h", "coefficients", coeffs), "coefficients.h"),
-        F_spec=_nonlin_spec(need("F", "nonlinearity", nl), "nonlinearity.F"),
+        F_spec=_nonlin_spec(need("F", "nonlinearity", nl), "nonlinearity.F", base_dir),
         H_spec=H_spec,
         q=_number(q, "nonlinearity.q"),
         lower=_coeff(need("lower", "bracket", bracket), "bracket.lower"),
@@ -229,7 +232,6 @@ def parse_scenario(text, base_dir="."):
         max_steps=_max_steps(
             solver.get("max_steps", DEFAULT_MAX_STEPS), "solver.max_steps"
         ),
-        base_dir=base_dir,
     )
 
 
@@ -245,30 +247,27 @@ def build_domain(scenario):
         return build_icosphere(spec["subdivisions"], spec["radius"])
     if spec["kind"] == "flat_torus":
         return build_flat_torus(spec["dims"])
-    path = spec["path"]
-    if not os.path.isabs(path):
-        path = os.path.join(scenario.base_dir, path)
-    if not os.path.exists(path):
-        raise ScenarioError(f"mesh file not found: {path}")
-    return load_off(path)
+    if not os.path.exists(spec["path"]):
+        raise ScenarioError(f"mesh file not found: {spec['path']}")
+    return load_off(spec["path"])
 
 
-def _field_from(domain, raw):
-    if isinstance(raw, str):
+def _field_from(domain, raw, where):
+    if not isinstance(raw, str):
+        return domain.field(float(raw))
+    try:
         return parse_coefficient(raw, domain)
-    return domain.field(float(raw))
+    except ExpressionError as exc:
+        raise ScenarioError(f"'{where}': {exc}") from None
 
 
-def _nonlin_from(spec, base_dir):
+def _nonlin_from(spec):
     if spec["kind"] == "power":
         return ScalarNonlinearity.power(spec["p"])
-    path = spec["path"]
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    if not os.path.exists(path):
-        raise ScenarioError(f"nonlinearity table not found: {path}")
+    if not os.path.exists(spec["path"]):
+        raise ScenarioError(f"nonlinearity table not found: {spec['path']}")
     try:
-        return ScalarNonlinearity.from_csv(path)
+        return ScalarNonlinearity.from_csv(spec["path"])
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
@@ -278,14 +277,14 @@ def build_problem(scenario):
     domain = build_domain(scenario)
     problem = NonlinearProblem(
         domain,
-        a=_field_from(domain, scenario.a),
-        f=_field_from(domain, scenario.f),
-        h=_field_from(domain, scenario.h),
-        F=_nonlin_from(scenario.F_spec, scenario.base_dir),
-        H=_nonlin_from(scenario.H_spec, scenario.base_dir),
+        a=_field_from(domain, scenario.a, "coefficients.a"),
+        f=_field_from(domain, scenario.f, "coefficients.f"),
+        h=_field_from(domain, scenario.h, "coefficients.h"),
+        F=_nonlin_from(scenario.F_spec),
+        H=_nonlin_from(scenario.H_spec),
         n=scenario.n,
         q=scenario.q,
     )
-    lower = _field_from(domain, scenario.lower)
-    upper = _field_from(domain, scenario.upper)
+    lower = _field_from(domain, scenario.lower, "bracket.lower")
+    upper = _field_from(domain, scenario.upper, "bracket.upper")
     return domain, problem, lower, upper

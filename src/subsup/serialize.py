@@ -128,10 +128,6 @@ def _pieces(obj, indent=0):
     return out
 
 
-def dumps(obj):
-    return "".join([*_pieces(obj), "\n"])
-
-
 def write_json(path, obj):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines([*_pieces(obj), "\n"])

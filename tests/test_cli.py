@@ -9,11 +9,10 @@ import pytest
 
 from subsup.cli import main
 from subsup.scenario import build_domain, load_scenario
-from subsup.serialize import dumps
 
 from tests.conftest import base_torus_doc
 from tests.test_scenario import MALFORMED, malformed_doc
-from tests.test_serialize import per_item
+from tests.test_serialize import dumps, per_item
 
 
 def read_masked(path):
@@ -222,6 +221,27 @@ class TestInputErrors:
         assert main(["check", tmp_scenario(doc)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block,key,text,message",
+        [
+            ("coefficients", "a", "2+", "unexpected end of input (position 2)"),
+            ("coefficients", "h", "2*q", "unknown name 'q' (position 2)"),
+            (
+                "bracket", "lower", "sin",
+                "expected '(', found end of input (position 3)",
+            ),
+        ],
+    )
+    def test_expression_error_names_its_field(
+        self, block, key, text, message, tmp_scenario, capsys
+    ):
+        doc = base_torus_doc()
+        doc[block][key] = text
+        assert main(["check", tmp_scenario(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: '{block}.{key}': {message}\n"
+
     @pytest.mark.parametrize("dims", [[[10**12, 1.0]], [[10**7, 1.0]] * 2])
     def test_oversized_torus(self, dims, tmp_scenario, tmp_path, capsys):
         doc = base_torus_doc()
@@ -341,8 +361,14 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "case,message",
         [
-            ("nested_parentheses", "error: expression nests too deeply (position 0)"),
-            ("nested_minus", "error: expression nests too deeply (position 0)"),
+            (
+                "nested_parentheses",
+                "error: 'coefficients.a': expression nests too deeply (position 0)",
+            ),
+            (
+                "nested_minus",
+                "error: 'coefficients.a': expression nests too deeply (position 0)",
+            ),
             (
                 "nested_arrays",
                 "error: scenario is not valid JSON: maximum recursion depth exceeded",

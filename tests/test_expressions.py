@@ -211,11 +211,11 @@ class TestVariablesAndFunctions:
 
 # each malformed text's message and position
 MALFORMED = {
-    "": ("unexpected token 'None'", 0),
-    "2+": ("unexpected token 'None'", 2),
-    "sin": ("expected '(', found 'None'", 3),
+    "": ("unexpected end of input", 0),
+    "2+": ("unexpected end of input", 2),
+    "sin": ("expected '(', found end of input", 3),
     "sin 2": ("expected '(', found '2.0'", 4),
-    "(1+2": ("expected ')', found 'None'", 4),
+    "(1+2": ("expected ')', found end of input", 4),
     "1+2)": ("trailing input ')'", 3),
     "foo(2)": ("unknown name 'foo'", 0),
     "2..5": ("bad number literal '2..5'", 0),

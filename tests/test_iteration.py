@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,7 +137,8 @@ class TestBracketFailures:
             torus_problem, torus8.field(lo), torus8.field(1.0), 1e-9
         )
         assert (lower.kind, lower.vertex, upper) == ("unordered", 7, None)
-        with pytest.raises(BracketError, match="lower > upper at vertex 7"):
+        message = "^lower solution check: lower exceeds upper at vertex 7$"
+        with pytest.raises(BracketError, match=message):
             make_bracket(torus_problem, torus8.field(lo), torus8.field(1.0))
 
     def test_zero_lower_fails_only_against_an_upper_end(self, torus_problem, torus8):
@@ -154,7 +156,12 @@ class TestBracketFailures:
         lower, upper = torus8.field(lo), torus8.field(up)
         failures = bracket_failures(torus_problem, lower, upper, 1e-9)
         assert [f.kind for f in failures] == ["defect", "defect"]
-        with pytest.raises(BracketError, match="lower defect positive at vertex 0"):
+        assert failures[0].defect > 0.0
+        message = (
+            f"lower solution check: defect {failures[0].defect:.6e} "
+            "of the wrong sign at vertex 0"
+        )
+        with pytest.raises(BracketError, match=f"^{re.escape(message)}$"):
             make_bracket(torus_problem, lower, upper)
 
     def test_tolerance_scales_with_the_end(self, torus_problem, torus8):
@@ -975,8 +982,7 @@ class TestArtifacts:
     def test_solution_files_keep_the_float_list_bytes(self, tmp_path):
         # longer than one formatting chunk; both files share its strings
         from subsup.iteration import SolutionPair
-        from subsup.serialize import dumps
-        from tests.test_serialize import chunk_floats, reference_csv
+        from tests.test_serialize import chunk_floats, dumps, reference_csv
 
         domain = subsup.build_flat_torus([(17, 1.0)] * 3)
         n = domain.vertex_count

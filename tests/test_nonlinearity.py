@@ -271,6 +271,8 @@ class TestCheckAlpha1:
             check_alpha1(F, H, 3, 5.0, 2.0)  # q >= 2*-1
         with pytest.raises(ValueError):
             check_alpha1(F, H, 3, 0.5, 0.0)  # t_max <= 0
+        with pytest.raises(ValueError, match="^q is None"):
+            check_alpha1(F, H, 3, None, 2.0)  # a table H's problem keeps q = None
 
 
 class TestCheckAlpha2:

@@ -1,17 +1,21 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
 from subsup import serialize
-from subsup.serialize import (
-    CHUNK,
-    FloatColumn,
-    dumps,
-    format_float,
-    write_csv,
-    write_json,
-)
+from subsup.serialize import CHUNK, FloatColumn, format_float, write_csv, write_json
+
+
+def dumps(obj):
+    """write_json's text for obj, read back from a temporary file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        write_json(path, obj)
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
 
 
 class TestFormatFloat:
@@ -154,12 +158,21 @@ class TestChunkedWriters:
         assert dumps({"u": values}) == expected
 
     def test_write_json_writes_the_dumps_bytes(self, tmp_path):
-        # long float lists between and after short pieces
+        # long float lists between and after short pieces, against the
+        # per-item format written out by hand
         values = chunk_floats(CHUNK + 1)
         doc = {"u": values, "flag": True, "w": values[:5], "v": values, "n": 3}
         path = tmp_path / "o.json"
         write_json(str(path), doc)
-        assert path.read_bytes() == dumps(doc).encode()
+
+        def items(xs):
+            return "[\n    " + ",\n    ".join(format(x, ".17g") for x in xs) + "\n  ]"
+
+        expected = (
+            f'{{\n  "u": {items(values)},\n  "flag": true,\n'
+            f'  "w": {items(values[:5])},\n  "v": {items(values)},\n  "n": 3\n}}\n'
+        )
+        assert path.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("length", LENGTHS)
     def test_csv_columns_match_per_item_format(self, length, tmp_path):
