@@ -280,7 +280,7 @@ class SlotLayout(NamedTuple):
     is O(nnz) at any valence.  ``weights`` holds the entries flat,
     fixed-width slots first (slot k of row i at k N + i), then the rest;
     ``diagonal`` is the length-N diagonal.  Indices are intp, which
-    np.take uses without a conversion.
+    ndarray.take uses without a conversion.
 
     Each row's off-diagonal entries are summed in CSR order, product()
     starting from the diagonal term and edge_product() from 0.  A pad
@@ -381,18 +381,20 @@ class SlotLayout(NamedTuple):
         return self._sum(values, np.zeros(values.size), True)
 
     def _sum(self, values, out, edge):
-        fixed = self.weights[: self.columns.size].reshape(self.columns.shape)
-        for columns, w in zip(self.columns, fixed):
-            term = np.take(values, columns)
+        # slot k's weights are weights[k n:(k + 1) n]; a method call and a
+        # slice per slot cost less than np.take's wrapper and a 2-D row
+        n, weights = values.size, self.weights
+        for k, columns in enumerate(self.columns):
+            term = values.take(columns)
             if edge:
                 term -= values
-            term *= w
+            term *= weights[k * n : (k + 1) * n]
             out += term
         if self.rest_rows.size:
-            term = np.take(values, self.rest_columns)
+            term = values.take(self.rest_columns)
             if edge:
-                term -= np.take(values, self.rest_rows)
-            term *= self.weights[self.columns.size :]
+                term -= values.take(self.rest_rows)
+            term *= weights[self.columns.size :]
             # add.at is unbuffered: repeated rows accumulate in array order
             np.add.at(out, self.rest_rows, term)
         return out

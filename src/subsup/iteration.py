@@ -393,6 +393,26 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     return {i: kept.get(i) for i in points}
 
 
+def _shared_start(linear, rho, lower, upper, psi):
+    """(x0, A x0) for the upper side's step-1 solve of A x = psi = S(upper).
+
+    lower is the lower side's step-1 solution x_l with A x_l, and rho is
+    S(upper).S(lower) / S(lower).S(lower).  The start is rho x_l, with
+    A x0 = rho A x_l, where rho is finite and that start's residual is
+    below the bracket end's, ||psi - rho A x_l|| < ||psi - A upper||;
+    otherwise it is the bracket end with the A upper that solve_T would
+    form itself.
+    """
+    own = linear.domain.L.product(upper, linear.diagonal)
+    if not np.isfinite(rho):
+        return upper, own
+    x_l, ax_l = lower
+    shared = rho * ax_l
+    with np.errstate(over="ignore", invalid="ignore"):
+        better = np.linalg.norm(psi - shared) < np.linalg.norm(psi - own)
+    return (rho * x_l, shared) if better else (upper, own)
+
+
 def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
     """Run both monotone sequences in lockstep and certify the chain.
 
@@ -413,6 +433,14 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     ORDERING_SLACK * min(m a) / max(m a) if that is smaller, so that the
     plain step after it cannot move back beyond the slack.  Otherwise
     the side takes the plain step T(S(.)), with T solved to tol / 100.
+    Step 1 has no A x at hand.  Its lower solve starts from the bracket
+    end, and its upper one from rho x_l, x_l the lower side's solution
+    and rho = S(upper).S(lower) / S(lower).S(lower), wherever that start
+    leaves a smaller residual than the bracket end (see _shared_start):
+    with S(upper) parallel to S(lower), as with constant f, h and
+    bracket ends, it already solves the upper equation.  solve_T's stop
+    rule and true-residual re-check are the same from either start, so
+    the start moves only the CG count and the last bits of the iterate.
     A side stops on a step that moves it by at most tol, which a kept
     point never does.  The bracket rule runs on the input bracket only,
     in make_bracket, and the limits are checked against the input
@@ -488,9 +516,19 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 u[i] = v
                 restarts[i] += 1
             else:
-                x, report = solve_T(
-                    linear, psi[i], tol=linear_tol, x0=u[i], Ax0=action[i]
-                )
+                x0, ax0 = u[i], action[i]
+                if k == 1 and i == 1:  # see _shared_start
+                    x0, ax0 = _shared_start(
+                        linear, rho, (u[0], action[0]), u[1], psi[1].values
+                    )
+                x, report = solve_T(linear, psi[i], tol=linear_tol, x0=x0, Ax0=ax0)
+                del x0, ax0  # a shared start's two vectors die here
+                if k == 1 and i == 0:
+                    # taken while psi[0] is still S(lower), whose 2-norm
+                    # solve_T has just found finite
+                    with np.errstate(all="ignore"):
+                        rho = psi[1].values @ psi[0].values
+                        rho /= psi[0].values @ psi[0].values
                 cg[i] += report.iterations
                 gap = float((sign * (u[i] - x)).max())
                 require(gap, f"{name} sequence not monotone at step {k}")

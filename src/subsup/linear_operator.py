@@ -180,7 +180,7 @@ def _prolong(y, ends):
     """P y: coarse vertices keep their value, a midpoint takes the mean
     of the two ends of the edge it splits; ends is the (2, n_new)
     transpose of a refinement step's parents."""
-    first, second = np.take(y, ends)
+    first, second = y.take(ends)
     return np.concatenate([y, 0.5 * (first + second)])
 
 

@@ -303,21 +303,18 @@ class TestIterateMonotone:
     def test_cg_iterations_are_counted_per_side(self, monkeypatch, icosphere3):
         # with max_steps = 3 and both points of step 2 kept, the solves run
         # in this order: the plain steps of both sides, their shifted
-        # solves, and the plain steps of the last step
-        real = subsup.iteration.solve_T
-        iterations = []
-
-        def solve_T(*args, **kwargs):
-            x, report = real(*args, **kwargs)
-            iterations.append(report.iterations)
-            return x, report
-
-        monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+        # solves, and the plain steps of the last step.  With constant f,
+        # h and bracket ends, S(upper) is parallel to S(lower), so the
+        # upper side's first solve starts at its solution and takes no
+        # iteration; every other solve takes some.
+        solves = spy_solves(monkeypatch)
         problem = sphere3_problem(icosphere3)
         br = make_bracket(problem, icosphere3.field(0.01), icosphere3.field(1.0))
         _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=3)
+        iterations = [count for _, count in solves]
         assert trace.restarts == (1, 1) and trace.refusals == (0, 0)
-        assert len(iterations) == 6 and min(iterations) > 0
+        assert len(iterations) == 6 and iterations[1] == 0
+        assert min(iterations[:1] + iterations[2:]) > 0
         assert trace.cg_iterations == (sum(iterations[0::2]), sum(iterations[1::2]))
 
     def test_chains_are_monotone(self, torus_problem, torus8):
@@ -400,11 +397,79 @@ class TestIterateMonotone:
             iterate_monotone(prob, br)
 
 
-def bend_first_solve(monkeypatch, start, value):
-    """Make the first T solve warm-started at the constant `start` return `value`.
+def spy_solves(monkeypatch):
+    """Record (x0, CG iterations) of every T solve of the iteration, in order."""
+    real = subsup.iteration.solve_T
+    solves = []
 
-    The iteration warm-starts every solve at the previous iterate, so
-    `start` picks the first step of one side.
+    def solve_T(*args, **kwargs):
+        x, report = real(*args, **kwargs)
+        solves.append((kwargs["x0"].copy(), report.iterations))
+        return x, report
+
+    monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+    return solves
+
+
+class TestSharedStart:
+    # step 1's upper solve starts from rho T(S(lower)), the lower side's
+    # first solution scaled, where that start's residual beats the
+    # bracket end's; the solves run lower first, so it is the second one
+    def test_shipped_sphere_upper_first_solve_takes_no_iteration(self, monkeypatch):
+        # constant f, h and bracket ends: S(upper) is parallel to S(lower)
+        problem, br, tol = shipped(SCENARIOS[1])
+        solves = spy_solves(monkeypatch)
+        iterate_monotone(problem, br, tol=tol)
+        (_, lower_iterations), (x0, upper_iterations) = solves[:2]
+        assert lower_iterations > 0 and upper_iterations == 0
+        assert not np.array_equal(x0, br.upper.values)
+
+    @pytest.mark.parametrize(
+        "f,upper", [("0.5", "1+0.1*x"), ("0.5+0.3*x", "1"), ("0.5+0.3*x", "1+0.1*x")]
+    )
+    def test_a_start_not_parallel_takes_no_more_iterations(
+        self, f, upper, monkeypatch, icosphere3
+    ):
+        problem = subsup.NonlinearProblem(
+            icosphere3, subsup.parse_coefficient("2+0.5*z", icosphere3),
+            subsup.parse_coefficient(f, icosphere3), 0.5,
+            ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+        )
+        br = make_bracket(
+            problem, icosphere3.field(0.01), subsup.parse_coefficient(upper, icosphere3)
+        )
+        psi_l, psi = (subsup.apply_S(problem, v.values) for v in (br.lower, br.upper))
+        cosine = (psi.values @ psi_l.values) / (
+            np.linalg.norm(psi.values) * np.linalg.norm(psi_l.values)
+        )
+        assert cosine < 1.0 - 1e-6
+        _, own = subsup.solve_T(problem.linear, psi, tol=1e-11, x0=br.upper.values)
+        solves = spy_solves(monkeypatch)
+        iterate_monotone(problem, br, tol=1e-9)
+        x0, iterations = solves[1]
+        assert np.array_equal(x0, upper_start(problem, br, 1e-11)[0])
+        assert not np.array_equal(x0, br.upper.values)
+        assert iterations <= own.iterations
+
+    def test_an_upper_end_that_solves_its_equation_keeps_its_start(
+        self, monkeypatch, torus_problem, torus8, c_star
+    ):
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(c_star))
+        psi = subsup.apply_S(torus_problem, br.upper.values)
+        _, own = subsup.solve_T(torus_problem.linear, psi, tol=1e-11, x0=br.upper.values)
+        assert own.iterations == 0  # within the linear tol from the start
+        solves = spy_solves(monkeypatch)
+        iterate_monotone(torus_problem, br, tol=1e-9, max_steps=1)
+        x0, iterations = solves[1]
+        assert np.array_equal(x0, br.upper.values) and iterations == 0
+
+
+def bend_first_solve(monkeypatch, start, value):
+    """Make the first T solve warm-started at `start` return `value`.
+
+    The iteration warm-starts every plain solve at the previous iterate,
+    and the upper side's first one at upper_start, so `start` picks the
+    first step of one side.
     """
     real = subsup.iteration.solve_T
     bent = []
@@ -430,8 +495,9 @@ class TestOrderingError:
 
     def test_lower_crossing_upper(self, monkeypatch, torus_problem, torus8):
         # the upper side may descend, but not below the lower side
-        bend_first_solve(monkeypatch, 1.0, 0.005)
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        start, _ = upper_start(torus_problem, br, 1e-11)
+        bend_first_solve(monkeypatch, start, 0.005)
         with pytest.raises(subsup.OrderingError, match="lower above upper at step 1"):
             iterate_monotone(torus_problem, br, tol=1e-9, max_steps=1)
 
@@ -475,11 +541,30 @@ class TestOrderingError:
             iterate_monotone(prob, br, tol=1e-9)
 
 
+def upper_start(problem, bracket, linear_tol):
+    """(x0, A x0) of the upper side's first solve in iterate_monotone.
+
+    That is rho x_l, x_l = T(S(lower)) and rho = S(upper).S(lower) /
+    S(lower).S(lower), with A x0 = rho A x_l, where its residual is below
+    the bracket end's, and otherwise the bracket end, A x0 left to solve_T.
+    """
+    lower, upper = bracket.lower.values, bracket.upper.values
+    psi_l, psi_u = (subsup.apply_S(problem, v) for v in (lower, upper))
+    x_l, report = subsup.solve_T(problem.linear, psi_l, tol=linear_tol, x0=lower)
+    psi_l, psi_u = psi_l.values, psi_u.values
+    rho = (psi_u @ psi_l) / (psi_l @ psi_l)
+    own = csr_matvec_reference(problem.linear.system_matrix, upper)
+    if np.linalg.norm(psi_u - rho * report.Ax) < np.linalg.norm(psi_u - own):
+        return rho * x_l, rho * report.Ax
+    return upper, None
+
+
 def plain_iteration(problem, bracket, tol, linear_tol):
     """Trace rows and limits of u_{k+1} = T(S(u_k)) without restarts.
 
-    Each side runs on its own until its max change is <= tol; the rows
-    are then interleaved as IterationTrace.rows() orders them.
+    Each side runs on its own until its max change is <= tol, the upper
+    one's first solve from upper_start; the rows are then interleaved as
+    IterationTrace.rows() orders them.
     """
     A = problem.linear.system_matrix
     rows, limits = [], []
@@ -488,7 +573,10 @@ def plain_iteration(problem, bracket, tol, linear_tol):
         while change > tol:
             k += 1
             psi = subsup.apply_S(problem, u)
-            x, _ = subsup.solve_T(problem.linear, psi, tol=linear_tol, x0=u)
+            x0, ax0 = u, None
+            if k == 1 and seq == "upper":
+                x0, ax0 = upper_start(problem, bracket, linear_tol)
+            x, _ = subsup.solve_T(problem.linear, psi, tol=linear_tol, x0=x0, Ax0=ax0)
             change = float(np.abs(x - u).max())
             u = x
             Au = csr_matvec_reference(A, u)
