@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Field, mesh_quality
-from .linear_operator import ConvergenceError, solve_T
+from .linear_operator import ConvergenceError, _dot, _norm, solve_T
 from .nonlinearity import apply_S, check_alpha2
 from .serialize import FloatColumn, write_csv, write_json
 
@@ -100,9 +100,12 @@ class IterationTrace:
     tried and not kept: points that moved their side by more than tol
     and were refused by the certificate, the backward check or the
     ordering, and failed shifted CG solves.  A point within tol of its
-    iterate is neither.
+    iterate is neither, and neither is an upper point from the shared
+    start that is discarded (see _kept_points): the attempt from the
+    iterate after it is what counts.
     cg_iterations counts the CG iterations of each side's linear solves,
-    the plain steps' and the shifted ones' together.
+    the plain steps' and the shifted ones' together, a discarded
+    attempt's included.
     """
 
     lower_steps: list
@@ -313,21 +316,33 @@ def _least_slope(problem, lower, upper):
     return slope
 
 
-def _shifted_point(problem, x, psi, ax, shift, tol):
-    """(J^-1 (S(x) - M D x), CG iterations), J = A - M diag(D), shift = m D.
+def _shifted_point(problem, x, psi, ax, shift, tol, lower=None):
+    """(J^-1 (S(x) - M D x), SolveReport, shared), J = A - M diag(D), shift = m D.
 
     psi is S(x) and ax is A x, so the solve starts from x with no
-    product of its own.  The point is None when CG fails on J, which
-    need not be positive definite; the iterations count either way.
+    product of its own.  lower, if given, is the lower side's
+    (x_l, S(x_l), v_l, J v_l) on the same J, and the solve starts from
+    rho v_l instead where _shared_start prefers it; shared says whether
+    it did.  The point is None when CG fails on J, which need not be
+    positive definite; the report's iterations count either way.
     """
     mdx = shift * x
-    rhs = Field(problem.domain, psi.values - mdx)
+    b = psi.values - mdx
     jx = np.subtract(ax, mdx, out=mdx)  # J x, in the buffer of M D x
+    x0, jx0 = x, jx
+    if lower is not None:
+        x_l, psi_l, v_l, jv_l = lower
+        b_l = psi_l.values - shift * x_l
+        x0, jx0 = _shared_start(_projection(b, b_l), (v_l, jv_l), (x, jx), b)
+        del b_l
+    del jx
+    shared = x0 is not x
+    rhs = Field(problem.domain, b)
     try:
-        v, report = solve_T(problem.linear, rhs, tol=tol, x0=x, Ax0=jx, shift=shift)
+        v, report = solve_T(problem.linear, rhs, tol=tol, x0=x0, Ax0=jx0, shift=shift)
     except ConvergenceError as exc:
-        return None, exc.report.iterations
-    return v, report.iterations
+        return None, exc.report, shared
+    return v, report, shared
 
 
 def _certified(problem, sign, v, u, image, tol):
@@ -351,6 +366,30 @@ def _certified(problem, sign, v, u, image, tol):
     return excess <= (1.0 - rate) * tol * scale
 
 
+def _verdict(problem, i, v, u, restart_tol, slack):
+    """(v, (A v, S(v))) if the point v of side i may replace its iterate u.
+
+    None if v is None (a failed solve), if _certified refuses v at
+    restart_tol, or if v moves its side back by more than slack.
+    """
+    if v is None:
+        return None
+    sign = 1 - 2 * i
+    image = _image(problem, v)
+    if (
+        _certified(problem, sign, v, u, image, restart_tol)
+        and float((sign * (u - v)).max()) <= slack
+    ):
+        return v, image
+    return None
+
+
+def _ordered(u, kept):
+    """Whether the pair the kept points leave is ordered, lower <= upper."""
+    lower, upper = (kept[i][0] if kept.get(i) else u[i] for i in (0, 1))
+    return not np.any(lower > upper)
+
+
 def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg):
     """{side: (v, (A v, S(v))) if kept, else None} for the points tried.
 
@@ -358,59 +397,87 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     over the current pair u and CG run to max(linear_tol, min(1e-2, w^2)),
     w = max(upper - lower): the solve gets as accurate as the pair is
     narrow, and a looser point can only be refused, never trusted.  The
-    CG iterations are added to cg.  A point within tol of its iterate is
-    not tried: it gets no image and no certificate, and its side takes
-    the plain step.  A failed solve is tried and not kept.  Any other
-    point is kept if _certified accepts it at restart_tol, from its
-    (A v, S(v)), formed once, and it moves its side back by at most
-    slack; the kept points stand only if the pair they leave stays
-    ordered.
+    lower side solves first, from its iterate; the upper one from
+    rho v_l, the lower side's point scaled (see _shared_start), where
+    that start's residual beats its iterate's.  Both solve with the same
+    J, and near the limit v_l lies about w^2 from the upper side's point
+    where the iterate lies about w away: the projection start for
+    systems that share a matrix (Chan and Wan, SIAM J. Sci. Comput. 18,
+    1997).  The CG iterations are added to cg.  A point within tol of
+    its iterate is not tried: it gets no image and no certificate, and
+    its side takes the plain step.  A failed solve is tried and not
+    kept.  Any other point is kept if _verdict accepts it, from its
+    (A v, S(v)), formed once; the kept points stand only if the pair
+    they leave stays ordered.  An upper point from the shared start that
+    is tried and not kept, failed or refused by _verdict or the
+    ordering, is discarded, and the upper side solves again from its
+    iterate, so the outcome, a refusal included, is that attempt's; cg
+    counts both.
     """
     width = float((u[1] - u[0]).max())
     eta = max(linear_tol, min(1e-2, width * width))
     shift = problem.domain.mass * _least_slope(problem, *u)
-    points = {}
+
+    def solve(i, lower=None):
+        v, report, shared = _shifted_point(
+            problem, u[i], psi[i], action[i], shift, eta, lower
+        )
+        cg[i] += report.iterations
+        return v, report, shared
+
+    def tried(i, v):  # a failed solve is; a point within tol of u[i] is not
+        return v is None or float(np.abs(v - u[i]).max()) > tol
+
+    points, shared = {}, False  # shared: the upper solve's, the last
+    lower = None  # the lower side's (x, S(x), v, J v), once solved
     for i in sides:
-        v, iterations = _shifted_point(problem, u[i], psi[i], action[i], shift, eta)
-        cg[i] += iterations
-        if v is None or float(np.abs(v - u[i]).max()) > tol:
+        v, report, shared = solve(i, lower)
+        if i == 0 and v is not None:
+            lower = u[0], psi[0], v, report.Ax
+        del report
+        if tried(i, v):
             points[i] = v
+    del lower
+    kept = {
+        i: _verdict(problem, i, v, u[i], restart_tol, slack) for i, v in points.items()
+    }
+    if shared and 1 in points and not (kept[1] and _ordered(u, kept)):
+        del points[1], kept[1]  # the shared attempt is discarded
+        v, _, _ = solve(1)
+        if tried(1, v):
+            points[1] = v
+            kept[1] = _verdict(problem, 1, v, u[1], restart_tol, slack)
     del shift
-    kept = {}
-    for i, v in points.items():
-        if v is None:
-            continue
-        sign = 1 - 2 * i
-        image = _image(problem, v)
-        if (
-            _certified(problem, sign, v, u[i], image, restart_tol)
-            and float((sign * (u[i] - v)).max()) <= slack
-        ):
-            kept[i] = v, image
-    lower, upper = (kept[i][0] if i in kept else u[i] for i in (0, 1))
-    if np.any(lower > upper):
+    if not _ordered(u, kept):
         kept = {}
     return {i: kept.get(i) for i in points}
 
 
-def _shared_start(linear, rho, lower, upper, psi):
-    """(x0, A x0) for the upper side's step-1 solve of A x = psi = S(upper).
+def _projection(b, b_l):
+    """rho = b.b_l / b_l.b_l, the multiple of b_l nearest to b; nan or inf
+    where b_l is 0 or the products overflow."""
+    with np.errstate(all="ignore"):
+        return _dot(b, b_l) / _dot(b_l, b_l)
 
-    lower is the lower side's step-1 solution x_l with A x_l, and rho is
-    S(upper).S(lower) / S(lower).S(lower).  The start is rho x_l, with
-    A x0 = rho A x_l, where rho is finite and that start's residual is
-    below the bracket end's, ||psi - rho A x_l|| < ||psi - A upper||;
-    otherwise it is the bracket end with the A upper that solve_T would
-    form itself.
+
+def _shared_start(rho, shared, own, b):
+    """(x0, J x0) for the upper side's solve of J x = b.
+
+    shared is the lower side's (x_l, J x_l) on the same J, solving
+    J x_l = b_l, and rho = b.b_l / b_l.b_l (see _projection); own is
+    the side's own start (x, J x).  The start is rho x_l, with
+    J x0 = rho J x_l, where that start's residual is below the own one's,
+    ||b - rho J x_l|| < ||b - J x||, and own otherwise; a non-finite rho
+    leaves a non-finite residual, which is never below.  rho x_l is
+    written into the buffer of J x, which the caller then drops.
     """
-    own = linear.domain.L.product(upper, linear.diagonal)
-    if not np.isfinite(rho):
-        return upper, own
-    x_l, ax_l = lower
-    shared = rho * ax_l
-    with np.errstate(over="ignore", invalid="ignore"):
-        better = np.linalg.norm(psi - shared) < np.linalg.norm(psi - own)
-    return (rho * x_l, shared) if better else (upper, own)
+    x_l, jx_l = shared
+    x, jx = own
+    with np.errstate(all="ignore"):
+        jx0 = rho * jx_l
+        if not _norm(b - jx0) < _norm(b - jx):
+            return own
+    return np.multiply(rho, x_l, out=jx), jx0
 
 
 def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_STEPS):
@@ -424,23 +491,27 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
 
     At every step but the first and the last, each running side first
     solves for its shifted point (see _kept_points): one CG solve on
-    J = A - M diag(D) with A's preconditioner, warm started from the
-    iterate's own A x and S(x).  A point within tol of the iterate is
-    not tried.  Any other point becomes the side's step if _certified
-    finds it a lower (upper) solution that no solution in the bracket
-    lies beyond, it moves its side back by at most the slack, and the
-    pair stays ordered.  The point is certified at tol, or at
+    J = A - M diag(D) with A's preconditioner, the lower side's warm
+    started from the iterate's own A x and S(x), and the upper side's
+    from the lower side's point scaled where that start leaves a smaller
+    residual; a shared point that is not kept is discarded, and the
+    upper side solves again from its iterate.  A point within tol of
+    the iterate is not tried.  Any other point becomes the side's step
+    if _certified finds it a lower (upper) solution that no solution in
+    the bracket lies beyond, it moves its side back by at most the
+    slack, and the pair stays ordered.  The point is certified at tol, or at
     ORDERING_SLACK * min(m a) / max(m a) if that is smaller, so that the
     plain step after it cannot move back beyond the slack.  Otherwise
     the side takes the plain step T(S(.)), with T solved to tol / 100.
     Step 1 has no A x at hand.  Its lower solve starts from the bracket
-    end, and its upper one from rho x_l, x_l the lower side's solution
-    and rho = S(upper).S(lower) / S(lower).S(lower), wherever that start
-    leaves a smaller residual than the bracket end (see _shared_start):
-    with S(upper) parallel to S(lower), as with constant f, h and
-    bracket ends, it already solves the upper equation.  solve_T's stop
-    rule and true-residual re-check are the same from either start, so
-    the start moves only the CG count and the last bits of the iterate.
+    end, and its upper one, by the same rule (_shared_start with J = A),
+    from rho x_l, x_l the lower side's solution and rho =
+    S(upper).S(lower) / S(lower).S(lower), wherever that start leaves a
+    smaller residual than the bracket end: with S(upper) parallel to
+    S(lower), as with constant f, h and bracket ends, it already solves
+    the upper equation.  solve_T's stop rule and true-residual re-check
+    are the same from either start, so the start moves only the CG count
+    and the last bits of the iterate.
     A side stops on a step that moves it by at most tol, which a kept
     point never does.  The bracket rule runs on the input bracket only,
     in make_bracket, and the limits are checked against the input
@@ -517,18 +588,14 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 restarts[i] += 1
             else:
                 x0, ax0 = u[i], action[i]
-                if k == 1 and i == 1:  # see _shared_start
-                    x0, ax0 = _shared_start(
-                        linear, rho, (u[0], action[0]), u[1], psi[1].values
-                    )
+                if k == 1 and i == 1:  # see _shared_start, with J = A
+                    own = u[1], linear.domain.L.product(u[1], linear.diagonal)
+                    x0, ax0 = _shared_start(rho, (u[0], action[0]), own, psi[1].values)
+                    del own
                 x, report = solve_T(linear, psi[i], tol=linear_tol, x0=x0, Ax0=ax0)
                 del x0, ax0  # a shared start's two vectors die here
-                if k == 1 and i == 0:
-                    # taken while psi[0] is still S(lower), whose 2-norm
-                    # solve_T has just found finite
-                    with np.errstate(all="ignore"):
-                        rho = psi[1].values @ psi[0].values
-                        rho /= psi[0].values @ psi[0].values
+                if k == 1 and i == 0:  # taken while psi[0] is still S(lower)
+                    rho = _projection(psi[1].values, psi[0].values)
                 cg[i] += report.iterations
                 gap = float((sign * (u[i] - x)).max())
                 require(gap, f"{name} sequence not monotone at step {k}")

@@ -51,6 +51,16 @@ SMOOTHING_WEIGHT = 0.8
 STALL_SWEEPS = 2
 
 
+def _dot(x, y):
+    """x'y by einsum, which calls no BLAS: a threaded ddot splits the sum
+    by thread count, and its last bits with it."""
+    return np.einsum("i,i->", x, y)
+
+
+def _norm(x):
+    return np.sqrt(_dot(x, x))
+
+
 class ConvergenceError(RuntimeError):
     """CG hit its iteration cap or stalled; carries the partial SolveReport."""
 
@@ -290,7 +300,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     precondition = problem.preconditioner
 
     with np.errstate(over="ignore"):
-        bnorm = np.linalg.norm(b)
+        bnorm = _norm(b)
     if not bnorm < np.inf:
         raise ValueError(
             f"the right-hand side's 2-norm overflows (largest entry "
@@ -300,10 +310,10 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     cap = 10 * n
 
     r = b - Ax
-    energy = 0.5 * (x @ Ax) - x @ b
+    energy = 0.5 * _dot(x, Ax) - _dot(x, b)
     history = [float(energy)]
     iterations = 0
-    resid = np.linalg.norm(r)
+    resid = _norm(r)
     lowest, stalled = resid, 0  # the lowest true residual, sweeps since
     p = None  # no search direction: the next iteration starts a sweep
 
@@ -316,7 +326,7 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
             # and start a new sweep from the true residual if it fails
             Ax = product(x, diagonal)
             r = b - Ax
-            resid = np.linalg.norm(r)
+            resid = _norm(r)
             if resid <= stop:
                 return x, SolveReport(iterations, float(resid), history, Ax)
             stalled = 0 if resid < lowest else stalled + 1
@@ -337,11 +347,16 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
                 "a may be near-singular or badly conditioned"
             )
         z = precondition(r)
-        rz_new = r @ z
-        p = z if p is None else z + (rz_new / rz) * p
+        rz_new = _dot(r, z)
+        if p is None:
+            p = z
+        else:  # in place, each N-vector freed at its last use
+            p *= rz_new / rz
+            p += z
+        del z
         rz = rz_new
         Ap = product(p, diagonal)
-        pAp = p @ Ap
+        pAp = _dot(p, Ap)
         if not pAp > 0.0:  # nan too, from a non-finite start
             fail(
                 f"conjugate-gradient breakdown (p'Ap = {pAp:.3g}): system "
@@ -349,9 +364,11 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
             )
         alpha = rz / pAp
         x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
+        del Ap
         energy -= 0.5 * alpha * rz
         history.append(float(energy))
         iterations += 1
-        resid = np.linalg.norm(r)
+        resid = _norm(r)
 

@@ -7,6 +7,7 @@ import pytest
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
 from subsup.iteration import bracket_failures
+from subsup.linear_operator import SolveReport
 from subsup.scenario import build_problem, load_scenario
 
 from tests.conftest import make_constant_problem
@@ -397,24 +398,49 @@ class TestIterateMonotone:
             iterate_monotone(prob, br)
 
 
-def spy_solves(monkeypatch):
-    """Record (x0, CG iterations) of every T solve of the iteration, in order."""
+def x0_and_iterations(psi, x0, shift, x, report):
+    return x0.copy(), report.iterations
+
+
+def spy_solves(monkeypatch, record=x0_and_iterations):
+    """Record every T solve of the iteration, in order.
+
+    Each entry is record(psi, x0, shift, x, report) for a solve of psi
+    from x0, shifted by shift (None for a plain step), that returned x;
+    by default (x0, CG iterations).
+    """
     real = subsup.iteration.solve_T
     solves = []
 
-    def solve_T(*args, **kwargs):
-        x, report = real(*args, **kwargs)
-        solves.append((kwargs["x0"].copy(), report.iterations))
+    def solve_T(problem, psi, **kwargs):
+        x, report = real(problem, psi, **kwargs)
+        solves.append(record(psi, kwargs["x0"], kwargs.get("shift"), x, report))
         return x, report
 
     monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
     return solves
 
 
+def spy_shared_points(monkeypatch):
+    """Record every point that a shifted solve returns from the shared start."""
+    real = subsup.iteration._shifted_point
+    points = []
+
+    def shifted_point(*args):
+        v, report, shared = real(*args)
+        if shared and v is not None:
+            points.append(v)
+        return v, report, shared
+
+    monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
+    return points
+
+
 class TestSharedStart:
-    # step 1's upper solve starts from rho T(S(lower)), the lower side's
-    # first solution scaled, where that start's residual beats the
-    # bracket end's; the solves run lower first, so it is the second one
+    # every upper solve starts from rho v_l, v_l the lower side's solution
+    # of the same system J v = b and rho = b_u.b_l / b_l.b_l, where that
+    # start's residual beats the side's own start's.  At step 1, J = A and
+    # b = S(x), and the solves run lower first, so it is the second one
     def test_shipped_sphere_upper_first_solve_takes_no_iteration(self, monkeypatch):
         # constant f, h and bracket ends: S(upper) is parallel to S(lower)
         problem, br, tol = shipped(SCENARIOS[1])
@@ -454,7 +480,10 @@ class TestSharedStart:
     def test_an_upper_end_that_solves_its_equation_keeps_its_start(
         self, monkeypatch, torus_problem, torus8, c_star
     ):
-        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(c_star))
+        # a lower end that is not constant makes S(lower) not parallel to
+        # S(upper), so rho x_l leaves a residual far above the upper end's
+        lower = subsup.parse_coefficient("0.01+0.0005*sin(6.283185307179586*x)", torus8)
+        br = make_bracket(torus_problem, lower, torus8.field(c_star))
         psi = subsup.apply_S(torus_problem, br.upper.values)
         _, own = subsup.solve_T(torus_problem.linear, psi, tol=1e-11, x0=br.upper.values)
         assert own.iterations == 0  # within the linear tol from the start
@@ -462,6 +491,96 @@ class TestSharedStart:
         iterate_monotone(torus_problem, br, tol=1e-9, max_steps=1)
         x0, iterations = solves[1]
         assert np.array_equal(x0, br.upper.values) and iterations == 0
+
+    # after step 1, each step solves both sides' shifted points with one J
+    @pytest.mark.parametrize("path", SCENARIOS)
+    def test_every_upper_solve_starts_from_the_lower_point(self, path, monkeypatch):
+        problem, br, tol = shipped(path)
+
+        def record(psi, x0, shift, x, report):  # (b, x0, v) of J v = b
+            return shift is not None and (psi.values.copy(), x0.copy(), x.copy())
+
+        solves = spy_solves(monkeypatch, record)
+        _, trace = iterate_monotone(problem, br, tol=tol)
+        shifted = [entry for entry in solves if entry]
+        assert trace.steps == 7 and len(shifted) == 2 * (trace.steps - 1)
+        for (b_l, _, v_l), (b_u, x0, _) in zip(shifted[0::2], shifted[1::2]):
+            rho = dot(b_u, b_l) / dot(b_l, b_l)
+            assert np.array_equal(x0, rho * v_l)
+        assert trace.cg_iterations[1] <= 1
+
+    @pytest.mark.parametrize("by", ["certificate", "ordering"])
+    def test_a_refused_shared_point_is_solved_again_from_the_iterate(
+        self, by, monkeypatch
+    ):
+        # the upper side's first candidate, its step-2 point from the shared
+        # start, is refused by the certificate, or replaced by half the
+        # lower side's point and passed by it, which the ordering refuses:
+        # the side solves again from its iterate, and that point is kept,
+        # as without the shared start
+        problem, br, tol = shipped(SCENARIOS[1])
+        _, unforced = iterate_monotone(problem, br, tol=tol)
+        real_point = subsup.iteration._shifted_point
+        real_certified = subsup.iteration._certified
+        refused = []
+
+        def shifted_point(*args):
+            v, report, shared = real_point(*args)
+            if shared and not refused:
+                _, _, v_l, _ = args[-1]  # the lower side's solve
+                refused.append(v if by == "certificate" else 0.5 * v_l)
+                return refused[0], report, shared
+            return v, report, shared
+
+        def certified(problem, sign, v, u, image, tol):
+            if refused and v is refused[0]:
+                return by == "ordering"
+            return real_certified(problem, sign, v, u, image, tol)
+
+        monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
+        monkeypatch.setattr(subsup.iteration, "_certified", certified)
+        solves = spy_solves(
+            monkeypatch,
+            lambda psi, x0, shift, x, report: (x0.copy(), x.copy(), report.iterations),
+        )
+        _, trace = iterate_monotone(problem, br, tol=tol)
+        # plain steps of both sides, then step 2's lower point and the
+        # upper one's from the shared start and from the iterate
+        (_, upper, _), _, (shared, _, _), (own, _, _) = solves[1:5]
+        assert not np.array_equal(shared, upper) and np.array_equal(own, upper)
+        assert (trace.steps, trace.restarts, trace.refusals) == (
+            unforced.steps, unforced.restarts, unforced.refusals
+        )
+        # cg counts the discarded attempt too
+        assert sum(trace.cg_iterations) == sum(count for _, _, count in solves)
+
+    @pytest.mark.parametrize("case", ["near_fold_torus", "icosphere4_f", *SCENARIOS])
+    def test_sharing_keeps_steps_restarts_and_refusals(self, case, monkeypatch, torus8):
+        if case == "near_fold_torus":
+            problem, br, tol = benchmark_problem(torus8, "1.0001")
+        elif case == "icosphere4_f":
+            domain = subsup.build_icosphere(4, 1.0)
+            problem = subsup.NonlinearProblem(
+                domain, subsup.parse_coefficient("2+0.5*z", domain),
+                subsup.parse_coefficient("0.5+0.3*x", domain), 0.5,
+                ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+            )
+            br, tol = make_bracket(problem, domain.field(0.01), domain.field(1.0)), 1e-9
+        else:
+            problem, br, tol = shipped(case)
+        pair, shared = iterate_monotone(problem, br, tol=tol)
+        # every solve from its side's own start
+        monkeypatch.setattr(
+            subsup.iteration, "_shared_start", lambda rho, shared, own, b: own
+        )
+        own_pair, own = iterate_monotone(problem, br, tol=tol)
+        assert (shared.steps, shared.restarts, shared.refusals) == (
+            own.steps, own.restarts, own.refusals
+        )
+        assert shared.cg_iterations[1] < own.cg_iterations[1]
+        for name in ("u_star", "u_upper_star"):
+            limits = (getattr(p, name).values for p in (pair, own_pair))
+            assert np.abs(np.subtract(*limits)).max() <= 10.0 * tol
 
 
 def bend_first_solve(monkeypatch, start, value):
@@ -541,6 +660,15 @@ class TestOrderingError:
             iterate_monotone(prob, br, tol=1e-9)
 
 
+def dot(x, y):
+    # the iteration's reductions, which call no BLAS (linear_operator._dot)
+    return np.einsum("i,i->", x, y)
+
+
+def norm(x):
+    return np.sqrt(dot(x, x))
+
+
 def upper_start(problem, bracket, linear_tol):
     """(x0, A x0) of the upper side's first solve in iterate_monotone.
 
@@ -552,9 +680,9 @@ def upper_start(problem, bracket, linear_tol):
     psi_l, psi_u = (subsup.apply_S(problem, v) for v in (lower, upper))
     x_l, report = subsup.solve_T(problem.linear, psi_l, tol=linear_tol, x0=lower)
     psi_l, psi_u = psi_l.values, psi_u.values
-    rho = (psi_u @ psi_l) / (psi_l @ psi_l)
+    rho = dot(psi_u, psi_l) / dot(psi_l, psi_l)
     own = csr_matvec_reference(problem.linear.system_matrix, upper)
-    if np.linalg.norm(psi_u - rho * report.Ax) < np.linalg.norm(psi_u - own):
+    if norm(psi_u - rho * report.Ax) < norm(psi_u - own):
         return rho * x_l, rho * report.Ax
     return upper, None
 
@@ -630,6 +758,17 @@ def spy_certificate(monkeypatch, verdict=None):
     return calls
 
 
+def made_point(problem, v, shift):
+    """_shifted_point's (v, report, shared) for a point v that a test makes.
+
+    It took no CG iteration, its report holds J v for J = A - diag(shift),
+    from which the upper side's solve may start, and it is an attempt
+    from the side's own start, which stands however it is judged.
+    """
+    jv = problem.domain.L.product(v, problem.linear.diagonal - shift)
+    return v, SolveReport(0, 0.0, [], jv), False
+
+
 def inject_restart_point(monkeypatch, call, point):
     """Make the call-th shifted solve of the iteration return point.
 
@@ -639,11 +778,11 @@ def inject_restart_point(monkeypatch, call, point):
     real = subsup.iteration._shifted_point
     calls = []
 
-    def shifted_point(*args):
+    def shifted_point(problem, x, psi, ax, shift, *args):
         calls.append(None)
         if len(calls) == call:
-            return point.copy(), 0
-        return real(*args)
+            return made_point(problem, point.copy(), shift)
+        return real(problem, x, psi, ax, shift, *args)
 
     monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
 
@@ -688,12 +827,17 @@ class TestRestarts:
             problem = sphere3_problem(domain)
         br = make_bracket(problem, domain.field(0.01), domain.field(1.0))
         calls = spy_certificate(monkeypatch, lambda sign, v: False)
+        shared = spy_shared_points(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=1e-9)
         rows, (lower, upper) = plain_iteration(problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
-        # every point tried is refused, and a refused side takes its plain step
+        # every point tried is refused, and a refused side takes its plain
+        # step; an upper point from the shared start is discarded when
+        # refused, and only the attempt from the iterate after it counts
+        own = [call for call in calls if not any(call[1] is v for v in shared)]
+        assert shared and len(own) < len(calls)
         assert trace.refusals == tuple(
-            sum(call[0] == sign for call in calls) for sign in (1, -1)
+            sum(call[0] == sign for call in own) for sign in (1, -1)
         )
         assert trace.steps == 29
         assert trace.rows() == rows
@@ -708,8 +852,8 @@ class TestRestarts:
         real = subsup.iteration._shifted_point
 
         def overshoot(problem, x, *args):
-            v, iterations = real(problem, x, *args)
-            return x + 3.0 * (v - x), iterations
+            v, report, shared = real(problem, x, *args)
+            return x + 3.0 * (v - x), report, shared
 
         monkeypatch.setattr(subsup.iteration, "_shifted_point", overshoot)
         calls = spy_certificate(monkeypatch)
@@ -790,7 +934,9 @@ class TestRestarts:
         # would let the chain cross; the restart is refused instead
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         monkeypatch.setattr(
-            subsup.iteration, "_shifted_point", lambda problem, x, *args: (x + 1.0, 0)
+            subsup.iteration,
+            "_shifted_point",
+            lambda problem, x, psi, ax, shift, *args: made_point(problem, x + 1.0, shift),
         )
         calls = spy_certificate(monkeypatch, lambda sign, v: sign == 1)
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
@@ -809,7 +955,9 @@ class TestRestarts:
         monkeypatch.setattr(
             subsup.iteration,
             "_shifted_point",
-            lambda problem, x, *args: (x + (-1e-6 if x.max() < c_star else 1e-6), 0),
+            lambda problem, x, psi, ax, shift, *args: made_point(
+                problem, x + (-1e-6 if x.max() < c_star else 1e-6), shift
+            ),
         )
         calls = spy_certificate(monkeypatch, lambda sign, v: True)
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
@@ -896,7 +1044,9 @@ class TestRestarts:
         # takes its plain steps, those of the restart-free run.
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         monkeypatch.setattr(
-            subsup.iteration, "_shifted_point", lambda problem, x, *args: (x.copy(), 0)
+            subsup.iteration,
+            "_shifted_point",
+            lambda problem, x, psi, ax, shift, *args: made_point(problem, x.copy(), shift),
         )
         calls = spy_certificate(monkeypatch)
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
@@ -916,11 +1066,11 @@ class TestRestarts:
         real = subsup.iteration._shifted_point
         points = []
 
-        def shifted_point(problem, x, *args):
+        def shifted_point(problem, x, psi, ax, shift, *args):
             if points:
-                return real(problem, x, *args)
+                return real(problem, x, psi, ax, shift, *args)
             points.append(x + 0.5e-8)
-            return points[0].copy(), 0
+            return made_point(problem, points[0].copy(), shift)
 
         monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
         real_image = subsup.iteration._image
@@ -1022,8 +1172,8 @@ class TestIterationMemory:
     # the tracemalloc peak of iterate_monotone above what was traced at
     # its entry, in float64 vectors of the vertex count, with the
     # preconditioner built first.  Peaks: 18.0 on the benchmark's seed-0
-    # torus 32^3, 20.6 on its seed-0 icosphere 5 and 19.7 on the shipped
-    # torus 8^3, bounded with 5-7% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the test
+    # torus 32^3, 19.6 on its seed-0 icosphere 5 and 19.8 on the shipped
+    # torus 8^3, bounded with 5-12% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the test
     # measures from the traced size at its start and leaves the trace
     # running.
     @pytest.mark.parametrize(

@@ -493,15 +493,17 @@ class TestReturnedAction:
 
 
 class TestRestartSweep:
-    @pytest.mark.parametrize("case,tol", [("torus8", 1e-14), ("icosphere4", 1e-13)])
+    @pytest.mark.parametrize("case,tol", [("torus16", 1e-14), ("icosphere4", 1e-13)])
     def test_a_failed_recheck_starts_a_sweep_that_converges(
         self, case, tol, monkeypatch
     ):
         # the first lower-side solve of the benchmark's iteration,
         # psi = S(0.01) for f = h = 0.5, F = t^5, H = t^0.5, from x0 = 0.01:
-        # the recurrence residual passes before the true one does
-        if case == "torus8":
-            domain = subsup.build_flat_torus([(8, 1.0)] * 3)
+        # the recurrence residual passes before the true one does (on
+        # torus 8^3 the first re-check passes at every tol down to the
+        # rounding floor, where the solve stalls)
+        if case == "torus16":
+            domain = subsup.build_flat_torus([(16, 1.0)] * 3)
             lp = LinearProblem(domain, domain.field(2.0))
         else:
             lp = sphere_problem(4)
