@@ -10,13 +10,13 @@ sequences in lockstep and checks each new link of that chain as it is
 made, within a small relative slack; the first bend beyond it (from
 floating point or a broken precondition) aborts the run loudly.
 
-A step of a side is either the plain step T(S(x)) or a restart point
-from one shifted solve.  With D the entrywise least slope of f F + h H
-over the current pair and J = A - M diag(D), the point of a side with
-iterate x is v = J^-1 (S(x) - M D x): D = 0 gives back the plain step,
-and as the pair narrows D tends to the derivative of S at the limit,
-so the point becomes a Newton step.  This is the
-monotone Newton-type iteration of Ortega and Rheinboldt (Iterative
+Every step of a side solves one system (see _solve_sides): with J =
+A - M diag(D), the side with iterate x solves J v = S(x) - M D x.
+D = 0 is the plain step v = T(S(x)), which step 1 takes.  At later
+steps D is the entrywise least slope of f F + h H over the current
+pair, and v a restart point; as the pair narrows D tends to the
+derivative of S at the limit, so the point becomes a Newton step.  This
+is the monotone Newton-type iteration of Ortega and Rheinboldt (Iterative
 Solution of Nonlinear Equations in Several Variables, 1970, section
 13.3) and C. V. Pao (Nonlinear Parabolic and Elliptic Equations, 1992).
 Being a lower solution is not enough for the point to stay below the
@@ -94,18 +94,17 @@ class IterationTrace:
 
     A trace only exists for an intact chain: a bend beyond slack raises
     OrderingError at the step where it happens.  A step's record is its
-    plain step's or, after a restart, the kept point's, whose defect_norm
-    is max|A v - S(v)| from the point's certificate image.  restarts
-    counts the kept points of (lower, upper), and refusals the points
-    tried and not kept: points that moved their side by more than tol
-    and were refused by the certificate, the backward check or the
-    ordering, and failed shifted CG solves.  A point within tol of its
-    iterate is neither, and neither is an upper point from the shared
-    start that is discarded (see _kept_points): the attempt from the
-    iterate after it is what counts.
-    cg_iterations counts the CG iterations of each side's linear solves,
-    the plain steps' and the shifted ones' together, a discarded
-    attempt's included.
+    plain step's (D = 0, as at step 1) or, after a restart, the kept
+    point's, whose defect_norm is max|A v - S(v)| from the point's
+    certificate image.  restarts counts the kept points of (lower,
+    upper), and refusals the points tried and not kept: points that
+    moved their side by more than tol and were refused by the
+    certificate, the backward check or the ordering, and failed shifted
+    CG solves.  A point within tol of its iterate is neither, and neither
+    is an upper point from the shared start that is discarded (see
+    _kept_points): the attempt from the iterate after it is what counts.
+    cg_iterations counts the CG iterations of each side's solves, with
+    D = 0 or not, a discarded attempt's included.
     """
 
     lower_steps: list
@@ -316,33 +315,44 @@ def _least_slope(problem, lower, upper):
     return slope
 
 
-def _shifted_point(problem, x, psi, ax, shift, tol, lower=None):
-    """(J^-1 (S(x) - M D x), SolveReport, shared), J = A - M diag(D), shift = m D.
+def _solve_sides(problem, u, psi, action, sides, shift, tol, cg):
+    """({side: (v, SolveReport)}, shared): one step's solves for sides.
 
-    psi is S(x) and ax is A x, so the solve starts from x with no
-    product of its own.  lower, if given, is the lower side's
-    (x_l, S(x_l), v_l, J v_l) on the same J, and the solve starts from
-    rho v_l instead where _shared_start prefers it; shared says whether
-    it did.  The point is None when CG fails on J, which need not be
-    positive definite; the report's iterations count either way.
+    shift is m D, and side i solves J v = S(u_i) - M D u_i with
+    J = A - M diag(D), from u_i, whose A u_i is action[i]; shift None is
+    the plain step, J = A and v = T(S(u_i)).  The lower side solves
+    first.  Where both do, the upper one starts from rho v_l instead, v_l
+    the lower side's solution and rho = b_u.b_l / b_l.b_l for the two
+    right-hand sides, where _shared_start prefers it; shared says whether
+    it did.  A plain step solves to tol or raises ConvergenceError; a
+    shifted solve that fails, as CG may on a J that is not positive
+    definite, gives v = None.  Each side's CG iterations are added to cg.
     """
-    mdx = shift * x
-    b = psi.values - mdx
-    jx = np.subtract(ax, mdx, out=mdx)  # J x, in the buffer of M D x
-    x0, jx0 = x, jx
-    if lower is not None:
-        x_l, psi_l, v_l, jv_l = lower
-        b_l = psi_l.values - shift * x_l
-        x0, jx0 = _shared_start(_projection(b, b_l), (v_l, jv_l), (x, jx), b)
-        del b_l
-    del jx
-    shared = x0 is not x
-    rhs = Field(problem.domain, b)
-    try:
-        v, report = solve_T(problem.linear, rhs, tol=tol, x0=x0, Ax0=jx0, shift=shift)
-    except ConvergenceError as exc:
-        return None, exc.report, shared
-    return v, report, shared
+    solved, shared, lower = {}, False, None
+    for i in sides:
+        x0, jx0, b = u[i], action[i], psi[i]
+        if shift is not None:
+            jx0 = shift * x0  # M D x, then J x in its buffer
+            b = Field(problem.domain, b.values - jx0)
+            np.subtract(action[i], jx0, out=jx0)
+        if lower:  # the upper side, with the lower side's [v_l, J v_l, b_l]
+            if shift is None:  # a fresh A x, which _shared_start writes into
+                jx0 = problem.domain.L.product(x0, problem.linear.diagonal)
+            rho = _projection(b.values, lower.pop())
+            x0, jx0 = _shared_start(rho, lower, (x0, jx0), b.values)
+            shared = x0 is not u[i]
+        try:
+            v, report = solve_T(problem.linear, b, tol=tol, x0=x0, Ax0=jx0, shift=shift)
+        except ConvergenceError as exc:
+            if shift is None:
+                raise
+            v, report = None, exc.report
+        del x0, jx0  # a shared start's two vectors die here
+        cg[i] += report.iterations
+        if i == 0 and v is not None:
+            lower = [v, report.Ax, b.values]
+        solved[i] = v, report
+    return solved, shared
 
 
 def _certified(problem, sign, v, u, image, tol):
@@ -393,64 +403,43 @@ def _ordered(u, kept):
 def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg):
     """{side: (v, (A v, S(v))) if kept, else None} for the points tried.
 
-    Each side in sides gets its point from _shifted_point, with D taken
+    Each side in sides gets its point from _solve_sides, with D taken
     over the current pair u and CG run to max(linear_tol, min(1e-2, w^2)),
     w = max(upper - lower): the solve gets as accurate as the pair is
-    narrow, and a looser point can only be refused, never trusted.  The
-    lower side solves first, from its iterate; the upper one from
-    rho v_l, the lower side's point scaled (see _shared_start), where
-    that start's residual beats its iterate's.  Both solve with the same
-    J, and near the limit v_l lies about w^2 from the upper side's point
-    where the iterate lies about w away: the projection start for
-    systems that share a matrix (Chan and Wan, SIAM J. Sci. Comput. 18,
-    1997).  The CG iterations are added to cg.  A point within tol of
-    its iterate is not tried: it gets no image and no certificate, and
-    its side takes the plain step.  A failed solve is tried and not
-    kept.  Any other point is kept if _verdict accepts it, from its
-    (A v, S(v)), formed once; the kept points stand only if the pair
-    they leave stays ordered.  An upper point from the shared start that
-    is tried and not kept, failed or refused by _verdict or the
-    ordering, is discarded, and the upper side solves again from its
-    iterate, so the outcome, a refusal included, is that attempt's; cg
-    counts both.
+    narrow, and a looser point can only be refused, never trusted.  Both
+    sides solve with the same J, and near the limit the lower side's
+    point lies about w^2 from the upper side's where the upper iterate
+    lies about w away: the projection start for systems that share a
+    matrix (Chan and Wan, SIAM J. Sci. Comput. 18, 1997).  A point
+    within tol of its iterate is not tried: it gets no image and no
+    certificate, and its side takes the plain step.  A failed solve is
+    tried and not kept.  Any other point is kept if _verdict accepts it,
+    from its (A v, S(v)), formed once; the kept points stand only if the
+    pair they leave stays ordered.  An upper point from the shared start
+    that is tried and not kept is discarded, and the upper side solves
+    again from its iterate, so the outcome, a refusal included, is that
+    attempt's; cg counts both.
     """
     width = float((u[1] - u[0]).max())
     eta = max(linear_tol, min(1e-2, width * width))
     shift = problem.domain.mass * _least_slope(problem, *u)
 
-    def solve(i, lower=None):
-        v, report, shared = _shifted_point(
-            problem, u[i], psi[i], action[i], shift, eta, lower
-        )
-        cg[i] += report.iterations
-        return v, report, shared
-
     def tried(i, v):  # a failed solve is; a point within tol of u[i] is not
         return v is None or float(np.abs(v - u[i]).max()) > tol
 
-    points, shared = {}, False  # shared: the upper solve's, the last
-    lower = None  # the lower side's (x, S(x), v, J v), once solved
-    for i in sides:
-        v, report, shared = solve(i, lower)
-        if i == 0 and v is not None:
-            lower = u[0], psi[0], v, report.Ax
-        del report
-        if tried(i, v):
-            points[i] = v
-    del lower
-    kept = {
-        i: _verdict(problem, i, v, u[i], restart_tol, slack) for i, v in points.items()
-    }
-    if shared and 1 in points and not (kept[1] and _ordered(u, kept)):
-        del points[1], kept[1]  # the shared attempt is discarded
-        v, _, _ = solve(1)
-        if tried(1, v):
-            points[1] = v
-            kept[1] = _verdict(problem, 1, v, u[1], restart_tol, slack)
+    kept, todo = {}, sides
+    while todo:  # twice at most: a discarded shared point is solved again
+        solved, shared = _solve_sides(problem, u, psi, action, todo, shift, eta, cg)
+        points = {i: v for i, (v, _) in solved.items() if tried(i, v)}
+        del solved  # the reports' J v
+        for i, v in points.items():
+            kept[i] = _verdict(problem, i, v, u[i], restart_tol, slack)
+        todo = []
+        if shared and 1 in points and not (kept[1] and _ordered(u, kept)):
+            del points, v, kept[1]  # the shared attempt, the last v, is discarded
+            todo = [1]
     del shift
-    if not _ordered(u, kept):
-        kept = {}
-    return {i: kept.get(i) for i in points}
+    return kept if _ordered(u, kept) else dict.fromkeys(kept)
 
 
 def _projection(b, b_l):
@@ -489,29 +478,29 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     did not go down, the upper side did not go up, and lower <= upper.
     A converged side stays frozen at its last iterate.
 
-    At every step but the first and the last, each running side first
-    solves for its shifted point (see _kept_points): one CG solve on
-    J = A - M diag(D) with A's preconditioner, the lower side's warm
-    started from the iterate's own A x and S(x), and the upper side's
-    from the lower side's point scaled where that start leaves a smaller
-    residual; a shared point that is not kept is discarded, and the
-    upper side solves again from its iterate.  A point within tol of
-    the iterate is not tried.  Any other point becomes the side's step
-    if _certified finds it a lower (upper) solution that no solution in
-    the bracket lies beyond, it moves its side back by at most the
-    slack, and the pair stays ordered.  The point is certified at tol, or at
-    ORDERING_SLACK * min(m a) / max(m a) if that is smaller, so that the
-    plain step after it cannot move back beyond the slack.  Otherwise
-    the side takes the plain step T(S(.)), with T solved to tol / 100.
-    Step 1 has no A x at hand.  Its lower solve starts from the bracket
-    end, and its upper one, by the same rule (_shared_start with J = A),
-    from rho x_l, x_l the lower side's solution and rho =
-    S(upper).S(lower) / S(lower).S(lower), wherever that start leaves a
-    smaller residual than the bracket end: with S(upper) parallel to
-    S(lower), as with constant f, h and bracket ends, it already solves
-    the upper equation.  solve_T's stop rule and true-residual re-check
-    are the same from either start, so the start moves only the CG count
-    and the last bits of the iterate.
+    _solve_sides makes every solve, on J = A - M diag(D) with A's
+    preconditioner, the lower side first and warm started from the
+    iterate's own A x and S(x).  Where both sides solve one J, the upper
+    side starts from rho v_l, v_l the lower side's solution and rho =
+    b_u.b_l / b_l.b_l for the two right-hand sides, wherever that start
+    leaves a smaller residual than its iterate (see _shared_start).
+    solve_T's stop rule and true-residual re-check are the same from
+    either start, so the start moves only the CG count and the last bits
+    of the iterate.  Step 1 is the unshifted case, D = 0, for both sides:
+    the plain step T(S(.)), with T solved to tol / 100; with S(upper)
+    parallel to S(lower), as with constant f, h and bracket ends, the
+    upper start already solves its equation.  At every later step but
+    the last, the running sides first solve for their shifted points
+    (see _kept_points); a shared point that is not kept is discarded,
+    and the upper side solves again from its iterate.  A point within
+    tol of the iterate is not tried.  Any other point becomes the side's
+    step if _certified finds it a lower (upper) solution that no
+    solution in the bracket lies beyond, it moves its side back by at
+    most the slack, and the pair stays ordered.  The point is certified
+    at tol, or at ORDERING_SLACK * min(m a) / max(m a) if that is
+    smaller, so that the plain step after it cannot move back beyond the
+    slack.  Otherwise the side takes the plain step, alone: a later
+    plain step shares no start.
     A side stops on a step that moves it by at most tol, which a kept
     point never does.  The bracket rule runs on the input bracket only,
     in make_bracket, and the limits are checked against the input
@@ -527,7 +516,6 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     domain = problem.domain
-    linear = problem.linear
     if not mesh_quality(domain).is_m_matrix_compatible:
         raise ValueError(
             "domain is not M-matrix compatible; the chain ordering is not "
@@ -567,11 +555,9 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     refusals = [0, 0]
     cg = [0, 0]
     for k in range(1, max_steps + 1):
-        tried = {}
-        # plain at step 1, which has no A x at hand, and at the last step,
-        # whose recorded iterate is a plain step's
-        if 1 < k < max_steps:
-            sides = [i for i in (0, 1) if not converged[i]]
+        sides = [i for i in (0, 1) if not converged[i]]
+        tried, plain = {}, {}
+        if 1 < k < max_steps:  # the last step's recorded iterate is a plain step's
             tried = _kept_points(
                 problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg
             )
@@ -587,16 +573,12 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 u[i] = v
                 restarts[i] += 1
             else:
-                x0, ax0 = u[i], action[i]
-                if k == 1 and i == 1:  # see _shared_start, with J = A
-                    own = u[1], linear.domain.L.product(u[1], linear.diagonal)
-                    x0, ax0 = _shared_start(rho, (u[0], action[0]), own, psi[1].values)
-                    del own
-                x, report = solve_T(linear, psi[i], tol=linear_tol, x0=x0, Ax0=ax0)
-                del x0, ax0  # a shared start's two vectors die here
-                if k == 1 and i == 0:  # taken while psi[0] is still S(lower)
-                    rho = _projection(psi[1].values, psi[0].values)
-                cg[i] += report.iterations
+                if i not in plain:  # both sides at step 1, later one side alone
+                    plain, _ = _solve_sides(
+                        problem, u, psi, action, sides if k == 1 else [i], None,
+                        linear_tol, cg,
+                    )
+                x, report = plain.pop(i)
                 gap = float((sign * (u[i] - x)).max())
                 require(gap, f"{name} sequence not monotone at step {k}")
                 change = float(np.abs(x - u[i]).max())

@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import re
 import tracemalloc
 
@@ -7,7 +9,6 @@ import pytest
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
 from subsup.iteration import bracket_failures
-from subsup.linear_operator import SolveReport
 from subsup.scenario import build_problem, load_scenario
 
 from tests.conftest import make_constant_problem
@@ -288,7 +289,10 @@ class TestIterateMonotone:
         assert not pair.coincide
         # step 2 tries the lower side's point first, then the upper one's
         point = np.full(domain.vertex_count, overshoot)
-        inject_restart_point(monkeypatch, call, point)
+        def inject(solve):
+            return point.copy() if solve.number == call else None
+
+        replace_shifted_points(monkeypatch, inject)
         rates = spy_contraction_rate(monkeypatch)
         pair, _ = iterate_monotone(prob, br, tol=1e-9)
         (rate,) = [r for v, r in rates if np.array_equal(v, point)]
@@ -296,7 +300,7 @@ class TestIterateMonotone:
         assert np.abs(pair.u_star.values - minimal).max() <= 1e-8
         assert np.abs(pair.u_upper_star.values - maximal).max() <= 1e-8
         # the defect bound alone passes a point past the extreme solution
-        inject_restart_point(monkeypatch, call, point)
+        replace_shifted_points(monkeypatch, inject)
         spy_contraction_rate(monkeypatch, rate=0.0)
         pair, _ = iterate_monotone(prob, br, tol=1e-9)
         assert pair.coincide
@@ -421,19 +425,48 @@ def spy_solves(monkeypatch, record=x0_and_iterations):
     return solves
 
 
-def spy_shared_points(monkeypatch):
-    """Record every point that a shifted solve returns from the shared start."""
-    real = subsup.iteration._shifted_point
-    points = []
+ShiftedSolve = collections.namedtuple("ShiftedSolve", "number side shared x v")
 
-    def shifted_point(*args):
-        v, report, shared = real(*args)
-        if shared and v is not None:
-            points.append(v)
-        return v, report, shared
 
-    monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
-    return points
+def replace_shifted_points(monkeypatch, replace=lambda solve: None):
+    """Route the iteration's shifted solves through replace; return their records.
+
+    A shifted solve is a solve_T call with a shift.  They are numbered
+    from 1, and step 2, the first step with any, solves the lower side's
+    point first, then the upper one's.  replace gets each solve's
+    ShiftedSolve: its number, its side, whether it started from the
+    shared start, the side's iterate x and the solution v.  It returns
+    the point the solve gives instead, or None for v.  A given point
+    keeps the solve's report but for its J v, J = A - diag(shift), from
+    which the upper side's solve may start.  Each record is a solve's
+    ShiftedSolve with v what it gave; a failed solve's ConvergenceError
+    passes through and leaves none.
+    """
+    real_sides, real_solve = subsup.iteration._solve_sides, subsup.iteration.solve_T
+    iterates, records = {}, []
+
+    def solve_sides(problem, u, *args):
+        iterates["u"] = u
+        return real_sides(problem, u, *args)
+
+    def solve_T(problem, b, **kwargs):
+        v, report = real_solve(problem, b, **kwargs)
+        shift = kwargs.get("shift")
+        if shift is None:
+            return v, report
+        x0, u = kwargs["x0"], iterates["u"]
+        side = 0 if x0 is u[0] else 1
+        solve = ShiftedSolve(len(records) + 1, side, x0 is not u[side], u[side], v)
+        point = replace(solve)
+        if point is not None:
+            jv = problem.domain.L.product(point, problem.diagonal - shift)
+            v, report = point, dataclasses.replace(report, Ax=jv)
+        records.append(solve._replace(v=v))
+        return v, report
+
+    monkeypatch.setattr(subsup.iteration, "_solve_sides", solve_sides)
+    monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+    return records
 
 
 class TestSharedStart:
@@ -520,24 +553,22 @@ class TestSharedStart:
         # as without the shared start
         problem, br, tol = shipped(SCENARIOS[1])
         _, unforced = iterate_monotone(problem, br, tol=tol)
-        real_point = subsup.iteration._shifted_point
         real_certified = subsup.iteration._certified
         refused = []
 
-        def shifted_point(*args):
-            v, report, shared = real_point(*args)
-            if shared and not refused:
-                _, _, v_l, _ = args[-1]  # the lower side's solve
-                refused.append(v if by == "certificate" else 0.5 * v_l)
-                return refused[0], report, shared
-            return v, report, shared
+        def replace(solve):
+            if solve.shared and not refused:
+                v_l = records[-1].v  # the lower side's point of that step
+                refused.append(solve.v if by == "certificate" else 0.5 * v_l)
+                return refused[0]
+            return None
 
         def certified(problem, sign, v, u, image, tol):
             if refused and v is refused[0]:
                 return by == "ordering"
             return real_certified(problem, sign, v, u, image, tol)
 
-        monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
+        records = replace_shifted_points(monkeypatch, replace)
         monkeypatch.setattr(subsup.iteration, "_certified", certified)
         solves = spy_solves(
             monkeypatch,
@@ -758,35 +789,6 @@ def spy_certificate(monkeypatch, verdict=None):
     return calls
 
 
-def made_point(problem, v, shift):
-    """_shifted_point's (v, report, shared) for a point v that a test makes.
-
-    It took no CG iteration, its report holds J v for J = A - diag(shift),
-    from which the upper side's solve may start, and it is an attempt
-    from the side's own start, which stands however it is judged.
-    """
-    jv = problem.domain.L.product(v, problem.linear.diagonal - shift)
-    return v, SolveReport(0, 0.0, [], jv), False
-
-
-def inject_restart_point(monkeypatch, call, point):
-    """Make the call-th shifted solve of the iteration return point.
-
-    Step 2, the first that tries points, solves for the lower side's
-    point first, then the upper one's.
-    """
-    real = subsup.iteration._shifted_point
-    calls = []
-
-    def shifted_point(problem, x, psi, ax, shift, *args):
-        calls.append(None)
-        if len(calls) == call:
-            return made_point(problem, point.copy(), shift)
-        return real(problem, x, psi, ax, shift, *args)
-
-    monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
-
-
 def spy_contraction_rate(monkeypatch, rate=None):
     """Record (point, rate) for every contraction rate the iteration computes.
 
@@ -827,13 +829,14 @@ class TestRestarts:
             problem = sphere3_problem(domain)
         br = make_bracket(problem, domain.field(0.01), domain.field(1.0))
         calls = spy_certificate(monkeypatch, lambda sign, v: False)
-        shared = spy_shared_points(monkeypatch)
+        records = replace_shifted_points(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=1e-9)
         rows, (lower, upper) = plain_iteration(problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
         # every point tried is refused, and a refused side takes its plain
         # step; an upper point from the shared start is discarded when
         # refused, and only the attempt from the iterate after it counts
+        shared = [solve.v for solve in records if solve.shared]
         own = [call for call in calls if not any(call[1] is v for v in shared)]
         assert shared and len(own) < len(calls)
         assert trace.refusals == tuple(
@@ -849,13 +852,9 @@ class TestRestarts:
         # three times the shifted step lands past the limit, on the far
         # side of the extreme solution
         problem, br, tol = shipped(path)
-        real = subsup.iteration._shifted_point
-
-        def overshoot(problem, x, *args):
-            v, report, shared = real(problem, x, *args)
-            return x + 3.0 * (v - x), report, shared
-
-        monkeypatch.setattr(subsup.iteration, "_shifted_point", overshoot)
+        replace_shifted_points(
+            monkeypatch, lambda solve: solve.x + 3.0 * (solve.v - solve.x)
+        )
         calls = spy_certificate(monkeypatch)
         pair, trace = iterate_monotone(problem, br, tol=tol)
         _, (lower, upper) = plain_iteration(problem, br, tol, tol / 100.0)
@@ -933,11 +932,7 @@ class TestRestarts:
         # a certificate that passed a lower point above the upper iterate
         # would let the chain cross; the restart is refused instead
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        monkeypatch.setattr(
-            subsup.iteration,
-            "_shifted_point",
-            lambda problem, x, psi, ax, shift, *args: made_point(problem, x + 1.0, shift),
-        )
+        replace_shifted_points(monkeypatch, lambda solve: solve.x + 1.0)
         calls = spy_certificate(monkeypatch, lambda sign, v: sign == 1)
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
         rows, _ = plain_iteration(torus_problem, br, 1e-9, 1e-11)
@@ -952,19 +947,21 @@ class TestRestarts:
         # the slack is refused, and the side takes its plain step.  Lower
         # iterates lie below the fixed point c*, upper ones above.
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        monkeypatch.setattr(
-            subsup.iteration,
-            "_shifted_point",
-            lambda problem, x, psi, ax, shift, *args: made_point(
-                problem, x + (-1e-6 if x.max() < c_star else 1e-6), shift
-            ),
+        records = replace_shifted_points(
+            monkeypatch,
+            lambda solve: solve.x + (-1e-6 if solve.x.max() < c_star else 1e-6),
         )
         calls = spy_certificate(monkeypatch, lambda sign, v: True)
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
         rows, _ = plain_iteration(torus_problem, br, 1e-9, 1e-11)
         assert calls and trace.restarts == (0, 0)
+        # a refused upper point from the shared start is discarded, and
+        # only the attempt from the iterate after it counts
+        shared = [solve.v for solve in records if solve.shared]
+        own = [call for call in calls if not any(call[1] is v for v in shared)]
+        assert shared and len(own) < len(calls)
         assert trace.refusals == tuple(
-            sum(call[0] == sign for call in calls) for sign in (1, -1)
+            sum(call[0] == sign for call in own) for sign in (1, -1)
         )
         assert trace.rows() == rows
 
@@ -1002,7 +999,7 @@ class TestRestarts:
         # solve's right-hand side and the two limits: no iterate is wrapped.
         scenario = load_scenario(path)
         _, problem, lower, upper = build_problem(scenario)
-        names = ["edge_product", "apply_S", "solve_T", "_shifted_point", "Field"]
+        names = ["edge_product", "apply_S", "solve_T", "Field"]
         counts = dict.fromkeys(names, 0)
 
         def counted(name, fn):
@@ -1018,9 +1015,10 @@ class TestRestarts:
         )
         field = subsup.geometry.Field
         monkeypatch.setattr(field, "__post_init__", counted("Field", field.__post_init__))
-        for name in ("apply_S", "solve_T", "_shifted_point"):
+        for name in ("apply_S", "solve_T"):
             fn = getattr(subsup.iteration, name)
             monkeypatch.setattr(subsup.iteration, name, counted(name, fn))
+        shifted = replace_shifted_points(monkeypatch)  # the solve_T calls with a shift
         br = make_bracket(problem, lower, upper, scenario.tol)
         calls = spy_certificate(monkeypatch)
         before = dict(counts)
@@ -1029,11 +1027,11 @@ class TestRestarts:
         plain = len(trace.lower_steps) + len(trace.upper_steps) - sum(trace.restarts)
         assert min(trace.restarts) > 0
         assert candidates == sum(trace.restarts) + sum(trace.refusals)
-        assert counts["solve_T"] == plain + counts["_shifted_point"]
+        assert counts["solve_T"] == plain + len(shifted)
         assert counts["edge_product"] == 2 + candidates
         assert counts["apply_S"] == 2 + 2 + plain + candidates
         fields, run_S = (counts[k] - before[k] for k in ("Field", "apply_S"))
-        assert fields == run_S + counts["_shifted_point"] + 2
+        assert fields == run_S + len(shifted) + 2
 
     def test_a_side_never_stops_on_a_point_that_does_not_move(
         self, monkeypatch, torus_problem, torus8
@@ -1043,11 +1041,7 @@ class TestRestarts:
         # a copy here: none is certified, kept or refused, and each side
         # takes its plain steps, those of the restart-free run.
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        monkeypatch.setattr(
-            subsup.iteration,
-            "_shifted_point",
-            lambda problem, x, psi, ax, shift, *args: made_point(problem, x.copy(), shift),
-        )
+        replace_shifted_points(monkeypatch, lambda solve: solve.x.copy())
         calls = spy_certificate(monkeypatch)
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
         rows, (lower, upper) = plain_iteration(torus_problem, br, 1e-9, 1e-11)
@@ -1063,16 +1057,9 @@ class TestRestarts:
         # plain step at step 2.  tol = 1e-8 lies above the ordering slack,
         # 1e-9 here, so the test tells the two apart.
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        real = subsup.iteration._shifted_point
-        points = []
-
-        def shifted_point(problem, x, psi, ax, shift, *args):
-            if points:
-                return real(problem, x, psi, ax, shift, *args)
-            points.append(x + 0.5e-8)
-            return made_point(problem, points[0].copy(), shift)
-
-        monkeypatch.setattr(subsup.iteration, "_shifted_point", shifted_point)
+        records = replace_shifted_points(
+            monkeypatch, lambda solve: solve.x + 0.5e-8 if solve.number == 1 else None
+        )
         real_image = subsup.iteration._image
         images = []
 
@@ -1085,9 +1072,10 @@ class TestRestarts:
         _, trace = iterate_monotone(torus_problem, br, tol=1e-8)
         rows, _ = plain_iteration(torus_problem, br, 1e-8, 1e-10)
         assert trace.converged and trace.refusals == (0, 0)
+        point = records[0].v
         assert images and calls
-        assert not any(np.array_equal(v, points[0]) for v in images)
-        assert not any(np.array_equal(v, points[0]) for _, v, _, _ in calls)
+        assert not any(np.array_equal(v, point) for v in images)
+        assert not any(np.array_equal(v, point) for _, v, _, _ in calls)
         # step 1 and the lower side's step 2 are the restart-free run's
         assert trace.rows()[:3] == rows[:3]
 
@@ -1104,7 +1092,9 @@ class TestRestarts:
         allowance = 1e-9 * np.abs(torus8.mass * 2.0 * point).max()
         assert 0.1 * allowance < d.max() < 0.2 * allowance
         assert bracket_failures(torus_problem, point, None, 1e-9) == (None, None)
-        inject_restart_point(monkeypatch, 1, point)
+        replace_shifted_points(
+            monkeypatch, lambda solve: point.copy() if solve.number == 1 else None
+        )
         rates = spy_contraction_rate(monkeypatch, rate)
         accepted = spy_restarts(monkeypatch)
         iterate_monotone(torus_problem, br, tol=1e-9)
@@ -1138,7 +1128,10 @@ class TestRestarts:
         assert not certified(torus_problem, sign, point, iterate, image(point), 1e-9)
         # and in a run, as the side's first restart point
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        inject_restart_point(monkeypatch, side + 1, point)
+        replace_shifted_points(
+            monkeypatch,
+            lambda solve: point.copy() if solve.number == side + 1 else None,
+        )
         calls = spy_certificate(monkeypatch)
         accepted = spy_restarts(monkeypatch)
         _, trace = iterate_monotone(torus_problem, br, tol=1e-9)
@@ -1146,6 +1139,44 @@ class TestRestarts:
         verdicts = [result for _, v, _, result in calls if np.array_equal(v, point)]
         assert verdicts == [False]
         assert not any(np.array_equal(p, point) for _, p in accepted)
+
+    @pytest.mark.parametrize(
+        "case,max_steps,counts",
+        [
+            ("shipped_torus", 500, (7, (5, 5), (0, 0), (8, 0), True)),
+            ("shipped_sphere", 500, (7, (5, 5), (0, 0), (21, 1), True)),
+            ("torus16_variable", 500, (7, (5, 5), (0, 0), (20, 5), True)),
+            ("near_fold_torus", 500, (15, (7, 5), (1, 4), (15, 12), True)),
+            ("near_fold_torus", 5, (5, (2, 0), (1, 0), (6, 4), False)),
+            ("near_fold_torus", 8, (8, (4, 0), (1, 2), (9, 9), False)),
+            ("near_fold_torus", 10, (10, (4, 0), (1, 4), (11, 13), False)),
+        ],
+    )
+    def test_counts_are_the_parents(self, case, max_steps, counts, torus8):
+        # (steps, restarts, refusals, cg_iterations, converged) as the
+        # iteration gave them when step 1 had a solve of its own, apart
+        # from the restart solve: step 1 as the D = 0 case of one solve
+        # routine keeps every solve's start, so every count.  The
+        # variable-coefficient and truncated runs are pinned nowhere else.
+        if case == "torus16_variable":
+            domain = subsup.build_flat_torus([(16, 1.0)] * 3)
+            problem = subsup.NonlinearProblem(
+                domain,
+                subsup.parse_coefficient("2+0.3*sin(6.283185307179586*x)", domain),
+                subsup.parse_coefficient("0.5+0.2*cos(6.283185307179586*y)", domain),
+                0.5,
+                ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+            )
+            br, tol = make_bracket(problem, domain.field(0.01), domain.field(1.0)), 1e-9
+        elif case == "near_fold_torus":
+            problem, br, tol = benchmark_problem(torus8, "1.0001")
+        else:
+            problem, br, tol = shipped(SCENARIOS[case == "shipped_sphere"])
+        _, trace = iterate_monotone(problem, br, tol=tol, max_steps=max_steps)
+        assert (
+            trace.steps, trace.restarts, trace.refusals, trace.cg_iterations,
+            trace.converged,
+        ) == counts
 
     @pytest.mark.parametrize("max_steps", range(5, 11))
     def test_returns_the_last_recorded_iterate(self, max_steps, torus8):
