@@ -122,6 +122,7 @@ def cmd_solve(args, scenario):
         "converged": bool(trace.converged),
         "residuals": dict(zip(SIDES, residuals)),
         "coincide": bool(pair.coincide),
+        "enclosure_width": trace.enclosure_width,
         "min_u_star": min_u_star,
         "wall_time": float(wall),
     }

@@ -37,9 +37,14 @@ Anal. 19, 1982).  The lower sequence stays below every solution in the
 bracket and the upper one above, as without restarts, and the limits
 are still the minimal and maximal solutions.  A point within tol of
 its iterate is not tried, and its side takes the plain step, so every
-kept point moves its side by more than tol and one rule stops a side:
-a step that moves it by at most tol.  The iteration keeps only the
-current pair, no history.
+kept point moves its side by more than tol.  Two rules stop the run.
+Both sides stop on a verified enclosure (see _enclosure): a pair at
+most tol wide whose points are a lower and an upper solution, so that
+every solution in the bracket lies between them.  Otherwise a side
+stops on a step that moves it by at most tol, always a plain one; that
+rule ends the runs whose bracket holds several solutions, where the
+pair never narrows.  The iteration keeps only the current pair, no
+history.
 """
 
 from __future__ import annotations
@@ -104,7 +109,9 @@ class IterationTrace:
     is an upper point from the shared start that is discarded (see
     _kept_points): the attempt from the iterate after it is what counts.
     cg_iterations counts the CG iterations of each side's solves, with
-    D = 0 or not, a discarded attempt's included.
+    D = 0 or not, a discarded attempt's included.  enclosure_width is
+    max(U - u) of the verified enclosure the run stopped on (see
+    _enclosure), or None where it stopped on none.
     """
 
     lower_steps: list
@@ -114,6 +121,7 @@ class IterationTrace:
     restarts: tuple
     refusals: tuple
     cg_iterations: tuple
+    enclosure_width: float | None
 
     def rows(self):
         """Per-step rows for the CSV export, by step, lower before upper."""
@@ -136,6 +144,8 @@ class IterationTrace:
 
 @dataclass(eq=False)
 class SolutionPair:
+    """The limits; coincide says the run stopped on a verified enclosure."""
+
     u_star: Field
     u_upper_star: Field
     residual_lower: float
@@ -163,14 +173,17 @@ class SolutionPair:
         write_csv(path, ["vertex", "u_star", "u_upper_star"], columns)
 
 
-def _image(problem, v):
-    """(A v, S(v)) for an array v, A = L + M diag(a) with L v in edge form."""
+def _image(problem, v, psi=None):
+    """(A v, S(v)) for an array v, A = L + M diag(a) with L v in edge form.
+
+    S(v) is psi where the caller already has it.
+    """
     av = problem.domain.L.edge_product(v)
     av += problem.domain.mass * problem.a.values * v
-    return av, apply_S(problem, v)
+    return av, apply_S(problem, v) if psi is None else psi
 
 
-def defect(problem, v):
+def defect(problem, v, psi=None):
     """Weak-form residual (L + M diag(a)) v - S(v), entrywise.
 
     Nonpositive everywhere means v is a lower solution, nonnegative an
@@ -178,8 +191,9 @@ def defect(problem, v):
     nonnegative test function is a nonnegative combination of them.
     L v takes the edge form of SlotLayout.edge_product, exactly 0 on
     constants, so its roundoff does not swamp M a v on small meshes.
+    psi, where given, is S(v), which is then not formed again.
     """
-    av, psi = _image(problem, problem.domain.field(v).values)
+    av, psi = _image(problem, problem.domain.field(v).values, psi)
     return Field(problem.domain, av - psi.values)
 
 
@@ -205,8 +219,9 @@ class BracketFailure:
 def bracket_failures(problem, lower, upper, tol):
     """The first failure at each end of a candidate bracket, or None.
 
-    The one bracket rule for input brackets, used by make_bracket;
-    returns (lower failure, upper failure).  An end given as None is
+    The one bracket rule: make_bracket runs it on input brackets, and
+    _enclosure its _end_failure on the iteration's points; returns
+    (lower failure, upper failure).  An end given as None is
     not checked; "zero" and "unordered" need both ends.  Each end stops
     at the first check that fails, in this order:
 
@@ -226,7 +241,8 @@ def bracket_failures(problem, lower, upper, tol):
     )
 
 
-def _end_failure(problem, side, v, upper, tol):
+def _end_failure(problem, side, v, upper, tol, psi=None):
+    """bracket_failures' verdict on one end v; psi is S(v) where known."""
     if v.min() < 0.0:
         return BracketFailure("negative", int(np.argmin(v)))
     if upper is not None and v.max() <= 0.0:
@@ -236,7 +252,7 @@ def _end_failure(problem, side, v, upper, tol):
     sign = 1 if side == "lower" else -1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            d = defect(problem, v).values
+            d = defect(problem, v, psi).values
     except ValueError:  # no check can be made: the input is at fault
         raise ValueError(
             f"'bracket.{side}' overflows: S({side}) = f F({side}) + h H({side}) "
@@ -442,6 +458,28 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     return kept if _ordered(u, kept) else dict.fromkeys(kept)
 
 
+def _enclosure(problem, u, psi, kept, tol, restart_tol):
+    """max(U - u) if the pair u is a verified enclosure within tol, else None.
+
+    The chain keeps every solution in the bracket between the two sides.
+    The pair must be at most tol wide, and each of its points a verified
+    lower (upper) solution, whatever rounding and inexact solves did, so
+    that a solution lies between them: a point kept this step (kept[i])
+    is one by _certified; any other, a plain step's or a frozen side's,
+    must pass the bracket rule at restart_tol, from its S(v), psi[i].
+    The rule runs only on a pair that narrow.
+    """
+    width = float((u[1] - u[0]).max())
+    if width > tol:
+        return None
+    failures = (
+        _end_failure(problem, side, u[i], None, restart_tol, psi[i])
+        for i, side in enumerate(("lower", "upper"))
+        if not kept.get(i)
+    )
+    return None if any(failures) else width
+
+
 def _projection(b, b_l):
     """rho = b.b_l / b_l.b_l, the multiple of b_l nearest to b; nan or inf
     where b_l is 0 or the products overflow."""
@@ -501,10 +539,17 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     smaller, so that the plain step after it cannot move back beyond the
     slack.  Otherwise the side takes the plain step, alone: a later
     plain step shares no start.
-    A side stops on a step that moves it by at most tol, which a kept
-    point never does.  The bracket rule runs on the input bracket only,
-    in make_bracket, and the limits are checked against the input
-    bracket (the sandwich).
+    Two rules stop the iteration.  Both sides stop on the first step
+    that leaves a verified enclosure (see _enclosure): the pair is at
+    most tol wide, and each point is a kept one, verified by its
+    certificate, or passes the bracket rule at the certificate's tol;
+    every solution in the bracket then lies between the two.  Otherwise
+    a side stops on a step that moves it by at most tol, which a kept
+    point never does; this ends a run whose bracket holds several
+    solutions, where the pair never narrows.  pair.coincide says the run
+    stopped on an enclosure, and trace.enclosure_width is its width, or
+    None.  The limits are checked against the input bracket (the
+    sandwich).
 
     Returns (SolutionPair, IterationTrace).  Non-convergence within
     max_steps is reported through the trace's converged flag, not an
@@ -590,7 +635,8 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
             )
         require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
-        if all(converged):
+        width = _enclosure(problem, u, psi, tried, tol, restart_tol)
+        if width is not None or all(converged):
             break
 
     u_star, u_upper_star = u
@@ -609,15 +655,16 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
         u_upper_star=Field(domain, u_upper_star),
         residual_lower=records[0][-1].defect_norm,
         residual_upper=records[1][-1].defect_norm,
-        coincide=bool(np.abs(u_upper_star - u_star).max() <= 10.0 * tol),
+        coincide=width is not None,
     )
     trace = IterationTrace(
         lower_steps=records[0],
         upper_steps=records[1],
         steps=k,
-        converged=all(converged),
+        converged=width is not None or all(converged),
         restarts=tuple(restarts),
         refusals=tuple(refusals),
         cg_iterations=tuple(cg),
+        enclosure_width=width,
     )
     return pair, trace

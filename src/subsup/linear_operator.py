@@ -323,7 +323,11 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     while True:
         if not resid > stop:  # a NaN residual too, which stalls out here
             # the recurrence residual can drift from the true one; re-check,
-            # and start a new sweep from the true residual if it fails
+            # and start a new sweep from the true residual if it fails.  The
+            # old residual and search direction go first, so that they do not
+            # add to the product's peak memory
+            del r
+            p = None
             Ax = product(x, diagonal)
             r = b - Ax
             resid = _norm(r)
@@ -338,7 +342,6 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
                     f"{STALL_SWEEPS} sweeps went below {lowest:.3e} "
                     f"(target {stop:.3e})"
                 )
-            p = None
             continue
         if iterations >= cap:
             fail(

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-CHUNK = 4096
+CHUNK = 1024
 
 
 def format_float(x):

@@ -504,6 +504,8 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is True
         assert summary["coincide"] is True
+        # the run stopped on a verified pair within the scenario's tol
+        assert 0.0 <= summary["enclosure_width"] <= 1e-9
         assert "ordering_violations" not in summary
         assert summary["min_u_star"] > 0.0
         assert summary["bracket_verified"] == [True, True]
@@ -582,6 +584,7 @@ class TestSolve:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
         assert summary["steps"] == 2
+        assert summary["enclosure_width"] is None and summary["coincide"] is False
         assert (out / "solution.csv").exists()
 
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
@@ -536,7 +537,7 @@ class TestSharedStart:
         solves = spy_solves(monkeypatch, record)
         _, trace = iterate_monotone(problem, br, tol=tol)
         shifted = [entry for entry in solves if entry]
-        assert trace.steps == 7 and len(shifted) == 2 * (trace.steps - 1)
+        assert trace.steps == 6 and len(shifted) == 2 * (trace.steps - 1)
         for (b_l, _, v_l), (b_u, x0, _) in zip(shifted[0::2], shifted[1::2]):
             rho = dot(b_u, b_l) / dot(b_l, b_l)
             assert np.array_equal(x0, rho * v_l)
@@ -904,9 +905,8 @@ class TestRestarts:
     def test_a_kept_point_is_the_step(self, monkeypatch):
         # icosphere 5 with a = c + 0.5 z, c drawn as the benchmark's seed-0
         # sphere: every point tried is kept, so each step of a side is one
-        # solve, except its last, which holds a shifted solve whose point
-        # lies within tol and its plain step; these leave a pair narrower
-        # than 1e-11
+        # solve, and the run stops on step 6's kept points, a verified pair
+        # narrower than 1e-11
         problem, br, _ = benchmark_problem(
             subsup.build_icosphere(5, 1.0), "2.036997641311417+0.5*z"
         )
@@ -919,10 +919,11 @@ class TestRestarts:
 
         monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
         pair, trace = iterate_monotone(problem, br, tol=1e-9)
-        assert trace.converged and trace.steps == 7
+        assert trace.converged and trace.steps == 6
         assert trace.restarts == (5, 5) and trace.refusals == (0, 0)
-        assert len(trace.lower_steps) == len(trace.upper_steps) == 7
-        assert len(solves) == 7 + 7 + 2
+        assert len(trace.lower_steps) == len(trace.upper_steps) == 6
+        assert len(solves) == 6 + 6
+        assert trace.enclosure_width < 1e-11
         assert sum(trace.cg_iterations) <= 60
         assert (pair.u_upper_star.values - pair.u_star.values).max() < 1e-11
 
@@ -1143,21 +1144,22 @@ class TestRestarts:
     @pytest.mark.parametrize(
         "case,max_steps,counts",
         [
-            ("shipped_torus", 500, (7, (5, 5), (0, 0), (8, 0), True)),
-            ("shipped_sphere", 500, (7, (5, 5), (0, 0), (21, 1), True)),
-            ("torus16_variable", 500, (7, (5, 5), (0, 0), (20, 5), True)),
-            ("near_fold_torus", 500, (15, (7, 5), (1, 4), (15, 12), True)),
+            ("shipped_torus", 500, (6, (5, 5), (0, 0), (6, 0), True)),
+            ("shipped_sphere", 500, (6, (5, 5), (0, 0), (19, 1), True)),
+            ("torus16_variable", 500, (6, (5, 5), (0, 0), (17, 5), True)),
+            ("near_fold_torus", 500, (14, (7, 5), (1, 4), (15, 12), True)),
             ("near_fold_torus", 5, (5, (2, 0), (1, 0), (6, 4), False)),
             ("near_fold_torus", 8, (8, (4, 0), (1, 2), (9, 9), False)),
             ("near_fold_torus", 10, (10, (4, 0), (1, 4), (11, 13), False)),
         ],
     )
     def test_counts_are_the_parents(self, case, max_steps, counts, torus8):
-        # (steps, restarts, refusals, cg_iterations, converged) as the
-        # iteration gave them when step 1 had a solve of its own, apart
-        # from the restart solve: step 1 as the D = 0 case of one solve
-        # routine keeps every solve's start, so every count.  The
-        # variable-coefficient and truncated runs are pinned nowhere else.
+        # (steps, restarts, refusals, cg_iterations, converged) of the
+        # iteration that stops on a verified enclosure: each converging run
+        # ends one step before the per-side rule alone would, on the same
+        # restarts and refusals, and the truncated runs, which never reach
+        # an enclosure, keep every count.  The variable-coefficient and
+        # truncated runs are pinned nowhere else.
         if case == "torus16_variable":
             domain = subsup.build_flat_torus([(16, 1.0)] * 3)
             problem = subsup.NonlinearProblem(
@@ -1199,12 +1201,155 @@ class TestRestarts:
             assert (u.values.min(), u.values.max()) == (last.min_u, last.max_u)
 
 
+def verification_tol(problem, tol):
+    """The tol at which the iteration verifies its points (see iterate_monotone)."""
+    ma = problem.domain.mass * problem.a.values
+    return min(tol, subsup.iteration.ORDERING_SLACK * ma.min() / ma.max())
+
+
+def spy_verifications(monkeypatch):
+    """Record (side, point, passed) of every restart certificate and bracket rule.
+
+    A point passes the certificate where _certified holds and the rule
+    where _end_failure finds no failure.
+    """
+    real_certified = subsup.iteration._certified
+    real_failure = subsup.iteration._end_failure
+    calls = []
+
+    def certified(problem, sign, v, u, image, tol):
+        passed = real_certified(problem, sign, v, u, image, tol)
+        calls.append((0 if sign == 1 else 1, v.copy(), passed))
+        return passed
+
+    def end_failure(problem, side, v, upper, tol, psi=None):
+        failure = real_failure(problem, side, v, upper, tol, psi)
+        calls.append((["lower", "upper"].index(side), v.copy(), failure is None))
+        return failure
+
+    monkeypatch.setattr(subsup.iteration, "_certified", certified)
+    monkeypatch.setattr(subsup.iteration, "_end_failure", end_failure)
+    return calls
+
+
+class TestEnclosureStop:
+    @pytest.mark.parametrize(
+        "case", ["shipped_torus", "shipped_sphere", "near_fold_torus", "loose_tol",
+                 "fixed_point"],
+    )
+    def test_every_stop_is_verified(self, case, monkeypatch, torus8, c_star):
+        # the run stops on a pair at most tol wide whose two points each
+        # passed the restart certificate or the bracket rule: kept points
+        # on the shipped scenarios, plain ones at step 1 of a fixed-point
+        # bracket, and one of each at tol 1e-4
+        if case.startswith("shipped"):
+            problem, br, tol = shipped(SCENARIOS[case == "shipped_sphere"])
+        elif case == "near_fold_torus":
+            problem, br, tol = benchmark_problem(torus8, "1.0001")
+        else:
+            problem = make_constant_problem(torus8)
+            ends = (c_star, c_star) if case == "fixed_point" else (0.01, 1.0)
+            br = make_bracket(problem, *(torus8.field(v) for v in ends))
+            tol = 1e-4 if case == "loose_tol" else 1e-9
+        calls = spy_verifications(monkeypatch)
+        pair, trace = iterate_monotone(problem, br, tol=tol)
+        lower, upper = pair.u_star.values, pair.u_upper_star.values
+        assert trace.converged and pair.coincide
+        assert trace.enclosure_width == (upper - lower).max() <= tol
+        for side, point in enumerate((lower, upper)):
+            assert any(
+                s == side and passed and np.array_equal(v, point)
+                for s, v, passed in calls
+            )
+        monkeypatch.undo()
+        # and, independently, the rule at the iteration's tol passes both
+        rule_tol = verification_tol(problem, tol)
+        assert bracket_failures(problem, lower, None, rule_tol) == (None, None)
+        assert bracket_failures(problem, None, upper, rule_tol) == (None, None)
+
+    def test_a_plain_point_that_fails_the_rule_blocks_the_stop(
+        self, monkeypatch, torus_problem, torus8
+    ):
+        # at tol 1e-4 the run stops at step 5 on the lower side's kept
+        # point and the upper side's plain one, 4.3e-5 apart.  That plain
+        # point lowered by 1e-6 at one vertex moves its side by at most
+        # tol and stays above the lower side, so the per-side rule freezes
+        # it, but it fails the bracket rule: no later step stops on it,
+        # and the run ends on the lower side's own rule
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        real = subsup.iteration.solve_T
+        plain, lowered = [], {"at": None}
+
+        def solve_T(linear, b, **kwargs):
+            v, report = real(linear, b, **kwargs)
+            if kwargs.get("shift") is None:
+                plain.append(v)
+                if len(plain) == lowered["at"]:
+                    v = v.copy()
+                    v[0] -= 1e-6
+                    jv = linear.domain.L.product(v, linear.diagonal)
+                    report = dataclasses.replace(report, Ax=jv)
+                    lowered["point"] = v
+            return v, report
+
+        monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+        pair, trace = iterate_monotone(torus_problem, br, tol=1e-4)
+        assert trace.steps == 5 and trace.restarts == (4, 3)
+        assert trace.enclosure_width is not None
+        assert plain[-1] is pair.u_upper_star.values  # the last plain solve's
+        lowered["at"], plain[:] = len(plain), []
+        pair, trace = iterate_monotone(torus_problem, br, tol=1e-4)
+        point = lowered["point"]
+        rule_tol = verification_tol(torus_problem, 1e-4)
+        assert bracket_failures(torus_problem, None, point, rule_tol)[1] is not None
+        assert np.array_equal(pair.u_upper_star.values, point)
+        assert trace.converged and trace.steps > 5
+        assert trace.enclosure_width is None and not pair.coincide
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        gaps=st.lists(st.floats(0.05, 0.3), min_size=5, max_size=5),
+        pulls=st.lists(st.floats(0.2, 0.9), min_size=2, max_size=2),
+        middle=st.floats(0.0, 1.0),
+    )
+    def test_a_bracket_of_several_solutions_never_stops_on_it(self, gaps, pulls, middle):
+        # a = f = h = 1 and F = 0 on a torus: on constant fields the map
+        # is u -> H(u), and the extreme solutions are the extreme roots of
+        # H(t) = t in the bracket.  H is drawn through the roots r1 < r2
+        # with a knot m between them, where H(m) != m, so these two are
+        # the only roots in [lo, hi]; lo is a strict lower solution and hi
+        # a strict upper one, H's slope toward each root at most 0.8.  The
+        # pair never narrows below r2 - r1 > tol: each side stops on its
+        # own rule, and no enclosure is claimed.
+        lo, r1, m, r2, hi = np.cumsum(gaps)
+        h_m = r1 + middle * (r2 - r1)
+        assume(abs(h_m - m) > 1e-3)
+        knots = [0.0, lo, r1, m, r2, hi]
+        values = [
+            0.0, lo + pulls[0] * (r1 - lo), r1, h_m, r2, hi - pulls[1] * (hi - r2),
+        ]
+        domain = subsup.build_flat_torus([(4, 1.0)] * 3)
+        problem = subsup.NonlinearProblem(
+            domain, 1.0, 1.0, 1.0,
+            ScalarNonlinearity.table([0.0, 1.0], [0.0, 0.0]),
+            ScalarNonlinearity.table(knots, values),
+            n=3, q=0.5,
+        )
+        br = make_bracket(problem, domain.field(lo), domain.field(hi))
+        pair, trace = iterate_monotone(problem, br, tol=1e-9)
+        assert trace.converged
+        assert trace.enclosure_width is None and not pair.coincide
+        assert np.abs(pair.u_star.values - r1).max() <= 1e-8
+        assert np.abs(pair.u_upper_star.values - r2).max() <= 1e-8
+
+
 class TestIterationMemory:
     # the tracemalloc peak of iterate_monotone above what was traced at
     # its entry, in float64 vectors of the vertex count, with the
-    # preconditioner built first.  Peaks: 18.0 on the benchmark's seed-0
-    # torus 32^3, 19.6 on its seed-0 icosphere 5 and 19.8 on the shipped
-    # torus 8^3, bounded with 5-12% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the test
+    # preconditioner built first.  Peaks: 17.1 on the benchmark's seed-0
+    # torus 32^3 (18.0 while solve_T's re-check kept the old residual and
+    # search direction through its product), 19.6 on its seed-0 icosphere 5
+    # and 19.6 on the shipped torus 8^3, bounded with 7-12% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the test
     # measures from the traced size at its start and leaves the trace
     # running.
     @pytest.mark.parametrize(

@@ -146,7 +146,8 @@ def chunk_floats(length):
     return values
 
 
-LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1]
+# around one chunk and around four, where a column spans several
+LENGTHS = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1]
 
 
 class TestChunkedWriters:
@@ -294,7 +295,7 @@ class TestRepeatedValues:
 
 class TestArrays:
     @pytest.mark.parametrize("repeats", [True, False])
-    @pytest.mark.parametrize("rows", [0, 1, CHUNK + 1])
+    @pytest.mark.parametrize("rows", [0, 1, CHUNK + 1, 4 * CHUNK + 1])
     def test_rows_match_the_per_item_rendering(self, rows, repeats):
         # with repeats the strings are shared; without, split from chunks
         rng = np.random.default_rng(rows)

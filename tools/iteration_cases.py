@@ -1,10 +1,11 @@
 """Print what iterate_monotone does on a fixed list of cases, one line each.
 
 Each line gives the case, steps, restarts, refusals, CG iterations of
-(lower, upper), whether the run converged, and a sha256 over both limits'
-bytes and the trace's rows.  The output of two versions of subsup differs
-exactly where they differ in any of these, so a change that must keep the
-iteration's bits is checked by one diff:
+(lower, upper), whether the run converged, the width of the verified
+enclosure it stopped on (- if it stopped on none), and a sha256 over
+both limits' bytes and the trace's rows.  The output of two versions of
+subsup differs exactly where they differ in any of these, so a change
+that must keep the iteration's bits is checked by one diff:
 
     PYTHONPATH=src python tools/iteration_cases.py > after.txt
     PYTHONPATH=../parent/src python tools/iteration_cases.py > before.txt
@@ -52,10 +53,11 @@ def run(name, problem, bracket, tol, max_steps=DEFAULT_MAX_STEPS):
     for limit in (pair.u_star, pair.u_upper_star):
         digest.update(limit.values.tobytes())
     digest.update(repr(trace.rows()).encode())
+    width = "-" if trace.enclosure_width is None else f"{trace.enclosure_width:.2e}"
     print(
         f"{name}: steps {trace.steps} restarts {trace.restarts} refusals "
         f"{trace.refusals} cg {trace.cg_iterations} converged {trace.converged} "
-        f"sha256 {digest.hexdigest()}"
+        f"width {width} sha256 {digest.hexdigest()}"
     )
 
 
