@@ -17,7 +17,7 @@ import sys
 import time
 
 from .geometry import generalized_spectrum, mesh_quality
-from .iteration import BracketError, OrderingError, iterate_monotone, make_bracket
+from .iteration import SIDES, BracketError, OrderingError, iterate_monotone, make_bracket
 from .linear_operator import ConvergenceError
 from .nonlinearity import check_alpha1, check_alpha2
 from .scenario import (
@@ -34,7 +34,6 @@ from .serialize import format_float, write_json
 gc.freeze()
 
 SPECTRUM_VERTEX_LIMIT = 5000
-SIDES = ("lower", "upper")
 
 
 def _run_checks(problem, lower, upper, tol):

@@ -62,6 +62,7 @@ from .serialize import FloatColumn, write_csv, write_json
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_STEPS = 500
 ORDERING_SLACK = 1e-9  # relative to max|upper|, the scale of the default tol
+SIDES = ("lower", "upper")  # side i of the pair, in that order everywhere
 
 
 class BracketError(ValueError):
@@ -125,7 +126,7 @@ class IterationTrace:
 
     def rows(self):
         """Per-step rows for the CSV export, by step, lower before upper."""
-        sides = (("lower", self.lower_steps), ("upper", self.upper_steps))
+        sides = zip(SIDES, (self.lower_steps, self.upper_steps))
         rows = [
             (r.step, seq, r.max_change, r.min_u, r.max_u, r.defect_norm)
             for seq, records in sides
@@ -281,7 +282,7 @@ def make_bracket(problem, lower, upper, verification_tol=DEFAULT_TOL):
     lower = problem.domain.field(lower)
     upper = problem.domain.field(upper)
     failures = bracket_failures(problem, lower, upper, verification_tol)
-    for side, failure in zip(("lower", "upper"), failures):
+    for side, failure in zip(SIDES, failures):
         if failure is not None:
             raise BracketError(f"{side} solution check: {failure}", failures)
     return Bracket(lower=lower, upper=upper)
@@ -474,7 +475,7 @@ def _enclosure(problem, u, psi, kept, tol, restart_tol):
         return None
     failures = (
         _end_failure(problem, side, u[i], None, restart_tol, psi[i])
-        for i, side in enumerate(("lower", "upper"))
+        for i, side in enumerate(SIDES)
         if not kept.get(i)
     )
     return None if any(failures) else width
@@ -527,8 +528,8 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     of the iterate.  Step 1 is the unshifted case, D = 0, for both sides:
     the plain step T(S(.)), with T solved to tol / 100; with S(upper)
     parallel to S(lower), as with constant f, h and bracket ends, the
-    upper start already solves its equation.  At every later step but
-    the last, the running sides first solve for their shifted points
+    upper start already solves its equation.  At every step after the
+    first, the running sides first solve for their shifted points
     (see _kept_points); a shared point that is not kept is discarded,
     and the upper side solves again from its iterate.  A point within
     tol of the iterate is not tried.  Any other point becomes the side's
@@ -551,6 +552,8 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     None.  The limits are checked against the input bracket (the
     sandwich).
 
+    max_steps only ends the loop: a step does the same work whatever the
+    budget, so a run cut at N steps is the first N steps of a longer one.
     Returns (SolutionPair, IterationTrace).  Non-convergence within
     max_steps is reported through the trace's converged flag, not an
     exception; the first bend of the chain beyond slack raises
@@ -602,20 +605,15 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     for k in range(1, max_steps + 1):
         sides = [i for i in (0, 1) if not converged[i]]
         tried, plain = {}, {}
-        if 1 < k < max_steps:  # the last step's recorded iterate is a plain step's
+        if k > 1:
             tried = _kept_points(
                 problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg
             )
             for i, point in tried.items():
                 refusals[i] += point is None
-        # lower must climb, upper must descend
-        for i, (name, sign) in enumerate((("lower", 1.0), ("upper", -1.0))):
-            if converged[i]:
-                continue
+        for i in sides:
             if tried.get(i) is not None:
-                v, (action[i], psi[i]) = tried[i]
-                change = float(np.abs(v - u[i]).max())
-                u[i] = v
+                v, (av, s) = tried[i]
                 restarts[i] += 1
             else:
                 if i not in plain:  # both sides at step 1, later one side alone
@@ -623,12 +621,14 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                         problem, u, psi, action, sides if k == 1 else [i], None,
                         linear_tol, cg,
                     )
-                x, report = plain.pop(i)
-                gap = float((sign * (u[i] - x)).max())
-                require(gap, f"{name} sequence not monotone at step {k}")
-                change = float(np.abs(x - u[i]).max())
-                u[i], action[i], psi[i] = x, report.Ax, apply_S(problem, x)
-                del x, report  # a kept point replaces u[i] and action[i]; free them then
+                v, report = plain.pop(i)
+                # lower must climb, upper must descend
+                gap = float(((1 - 2 * i) * (u[i] - v)).max())
+                require(gap, f"{SIDES[i]} sequence not monotone at step {k}")
+                av, s = report.Ax, apply_S(problem, v)
+                del report  # its Ax would outlive the kept point that replaces it
+            change = float(np.abs(v - u[i]).max())
+            u[i], action[i], psi[i] = v, av, s
             converged[i] = change <= tol
             resid = float(np.abs(action[i] - psi[i].values).max())
             records[i].append(

@@ -587,6 +587,18 @@ class TestSolve:
         assert summary["enclosure_width"] is None and summary["coincide"] is False
         assert (out / "solution.csv").exists()
 
+    @pytest.mark.parametrize("path", [SHIPPED_TORUS, SHIPPED_SPHERE], ids=["torus", "sphere"])
+    def test_max_steps_at_the_run_length_is_the_default_run(self, path, tmp_path):
+        # both shipped scenarios stop after 6 steps; a budget of as many
+        # ends the run where it ends anyway and changes none of its bytes
+        default, cut = tmp_path / "default", tmp_path / "cut"
+        assert main(["solve", path, "--out", str(default)]) == 0
+        assert json.loads((default / "summary.json").read_text())["steps"] == 6
+        assert main(["solve", path, "--out", str(cut), "--max-steps", "6"]) == 0
+        for name in ("solution.json", "solution.csv", "trace.csv"):
+            assert (cut / name).read_bytes() == (default / name).read_bytes(), name
+        assert read_masked(cut / "summary.json") == read_masked(default / "summary.json")
+
     @pytest.mark.parametrize(
         "flag,value",
         [

@@ -307,19 +307,18 @@ class TestIterateMonotone:
         assert pair.coincide
 
     def test_cg_iterations_are_counted_per_side(self, monkeypatch, icosphere3):
-        # with max_steps = 3 and both points of step 2 kept, the solves run
-        # in this order: the plain steps of both sides, their shifted
-        # solves, and the plain steps of the last step.  With constant f,
-        # h and bracket ends, S(upper) is parallel to S(lower), so the
-        # upper side's first solve starts at its solution and takes no
-        # iteration; every other solve takes some.
+        # with max_steps = 2 and both points of step 2 kept, the solves run
+        # in this order: the plain steps of both sides, then their shifted
+        # solves.  With constant f, h and bracket ends, S(upper) is
+        # parallel to S(lower), so the upper side's first solve starts at
+        # its solution and takes no iteration; every other solve takes some.
         solves = spy_solves(monkeypatch)
         problem = sphere3_problem(icosphere3)
         br = make_bracket(problem, icosphere3.field(0.01), icosphere3.field(1.0))
-        _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=3)
+        _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=2)
         iterations = [count for _, count in solves]
         assert trace.restarts == (1, 1) and trace.refusals == (0, 0)
-        assert len(iterations) == 6 and iterations[1] == 0
+        assert len(iterations) == 4 and iterations[1] == 0
         assert min(iterations[:1] + iterations[2:]) > 0
         assert trace.cg_iterations == (sum(iterations[0::2]), sum(iterations[1::2]))
 
@@ -616,18 +615,19 @@ class TestSharedStart:
 
 
 def bend_first_solve(monkeypatch, start, value):
-    """Make the first T solve warm-started at `start` return `value`.
+    """Make the first plain T solve warm-started at `start` return `value`.
 
     The iteration warm-starts every plain solve at the previous iterate,
     and the upper side's first one at upper_start, so `start` picks the
-    first step of one side.
+    first plain step of one side from that iterate; shifted solves are
+    left alone.
     """
     real = subsup.iteration.solve_T
     bent = []
 
     def solve_T(problem, psi, **kwargs):
         u, report = real(problem, psi, **kwargs)
-        if not bent and np.all(kwargs["x0"] == start):
+        if not bent and kwargs.get("shift") is None and np.all(kwargs["x0"] == start):
             bent.append(True)
             return np.full_like(u, value), report
         return u, report
@@ -655,13 +655,15 @@ class TestOrderingError:
     def test_sandwich_catches_a_drift_past_the_input_bracket(
         self, monkeypatch, torus_problem, torus8
     ):
-        # the lower side goes down by 0.6 slack at each of two steps, which
-        # no step check refuses, and ends 1.2 slack below its bracket end;
-        # a tol below 0.6 slack keeps it running after the first
+        # the lower side goes down by 0.6 slack at each of two plain steps,
+        # which no step check refuses, and ends 1.2 slack below its bracket
+        # end; a tol below 0.6 slack keeps it running after the first, and
+        # a refused certificate makes step 2 a plain step again
         slack = subsup.iteration.ORDERING_SLACK  # max|upper| = 1
         first, second = 0.01 - 0.6 * slack, 0.01 - 1.2 * slack
         bend_first_solve(monkeypatch, 0.01, first)
         bend_first_solve(monkeypatch, first, second)
+        spy_certificate(monkeypatch, lambda sign, v: False)
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         with pytest.raises(subsup.OrderingError, match="sandwich violated by 1.2"):
             iterate_monotone(torus_problem, br, tol=0.1 * slack, max_steps=2)
@@ -1148,18 +1150,22 @@ class TestRestarts:
             ("shipped_sphere", 500, (6, (5, 5), (0, 0), (19, 1), True)),
             ("torus16_variable", 500, (6, (5, 5), (0, 0), (17, 5), True)),
             ("near_fold_torus", 500, (14, (7, 5), (1, 4), (15, 12), True)),
-            ("near_fold_torus", 5, (5, (2, 0), (1, 0), (6, 4), False)),
-            ("near_fold_torus", 8, (8, (4, 0), (1, 2), (9, 9), False)),
-            ("near_fold_torus", 10, (10, (4, 0), (1, 4), (11, 13), False)),
+            ("near_fold_torus", 5, (5, (3, 0), (1, 0), (6, 4), False)),
+            ("near_fold_torus", 8, (8, (4, 0), (1, 3), (9, 10), False)),
+            ("near_fold_torus", 10, (10, (4, 1), (1, 4), (11, 12), False)),
+            ("shipped_torus", 6, (6, (5, 5), (0, 0), (6, 0), True)),
+            ("shipped_sphere", 6, (6, (5, 5), (0, 0), (19, 1), True)),
         ],
     )
     def test_counts_are_the_parents(self, case, max_steps, counts, torus8):
         # (steps, restarts, refusals, cg_iterations, converged) of the
         # iteration that stops on a verified enclosure: each converging run
-        # ends one step before the per-side rule alone would, on the same
-        # restarts and refusals, and the truncated runs, which never reach
-        # an enclosure, keep every count.  The variable-coefficient and
-        # truncated runs are pinned nowhere else.
+        # ends one step before the per-side rule alone would.  max_steps
+        # only ends the run: a truncated run's last step tries its
+        # restart points as any other step does, so a run cut at the step
+        # count it takes anyway is that run, and the near-fold runs cut
+        # earlier count the points their last step tried.  The
+        # variable-coefficient and truncated runs are pinned nowhere else.
         if case == "torus16_variable":
             domain = subsup.build_flat_torus([(16, 1.0)] * 3)
             problem = subsup.NonlinearProblem(
@@ -1199,6 +1205,28 @@ class TestRestarts:
         ):
             last = steps[-1]
             assert (u.values.min(), u.values.max()) == (last.min_u, last.max_u)
+
+    @pytest.mark.parametrize("case", ["shipped_torus", "shipped_sphere", "near_fold_torus"])
+    def test_max_steps_only_ends_the_run(self, case, torus8):
+        # step k does the same work whatever the budget: a run cut at N
+        # steps records the full run's rows of its first N steps, and one
+        # cut at the full run's step count is that run, bit for bit
+        if case == "near_fold_torus":
+            problem, br, tol = benchmark_problem(torus8, "1.0001")
+        else:
+            problem, br, tol = shipped(SCENARIOS[case == "shipped_sphere"])
+        full_pair, full = iterate_monotone(problem, br, tol=tol)
+        assert full.converged
+        rows = full.rows()
+        for max_steps in range(1, full.steps + 1):
+            pair, trace = iterate_monotone(problem, br, tol=tol, max_steps=max_steps)
+            assert trace.rows() == [row for row in rows if row[0] <= max_steps]
+        assert trace.converged and trace.enclosure_width == full.enclosure_width
+        for limit, full_limit in (
+            (pair.u_star, full_pair.u_star),
+            (pair.u_upper_star, full_pair.u_upper_star),
+        ):
+            assert limit.values.tobytes() == full_limit.values.tobytes()
 
 
 def verification_tol(problem, tol):
