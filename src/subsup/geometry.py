@@ -77,8 +77,10 @@ class DiscreteDomain:
         ``"icosphere"`` or ``"off"`` for triangle surfaces,
         ``"flat_torus"`` for periodic grids.
     coordinates : (N, 3) ndarray
-        Vertex positions (grids are embedded with axis k on coordinate k,
-        unused coordinates zero).
+        Vertex positions.  A surface stores them; a grid forms them on
+        each access, embedded with axis k on coordinate k and unused
+        coordinates zero, as only coefficient expressions and mesh-info
+        read them.
     faces : (F, 3) int ndarray or None
         Triangles for surfaces, None for grids.
     grid_cells, grid_lengths : tuples or None
@@ -96,21 +98,21 @@ class DiscreteDomain:
         edge it splits.
     """
 
-    def __init__(self, kind, coordinates, faces=None, grid=None, refinement=None):
+    def __init__(self, kind, coordinates=None, faces=None, grid=None, refinement=None):
         self.kind = str(kind)
         self.refinement = refinement
-        self.coordinates = np.ascontiguousarray(coordinates, dtype=float)
-        if self.coordinates.ndim != 2 or self.coordinates.shape[1] != 3:
-            raise ValueError("coordinates must be an (N, 3) array")
         self.faces = None
         self.grid_cells = None
         self.grid_lengths = None
         if faces is not None:
+            self._coordinates = np.ascontiguousarray(coordinates, dtype=float)
+            if self._coordinates.ndim != 2 or self._coordinates.shape[1] != 3:
+                raise ValueError("coordinates must be an (N, 3) array")
             self.faces = np.ascontiguousarray(faces, dtype=np.int64)
             if self.faces.ndim != 2 or self.faces.shape[1] != 3:
                 raise ValueError("faces must be an (F, 3) array")
             self.L, self.mass, self._obtuse_count = _assemble_surface(
-                self.coordinates, self.faces
+                self._coordinates, self.faces
             )
         elif grid is not None:
             cells, lengths = grid
@@ -124,7 +126,18 @@ class DiscreteDomain:
 
     @property
     def vertex_count(self):
-        return self.coordinates.shape[0]
+        return self.mass.size
+
+    @property
+    def coordinates(self):
+        if self.grid_cells is None:
+            return self._coordinates
+        axes = [np.arange(c) * (l / c) for c, l in zip(self.grid_cells, self.grid_lengths)]
+        coords = np.zeros((self.vertex_count, 3))
+        lattice = coords.reshape(*self.grid_cells, 3)
+        for k, ax in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
+            lattice[..., k] = ax
+        return coords
 
     @property
     def is_surface(self):
@@ -554,13 +567,7 @@ def build_flat_torus(dims):
         weights = np.prod(spacings) / np.square(spacings)
     if not np.all((weights > 0.0) & (weights < np.inf)):
         raise ValueError("axis lengths put the grid weights out of floating-point range")
-    axes = [np.arange(c) * h for c, h in zip(cells, spacings)]
-    coords = np.zeros((n, 3))
-    lattice = coords.reshape(*cells, 3)
-    for k, ax in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True)):
-        lattice[..., k] = ax
-
-    return DiscreteDomain("flat_torus", coords, grid=(cells, lengths))
+    return DiscreteDomain("flat_torus", grid=(cells, lengths))
 
 
 def load_off(path):

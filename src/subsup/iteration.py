@@ -180,7 +180,9 @@ def _image(problem, v, psi=None):
     S(v) is psi where the caller already has it.
     """
     av = problem.domain.L.edge_product(v)
-    av += problem.domain.mass * problem.a.values * v
+    mav = problem.domain.mass * problem.a.values
+    mav *= v
+    av += mav
     return av, apply_S(problem, v) if psi is None else psi
 
 
@@ -305,15 +307,18 @@ def _contraction_rate(problem, v, u, av):
     _certified bounds the amplified defect.  av is A v with L v in edge
     form.
     """
-    domain = problem.domain
-    lo = np.maximum(np.minimum(u, v), 0.0)  # S clamps at 0
-    hi = np.maximum(np.maximum(u, v), 0.0)
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    np.maximum(lo, 0.0, out=lo)  # S clamps at 0
+    np.maximum(hi, 0.0, out=hi)
     if v.min() <= 0.0 or av.min() <= 0.0:
         return np.inf
     with np.errstate(invalid="ignore"):  # 0 * inf where f or h is 0
         slope = problem.f.values * problem.F.max_slope(lo, hi)
-        slope = slope + problem.h.values * problem.H.max_slope(lo, hi)
-        rate = np.max(domain.mass * slope * v / av)
+        h_slope = problem.H.max_slope(lo, hi)
+        del lo, hi
+        h_slope *= problem.h.values
+        slope += h_slope
+        rate = np.max(problem.domain.mass * slope * v / av)
     return float(rate) if np.isfinite(rate) else np.inf
 
 
@@ -358,6 +363,7 @@ def _solve_sides(problem, u, psi, action, sides, shift, tol, cg):
             rho = _projection(b.values, lower.pop())
             x0, jx0 = _shared_start(rho, lower, (x0, jx0), b.values)
             shared = x0 is not u[i]
+            lower.clear()  # a shifted step's J v_l dies here
         try:
             v, report = solve_T(problem.linear, b, tol=tol, x0=x0, Ax0=jx0, shift=shift)
         except ConvergenceError as exc:
@@ -368,6 +374,8 @@ def _solve_sides(problem, u, psi, action, sides, shift, tol, cg):
         cg[i] += report.iterations
         if i == 0 and v is not None:
             lower = [v, report.Ax, b.values]
+            if shift is not None:  # J v_l serves only the upper side's start
+                report.Ax = None
         solved[i] = v, report
     return solved, shared
 
@@ -439,14 +447,17 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     """
     width = float((u[1] - u[0]).max())
     eta = max(linear_tol, min(1e-2, width * width))
-    shift = problem.domain.mass * _least_slope(problem, *u)
 
     def tried(i, v):  # a failed solve is; a point within tol of u[i] is not
         return v is None or float(np.abs(v - u[i]).max()) > tol
 
     kept, todo = {}, sides
     while todo:  # twice at most: a discarded shared point is solved again
+        # m D dies with the solves, before the verdicts; a second round
+        # forms it again from the same pair, to the same bits
+        shift = problem.domain.mass * _least_slope(problem, *u)
         solved, shared = _solve_sides(problem, u, psi, action, todo, shift, eta, cg)
+        del shift
         points = {i: v for i, (v, _) in solved.items() if tried(i, v)}
         del solved  # the reports' J v
         for i, v in points.items():
@@ -455,11 +466,10 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
         if shared and 1 in points and not (kept[1] and _ordered(u, kept)):
             del points, v, kept[1]  # the shared attempt, the last v, is discarded
             todo = [1]
-    del shift
     return kept if _ordered(u, kept) else dict.fromkeys(kept)
 
 
-def _enclosure(problem, u, psi, kept, tol, restart_tol):
+def _enclosure(problem, u, psi, kept, tol, restart_tol, converged, frozen):
     """max(U - u) if the pair u is a verified enclosure within tol, else None.
 
     The chain keeps every solution in the bracket between the two sides.
@@ -468,17 +478,23 @@ def _enclosure(problem, u, psi, kept, tol, restart_tol):
     that a solution lies between them: a point kept this step (kept[i])
     is one by _certified; any other, a plain step's or a frozen side's,
     must pass the bracket rule at restart_tol, from its S(v), psi[i].
-    The rule runs only on a pair that narrow.
+    The rule runs only on a pair that narrow, and once on a frozen side's
+    point (converged[i]), which no later step changes: frozen keeps its
+    verdict by side.
     """
     width = float((u[1] - u[0]).max())
     if width > tol:
         return None
-    failures = (
-        _end_failure(problem, side, u[i], None, restart_tol, psi[i])
-        for i, side in enumerate(SIDES)
-        if not kept.get(i)
-    )
-    return None if any(failures) else width
+
+    def failure(i):
+        if i not in frozen:
+            verdict = _end_failure(problem, SIDES[i], u[i], None, restart_tol, psi[i])
+            if not converged[i]:
+                return verdict
+            frozen[i] = verdict
+        return frozen[i]
+
+    return None if any(failure(i) for i in (0, 1) if not kept.get(i)) else width
 
 
 def _projection(b, b_l):
@@ -602,6 +618,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     restarts = [0, 0]
     refusals = [0, 0]
     cg = [0, 0]
+    frozen = {}  # the bracket rule's verdict on a frozen side's point
     for k in range(1, max_steps + 1):
         sides = [i for i in (0, 1) if not converged[i]]
         tried, plain = {}, {}
@@ -635,7 +652,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
             )
         require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
-        width = _enclosure(problem, u, psi, tried, tol, restart_tol)
+        width = _enclosure(problem, u, psi, tried, tol, restart_tol, converged, frozen)
         if width is not None or all(converged):
             break
 

@@ -131,7 +131,9 @@ class ScalarNonlinearity:
         hi = np.asarray(hi, dtype=float)
         if self.kind == "power":
             with np.errstate(divide="ignore"):
-                return self.p * (hi if self.p >= 1.0 else lo) ** (self.p - 1.0)
+                slope = (hi if self.p >= 1.0 else lo) ** (self.p - 1.0)
+                slope *= self.p
+            return slope
         return self._touched_slopes(lo, hi, np.maximum, 0.0)
 
     def min_slope(self, lo, hi):
@@ -147,7 +149,9 @@ class ScalarNonlinearity:
         hi = np.asarray(hi, dtype=float)
         if self.kind == "power":
             with np.errstate(divide="ignore"):
-                return self.p * (lo if self.p >= 1.0 else hi) ** (self.p - 1.0)
+                slope = (lo if self.p >= 1.0 else hi) ** (self.p - 1.0)
+                slope *= self.p
+            return slope
         out = self._touched_slopes(lo, hi, np.minimum, np.inf)
         return np.where((lo < self.ts[0]) | (hi > self.ts[-1]), 0.0, out)
 
@@ -353,5 +357,7 @@ def apply_S(problem, v):
     vp = np.maximum(v, 0.0)
     if vp.shape != problem.f.values.shape:
         raise ValueError(f"v has shape {vp.shape}, expected {problem.f.values.shape}")
-    rhs = problem.f.values * problem.F(vp) + problem.h.values * problem.H(vp)
-    return Field(problem.domain, problem.domain.mass * rhs)
+    rhs = problem.f.values * problem.F(vp)
+    rhs += problem.h.values * problem.H(vp)
+    rhs *= problem.domain.mass
+    return Field(problem.domain, rhs)

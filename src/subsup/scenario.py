@@ -38,8 +38,8 @@ import math
 import os
 from dataclasses import dataclass
 
-from .expressions import ExpressionError, parse_coefficient
-from .geometry import build_flat_torus, build_icosphere, load_off
+from .expressions import ExpressionError, evaluate_expression
+from .geometry import Field, build_flat_torus, build_icosphere, load_off
 from .iteration import DEFAULT_MAX_STEPS, DEFAULT_TOL
 from .nonlinearity import MAX_EXPONENT, NonlinearProblem, ScalarNonlinearity
 
@@ -252,11 +252,11 @@ def build_domain(scenario):
     return load_off(spec["path"])
 
 
-def _field_from(domain, raw, where):
+def _field_from(domain, coordinates, raw, where):
     if not isinstance(raw, str):
         return domain.field(float(raw))
     try:
-        return parse_coefficient(raw, domain)
+        return Field(domain, evaluate_expression(raw, coordinates))
     except ExpressionError as exc:
         raise ScenarioError(f"'{where}': {exc}") from None
 
@@ -273,18 +273,25 @@ def _nonlin_from(spec):
 
 
 def build_problem(scenario):
-    """Instantiate (domain, problem, lower, upper) from a scenario."""
+    """Instantiate (domain, problem, lower, upper) from a scenario.
+
+    A grid forms its coordinates on each access (see DiscreteDomain), so
+    they are formed here once, and only if a coefficient or a bracket end
+    is an expression; none of the fields keeps them.
+    """
     domain = build_domain(scenario)
+    raw = (scenario.a, scenario.f, scenario.h, scenario.lower, scenario.upper)
+    coordinates = domain.coordinates if any(isinstance(r, str) for r in raw) else None
     problem = NonlinearProblem(
         domain,
-        a=_field_from(domain, scenario.a, "coefficients.a"),
-        f=_field_from(domain, scenario.f, "coefficients.f"),
-        h=_field_from(domain, scenario.h, "coefficients.h"),
+        a=_field_from(domain, coordinates, scenario.a, "coefficients.a"),
+        f=_field_from(domain, coordinates, scenario.f, "coefficients.f"),
+        h=_field_from(domain, coordinates, scenario.h, "coefficients.h"),
         F=_nonlin_from(scenario.F_spec),
         H=_nonlin_from(scenario.H_spec),
         n=scenario.n,
         q=scenario.q,
     )
-    lower = _field_from(domain, scenario.lower, "bracket.lower")
-    upper = _field_from(domain, scenario.upper, "bracket.upper")
+    lower = _field_from(domain, coordinates, scenario.lower, "bracket.lower")
+    upper = _field_from(domain, coordinates, scenario.upper, "bracket.upper")
     return domain, problem, lower, upper

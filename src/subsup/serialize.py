@@ -75,9 +75,16 @@ def _cells(column):
     return (map(str, column[i : i + CHUNK]) for i in range(0, len(column), CHUNK))
 
 
-def _list(body, pad, out):
-    """Append the JSON list at pad's depth whose items, one to a line, make body."""
-    out.extend(("[\n" + pad + "  ", body, "\n" + pad + "]") if body else ("[]",))
+def _list(pieces, pad, out):
+    """Append the JSON list at pad's depth whose items, one to a line, make
+    the non-empty pieces, each one or more items.
+
+    The pieces are written as they are, so a long float list is no one
+    string, nor one encoding of it, at the writer's memory peak.
+    """
+    sep = ",\n" + pad + "  "
+    body = [s for piece in pieces if piece for s in (sep, piece)][1:]
+    out.extend(("[\n" + pad + "  ", *body, "\n" + pad + "]") if body else ("[]",))
 
 
 def _rows(array, pad):
@@ -103,11 +110,11 @@ def _render(obj, indent, out):
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, FloatColumn):
-        _list(sep.join([sep.join(cells) for cells in _cells(obj)]), pad, out)
+        _list([sep.join(cells) for cells in _cells(obj)], pad, out)
     elif isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "fi":
-        _list(_rows(obj, pad), pad, out)
+        _list([_rows(obj, pad)], pad, out)
     elif isinstance(obj, (list, tuple)):
-        _list(sep.join("".join(_pieces(v, indent + 1)) for v in obj), pad, out)
+        _list(["".join(_pieces(v, indent + 1)) for v in obj], pad, out)
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif obj is None:

@@ -188,20 +188,21 @@ class TestIcosphereOracle:
 class TestBuildMemory:
     # the tracemalloc peak of a build above what was traced before it, and
     # what the domain holds after it, in float64 vectors of the vertex
-    # count.  Peaks: 41.2 on icospheres 5 and 6, 27.0 on torus 32^3 and
-    # 20.0 on torus 256^2, bounded with 15% to spare; the build that kept
+    # count.  Peaks: 41.2 on icospheres 5 and 6, 24.0 on torus 32^3 and
+    # 17.0 on torus 256^2, bounded with 15% to spare; the build that kept
     # its pair arrays and last subdivision alive through the slot layout
-    # peaked at 61.0, 39.0 and 28.0.  Held: 25.1, 17.0 and 13.0, bounded
-    # with 5% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the
-    # test measures from the traced size at its start and leaves the
-    # trace running.
+    # peaked at 61.0, 39.0 and 28.0, and grids that stored their (N, 3)
+    # coordinates at 27.0 and 20.0.  Held: 25.1, 14.0 and 10.0 (17.0 and
+    # 13.0 with stored grid coordinates), bounded with 3-5% to spare.
+    # Under an outer trace (PYTHONTRACEMALLOC) the test measures from the
+    # traced size at its start and leaves the trace running.
     @pytest.mark.parametrize(
         "build, peak_bound, held_bound",
         [
             (lambda: subsup.build_icosphere(5), 47.0, 26.4),
             (lambda: subsup.build_icosphere(6), 47.0, 26.4),
-            (lambda: subsup.build_flat_torus([(32, 1.0)] * 3), 32.0, 17.9),
-            (lambda: subsup.build_flat_torus([(256, 1.0)] * 2), 23.0, 13.7),
+            (lambda: subsup.build_flat_torus([(32, 1.0)] * 3), 27.6, 14.5),
+            (lambda: subsup.build_flat_torus([(256, 1.0)] * 2), 19.6, 10.5),
         ],
         ids=["icosphere5", "icosphere6", "torus32", "torus256x256"],
     )
@@ -360,10 +361,10 @@ class TestFlatTorus:
     def test_refuses_more_vertices_than_the_largest_icosphere(self, dims, monkeypatch):
         # refused before any grid is built; [10**7] * 3 overflows an int64
         # product, and 128^3 is the first cube past 655,362 vertices
-        def meshgrid(*args, **kwargs):
+        def assemble_grid(*args, **kwargs):
             raise AssertionError("grid built")
 
-        monkeypatch.setattr(np, "meshgrid", meshgrid)
+        monkeypatch.setattr(subsup.geometry, "_assemble_grid", assemble_grid)
         count = math.prod(c for c, _ in dims)
         assert count > subsup.geometry.MAX_VERTICES == 655_362
         with pytest.raises(ValueError, match=f"torus of {count} vertices exceeds"):
@@ -373,6 +374,21 @@ class TestFlatTorus:
         q = subsup.mesh_quality(torus8)
         assert q.positive_offdiagonal_count == 0
         assert q.is_m_matrix_compatible
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[(7, 1.3)], [(16, 6.25), (5, 1.0)], [(8, 1.0), (3, 2.0), (5, 0.7)]],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_coordinates_are_formed_on_each_access(self, dims):
+        # a grid stores no coordinates; each access forms them afresh,
+        # bit for bit the lattice build_flat_torus used to store
+        d = subsup.build_flat_torus(dims)
+        first = d.coordinates
+        assert first is not d.coordinates
+        assert_bitwise(first, grid_coordinates(dims))
+        assert_bitwise(d.coordinates, first)
+        assert d.vertex_count == first.shape[0]
 
 
 class TestCotangentAssembly:
@@ -728,6 +744,18 @@ def scipy_stiffness(domain):
         shape=(n, n),
     ).tocsr()
     return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def grid_coordinates(dims):
+    """A flat torus's vertex positions, vertex by vertex: the vertex with
+    index j on axis k (C order) sits at j * (length / cells) on
+    coordinate k, unused coordinates 0."""
+    cells = [c for c, _ in dims]
+    index = np.unravel_index(np.arange(math.prod(cells)), cells)
+    coordinates = np.zeros((math.prod(cells), 3))
+    for k, (j, (c, length)) in enumerate(zip(index, dims)):
+        coordinates[:, k] = j * (length / c)
+    return coordinates
 
 
 def assert_bitwise(got, expected):

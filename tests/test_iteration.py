@@ -1303,7 +1303,9 @@ class TestEnclosureStop:
         # point lowered by 1e-6 at one vertex moves its side by at most
         # tol and stays above the lower side, so the per-side rule freezes
         # it, but it fails the bracket rule: no later step stops on it,
-        # and the run ends on the lower side's own rule
+        # and the run ends on the lower side's own rule.  The rule runs
+        # once on the frozen point: at step 5 on it, at step 6 on the
+        # lower side's plain point only
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         real = subsup.iteration.solve_T
         plain, lowered = [], {"at": None}
@@ -1326,7 +1328,16 @@ class TestEnclosureStop:
         assert trace.enclosure_width is not None
         assert plain[-1] is pair.u_upper_star.values  # the last plain solve's
         lowered["at"], plain[:] = len(plain), []
+        rule = subsup.iteration._end_failure
+        checked = []
+
+        def end_failure(problem, side, *args):
+            checked.append(side)
+            return rule(problem, side, *args)
+
+        monkeypatch.setattr(subsup.iteration, "_end_failure", end_failure)
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-4)
+        assert checked == ["upper", "lower"]
         point = lowered["point"]
         rule_tol = verification_tol(torus_problem, 1e-4)
         assert bracket_failures(torus_problem, None, point, rule_tol)[1] is not None
@@ -1374,22 +1385,25 @@ class TestEnclosureStop:
 class TestIterationMemory:
     # the tracemalloc peak of iterate_monotone above what was traced at
     # its entry, in float64 vectors of the vertex count, with the
-    # preconditioner built first.  Peaks: 17.1 on the benchmark's seed-0
-    # torus 32^3 (18.0 while solve_T's re-check kept the old residual and
-    # search direction through its product), 19.6 on its seed-0 icosphere 5
-    # and 19.6 on the shipped torus 8^3, bounded with 7-12% to spare.  Under an outer trace (PYTHONTRACEMALLOC) the test
-    # measures from the traced size at its start and leaves the trace
-    # running.
+    # preconditioner built first.  Peaks: 16.0 on the benchmark's seed-0
+    # torus 32^3, 18.6 on its seed-0 icosphere 5 and 17.6 on the shipped
+    # torus 8^3, bounded with 7-12% to spare.  They were 17.1, 19.6 and
+    # 19.6 while a restart step kept the lower side's J v, m D, and the
+    # temporaries of the certificate and S(v) past their last use, and
+    # 18.0 on torus 32^3 while solve_T's re-check also kept the old
+    # residual and search direction through its product.  Under an outer
+    # trace (PYTHONTRACEMALLOC) the test measures from the traced size at
+    # its start and leaves the trace running.
     @pytest.mark.parametrize(
         "make, peak_bound",
         [
             (lambda: benchmark_problem(
                 subsup.build_flat_torus([(32, 1.0)] * 3), "1.9593627596061982"
-            ), 19.0),
+            ), 17.5),
             (lambda: benchmark_problem(
                 subsup.build_icosphere(5, 1.0), "2.036997641311417+0.5*z"
-            ), 22.0),
-            (lambda: shipped(SCENARIOS[0]), 21.0),
+            ), 20.0),
+            (lambda: shipped(SCENARIOS[0]), 19.0),
         ],
         ids=["torus32", "icosphere5", "shipped_torus"],
     )

@@ -244,6 +244,60 @@ class TestBuild:
         domain, problem, _, _ = build_problem(s)
         assert np.allclose(problem.a.values, 2.0 + 0.5 * domain.coordinates[:, 2])
 
+    def test_grid_coordinates_are_formed_once_for_expressions(self, monkeypatch):
+        # a grid forms its coordinates on each access, so build_problem
+        # forms them once for all five fields, and not at all without an
+        # expression
+        from tests.test_geometry import grid_coordinates
+
+        real, read = subsup.DiscreteDomain.coordinates, []
+
+        def coordinates(domain):
+            read.append(domain)
+            return real.fget(domain)
+
+        monkeypatch.setattr(subsup.DiscreteDomain, "coordinates", property(coordinates))
+
+        dims = [[6, 1.0], [5, 2.0], [4, 0.7]]
+        texts = {
+            "a": "2 + 0.1*x*y", "f": "0.5 + 0.1*z", "h": "0.5 - 0.05*y",
+            "lower": "0.01 + 0.001*x", "upper": "1 + 0.1*z",
+        }
+        doc = base_torus_doc()
+        doc["domain"]["dims"] = dims
+        doc["coefficients"] = {k: texts[k] for k in "afh"}
+        doc["bracket"] = {k: texts[k] for k in ("lower", "upper")}
+        domain, problem, lower, upper = build_problem(parse_scenario(json.dumps(doc)))
+        assert read == [domain]
+        coordinates = grid_coordinates(dims)
+        fields = {"a": problem.a, "f": problem.f, "h": problem.h,
+                  "lower": lower, "upper": upper}
+        for name, field in fields.items():
+            expected = subsup.evaluate_expression(texts[name], coordinates)
+            assert np.array_equal(field.values, expected)
+        read[:] = []
+        build_problem(parse_scenario(json.dumps(base_torus_doc())))
+        assert read == []
+
+    def test_grid_mesh_info_json_is_the_stored_coordinates_export(self, tmp_path):
+        from subsup.cli import main
+        from tests.test_geometry import grid_coordinates
+        from tests.test_serialize import dumps, per_item
+
+        dims = [[6, 1.0], [5, 2.0], [4, 0.7]]
+        doc = base_torus_doc()
+        doc["domain"]["dims"] = dims
+        path, out = tmp_path / "scenario.json", tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mesh-info", str(path), "--json", str(out)]) == 0
+        expected = {
+            "kind": "flat_torus",
+            "vertex_count": 120,
+            "coordinates": grid_coordinates(dims).tolist(),
+            "grid": {"cells": [6, 5, 4], "lengths": [1.0, 2.0, 0.7]},
+        }
+        assert out.read_text() == dumps(per_item(expected))
+
     def test_bad_expression_is_scenario_error(self):
         doc = base_torus_doc()
         doc["coefficients"]["a"] = "2 +* 3"

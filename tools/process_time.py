@@ -8,6 +8,7 @@ from src/.  The spans, medians over the K processes, in milliseconds:
     main      main(ARGS) called to returned
     shutdown  main returned to the exit that os.wait4 observes
 
+and the median peak resident set size in MB (ru_maxrss from os.wait4).
 perfbench's tracer writes its spans when main returns, so it cannot see
 the last one.  Run: python tools/process_time.py [-k K] VERB SCENARIO [ARGS...]
 """
@@ -36,7 +37,7 @@ sys.exit(code)
 
 
 def one_process(args, env):
-    """Run one CLI process; returns (exit code, import, main, shutdown) in s."""
+    """One CLI process: (exit code, import, main, shutdown in s, peak RSS in MB)."""
     read_end, write_end = os.pipe()
     launched = time.monotonic()
     try:
@@ -46,7 +47,7 @@ def one_process(args, env):
         )
     finally:
         os.close(write_end)
-    _, status, _ = os.wait4(proc.pid, 0)
+    _, status, usage = os.wait4(proc.pid, 0)
     exited = time.monotonic()
     proc.returncode = os.waitstatus_to_exitcode(status)
     with os.fdopen(read_end, "rb") as fh:
@@ -54,7 +55,8 @@ def one_process(args, env):
     if len(stamps) != 2:
         raise SystemExit(f"process_time: main did not return (exit {proc.returncode})")
     imported, returned = map(float, stamps)
-    return proc.returncode, imported - launched, returned - imported, exited - returned
+    spans = imported - launched, returned - imported, exited - returned
+    return proc.returncode, *spans, usage.ru_maxrss / 1024.0
 
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -70,3 +72,4 @@ print(f"{' '.join(options.command)}: {options.k} processes, "
       f"exit codes {sorted({run[0] for run in runs})}")
 for i, name in enumerate(("import", "main", "shutdown"), start=1):
     print(f"{name:10} {1e3 * statistics.median(run[i] for run in runs):8.1f} ms")
+print(f"{'peak RSS':10} {statistics.median(run[4] for run in runs):8.2f} MB")
