@@ -122,7 +122,6 @@ class DiscreteDomain:
             self._obtuse_count = 0
         else:
             raise ValueError("domain needs faces or a grid description")
-        self._connected = None
 
     @property
     def vertex_count(self):
@@ -174,13 +173,11 @@ class DiscreteDomain:
         """Periodic grids and icospheres are connected by construction."""
         if self.grid_cells is not None or self.refinement is not None:
             return True
-        if self._connected is None:
-            # imported here: only OFF meshes need it, and csgraph costs ~0.1 s
-            from scipy.sparse.csgraph import connected_components
+        # imported here: only OFF meshes need it, and csgraph costs ~0.1 s
+        from scipy.sparse.csgraph import connected_components
 
-            n_comp, _ = connected_components(self.stiffness, directed=False)
-            self._connected = bool(n_comp == 1)
-        return self._connected
+        n_comp, _ = connected_components(self.stiffness, directed=False)
+        return bool(n_comp == 1)
 
     def to_json_dict(self):
         """Export {kind, vertex_count, coordinates, faces|grid}."""
@@ -561,12 +558,6 @@ def build_flat_torus(dims):
     n = math.prod(cells)
     if n > MAX_VERTICES:
         raise ValueError(f"flat torus of {n} vertices exceeds the limit of {MAX_VERTICES}")
-
-    spacings = [l / c for c, l in zip(cells, lengths)]
-    with np.errstate(all="ignore"):  # the grid weights are volume / h^2
-        weights = np.prod(spacings) / np.square(spacings)
-    if not np.all((weights > 0.0) & (weights < np.inf)):
-        raise ValueError("axis lengths put the grid weights out of floating-point range")
     return DiscreteDomain("flat_torus", grid=(cells, lengths))
 
 
@@ -684,8 +675,14 @@ def _assemble_surface(coords, faces):
 
 
 def _assemble_grid(cells, lengths):
+    """(L, mass) of a periodic grid; its weights, volume / h^2, are
+    range-checked before any full-length array is made."""
     spacings = [l / c for c, l in zip(cells, lengths)]
-    volume = float(np.prod(spacings))
+    with np.errstate(all="ignore"):
+        volume = float(np.prod(spacings))
+        weights = volume / np.square(spacings)
+    if not np.all((weights > 0.0) & (weights < np.inf)):
+        raise ValueError("axis lengths put the grid weights out of floating-point range")
     n = int(np.prod(cells))
     idx = np.arange(n).reshape(cells)
     # each vertex with its successor along each axis
@@ -693,7 +690,7 @@ def _assemble_grid(cells, lengths):
         _pair_keys(
             n, [(idx.ravel(), np.roll(idx, -1, axis=k).ravel()) for k in range(len(cells))]
         ),
-        np.repeat([-volume / (h * h) for h in spacings], n),
+        np.repeat([-w for w in weights], n),
     ]
     del idx
     return _edge_stiffness(n, pairs), np.full(n, volume)

@@ -469,32 +469,28 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     return kept if _ordered(u, kept) else dict.fromkeys(kept)
 
 
-def _enclosure(problem, u, psi, kept, tol, restart_tol, converged, frozen):
+def _enclosure(problem, u, psi, verified, tol, restart_tol):
     """max(U - u) if the pair u is a verified enclosure within tol, else None.
 
     The chain keeps every solution in the bracket between the two sides.
     The pair must be at most tol wide, and each of its points a verified
     lower (upper) solution, whatever rounding and inexact solves did, so
-    that a solution lies between them: a point kept this step (kept[i])
-    is one by _certified; any other, a plain step's or a frozen side's,
-    must pass the bracket rule at restart_tol, from its S(v), psi[i].
-    The rule runs only on a pair that narrow, and once on a frozen side's
-    point (converged[i]), which no later step changes: frozen keeps its
-    verdict by side.
+    that a solution lies between them.  verified[i] is side i's verdict
+    on its point u[i]: True for a kept point, one by _certified, and None
+    for a plain step's point not yet judged.  Such a point must pass the
+    bracket rule at restart_tol, from its S(v), psi[i]; the rule runs
+    only on a pair that narrow, lower side first, and its verdict is
+    stored in verified[i], where it stands until the side moves.
     """
     width = float((u[1] - u[0]).max())
     if width > tol:
         return None
-
-    def failure(i):
-        if i not in frozen:
-            verdict = _end_failure(problem, SIDES[i], u[i], None, restart_tol, psi[i])
-            if not converged[i]:
-                return verdict
-            frozen[i] = verdict
-        return frozen[i]
-
-    return None if any(failure(i) for i in (0, 1) if not kept.get(i)) else width
+    for i in (0, 1):
+        if verified[i] is None:  # a BracketFailure is truthy, a pass None
+            verified[i] = not _end_failure(problem, SIDES[i], u[i], None, restart_tol, psi[i])
+        if not verified[i]:
+            return None
+    return width
 
 
 def _projection(b, b_l):
@@ -618,7 +614,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     restarts = [0, 0]
     refusals = [0, 0]
     cg = [0, 0]
-    frozen = {}  # the bracket rule's verdict on a frozen side's point
+    verified = [None, None]  # each point's verdict, see _enclosure
     for k in range(1, max_steps + 1):
         sides = [i for i in (0, 1) if not converged[i]]
         tried, plain = {}, {}
@@ -632,6 +628,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
             if tried.get(i) is not None:
                 v, (av, s) = tried[i]
                 restarts[i] += 1
+                verified[i] = True
             else:
                 if i not in plain:  # both sides at step 1, later one side alone
                     plain, _ = _solve_sides(
@@ -644,6 +641,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 require(gap, f"{SIDES[i]} sequence not monotone at step {k}")
                 av, s = report.Ax, apply_S(problem, v)
                 del report  # its Ax would outlive the kept point that replaces it
+                verified[i] = None
             change = float(np.abs(v - u[i]).max())
             u[i], action[i], psi[i] = v, av, s
             converged[i] = change <= tol
@@ -652,7 +650,7 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
             )
         require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
-        width = _enclosure(problem, u, psi, tried, tol, restart_tol, converged, frozen)
+        width = _enclosure(problem, u, psi, verified, tol, restart_tol)
         if width is not None or all(converged):
             break
 

@@ -126,9 +126,7 @@ class LinearProblem:
             if self.domain.grid_cells is not None:
                 self._preconditioner = _fft_preconditioner(self.domain, self.a.values)
             elif self.domain.refinement is not None:
-                self._preconditioner = _multigrid_preconditioner(
-                    self.domain, self.a.values
-                )
+                self._preconditioner = _multigrid_preconditioner(self)
             else:
                 diagonal = self.diagonal
                 self._preconditioner = lambda r: r / diagonal
@@ -204,24 +202,27 @@ def _restrict(r, ends):
     )
 
 
-def _multigrid_preconditioner(domain, a):
+def _multigrid_preconditioner(problem):
     # each coarse level is the coarser icosphere assembled anew, with a
-    # injected; coarse and fine L then act through the same slot layout
+    # injected; coarse and fine L then act through the same slot layout.
+    # The finest level smooths with A's own diagonal, and each coarser
+    # level forms its own once
+    domain, a = problem.domain, problem.a.values
     coordinates, faces = domain.coordinates, domain.faces
-    L, mass = domain.L, domain.mass
+    L, diagonal = domain.L, problem.diagonal
     levels = []
     for coarse_count, parents in reversed(domain.refinement):
         if a.size <= COARSEST_VERTICES:
             break
-        diagonal = L.diagonal + mass * a
         ends = np.ascontiguousarray(parents.T)
         levels.append((L, diagonal, SMOOTHING_WEIGHT / diagonal, ends))
         coordinates, faces = _coarse_mesh(coordinates, faces, coarse_count)
         L, mass, _ = _assemble_surface(coordinates, faces)
         a = a[:coarse_count]
+        diagonal = L.diagonal + mass * a
     # applied by einsum, which calls no BLAS (a threaded gemv could stall
     # like the factorization above)
-    coarse_inverse = _spd_inverse(L.dense(L.diagonal + mass * a))
+    coarse_inverse = _spd_inverse(L.dense(diagonal))
 
     def coarse_solve(r):
         return np.einsum("ij,j->i", coarse_inverse, r)
@@ -261,14 +262,14 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     non-finite u meets.  Raises ValueError if ||psi||_2 overflows, as
     that bound would then pass any start.
 
-    x0 is a warm start, an array of length N, copied once; Ax0, if
-    given, must be A @ x0, which is then not formed again.  One CG loop
-    runs: whenever the recurrence residual passes the test, the starting
-    one included, the true residual b - A u is formed and tested, and a
-    failed re-check starts a new sweep from it.  The report's
-    Ax is A @ u for the returned u, formed by the final true-residual
-    re-check, so a caller needs no matvec of its own for the residual or
-    the next warm start.  Raises ConvergenceError at the iteration cap of
+    x0 is a warm start, an array of length N, copied once, and zero if
+    None; Ax0, if given, must be A @ x0, which is then not formed
+    again.  One CG loop runs: whenever the recurrence residual passes
+    the test, the starting one included, the true residual b - A u is
+    formed and tested, and a failed re-check starts a new sweep from
+    it.  The report's Ax is A @ u for the returned u, formed by the
+    final true-residual re-check, so a caller needs no matvec of its own
+    for the residual or the next warm start.  Raises ConvergenceError at the iteration cap of
     10 n, and once STALL_SWEEPS true-residual re-checks in a row are no
     lower than the lowest before them (the starting residual included):
     tol is then below the floor that rounding leaves, and more sweeps
@@ -289,14 +290,10 @@ def solve_T(problem, psi, tol=1e-10, x0=None, Ax0=None, shift=None):
     product = problem.domain.L.product
     b = psi.values
     n = b.size
-    if x0 is None:
-        x = np.zeros(n)
-        Ax = np.zeros(n)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != (n,):
-            raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
-        Ax = product(x, diagonal) if Ax0 is None else Ax0
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"x0 has shape {x.shape}, expected ({n},)")
+    Ax = product(x, diagonal) if Ax0 is None else Ax0
     precondition = problem.preconditioner
 
     with np.errstate(over="ignore"):

@@ -39,7 +39,8 @@ class ScalarNonlinearity:
     linearly between strictly increasing abscissae and extend with
     constant values; with ``truncate`` (the default) they also vanish on
     t < 0.  Non-truncating tables exist only so the hypothesis checker
-    has something to reject.
+    has something to reject.  A table forms its segment slopes once, as
+    ``slopes``; a power law has None.
     """
 
     def __init__(self, kind, p=None, ts=None, values=None, truncate=True):
@@ -49,8 +50,7 @@ class ScalarNonlinearity:
             self.p = float(p)
             if not 0.0 < self.p <= MAX_EXPONENT:
                 raise ValueError(f"power exponent must lie in (0, 1e18], got {self.p:g}")
-            self.ts = None
-            self.values = None
+            self.ts = self.values = self.slopes = None
         elif kind == "table":
             self.p = None
             self.ts = np.asarray(ts, dtype=float)
@@ -65,6 +65,9 @@ class ScalarNonlinearity:
                 raise ValueError("table contains non-finite entries")
             if np.any(np.diff(self.values) < 0.0):
                 raise ValueError("table values must be non-decreasing")
+            # segment j's slope; one that has no float overflows to inf
+            with np.errstate(over="ignore"):
+                self.slopes = np.diff(self.values) / np.diff(self.ts)
         else:
             raise ValueError(f"unknown nonlinearity kind '{kind}'")
 
@@ -130,10 +133,7 @@ class ScalarNonlinearity:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if self.kind == "power":
-            with np.errstate(divide="ignore"):
-                slope = (hi if self.p >= 1.0 else lo) ** (self.p - 1.0)
-                slope *= self.p
-            return slope
+            return self._power_slope(hi if self.p >= 1.0 else lo)
         return self._touched_slopes(lo, hi, np.maximum, 0.0)
 
     def min_slope(self, lo, hi):
@@ -148,24 +148,27 @@ class ScalarNonlinearity:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         if self.kind == "power":
-            with np.errstate(divide="ignore"):
-                slope = (lo if self.p >= 1.0 else hi) ** (self.p - 1.0)
-                slope *= self.p
-            return slope
+            return self._power_slope(lo if self.p >= 1.0 else hi)
         out = self._touched_slopes(lo, hi, np.minimum, np.inf)
         return np.where((lo < self.ts[0]) | (hi > self.ts[-1]), 0.0, out)
 
+    def _power_slope(self, t):
+        """p t^(p - 1), the power law's derivative at t; inf at 0 for p < 1."""
+        with np.errstate(divide="ignore"):
+            slope = t ** (self.p - 1.0)
+            slope *= self.p
+        return slope
+
     def _touched_slopes(self, lo, hi, pick, start):
         """pick-reduction of start and the table's segment slopes touching [lo, hi]."""
-        slopes = np.diff(self.values) / np.diff(self.ts)
         # segment j spans [ts[j], ts[j+1]]; first..last touch [lo, hi]
         first = np.searchsorted(self.ts[1:], lo, side="left")
         last = np.searchsorted(self.ts[:-1], hi, side="right") - 1
         out = np.full(np.broadcast(lo, hi).shape, start)
         touched = first <= last
         for offset in range(int(np.max(last - first, initial=-1)) + 1):
-            j = np.clip(np.minimum(first + offset, last), 0, slopes.size - 1)
-            out = np.where(touched, pick(out, slopes[j]), out)
+            j = np.clip(np.minimum(first + offset, last), 0, self.slopes.size - 1)
+            out = np.where(touched, pick(out, self.slopes[j]), out)
         return out
 
 
@@ -260,8 +263,7 @@ def _peak_points(G, b, t_max):
         points.append(G.ts)
         if b > 1.0:
             with np.errstate(over="ignore"):  # an inf point lies past t_max
-                slopes = np.diff(G.values) / np.diff(G.ts)
-                points.append((np.maximum(slopes, 0.0) / b) ** (1.0 / (b - 1.0)))
+                points.append((np.maximum(G.slopes, 0.0) / b) ** (1.0 / (b - 1.0)))
     points.append([t_max])
     # np.sort, not np.unique, which imports numpy.ma (~20 ms); a point
     # checked twice gives the same verdict

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -493,6 +494,24 @@ class TestInputErrors:
             "alpha1 growth bounds: FAIL (F(t) <= t^(2*-1) at t = 1e-300, "
             "value 1e+10, bound 0)"
         )
+
+    def test_steep_table_solves_without_a_warning(self, tmp_scenario, tmp_path):
+        # the segment past t = 1000 rises to 1e300 over one ulp, a slope
+        # that overflows; t_max is 2, so alpha1 passes.  The table forms
+        # its slopes once, that one as inf, and the restart steps' slope
+        # queries, which touch only the first segments, read them
+        with open(SHIPPED_TORUS, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        past = math.nextafter(1000.0, 2000.0)
+        (tmp_path / "steep.csv").write_text(
+            f"t,value\n0,0\n0.5,0\n1,0.001\n1000,0.002\n{past!r},1e300\n"
+        )
+        doc["nonlinearity"]["F"] = {"kind": "table", "path": "steep.csv"}
+        out = tmp_path / "run"
+        proc = run_cli_process(["solve", tmp_scenario(doc), "--out", str(out)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""  # no RuntimeWarning
+        assert json.loads((out / "summary.json").read_text())["converged"] is True
 
 
 class TestSolve:

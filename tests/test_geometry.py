@@ -334,6 +334,41 @@ class TestFlatTorus:
         with pytest.raises(ValueError, match="axis length"):
             subsup.build_flat_torus([(4, length), (4, 1.0), (4, 1.0)])
 
+    @pytest.mark.parametrize("length", [1e200, 1e-200])
+    def test_weight_range_is_checked_before_assembly(self, length, monkeypatch):
+        # the volume (1.25e199)^3 overflows and (1.25e-201)^3 underflows:
+        # refused with no RuntimeWarning, before any pair key is formed
+        def pair_keys(*args, **kwargs):
+            raise AssertionError("pair keys formed")
+
+        monkeypatch.setattr(subsup.geometry, "_pair_keys", pair_keys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="grid weights out of floating-point range"):
+                subsup.build_flat_torus([(8, length)] * 3)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [[(7, 1.3)], [(16, 6.25), (5, 1.0)], [(8, 1.0), (3, 2.0), (5, 0.7)]],
+        ids=["1d", "2d", "3d"],
+    )
+    def test_weights_and_mass_are_volume_over_h_squared(self, dims):
+        # each neighbour pair along axis k weighs -volume / h_k^2 and each
+        # vertex has mass volume, the cell's, bit for bit
+        d = subsup.build_flat_torus(dims)
+        spacings = [l / c for c, l in dims]
+        volume = math.prod(spacings)
+        assert_bitwise(d.mass, np.full(d.vertex_count, volume))
+        rows, columns, weights = layout_entries(d.L)
+        cells = [c for c, _ in dims]
+        axis = np.argmax(
+            np.not_equal(np.unravel_index(rows, cells), np.unravel_index(columns, cells)),
+            axis=0,
+        )
+        expected = np.array([-volume / (h * h) for h in spacings])[axis]
+        assert rows.size == 2 * len(dims) * d.vertex_count
+        assert_bitwise(weights, expected)
+
     def test_constants_in_nullspace(self, torus8):
         ones = np.ones(torus8.vertex_count)
         assert np.abs(torus8.stiffness @ ones).max() == 0.0

@@ -1345,6 +1345,26 @@ class TestEnclosureStop:
         assert trace.converged and trace.steps > 5
         assert trace.enclosure_width is None and not pair.coincide
 
+    @pytest.mark.parametrize("tol", [1e-5, 1e-8, 1e-9])
+    def test_the_rule_judges_only_the_plain_point_it_stops_on(self, tol, monkeypatch, torus8):
+        # on the near-fold torus 8^3 the run stops on a lower plain point
+        # that passes the rule at tol 1e-5 and 1e-8, and on two kept
+        # points at 1e-9, which the rule never sees
+        problem, br, _ = benchmark_problem(torus8, "1.0001")
+        rule = subsup.iteration._end_failure
+        judged = []
+
+        def end_failure(problem, side, v, *args):
+            judged.append((side, v.copy()))
+            return rule(problem, side, v, *args)
+
+        monkeypatch.setattr(subsup.iteration, "_end_failure", end_failure)
+        pair, trace = iterate_monotone(problem, br, tol=tol)
+        assert trace.converged and pair.coincide
+        assert len(judged) == (tol != 1e-9)
+        if judged:
+            assert np.array_equal(judged[-1][1], pair.u_star.values)
+
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(
         gaps=st.lists(st.floats(0.05, 0.3), min_size=5, max_size=5),

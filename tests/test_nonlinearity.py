@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,17 @@ class TestScalarNonlinearity:
         assert np.array_equal(T.min_slope(lo, hi), [1.0, 1.0, 3.0, 1.0, 0.0, 0.0, 1.0, 1.0])
         G = ScalarNonlinearity.table([1.0, 2.0], [0.0, 2.0])
         assert np.array_equal(G.min_slope([0.5, 1.0], [1.5, 1.5]), [0.0, 2.0])
+
+    def test_steep_table_segment_has_infinite_slopes(self):
+        # the slope 1e10 / 1e-300 has no float: the table forms it once,
+        # as inf, without a RuntimeWarning, and every slope query reads it
+        G = ScalarNonlinearity.table([0.0, 1e-300, 1.0], [0.0, 1e10, 1e10])
+        lo, hi = np.array([0.0, 0.0, 0.5]), np.array([5e-301, 0.5, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(G.max_slope(lo, hi), [np.inf, np.inf, 0.0])
+            assert np.array_equal(G.min_slope(lo, hi), [np.inf, 0.0, 0.0])
+        assert np.array_equal(G.slopes, [np.inf, 0.0])
 
     def test_table_interpolation(self):
         F = ScalarNonlinearity.table([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
