@@ -6,6 +6,8 @@
     subsup mesh-info scenario.json [--json domain.json]
 
 Exit codes: 0 success, 1 hypothesis/convergence failure, 2 input error.
+This module builds and writes every document the program outputs; the
+library returns plain records.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ import sys
 import time
 
 from .geometry import generalized_spectrum, mesh_quality
-from .iteration import SIDES, BracketError, OrderingError, iterate_monotone, make_bracket
+from .iteration import (
+    SIDES, BracketError, IterationTrace, OrderingError, iterate_monotone, make_bracket,
+)
 from .linear_operator import ConvergenceError
 from .nonlinearity import check_alpha1, check_alpha2
 from .scenario import (
     ScenarioError, _max_steps, _positive, build_domain, build_problem, load_scenario,
 )
-from .serialize import format_float, write_json
+from .serialize import FloatColumn, format_float, write_csv, write_json
 
 # The ~20k objects the imports leave (the interpreter's, numpy's and ours)
 # live until exit and none is garbage, yet interpreter shutdown runs
@@ -55,16 +59,22 @@ def _run_checks(problem, lower, upper, tol):
     except BracketError as exc:
         failures = exc.failures
 
-    verdict = "PASS" if a1.passed else (
-        f"FAIL ({a1.clause} at t = {a1.t:g}, value {a1.value:g}, bound {a1.bound:g})"
-    )
+    # a failing check's report names where it fails
+    report = {"alpha1": {"passed": a1.passed, "warnings": list(a1.warnings)}}
+    verdict = "PASS"
+    if not a1.passed:
+        report["alpha1"].update(clause=a1.clause, t=a1.t, value=a1.value, bound=a1.bound)
+        verdict = f"FAIL ({a1.clause} at t = {a1.t:g}, value {a1.value:g}, bound {a1.bound:g})"
     print(f"alpha1 growth bounds: {verdict}")
     for w in a1.warnings:
         print(f"  warning: {w}")
-    where = "" if a2.vertex is None else f" at vertex {a2.vertex}"
-    verdict = "PASS" if a2.passed else f"FAIL ({a2.clause}{where})"
+    report["alpha2"] = {"passed": a2.passed}
+    verdict = "PASS"
+    if not a2.passed:
+        report["alpha2"].update(clause=a2.clause, vertex=a2.vertex)
+        where = "" if a2.vertex is None else f" at vertex {a2.vertex}"
+        verdict = f"FAIL ({a2.clause}{where})"
     print(f"alpha2 sign conditions: {verdict}")
-    report = {"alpha1": a1.to_json_dict(), "alpha2": a2.to_json_dict()}
     for side, failure in zip(SIDES, failures):
         report[side] = {
             "passed": failure is None,
@@ -104,11 +114,6 @@ def cmd_solve(args, scenario):
     pair, trace = iterate_monotone(problem, bracket, tol=tol, max_steps=max_steps)
     wall = time.perf_counter() - t0
 
-    os.makedirs(args.out, exist_ok=True)
-    pair.write_json(os.path.join(args.out, "solution.json"))
-    pair.write_csv(os.path.join(args.out, "solution.csv"))
-    trace.write_csv(os.path.join(args.out, "trace.csv"))
-
     min_u_star = float(pair.u_star.values.min())
     residuals = float(pair.residual_lower), float(pair.residual_upper)
     summary = {
@@ -125,7 +130,7 @@ def cmd_solve(args, scenario):
         "min_u_star": min_u_star,
         "wall_time": float(wall),
     }
-    write_json(os.path.join(args.out, "summary.json"), summary)
+    write_solution(args.out, pair, trace, summary)
 
     state = "converged" if trace.converged else "did NOT converge"
     print(
@@ -142,6 +147,27 @@ def cmd_solve(args, scenario):
         print("positivity failed on a connected domain")
         return 1
     return 0
+
+
+def write_solution(out, pair, trace, summary):
+    """Write solution.json, solution.csv, trace.csv and summary.json to out."""
+    # solution.json and solution.csv share one formatting of each limit
+    lower, upper = FloatColumn(pair.u_star.values), FloatColumn(pair.u_upper_star.values)
+    solution = {
+        "u_star": lower,
+        "u_upper_star": upper,
+        "residual_lower": float(pair.residual_lower),
+        "residual_upper": float(pair.residual_upper),
+        "coincide": bool(pair.coincide),
+    }
+    os.makedirs(out, exist_ok=True)
+    write_json(os.path.join(out, "solution.json"), solution)
+    columns = [range(lower.values.size), lower, upper]
+    write_csv(os.path.join(out, "solution.csv"), ["vertex", "u_star", "u_upper_star"], columns)
+    step, seq, *floats = zip(*trace.rows())
+    columns = [step, seq, *map(FloatColumn, floats)]
+    write_csv(os.path.join(out, "trace.csv"), IterationTrace.COLUMNS, columns)
+    write_json(os.path.join(out, "summary.json"), summary)
 
 
 def cmd_spectrum(args, scenario):
@@ -164,16 +190,26 @@ def cmd_mesh_info(args, scenario):
     print(f"vertices: {domain.vertex_count}")
     if domain.is_surface:
         print(f"faces: {len(domain.faces)}")
+        shape = {"faces": domain.faces}
     else:
-        print(f"grid cells: {list(domain.grid_cells)}")
-        print(f"grid lengths: {[float(l) for l in domain.grid_lengths]}")
+        grid = {"cells": list(domain.grid_cells), "lengths": list(domain.grid_lengths)}
+        print(f"grid cells: {grid['cells']}")
+        print(f"grid lengths: {grid['lengths']}")
+        shape = {"grid": grid}
     print(f"volume (mass sum): {domain.mass.sum():.12g}")
     print(f"obtuse triangles: {quality.obtuse_triangle_count}")
     print(f"positive off-diagonals: {quality.positive_offdiagonal_count}")
     print(f"m-matrix compatible: {str(quality.is_m_matrix_compatible).lower()}")
     print(f"connected: {str(domain.is_connected()).lower()}")
     if args.json:
-        write_json(args.json, domain.to_json_dict())
+        # a grid forms its coordinates on access, so only here
+        document = {
+            "kind": domain.kind,
+            "vertex_count": domain.vertex_count,
+            "coordinates": domain.coordinates,
+            **shape,
+        }
+        write_json(args.json, document)
     return 0
 
 

@@ -179,22 +179,6 @@ class DiscreteDomain:
         n_comp, _ = connected_components(self.stiffness, directed=False)
         return bool(n_comp == 1)
 
-    def to_json_dict(self):
-        """Export {kind, vertex_count, coordinates, faces|grid}."""
-        out = {
-            "kind": self.kind,
-            "vertex_count": self.vertex_count,
-            "coordinates": self.coordinates,
-        }
-        if self.is_surface:
-            out["faces"] = self.faces
-        else:
-            out["grid"] = {
-                "cells": list(self.grid_cells),
-                "lengths": [float(l) for l in self.grid_lengths],
-            }
-        return out
-
     def __repr__(self):
         return f"DiscreteDomain(kind={self.kind!r}, vertices={self.vertex_count})"
 
@@ -533,6 +517,16 @@ def _subdivide(verts, count, faces):
     refined[:, 1:3, 2] = mid[:, :2]
     refined[:, 3] = mid
     return refined.reshape(-1, 3), parents
+
+
+def _coarse_mesh(coordinates, faces, coarse_count):
+    """The icosphere one subdivision below (coordinates, faces).
+
+    Its vertices are the first coarse_count ones, and its face t is made
+    of the first corners of faces 4t, 4t + 1 and 4t + 2, which are its
+    corners a, b and c under _subdivide's numbering.
+    """
+    return coordinates[:coarse_count], faces.reshape(-1, 4, 3)[:, :3, 0]
 
 
 def build_flat_torus(dims):

@@ -50,14 +50,12 @@ history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import Field, mesh_quality
 from .linear_operator import ConvergenceError, _dot, _norm, solve_T
 from .nonlinearity import apply_S, check_alpha2
-from .serialize import FloatColumn, write_csv, write_json
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_STEPS = 500
@@ -124,8 +122,11 @@ class IterationTrace:
     cg_iterations: tuple
     enclosure_width: float | None
 
+    # the names of each row's fields, in order
+    COLUMNS = ("step", "seq", "max_change", "min_u", "max_u", "defect_norm")
+
     def rows(self):
-        """Per-step rows for the CSV export, by step, lower before upper."""
+        """Per-step rows, by step, lower before upper."""
         sides = zip(SIDES, (self.lower_steps, self.upper_steps))
         rows = [
             (r.step, seq, r.max_change, r.min_u, r.max_u, r.defect_norm)
@@ -133,14 +134,6 @@ class IterationTrace:
             for r in records
         ]
         return sorted(rows, key=lambda row: row[0])  # stable: lower first
-
-    def write_csv(self, path):
-        step, seq, *floats = zip(*self.rows())
-        write_csv(
-            path,
-            ["step", "seq", "max_change", "min_u", "max_u", "defect_norm"],
-            [step, seq, *(FloatColumn(np.array(c)) for c in floats)],
-        )
 
 
 @dataclass(eq=False)
@@ -152,26 +145,6 @@ class SolutionPair:
     residual_lower: float
     residual_upper: float
     coincide: bool
-
-    @cached_property
-    def _columns(self):
-        # solution.json and solution.csv share one formatting of each limit
-        return FloatColumn(self.u_star.values), FloatColumn(self.u_upper_star.values)
-
-    def write_json(self, path):
-        lower, upper = self._columns
-        document = {
-            "u_star": lower,
-            "u_upper_star": upper,
-            "residual_lower": float(self.residual_lower),
-            "residual_upper": float(self.residual_upper),
-            "coincide": bool(self.coincide),
-        }
-        write_json(path, document)
-
-    def write_csv(self, path):
-        columns = [range(self.u_star.values.size), *self._columns]
-        write_csv(path, ["vertex", "u_star", "u_upper_star"], columns)
 
 
 def _image(problem, v, psi=None):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _assemble_surface
+from .geometry import _assemble_surface, _coarse_mesh
 
 # Multigrid on icospheres: every level above this many vertices
 # (icosphere 2) gets smoothed, and the level at or below it, the
@@ -172,16 +172,6 @@ def _spd_inverse(a):
         a[k] /= pivot
         a -= np.multiply.outer(factor, a[k])
     return a
-
-
-def _coarse_mesh(coordinates, faces, coarse_count):
-    """The icosphere one subdivision below (coordinates, faces).
-
-    Its vertices are the first coarse_count ones, and its face t is made
-    of the first corners of faces 4t, 4t + 1 and 4t + 2, which are its
-    corners a, b and c under build_icosphere's numbering.
-    """
-    return coordinates[:coarse_count], faces.reshape(-1, 4, 3)[:, :3, 0]
 
 
 def _prolong(y, ends):

@@ -59,11 +59,12 @@ class ScalarNonlinearity:
                 raise ValueError("table needs matching 1-d t and value columns")
             if self.ts.size < 2:
                 raise ValueError("table needs at least two rows")
-            if not np.all(np.diff(self.ts) > 0.0):
+            # neighbours compared, not subtracted: a difference may overflow
+            if not np.all(self.ts[1:] > self.ts[:-1]):
                 raise ValueError("table t column must be strictly increasing")
             if not np.all(np.isfinite(self.ts)) or not np.all(np.isfinite(self.values)):
                 raise ValueError("table contains non-finite entries")
-            if np.any(np.diff(self.values) < 0.0):
+            if np.any(self.values[1:] < self.values[:-1]):
                 raise ValueError("table values must be non-decreasing")
             # segment j's slope; one that has no float overflows to inf
             with np.errstate(over="ignore"):
@@ -212,24 +213,12 @@ class Alpha1Report:
     bound: float | None = None
     warnings: list = dataclass_field(default_factory=list)
 
-    def to_json_dict(self):
-        out = {"passed": self.passed, "warnings": list(self.warnings)}
-        if not self.passed:
-            out.update(clause=self.clause, t=self.t, value=self.value, bound=self.bound)
-        return out
-
 
 @dataclass
 class Alpha2Report:
     passed: bool
     clause: str | None = None
     vertex: int | None = None
-
-    def to_json_dict(self):
-        out = {"passed": self.passed}
-        if not self.passed:
-            out.update(clause=self.clause, vertex=self.vertex)
-        return out
 
 
 def _finite_limit(e):

@@ -16,12 +16,13 @@ Schema:
     }
 
 Coefficients and bracket ends are JSON numbers (constants) or strings
-in the expression grammar.  "q" defaults to H's exponent for power-law
-H and is required for tables.  The "solver" block is optional; the
-linear solves run at tol / 100 (see iterate_monotone).  No object holds
-keys other than those shown for it (a table nonlinearity holds "kind"
-and "path"): an unknown key is an error that names it, so a misspelt
-key cannot run a different problem.
+in the expression grammar.  "q" is required when H is a table; left
+out for a power-law H, Scenario.q is None and NonlinearProblem takes
+H's exponent.  The "solver" block is optional; the linear solves run
+at tol / 100 (see iterate_monotone).  No object holds keys other than
+those shown for it (a table nonlinearity holds "kind" and "path"): an
+unknown key is an error that names it, so a misspelt key cannot run a
+different problem.
 parse_scenario resolves each path (OFF meshes, nonlinearity tables)
 once, as os.path.join(base_dir, path), so a relative one resolves
 against the scenario file's directory and an absolute one stays as
@@ -212,9 +213,7 @@ def parse_scenario(text, base_dir="."):
 
     H_spec = _nonlin_spec(need("H", "nonlinearity", nl), "nonlinearity.H", base_dir)
     q = nl.get("q")
-    if q is None and H_spec["kind"] == "power":
-        q = H_spec["p"]
-    if q is None:
+    if q is None and H_spec["kind"] == "table":
         raise ScenarioError("'nonlinearity.q' is required when H is a table")
 
     return Scenario(
@@ -225,7 +224,7 @@ def parse_scenario(text, base_dir="."):
         h=_coeff(need("h", "coefficients", coeffs), "coefficients.h"),
         F_spec=_nonlin_spec(need("F", "nonlinearity", nl), "nonlinearity.F", base_dir),
         H_spec=H_spec,
-        q=_number(q, "nonlinearity.q"),
+        q=None if q is None else _number(q, "nonlinearity.q"),
         lower=_coeff(need("lower", "bracket", bracket), "bracket.lower"),
         upper=_coeff(need("upper", "bracket", bracket), "bracket.upper"),
         tol=_positive(solver.get("tol", DEFAULT_TOL), "solver.tol"),

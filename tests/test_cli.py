@@ -113,6 +113,37 @@ class TestCheck:
         assert main(["check", tmp_scenario(doc)]) == 1
         assert "alpha1 growth bounds: FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "changes, alpha1, alpha2",
+        [
+            (
+                {"nonlinearity": {"F": {"kind": "power", "p": 6.0}}},
+                {"passed": False, "warnings": [], "clause": "F(t) <= t^(2*-1)",
+                 "t": 2, "value": 64, "bound": 32},
+                {"passed": True},
+            ),
+            (
+                {"coefficients": {"f": -0.5}},
+                {"passed": True, "warnings": []},
+                {"passed": False, "clause": "f >= 0", "vertex": 0},
+            ),
+        ],
+        ids=["alpha1", "alpha2"],
+    )
+    def test_json_report_names_where_a_hypothesis_fails(
+        self, changes, alpha1, alpha2, tmp_scenario, tmp_path
+    ):
+        # a failing check's object adds its clause and place, in this order
+        doc = base_torus_doc()
+        for block, values in changes.items():
+            doc[block].update(values)
+        out = tmp_path / "report.json"
+        assert main(["check", tmp_scenario(doc), "--json", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert list(report) == ["alpha1", "alpha2", "lower", "upper", "passed"]
+        for got, expected in ((report["alpha1"], alpha1), (report["alpha2"], alpha2)):
+            assert list(got.items()) == list(expected.items())
+
     def test_alpha1_warning_is_printed(self, tmp_scenario, capsys):
         doc = base_torus_doc()
         doc["nonlinearity"]["H"] = {"kind": "power", "p": 1.5}
@@ -514,6 +545,55 @@ class TestInputErrors:
         assert json.loads((out / "summary.json").read_text())["converged"] is True
 
 
+    @pytest.mark.parametrize(
+        "rows, code, verdicts",
+        [
+            ("0,-1e308\n1,1e308", 1, [
+                "FAIL (0 <= F(t) at t = 0, value -1e+308, bound 0)",
+                "PASS",
+                "FAIL (defect 9.570313e+304 of the wrong sign at vertex 0)",
+                "FAIL (defect -9.765625e+304 of the wrong sign at vertex 0)",
+            ]),
+            ("-1e308,0\n1e308,1", 0, ["PASS"] * 4),
+        ],
+        ids=["values", "ts"],
+    )
+    def test_table_whose_neighbours_differ_past_the_float_range(
+        self, rows, code, verdicts, tmp_scenario, tmp_path
+    ):
+        # a neighbour's difference overflows; the columns are checked
+        # by comparing neighbours, which warns of nothing
+        with open(SHIPPED_TORUS, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        (tmp_path / "wide.csv").write_text(f"t,value\n{rows}\n")
+        doc["nonlinearity"]["F"] = {"kind": "table", "path": "wide.csv"}
+        proc = run_cli_process(["check", tmp_scenario(doc)])
+        assert proc.returncode == code
+        assert proc.stderr == ""  # no RuntimeWarning
+        checks = ("alpha1 growth bounds", "alpha2 sign conditions",
+                  "lower solution check", "upper solution check")
+        assert proc.stdout.splitlines() == [f"{c}: {v}" for c, v in zip(checks, verdicts)]
+
+    def test_table_without_a_path(self, tmp_scenario, capsys):
+        doc = base_torus_doc()
+        doc["nonlinearity"]["F"] = {"kind": "table"}
+        assert main(["check", tmp_scenario(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: nonlinearity.F: table needs 'path'"]
+
+    def test_missing_table_file(self, tmp_scenario, tmp_path, capsys):
+        doc = base_torus_doc()
+        doc["nonlinearity"]["H"] = {"kind": "table", "path": "absent.csv"}
+        doc["nonlinearity"]["q"] = 0.5
+        assert main(["check", tmp_scenario(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: nonlinearity table not found: {tmp_path / 'absent.csv'}"
+        ]
+
+
 class TestSolve:
     def test_writes_artifacts(self, tmp_scenario, tmp_path, capsys):
         out = tmp_path / "run"
@@ -839,6 +919,21 @@ class TestMeshInfo:
         exported = json.loads(out.read_text())
         assert exported["kind"] == "icosphere"
         assert exported["vertex_count"] == 42
+
+    def test_json_document_of_a_grid_and_a_surface(self, tmp_scenario, tmp_path):
+        doc = base_torus_doc()
+        out = tmp_path / "domain.json"
+        assert main(["mesh-info", tmp_scenario(doc), "--json", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert list(d) == ["kind", "vertex_count", "coordinates", "grid"]
+        assert d["kind"] == "flat_torus"
+        assert d["vertex_count"] == 512
+        doc["domain"] = {"kind": "icosphere", "subdivisions": 2}
+        assert main(["mesh-info", tmp_scenario(doc), "--json", str(out)]) == 0
+        d = json.loads(out.read_text())
+        assert list(d) == ["kind", "vertex_count", "coordinates", "faces"]
+        assert d["kind"] == "icosphere"
+        assert len(d["faces"]) == 320
 
     @pytest.mark.parametrize(
         "domain",

@@ -296,6 +296,21 @@ class TestIcosphere:
         midpoints /= np.linalg.norm(midpoints, axis=1, keepdims=True)
         assert np.abs(fine.coordinates[coarse_count:] - midpoints).max() <= 1e-15
 
+    @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
+    def test_coarse_mesh_inverts_the_subdivision(self, subdivisions):
+        # _subdivide numbers face t's children 4t..4t+3, and _coarse_mesh
+        # reads the coarser icosphere back from that numbering, bit for bit
+        from subsup.geometry import _coarse_mesh
+
+        fine = subsup.build_icosphere(subdivisions)
+        coarse = subsup.build_icosphere(subdivisions - 1)
+        coordinates, faces = _coarse_mesh(
+            fine.coordinates, fine.faces, fine.refinement[-1][0]
+        )
+        for got, expected in ((coordinates, coarse.coordinates), (faces, coarse.faces)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
     def test_refinement_only_on_icospheres(self, tmp_path, torus8):
         assert subsup.build_icosphere(0).refinement == ()
         assert torus8.refinement is None
@@ -616,14 +631,6 @@ class TestDomainApi:
         f = icosphere2.field(1.0)
         with pytest.raises(ValueError):
             torus8.field(f)
-
-    def test_to_json_dict(self, torus8, icosphere2):
-        d = torus8.to_json_dict()
-        assert d["kind"] == "flat_torus"
-        assert d["vertex_count"] == 512
-        d = icosphere2.to_json_dict()
-        assert d["kind"] == "icosphere"
-        assert len(d["faces"]) == 320
 
     @pytest.mark.parametrize(
         "name", ["torus8", "icosphere3", "torus16_2d", "irregular_off", "bipyramid"]

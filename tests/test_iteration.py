@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
+from subsup.cli import write_solution
 from subsup.iteration import bracket_failures
 from subsup.scenario import build_problem, load_scenario
 
@@ -367,9 +368,8 @@ class TestIterateMonotone:
         assert trace.converged
         assert len(trace.upper_steps) == 1
         assert len(trace.lower_steps) == trace.steps > 1
-        path = tmp_path / "trace.csv"
-        trace.write_csv(str(path))
-        rows = path.read_text().strip().split("\n")[1:]
+        write_solution(str(tmp_path), pair, trace, {})
+        rows = (tmp_path / "trace.csv").read_text().strip().split("\n")[1:]
         assert [tuple(r.split(",")[:2]) for r in rows] == (
             [("1", "lower"), ("1", "upper")]
             + [(str(k), "lower") for k in range(2, trace.steps + 1)]
@@ -1457,7 +1457,7 @@ class TestPositivity:
 class TestArtifacts:
     def test_solution_files_keep_the_float_list_bytes(self, tmp_path):
         # longer than one formatting chunk; both files share its strings
-        from subsup.iteration import SolutionPair
+        from subsup.iteration import IterationTrace, SolutionPair, StepRecord
         from tests.test_serialize import chunk_floats, dumps, reference_csv
 
         domain = subsup.build_flat_torus([(17, 1.0)] * 3)
@@ -1466,8 +1466,9 @@ class TestArtifacts:
         pair = SolutionPair(
             subsup.Field(domain, lower), subsup.Field(domain, upper), 1e-12, 2.5e-13, False
         )
-        pair.write_json(str(tmp_path / "solution.json"))
-        pair.write_csv(str(tmp_path / "solution.csv"))
+        record = [StepRecord(1, 0.5, 0.25, 1.0, 1e-12)]
+        trace = IterationTrace(record, record, 1, True, (0, 0), (0, 0), (1, 1), None)
+        write_solution(str(tmp_path), pair, trace, {})
         doc = {
             "u_star": lower,
             "u_upper_star": upper,
@@ -1484,8 +1485,8 @@ class TestArtifacts:
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         pair, trace = iterate_monotone(torus_problem, br, tol=1e-9)
 
+        write_solution(str(tmp_path), pair, trace, {})
         jpath = tmp_path / "solution.json"
-        pair.write_json(str(jpath))
         import json
 
         doc = json.loads(jpath.read_text())
@@ -1493,14 +1494,12 @@ class TestArtifacts:
         assert doc["coincide"] is True
 
         cpath = tmp_path / "solution.csv"
-        pair.write_csv(str(cpath))
         rows = cpath.read_text().strip().split("\n")
         assert rows[0] == "vertex,u_star,u_upper_star"
         assert len(rows) == torus8.vertex_count + 1
         assert float(rows[1].split(",")[1]) == pair.u_star.values[0]
 
         tpath = tmp_path / "trace.csv"
-        trace.write_csv(str(tpath))
         rows = tpath.read_text().strip().split("\n")
         assert rows[0] == "step,seq,max_change,min_u,max_u,defect_norm"
         assert len(rows) == 1 + len(trace.lower_steps) + len(trace.upper_steps)

@@ -321,7 +321,7 @@ class TestMultigridPreconditioner:
     @pytest.mark.parametrize("radius", [1.0, 2.5])
     @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
     def test_coarse_level_is_the_coarser_icosphere(self, subdivisions, radius):
-        from subsup.linear_operator import _coarse_mesh
+        from subsup.geometry import _coarse_mesh
 
         fine = subsup.build_icosphere(subdivisions, radius=radius)
         coarse = subsup.build_icosphere(subdivisions - 1, radius=radius)

@@ -37,9 +37,11 @@ class TestParse:
         s = parse_scenario(json.dumps(base_torus_doc()))
         assert s.n == 3
         assert s.a == 2.0
-        assert s.q == 0.5  # inherited from H's exponent
+        assert s.q is None  # left to the problem, which takes H's exponent
         assert s.tol == 1e-9
         assert s.max_steps == 500
+        _, problem, _, _ = build_problem(s)
+        assert problem.q == 0.5
 
     def test_solver_overrides(self):
         doc = base_torus_doc()
