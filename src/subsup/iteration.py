@@ -12,7 +12,11 @@ floating point or a broken precondition) aborts the run loudly.
 
 Every step of a side solves one system (see _solve_sides): with J =
 A - M diag(D), the side with iterate x solves J v = S(x) - M D x.
-D = 0 is the plain step v = T(S(x)), which step 1 takes.  At later
+D = 0 is the plain step v = T(S(x)), which step 1 takes.  A plain
+point is moved by a charge that bounds its solve's error (see
+_charged), down on the lower side and up on the upper one, so the
+chain's claims hold for the iterate the run holds; step 1's solves may
+then stop early, as the accuracy of the point is paid for.  At later
 steps D is the entrywise least slope of f F + h H over the current
 pair, and v a restart point; as the pair narrows D tends to the
 derivative of S at the limit, so the point becomes a Newton step.  This
@@ -43,8 +47,9 @@ most tol wide whose points are a lower and an upper solution, so that
 every solution in the bracket lies between them.  Otherwise a side
 stops on a step that moves it by at most tol, always a plain one; that
 rule ends the runs whose bracket holds several solutions, where the
-pair never narrows.  The iteration keeps only the current pair, no
-history.
+pair never narrows.  Every tol here is relative to max|upper end|, as
+the ordering slack is, so a run in other units is the same run.  The
+iteration keeps only the current pair, no history.
 """
 
 from __future__ import annotations
@@ -60,6 +65,10 @@ from .nonlinearity import apply_S, check_alpha2
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_STEPS = 500
 ORDERING_SLACK = 1e-9  # relative to max|upper|, the scale of the default tol
+# step 1's plain solves stop at this relative residual; their error is
+# charged to the points (see _charged), and later plain steps, near a
+# limit or a fold, solve to the run's linear tol
+FIRST_STEP_TOL = 1e-3
 SIDES = ("lower", "upper")  # side i of the pair, in that order everywhere
 
 
@@ -353,6 +362,26 @@ def _solve_sides(problem, u, psi, action, sides, shift, tol, cg):
     return solved, shared
 
 
+def _charged(problem, sign, solved, b, ma_min):
+    """(v - sign delta, A (v - sign delta)) for a plain step's (v, SolveReport).
+
+    v solved A v = b, and the report's Ax is A v.  With r = b - A v and
+    delta = max|r| / min(m a), rounded up, |v - T(b)| <= delta entrywise,
+    since ||A^-1||_inf <= 1 / min(m a) on an M-matrix domain, where L's
+    rows sum to 0 (Varah, Linear Algebra Appl. 11, 1975).  So the lower
+    side's point (sign 1) moves down by delta and the upper one's up, to
+    the safe side of the exact step T(b) however loosely v was solved.
+    r is formed in the report's Ax, which dies here.
+    """
+    v, report = solved
+    r = np.subtract(b, report.Ax, out=report.Ax)
+    del report
+    delta = np.nextafter(np.abs(r, out=r).max() / ma_min, np.inf)
+    del r
+    v -= sign * delta
+    return v, problem.domain.L.product(v, problem.linear.diagonal)
+
+
 def _certified(problem, sign, v, u, image, tol):
     """Whether the restart point v may replace the iterate u of its side.
 
@@ -398,31 +427,34 @@ def _ordered(u, kept):
     return not np.any(lower > upper)
 
 
-def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg):
+def _kept_points(
+    problem, u, psi, action, sides, u_tol, scale, linear_tol, restart_tol, slack, cg
+):
     """{side: (v, (A v, S(v))) if kept, else None} for the points tried.
 
     Each side in sides gets its point from _solve_sides, with D taken
-    over the current pair u and CG run to max(linear_tol, min(1e-2, w^2)),
-    w = max(upper - lower): the solve gets as accurate as the pair is
-    narrow, and a looser point can only be refused, never trusted.  Both
-    sides solve with the same J, and near the limit the lower side's
-    point lies about w^2 from the upper side's where the upper iterate
-    lies about w away: the projection start for systems that share a
-    matrix (Chan and Wan, SIAM J. Sci. Comput. 18, 1997).  A point
-    within tol of its iterate is not tried: it gets no image and no
-    certificate, and its side takes the plain step.  A failed solve is
-    tried and not kept.  Any other point is kept if _verdict accepts it,
-    from its (A v, S(v)), formed once; the kept points stand only if the
-    pair they leave stays ordered.  An upper point from the shared start
-    that is tried and not kept is discarded, and the upper side solves
-    again from its iterate, so the outcome, a refusal included, is that
+    over the current pair u and CG run to max(linear_tol, min(1e-2,
+    (w / scale)^2)), w = max(upper - lower) and scale = max|upper end|:
+    the solve gets as accurate as the pair is narrow, and a looser point
+    can only be refused, never trusted.  Both sides solve with the same
+    J, and near the limit the lower side's point lies about w^2 from the
+    upper side's where the upper iterate lies about w away: the
+    projection start for systems that share a matrix (Chan and Wan, SIAM
+    J. Sci. Comput. 18, 1997).  A point within u_tol (tol * scale) of
+    its iterate is not tried: it gets no image and no certificate, and
+    its side takes the plain step.  A failed solve is tried and not
+    kept.  Any other point is kept if _verdict accepts it, from its
+    (A v, S(v)), formed once; the kept points stand only if the pair
+    they leave stays ordered.  An upper point from the shared start that is
+    tried and not kept is discarded, and the upper side solves again
+    from its iterate, so the outcome, a refusal included, is that
     attempt's; cg counts both.
     """
-    width = float((u[1] - u[0]).max())
+    width = float((u[1] - u[0]).max()) / scale
     eta = max(linear_tol, min(1e-2, width * width))
 
-    def tried(i, v):  # a failed solve is; a point within tol of u[i] is not
-        return v is None or float(np.abs(v - u[i]).max()) > tol
+    def tried(i, v):  # a failed solve is; a point within u_tol of u[i] is not
+        return v is None or float(np.abs(v - u[i]).max()) > u_tol
 
     kept, todo = {}, sides
     while todo:  # twice at most: a discarded shared point is solved again
@@ -442,11 +474,11 @@ def _kept_points(problem, u, psi, action, sides, tol, linear_tol, restart_tol, s
     return kept if _ordered(u, kept) else dict.fromkeys(kept)
 
 
-def _enclosure(problem, u, psi, verified, tol, restart_tol):
-    """max(U - u) if the pair u is a verified enclosure within tol, else None.
+def _enclosure(problem, u, psi, verified, u_tol, restart_tol):
+    """max(U - u) if the pair u is a verified enclosure within u_tol, else None.
 
     The chain keeps every solution in the bracket between the two sides.
-    The pair must be at most tol wide, and each of its points a verified
+    The pair must be at most u_tol wide, and each of its points a verified
     lower (upper) solution, whatever rounding and inexact solves did, so
     that a solution lies between them.  verified[i] is side i's verdict
     on its point u[i]: True for a kept point, one by _certified, and None
@@ -456,7 +488,7 @@ def _enclosure(problem, u, psi, verified, tol, restart_tol):
     stored in verified[i], where it stands until the side moves.
     """
     width = float((u[1] - u[0]).max())
-    if width > tol:
+    if width > u_tol:
         return None
     for i in (0, 1):
         if verified[i] is None:  # a BracketFailure is truthy, a pass None
@@ -511,12 +543,20 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     solve_T's stop rule and true-residual re-check are the same from
     either start, so the start moves only the CG count and the last bits
     of the iterate.  Step 1 is the unshifted case, D = 0, for both sides:
-    the plain step T(S(.)), with T solved to tol / 100; with S(upper)
-    parallel to S(lower), as with constant f, h and bracket ends, the
-    upper start already solves its equation.  At every step after the
-    first, the running sides first solve for their shifted points
-    (see _kept_points); a shared point that is not kept is discarded,
-    and the upper side solves again from its iterate.  A point within
+    the plain step T(S(.)), with T solved to FIRST_STEP_TOL, or tol / 100
+    where that is looser; with S(upper) parallel to S(lower), as with
+    constant f, h and bracket ends, the upper start already solves its
+    equation.  Every plain point v is moved by its charge (see _charged),
+    to v - delta on the lower side and v + delta on the upper one, before
+    any check sees it: the point then lies below the exact step on the
+    lower side and above it on the upper one.  A step-1 point whose
+    charge moves its side back beyond the slack, as where a bracket end
+    lies within the loose solve's error of its step, is solved again, to
+    tol / 100 from its iterate.  Every later plain step solves to
+    tol / 100.  At every step after the first, the running sides first
+    solve for their shifted points (see _kept_points); a shared point
+    that is not kept is discarded, and the upper side solves again from
+    its iterate.  A point within
     tol of the iterate is not tried.  Any other point becomes the side's
     step if _certified finds it a lower (upper) solution that no
     solution in the bracket lies beyond, it moves its side back by at
@@ -557,15 +597,20 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
     a2 = check_alpha2(problem)
     if not a2.passed:
         raise ValueError(f"sign hypotheses fail: {a2.clause}")
-    # max|upper| > 0: the lower end is not identically 0 and lower <= upper
-    slack = ORDERING_SLACK * float(np.abs(bracket.upper.values).max())
+    # max|upper| > 0: the lower end is not identically 0 and lower <= upper.
+    # It is the scale of u: tol and the slack are relative to it, and u_tol
+    # is tol in the units of u
+    scale = float(np.abs(bracket.upper.values).max())
+    slack = ORDERING_SLACK * scale
+    u_tol = tol * scale
     # A verified restart point v may keep a defect of the wrong sign up to
     # t max|M a v|, and the next step moves back by A^-1 of it, at most
     # t max|M a v| / min(m a) since ||A^-1||_inf <= 1/min(m a) on an
     # M-matrix domain.  t <= ORDERING_SLACK min(m a) / max(m a) keeps that
     # within slack; the run's tol alone would not once it exceeds the slack.
     ma = domain.mass * problem.a.values
-    restart_tol = min(tol, ORDERING_SLACK * float(ma.min() / ma.max()))
+    ma_min = float(ma.min())  # also the plain points' charge, see _charged
+    restart_tol = min(tol, ORDERING_SLACK * (ma_min / float(ma.max())))
     del ma  # each N-vector held through the loop raises the peak memory
 
     def require(amount, description):
@@ -576,7 +621,16 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 "non-M-matrix domain or an unverified bracket"
             )
 
+    def charged(i, solved):
+        """Side i's plain point moved by its charge (see _charged), its
+        A v, and how far it moves the side back: the lower side must
+        climb and the upper one descend."""
+        sign = 1 - 2 * i
+        v, av = _charged(problem, sign, solved, psi[i].values, ma_min)
+        return v, av, float((sign * (u[i] - v)).max())
+
     linear_tol = tol / 100.0
+    first_tol = max(FIRST_STEP_TOL, linear_tol)
     u = [bracket.lower.values.copy(), bracket.upper.values.copy()]
     # A u from solve_T's last re-check or a kept point's image; None
     # where u was not solved for
@@ -593,7 +647,8 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
         tried, plain = {}, {}
         if k > 1:
             tried = _kept_points(
-                problem, u, psi, action, sides, tol, linear_tol, restart_tol, slack, cg
+                problem, u, psi, action, sides, u_tol, scale, linear_tol, restart_tol,
+                slack, cg,
             )
             for i, point in tried.items():
                 refusals[i] += point is None
@@ -606,24 +661,27 @@ def iterate_monotone(problem, bracket, tol=DEFAULT_TOL, max_steps=DEFAULT_MAX_ST
                 if i not in plain:  # both sides at step 1, later one side alone
                     plain, _ = _solve_sides(
                         problem, u, psi, action, sides if k == 1 else [i], None,
-                        linear_tol, cg,
+                        first_tol if k == 1 else linear_tol, cg,
                     )
-                v, report = plain.pop(i)
-                # lower must climb, upper must descend
-                gap = float(((1 - 2 * i) * (u[i] - v)).max())
+                v, av, gap = charged(i, plain.pop(i))
+                if k == 1 and gap > slack:  # the charge outruns the step somewhere
+                    del v, av
+                    again, _ = _solve_sides(
+                        problem, u, psi, action, [i], None, linear_tol, cg
+                    )
+                    v, av, gap = charged(i, again.pop(i))
                 require(gap, f"{SIDES[i]} sequence not monotone at step {k}")
-                av, s = report.Ax, apply_S(problem, v)
-                del report  # its Ax would outlive the kept point that replaces it
+                s = apply_S(problem, v)
                 verified[i] = None
             change = float(np.abs(v - u[i]).max())
             u[i], action[i], psi[i] = v, av, s
-            converged[i] = change <= tol
+            converged[i] = change <= u_tol
             resid = float(np.abs(action[i] - psi[i].values).max())
             records[i].append(
                 StepRecord(k, change, float(u[i].min()), float(u[i].max()), resid)
             )
         require(float((u[0] - u[1]).max()), f"lower above upper at step {k}")
-        width = _enclosure(problem, u, psi, verified, tol, restart_tol)
+        width = _enclosure(problem, u, psi, verified, u_tol, restart_tol)
         if width is not None or all(converged):
             break
 

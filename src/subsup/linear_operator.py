@@ -42,6 +42,9 @@ from .geometry import _assemble_surface, _coarse_mesh
 # V-cycle symmetric, and omega = 0.8 keeps omega * max eig(D^-1 A) below
 # 2 on every level, which makes it positive definite too.
 COARSEST_VERTICES = 162
+# the coarsest level's inverse is formed by halves down to blocks this
+# small, which Gauss-Jordan elimination inverts (see _spd_inverse_by_halves)
+HALVES_BASE_ROWS = 24
 SMOOTHING_SWEEPS = 2
 SMOOTHING_WEIGHT = 0.8
 
@@ -174,6 +177,33 @@ def _spd_inverse(a):
     return a
 
 
+def _spd_inverse_by_halves(a):
+    """Inverse of a symmetric positive definite matrix, by Schur complements.
+
+    With a = [[A11, A12], [A12', A22]], X = A11^-1 A12 and the Schur
+    complement S = A22 - A12' X, also SPD, the inverse is
+    [[A11^-1 + X S^-1 X', -X S^-1], [-S^-1 X', S^-1]]; A11^-1 and S^-1
+    come by the same recursion, down to blocks of HALVES_BASE_ROWS rows,
+    which _spd_inverse inverts.  The products are einsum's own loops
+    (no optimize=, which would reach BLAS), for the reason given there.
+    """
+    n = a.shape[0]
+    if n <= HALVES_BASE_ROWS:
+        return _spd_inverse(a)
+    h = n // 2
+    a12 = a[:h, h:]
+    out = np.empty((n, n))
+    out[:h, :h] = _spd_inverse_by_halves(a[:h, :h])
+    x = np.einsum("ij,jk->ik", out[:h, :h], a12)
+    s_inverse = _spd_inverse_by_halves(a[h:, h:] - np.einsum("ji,jk->ik", a12, x))
+    y = np.einsum("ij,jk->ik", x, s_inverse)  # X S^-1
+    out[:h, :h] += np.einsum("ij,kj->ik", y, x)
+    out[:h, h:] = -y
+    out[h:, :h] = -y.T
+    out[h:, h:] = s_inverse
+    return out
+
+
 def _prolong(y, ends):
     """P y: coarse vertices keep their value, a midpoint takes the mean
     of the two ends of the edge it splits; ends is the (2, n_new)
@@ -212,7 +242,7 @@ def _multigrid_preconditioner(problem):
         diagonal = L.diagonal + mass * a
     # applied by einsum, which calls no BLAS (a threaded gemv could stall
     # like the factorization above)
-    coarse_inverse = _spd_inverse(L.dense(diagonal))
+    coarse_inverse = _spd_inverse_by_halves(L.dense(diagonal))
 
     def coarse_solve(r):
         return np.einsum("ij,j->i", coarse_inverse, r)

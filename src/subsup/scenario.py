@@ -18,8 +18,8 @@ Schema:
 Coefficients and bracket ends are JSON numbers (constants) or strings
 in the expression grammar.  "q" is required when H is a table; left
 out for a power-law H, Scenario.q is None and NonlinearProblem takes
-H's exponent.  The "solver" block is optional; the linear solves run
-at tol / 100 (see iterate_monotone).  No object holds keys other than
+H's exponent.  The "solver" block is optional; tol is relative to
+max|upper end| (see iterate_monotone).  No object holds keys other than
 those shown for it (a table nonlinearity holds "kind" and "path"): an
 unknown key is an error that names it, so a misspelt key cannot run a
 different problem.

@@ -1,11 +1,12 @@
 import collections
 import dataclasses
+import functools
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import subsup
 from subsup import BracketError, ScalarNonlinearity, iterate_monotone, make_bracket
@@ -502,7 +503,9 @@ class TestSharedStart:
             np.linalg.norm(psi.values) * np.linalg.norm(psi_l.values)
         )
         assert cosine < 1.0 - 1e-6
-        _, own = subsup.solve_T(problem.linear, psi, tol=1e-11, x0=br.upper.values)
+        _, own = subsup.solve_T(
+            problem.linear, psi, tol=first_step_tol(1e-11), x0=br.upper.values
+        )
         solves = spy_solves(monkeypatch)
         iterate_monotone(problem, br, tol=1e-9)
         x0, iterations = solves[1]
@@ -576,8 +579,11 @@ class TestSharedStart:
         )
         _, trace = iterate_monotone(problem, br, tol=tol)
         # plain steps of both sides, then step 2's lower point and the
-        # upper one's from the shared start and from the iterate
-        (_, upper, _), _, (shared, _, _), (own, _, _) = solves[1:5]
+        # upper one's from the shared start and from the iterate, the
+        # charged step-1 point that the shared attempt's record holds
+        _, _, (shared, _, _), (own, _, _) = solves[1:5]
+        upper = records[1].x
+        assert records[1].shared and records[1].side == 1
         assert not np.array_equal(shared, upper) and np.array_equal(own, upper)
         assert (trace.steps, trace.restarts, trace.refusals) == (
             unforced.steps, unforced.restarts, unforced.refusals
@@ -614,22 +620,29 @@ class TestSharedStart:
             assert np.abs(np.subtract(*limits)).max() <= 10.0 * tol
 
 
-def bend_first_solve(monkeypatch, start, value):
-    """Make the first plain T solve warm-started at `start` return `value`.
+def bend_plain_solve(monkeypatch, numbers, value, claim_exact=False):
+    """Make the plain T solves numbered in `numbers` return the constant `value`.
 
-    The iteration warm-starts every plain solve at the previous iterate,
-    and the upper side's first one at upper_start, so `start` picks the
-    first plain step of one side from that iterate; shifted solves are
-    left alone.
+    Plain solves are numbered from 1 in call order: the lower side's and
+    then the upper side's at step 1, then a step-1 point's second solve
+    where its charge moves its side back beyond the slack (the lower
+    side's is 3), then each plain step after it, lower side first;
+    shifted solves are left alone.  The report stays the real solve's,
+    so the charge the iteration takes from its A x does not bound the
+    bent point's error; with claim_exact its A x is the right-hand side
+    itself, an exact solve, and the charge is 0.
     """
     real = subsup.iteration.solve_T
-    bent = []
+    plain = []
 
     def solve_T(problem, psi, **kwargs):
         u, report = real(problem, psi, **kwargs)
-        if not bent and kwargs.get("shift") is None and np.all(kwargs["x0"] == start):
-            bent.append(True)
-            return np.full_like(u, value), report
+        if kwargs.get("shift") is None:
+            plain.append(True)
+            if len(plain) in numbers:
+                if claim_exact:
+                    report = dataclasses.replace(report, Ax=psi.values.copy())
+                return np.full_like(u, value), report
         return u, report
 
     monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
@@ -637,7 +650,7 @@ def bend_first_solve(monkeypatch, start, value):
 
 class TestOrderingError:
     def test_lower_step_going_down(self, monkeypatch, torus_problem, torus8):
-        bend_first_solve(monkeypatch, 0.01, 0.009)
+        bend_plain_solve(monkeypatch, (1, 3), 0.009)
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         with pytest.raises(
             subsup.OrderingError, match="lower sequence not monotone at step 1"
@@ -647,8 +660,7 @@ class TestOrderingError:
     def test_lower_crossing_upper(self, monkeypatch, torus_problem, torus8):
         # the upper side may descend, but not below the lower side
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
-        start, _ = upper_start(torus_problem, br, 1e-11)
-        bend_first_solve(monkeypatch, start, 0.005)
+        bend_plain_solve(monkeypatch, (2,), 0.005)
         with pytest.raises(subsup.OrderingError, match="lower above upper at step 1"):
             iterate_monotone(torus_problem, br, tol=1e-9, max_steps=1)
 
@@ -658,11 +670,12 @@ class TestOrderingError:
         # the lower side goes down by 0.6 slack at each of two plain steps,
         # which no step check refuses, and ends 1.2 slack below its bracket
         # end; a tol below 0.6 slack keeps it running after the first, and
-        # a refused certificate makes step 2 a plain step again
+        # a refused certificate makes step 2 a plain step again: plain
+        # solve 3, after both sides' at step 1
         slack = subsup.iteration.ORDERING_SLACK  # max|upper| = 1
         first, second = 0.01 - 0.6 * slack, 0.01 - 1.2 * slack
-        bend_first_solve(monkeypatch, 0.01, first)
-        bend_first_solve(monkeypatch, first, second)
+        bend_plain_solve(monkeypatch, (1,), first)
+        bend_plain_solve(monkeypatch, (3,), second)
         spy_certificate(monkeypatch, lambda sign, v: False)
         br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
         with pytest.raises(subsup.OrderingError, match="sandwich violated by 1.2"):
@@ -672,7 +685,7 @@ class TestOrderingError:
         from subsup.cli import main
         from tests.conftest import base_torus_doc
 
-        bend_first_solve(monkeypatch, 0.01, 0.009)
+        bend_plain_solve(monkeypatch, (1, 3), 0.009)
         out = tmp_path / "run"
         assert main(["solve", tmp_scenario(base_torus_doc()), "--out", str(out)]) == 1
         assert "chain ordering violated" in capsys.readouterr().err
@@ -687,11 +700,117 @@ class TestOrderingError:
             ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
         )
         br = make_bracket(prob, torus8.field(1e-6), torus8.field(1e-3))
-        bend_first_solve(monkeypatch, 1e-6, 1e-6 - 1e-11)
+        bend_plain_solve(monkeypatch, (1, 3), 1e-6 - 1e-11)
         with pytest.raises(
             subsup.OrderingError, match="lower sequence not monotone at step 1"
         ):
             iterate_monotone(prob, br, tol=1e-9)
+
+
+SINE = "sin(6.283185307179586*x)"
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_domain(case):
+    """(domain, a) of icosphere 3 with a = 2 + 0.5 z, or of a torus 8^3
+    with a = 2 + 0.3 sin 2 pi x."""
+    if case == "icosphere3":
+        return subsup.build_icosphere(3), "2+0.5*z"
+    return subsup.build_flat_torus([(8, 1.0)] * 3), f"2+0.3*{SINE}"
+
+
+def loosen_plain_solves(monkeypatch, numbers, tol):
+    """Run the plain T solves numbered in `numbers` (see bend_plain_solve)
+    to the relative residual tol instead."""
+    real = subsup.iteration.solve_T
+    plain = []
+
+    def solve_T(problem, psi, **kwargs):
+        if kwargs.get("shift") is None:
+            plain.append(True)
+            if len(plain) in numbers:
+                kwargs["tol"] = tol
+        return real(problem, psi, **kwargs)
+
+    monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+
+
+class TestCharge:
+    # a plain point v of side i becomes v - delta (lower) or v + delta
+    # (upper), delta = max|S(u) - A v| / min(m a) rounded up: with L 1 = 0,
+    # ||A^-1||_inf <= 1 / min(m a) puts the exact step T(S(u)) in between
+    @pytest.mark.parametrize("loose", [False, True])
+    @pytest.mark.parametrize("case", ["icosphere3", "torus8_variable"])
+    def test_the_charged_step_lies_on_the_safe_side_of_the_exact_one(
+        self, case, loose, monkeypatch
+    ):
+        # the exact step from a dense solve; loose stops both step-1
+        # solves at relative residual 0.1
+        problem, br, _ = benchmark_problem(*oracle_domain(case))
+        if loose:
+            loosen_plain_solves(monkeypatch, (1, 2), 0.1)
+        raw = spy_solves(monkeypatch, lambda psi, x0, shift, x, report: x.copy())
+        pair, _ = iterate_monotone(problem, br, tol=1e-9, max_steps=1)
+        A = problem.linear.system_matrix.toarray()
+        exact = [
+            np.linalg.solve(A, subsup.apply_S(problem, end.values).values)
+            for end in (br.lower, br.upper)
+        ]
+        rounding = 1e-13 * np.abs(exact[1]).max()  # the dense solve's own error
+        assert (pair.u_star.values - exact[0]).max() <= rounding
+        assert (exact[1] - pair.u_upper_star.values).max() <= rounding
+        assert len(raw) == 2  # no second solve: each charge stayed below its step
+        if loose:  # the solves' own points miss the exact step both ways
+            for v, w in zip(raw, exact):
+                assert (v - w).max() > 1e3 * rounding and (w - v).max() > 1e3 * rounding
+
+    @pytest.mark.parametrize(
+        "numbers,value,message",
+        [
+            ((1,), 0.9, "lower above upper at step 1"),
+            ((1, 3), 0.009, "lower sequence not monotone at step 1"),
+        ],
+    )
+    def test_a_charge_from_a_false_residual_is_caught(
+        self, numbers, value, message, monkeypatch, torus_problem, torus8
+    ):
+        # the lower side's step-1 solve returns a constant and reports
+        # A v = S(u), an exact solve: its charge is 0, whatever the point's
+        # error.  A point above the upper side's, or below the bracket end,
+        # still bends the chain, and the run refuses it
+        bend_plain_solve(monkeypatch, numbers, value, claim_exact=True)
+        br = make_bracket(torus_problem, torus8.field(0.01), torus8.field(1.0))
+        with pytest.raises(subsup.OrderingError, match=message):
+            iterate_monotone(torus_problem, br, tol=1e-9)
+
+    def test_a_charge_beyond_its_step_solves_the_side_again(self, monkeypatch, torus8):
+        # near the fold (a = 1.0001) the upper end 1 lies within the loose
+        # solve's error of its step.  A lower end that is not constant makes
+        # the upper side start from its own end, where the residual already
+        # meets the step-1 tol: the solve returns the end itself, whose
+        # charge moves it up.  The side solves again to the linear tol, from
+        # its iterate, and its charge then stays within the slack
+        problem, _, _ = benchmark_problem(torus8, "1.0001")
+        lower = subsup.parse_coefficient(f"0.01+0.0005*{SINE}", torus8)
+        br = make_bracket(problem, lower, torus8.field(1.0))
+        real = subsup.iteration.solve_T
+        solves = []
+
+        def solve_T(problem, psi, **kwargs):
+            v, report = real(problem, psi, **kwargs)
+            solves.append((kwargs["tol"], kwargs["x0"].copy(), report.iterations))
+            return v, report
+
+        monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
+        _, trace = iterate_monotone(problem, br, tol=1e-9, max_steps=1)
+        linear_tol = 1e-9 / 100.0
+        tols = [first_step_tol(linear_tol)] * 2 + [linear_tol]
+        assert [tol for tol, _, _ in solves] == tols
+        (_, start, loose), (_, again, _) = solves[1:]
+        assert np.array_equal(start, br.upper.values) and loose == 0
+        assert np.array_equal(again, br.upper.values)
+        assert sum(trace.cg_iterations) == sum(count for _, _, count in solves)
+        assert trace.upper_steps[0].max_u < 1.0
 
 
 def dot(x, y):
@@ -703,16 +822,34 @@ def norm(x):
     return np.sqrt(dot(x, x))
 
 
+def first_step_tol(linear_tol):
+    """The tol of iterate_monotone's step-1 plain solves."""
+    return max(subsup.iteration.FIRST_STEP_TOL, linear_tol)
+
+
+def charge(problem, x, psi):
+    """delta with x - delta <= T(psi) <= x + delta, as iterate_monotone charges.
+
+    delta = max|psi - A x| / min(m a), rounded up, with A x from the CSR
+    reference: ||A^-1||_inf <= 1 / min(m a) on an M-matrix domain.
+    """
+    r = psi - csr_matvec_reference(problem.linear.system_matrix, x)
+    ma_min = float((problem.domain.mass * problem.a.values).min())
+    return np.nextafter(np.abs(r).max() / ma_min, np.inf)
+
+
 def upper_start(problem, bracket, linear_tol):
     """(x0, A x0) of the upper side's first solve in iterate_monotone.
 
-    That is rho x_l, x_l = T(S(lower)) and rho = S(upper).S(lower) /
-    S(lower).S(lower), with A x0 = rho A x_l, where its residual is below
-    the bracket end's, and otherwise the bracket end, A x0 left to solve_T.
+    That is rho x_l, x_l the lower side's step-1 solve of A x = S(lower),
+    before its charge, and rho = S(upper).S(lower) / S(lower).S(lower),
+    with A x0 = rho A x_l, where its residual is below the bracket end's,
+    and otherwise the bracket end, A x0 left to solve_T.
     """
     lower, upper = bracket.lower.values, bracket.upper.values
     psi_l, psi_u = (subsup.apply_S(problem, v) for v in (lower, upper))
-    x_l, report = subsup.solve_T(problem.linear, psi_l, tol=linear_tol, x0=lower)
+    tol = first_step_tol(linear_tol)
+    x_l, report = subsup.solve_T(problem.linear, psi_l, tol=tol, x0=lower)
     psi_l, psi_u = psi_l.values, psi_u.values
     rho = dot(psi_u, psi_l) / dot(psi_l, psi_l)
     own = csr_matvec_reference(problem.linear.system_matrix, upper)
@@ -724,21 +861,26 @@ def upper_start(problem, bracket, linear_tol):
 def plain_iteration(problem, bracket, tol, linear_tol):
     """Trace rows and limits of u_{k+1} = T(S(u_k)) without restarts.
 
-    Each side runs on its own until its max change is <= tol, the upper
-    one's first solve from upper_start; the rows are then interleaved as
-    IterationTrace.rows() orders them.
+    Each side runs on its own until its max change is <= tol max|upper|,
+    the upper one's first solve from upper_start.  Step 1 solves to
+    first_step_tol, later steps to linear_tol, and each solution x is
+    moved by its charge, down on the lower side and up on the upper one.
+    The rows are then interleaved as IterationTrace.rows() orders them.
     """
     A = problem.linear.system_matrix
+    scale = np.abs(bracket.upper.values).max()
     rows, limits = [], []
-    for seq, start in (("lower", bracket.lower), ("upper", bracket.upper)):
+    for sign, seq, start in ((1, "lower", bracket.lower), (-1, "upper", bracket.upper)):
         u, k, change = start.values, 0, np.inf
-        while change > tol:
+        while change > tol * scale:
             k += 1
             psi = subsup.apply_S(problem, u)
             x0, ax0 = u, None
             if k == 1 and seq == "upper":
                 x0, ax0 = upper_start(problem, bracket, linear_tol)
-            x, _ = subsup.solve_T(problem.linear, psi, tol=linear_tol, x0=x0, Ax0=ax0)
+            step_tol = first_step_tol(linear_tol) if k == 1 else linear_tol
+            x, _ = subsup.solve_T(problem.linear, psi, tol=step_tol, x0=x0, Ax0=ax0)
+            x = x - sign * charge(problem, x, psi.values)
             change = float(np.abs(x - u).max())
             u = x
             Au = csr_matvec_reference(A, u)
@@ -1147,14 +1289,14 @@ class TestRestarts:
         "case,max_steps,counts",
         [
             ("shipped_torus", 500, (6, (5, 5), (0, 0), (6, 0), True)),
-            ("shipped_sphere", 500, (6, (5, 5), (0, 0), (19, 1), True)),
-            ("torus16_variable", 500, (6, (5, 5), (0, 0), (17, 5), True)),
+            ("shipped_sphere", 500, (6, (5, 5), (0, 0), (15, 1), True)),
+            ("torus16_variable", 500, (6, (5, 5), (0, 0), (14, 2), True)),
             ("near_fold_torus", 500, (14, (7, 5), (1, 4), (15, 12), True)),
             ("near_fold_torus", 5, (5, (3, 0), (1, 0), (6, 4), False)),
             ("near_fold_torus", 8, (8, (4, 0), (1, 3), (9, 10), False)),
             ("near_fold_torus", 10, (10, (4, 1), (1, 4), (11, 12), False)),
             ("shipped_torus", 6, (6, (5, 5), (0, 0), (6, 0), True)),
-            ("shipped_sphere", 6, (6, (5, 5), (0, 0), (19, 1), True)),
+            ("shipped_sphere", 6, (6, (5, 5), (0, 0), (15, 1), True)),
         ],
     )
     def test_counts_are_the_parents(self, case, max_steps, counts, torus8):
@@ -1300,7 +1442,8 @@ class TestEnclosureStop:
     ):
         # at tol 1e-4 the run stops at step 5 on the lower side's kept
         # point and the upper side's plain one, 4.3e-5 apart.  That plain
-        # point lowered by 1e-6 at one vertex moves its side by at most
+        # point lowered by 1e-6 at one vertex, its report and so its
+        # charge left the real solve's, moves its side by at most
         # tol and stays above the lower side, so the per-side rule freezes
         # it, but it fails the bracket rule: no later step stops on it,
         # and the run ends on the lower side's own rule.  The rule runs
@@ -1315,11 +1458,10 @@ class TestEnclosureStop:
             if kwargs.get("shift") is None:
                 plain.append(v)
                 if len(plain) == lowered["at"]:
+                    delta = charge(torus_problem, v, b.values)
                     v = v.copy()
                     v[0] -= 1e-6
-                    jv = linear.domain.L.product(v, linear.diagonal)
-                    report = dataclasses.replace(report, Ax=jv)
-                    lowered["point"] = v
+                    lowered["point"] = v + delta  # the upper side's charge
             return v, report
 
         monkeypatch.setattr(subsup.iteration, "solve_T", solve_T)
@@ -1400,6 +1542,53 @@ class TestEnclosureStop:
         assert trace.enclosure_width is None and not pair.coincide
         assert np.abs(pair.u_star.values - r1).max() <= 1e-8
         assert np.abs(pair.u_upper_star.values - r2).max() <= 1e-8
+
+
+def scaling_run(case, k):
+    """(pair, trace, lambda) of the benchmark's problem scaled by lambda = 4^k.
+
+    With F = t^5 and H = t^0.5, u -> lambda u maps f to f lambda^-4, h to
+    h lambda^(1/2) and the bracket to lambda times itself, all exact in
+    binary: a solution of one problem is lambda times a solution of the
+    other.
+    """
+    lam = 4.0**k
+    domain, a = oracle_domain(case)
+    problem = subsup.NonlinearProblem(
+        domain, subsup.parse_coefficient(a, domain), 0.5 * lam**-4, 0.5 * 2.0**k,
+        ScalarNonlinearity.power(5.0), ScalarNonlinearity.power(0.5), n=3,
+    )
+    br = make_bracket(problem, domain.field(0.01 * lam), domain.field(lam))
+    return (*iterate_monotone(problem, br, tol=1e-9), lam)
+
+
+class TestScaling:
+    # tol is relative to max|upper end|, as the ordering slack and the
+    # bracket rule are, in the side stop, the enclosure width, the "within
+    # tol" of a restart point and the eta schedule; the plain points'
+    # charge scales with u too.  So a run in other units is the same run:
+    # bit for bit, lambda times the limits and every row's u-valued entries
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(-60, 100))
+    @example(k=-60)
+    @example(k=1)
+    @example(k=100)
+    @pytest.mark.parametrize("case", ["icosphere3", "torus8_variable"])
+    def test_a_scaled_problem_runs_the_scaled_iteration(self, case, k):
+        pair, trace, lam = scaling_run(case, k)
+        base_pair, base, _ = scaling_run(case, 0)
+        for name in ("u_star", "u_upper_star"):
+            got, want = (getattr(p, name).values for p in (pair, base_pair))
+            assert np.array_equal(got, lam * want)
+        assert (trace.steps, trace.restarts, trace.refusals, trace.cg_iterations) == (
+            base.steps, base.restarts, base.refusals, base.cg_iterations
+        )
+        assert trace.converged and pair.coincide
+        assert trace.enclosure_width == lam * base.enclosure_width
+        assert trace.rows() == [
+            (step, seq, lam * change, lam * lo, lam * hi, lam * d)
+            for step, seq, change, lo, hi, d in base.rows()
+        ]
 
 
 class TestIterationMemory:

@@ -637,6 +637,31 @@ class TestCoarseInverse:
         assert np.abs(inverse - inverse.T).max() <= 1e-13 * np.abs(inverse).max()
         assert np.abs(inverse - np.linalg.inv(A)).max() <= 1e-13 * np.abs(inverse).max()
 
+    @pytest.mark.parametrize("a", ["2+0.5*z", "1", "0.05+3*x*x"])
+    def test_by_halves_matches_gauss_jordan_and_a_dense_solve(self, a):
+        # the coarsest multigrid level, icosphere 2 (162 rows): halves of
+        # 81, 40 and 41, then 20 and 21 rows, which go to Gauss-Jordan
+        from subsup.linear_operator import _spd_inverse, _spd_inverse_by_halves
+
+        domain = subsup.build_icosphere(2)
+        problem = LinearProblem(domain, subsup.parse_coefficient(a, domain))
+        A = problem.system_matrix.toarray()
+        inverse = _spd_inverse_by_halves(A)
+        scale = np.abs(inverse).max()
+        assert np.abs(inverse - _spd_inverse(A)).max() <= 1e-14 * scale
+        solved = np.linalg.solve(A, np.eye(A.shape[0]))
+        assert np.abs(inverse - solved).max() <= 1e-14 * scale
+        assert np.abs(inverse - inverse.T).max() <= 1e-15 * scale
+
+    def test_v_cycle_on_the_identity_is_symmetric_positive_definite(self):
+        # icosphere 3: one smoothed level above the coarsest, whose inverse
+        # is formed by halves
+        precondition = sphere_problem(3).preconditioner
+        n = 642
+        B = np.stack([precondition(column) for column in np.eye(n)], axis=1)
+        assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
+        assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0.0
+
 
 def h1_gram(domain):
     """L + M as a dense matrix, the Gram matrix of the discrete H1 product."""

@@ -9,7 +9,10 @@ printed on stdout are masked, as they differ from run to run.  The
 output of two versions of subsup differs exactly where a command's
 output does, so a change that must keep every output's bytes is checked
 by one diff (the tool exits 1 after its lines where a command ended in a
-traceback):
+traceback).  The solve, check and mesh-info outputs are byte-deterministic
+at any OpenBLAS thread count; spectrum's are not: its eigenvalues come
+from LAPACK or ARPACK, whose last digits follow the thread count, so
+compare its lines only between runs at the same count:
 
     PYTHONPATH=src python tools/artifact_cases.py > after.txt
     PYTHONPATH=../parent/src python tools/artifact_cases.py > before.txt
